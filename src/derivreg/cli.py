@@ -197,7 +197,12 @@ def _read_raw_csv(path: Path, k: int) -> np.ndarray:
                 raise ParseError(f"expected {k + 1} cells, found {len(row)}", lineno)
     if not rows:
         raise ValidationError(f"n >= 1 required: {path} has no data rows")
-    return np.asarray(rows, dtype=float)
+    arr = np.asarray(rows, dtype=float)
+    # Checked before rescaling, which would spread one bad cell over its column.
+    bad = np.flatnonzero(~np.isfinite(arr).all(axis=1))
+    if bad.size:
+        raise ValidationError(f"{path}: data row {bad[0] + 1} has a non-finite value")
+    return arr
 
 
 def _load_estimate_config(path: Path):

@@ -202,6 +202,11 @@ class DataSet:
             raise ValidationError("n >= 1 required")
         if self.deriv.k != self.k:
             raise ValidationError(f"deriv has k={self.deriv.k}, dataset has k={self.k}")
+        for name, arr in (("X", X), ("Y", Y)):
+            bad = np.argwhere(~np.isfinite(arr))
+            if bad.size:
+                row = bad[0][0]
+                raise ValidationError(f"{name} has a non-finite value in row {row + 1}: {arr[row]}")
         if X.size and (X.min() < 0.0 or X.max() > 1.0):
             bad = np.argwhere((X < 0.0) | (X > 1.0))[0]
             raise ValidationError(

@@ -17,6 +17,13 @@ from .kernels import ProductKernel, product_kernel
 
 __all__ = ["DensityEstimator", "loo_density", "floored_density", "loo_at_rows"]
 
+# Sorted rows per block of the windowed sweep in :func:`loo_at_rows`.
+_BLOCK = 64
+# Widening of each block's window in coordinate 1.  It is far above the
+# rounding error of (X_j - x)/H, so no row the kernels could weight is missed;
+# a row inside the pad but outside the support adds an exact zero.
+_PAD = 1e-9
+
 
 @dataclass(frozen=True)
 class DensityEstimator:
@@ -24,7 +31,8 @@ class DensityEstimator:
 
     The kernel order ``d1`` must exceed the dimension k; edge kernels take
     over in any coordinate within H of a face of the cube, which removes
-    boundary bias for the estimator as a whole.
+    boundary bias for the estimator as a whole.  Without ``edge_corrected``
+    the ``family`` uses the interior kernel in every region.
     """
 
     data: DataSet
@@ -45,13 +53,13 @@ class DensityEstimator:
             raise ValidationError(
                 f"density kernel order d1={self.d1} must exceed k={self.data.k}"
             )
-        object.__setattr__(self, "family", product_kernel(self.d1))
+        family = product_kernel(self.d1)
+        if not self.edge_corrected:
+            family = ProductKernel(family.order, family.interior, family.interior, family.interior)
+        object.__setattr__(self, "family", family)
 
     def _coordinate_weights(self, x_j: float, col: np.ndarray) -> np.ndarray:
-        if self.edge_corrected:
-            spec = self.family.select(float(x_j), self.H)
-        else:
-            spec = self.family.interior
+        spec = self.family.select(float(x_j), self.H)
         return spec.eval((col - x_j) / self.H) / self.H
 
 
@@ -81,32 +89,42 @@ def loo_at_rows(est: DensityEstimator, floored: bool = True) -> np.ndarray:
     """Vector of leave-one-out densities at the design rows themselves.
 
     Precomputed once per dataset by the regression estimators; equal to
-    calling :func:`loo_density` (or its floored form) at every (i, X_i).
+    calling :func:`loo_density` (or its floored form) at every (i, X_i), up to
+    the order of summation.
+
+    An exact windowed sweep: rows are sorted lexicographically with coordinate
+    1 as the primary key and taken in blocks of consecutive sorted rows.  Only
+    rows within H of a block's range in coordinate 1 can carry kernel mass, so
+    each block evaluates the same edge-switching kernels on a block x window
+    slab.  Time is n x (rows within H in coordinate 1) kernel values and memory
+    is block x n.  Each row is summed over its window in canonical row order,
+    so a permutation of the rows permutes the result bit for bit.
     """
     X = est.data.X
     n, k = X.shape
-    w = np.ones((n, n))
-    for j in range(k):
-        col = X[:, j]
-        for spec_kind, rows in _rows_by_region(est, col):
-            if rows.size == 0:
-                continue
-            w[rows] *= spec_kind.eval((col[None, :] - col[rows, None]) / est.H) / est.H
-    np.fill_diagonal(w, 0.0)
-    vals = w.sum(axis=1) / (n - 1)
+    order = np.lexsort(X.T[::-1])
+    Xs = X[order]
+    first = Xs[:, 0]
+    sums = np.empty(n)
+    for a in range(0, n, _BLOCK):
+        b = min(a + _BLOCK, n)
+        lo = np.searchsorted(first, first[a] - est.H - _PAD, side="left")
+        hi = np.searchsorted(first, first[b - 1] + est.H + _PAD, side="right")
+        w = np.ones((b - a, hi - lo))
+        for j in range(k):
+            col = Xs[lo:hi, j]
+            xj = Xs[a:b, j]
+            for spec, rows in est.family.regions(xj, est.H):
+                w[rows] *= spec.eval((col[None, :] - xj[rows, None]) / est.H) / est.H
+        w[np.arange(b - a), np.arange(a - lo, b - lo)] = 0.0
+        sums[a:b] = w.sum(axis=1)
+    # Identical rows are adjacent after sorting but may fall in blocks with
+    # different windows; all copies take the sum of the first one.
+    new_run = np.ones(n, dtype=bool)
+    new_run[1:] = np.any(Xs[1:] != Xs[:-1], axis=1)
+    sums = sums[np.maximum.accumulate(np.where(new_run, np.arange(n), 0))]
+    vals = np.empty(n)
+    vals[order] = sums / (n - 1)
     if floored:
         vals = np.maximum(vals, est.floor)
     return vals
-
-
-def _rows_by_region(est: DensityEstimator, col: np.ndarray):
-    if not est.edge_corrected:
-        return [(est.family.interior, np.arange(col.shape[0]))]
-    left = np.flatnonzero(col < est.H)
-    right = np.flatnonzero(col > 1.0 - est.H)
-    interior = np.flatnonzero((col >= est.H) & (col <= 1.0 - est.H))
-    return [
-        (est.family.left, left),
-        (est.family.right, right),
-        (est.family.interior, interior),
-    ]

@@ -324,12 +324,8 @@ def nadaraya_watson_grid(
     for j in range(k):
         col = X[:, j]
         xj = pts[:, j]
-        left = np.flatnonzero(xj < h)
-        right = np.flatnonzero(xj > 1.0 - h)
-        interior = np.flatnonzero((xj >= h) & (xj <= 1.0 - h))
-        for spec, rows in ((family.left, left), (family.right, right), (family.interior, interior)):
-            if rows.size:
-                w[rows] *= spec.eval((col[None, :] - xj[rows, None]) / h) / h
+        for spec, rows in family.regions(xj, h):
+            w[rows] *= spec.eval((col[None, :] - xj[rows, None]) / h) / h
 
     num = (w * Y[None, :]).sum(axis=1)
     den = w.sum(axis=1)

@@ -107,14 +107,19 @@ def make_interior_kernel(d: int) -> KernelSpec:
     """Construct the order-d interior kernel q(t)(1 - t^2) on [-1, 1].
 
     Interior kernels are even-order; an odd request is rounded up with a
-    warning.  d = 2 gives the Epanechnikov kernel 0.75 (1 - t^2).
+    warning.  d = 2 gives the Epanechnikov kernel 0.75 (1 - t^2).  Kernels are
+    built once per order and shared; :class:`KernelSpec` is immutable.
     """
     if d < 2:
         raise ValidationError(f"interior kernel order must be >= 2, got {d}")
     if d % 2:
         warnings.warn(f"interior kernel order {d} is odd; using {d + 1}", stacklevel=2)
         d = d + 1
+    return _interior_kernel(d)
 
+
+@lru_cache(maxsize=64)
+def _interior_kernel(d: int) -> KernelSpec:
     def moment(m: int) -> float:
         # integral_{-1}^{1} t^m (1 - t^2) dt
         if m % 2:
@@ -130,13 +135,18 @@ def make_edge_kernel(d: int, side: str) -> KernelSpec:
     """Construct the order-d boundary kernel for the given side.
 
     The left kernel is q(t) t(1 - t) on [0, 1]; the right kernel is its mirror
-    on [-1, 0].  Both vanish at the endpoints of their support.
+    on [-1, 0].  Both vanish at the endpoints of their support.  Built once
+    per (order, side) and shared.
     """
     if d < 1:
         raise ValidationError(f"edge kernel order must be >= 1, got {d}")
     if side not in ("left", "right"):
         raise ValidationError(f"side must be 'left' or 'right', got {side!r}")
+    return _edge_kernel(d, side)
 
+
+@lru_cache(maxsize=64)
+def _edge_kernel(d: int, side: str) -> KernelSpec:
     def moment(m: int) -> float:
         # integral_0^1 t^m (t - t^2) dt
         return 1.0 / (m + 2) - 1.0 / (m + 3)
@@ -182,6 +192,20 @@ class ProductKernel:
         if x_i > 1.0 - bandwidth:
             return self.right
         return self.interior
+
+    def regions(self, x, bandwidth: float) -> list[tuple[KernelSpec, np.ndarray]]:
+        """Vectorized :meth:`select`: split evaluation coordinates ``x`` by kernel.
+
+        Returns ``(spec, rows)`` for each non-empty set of rows using the left
+        edge, right edge or interior kernel, with the precedence of
+        :meth:`select` when ``bandwidth > 0.5`` makes the edge regions overlap.
+        """
+        x = np.asarray(x, dtype=float)
+        left = x < bandwidth
+        right = ~left & (x > 1.0 - bandwidth)
+        interior = ~(left | right)
+        pairs = ((self.left, left), (self.right, right), (self.interior, interior))
+        return [(spec, np.flatnonzero(mask)) for spec, mask in pairs if mask.any()]
 
     def eval_product(self, x, u, bandwidth: float) -> float:
         """Evaluate prod_i kappa_i(u_i) with specs selected for point x."""

@@ -153,6 +153,18 @@ class TestEstimate:
         assert rows[:, 0].max() > 5.0  # grid reported in raw units
         assert np.max(np.abs(rows[:, 1] - 0.25 * rows[:, 0] ** 2)) < 0.5
 
+    def test_nan_in_csv_exits_one(self, tmp_path, example_config, capsys):
+        g00 = tmp_path / "g00.csv"
+        lines = g00.read_text().splitlines()
+        lines[5] = "nan," + lines[5].split(",", 1)[1]
+        g00.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "o"
+        assert run(["estimate", "--config", example_config, "--out-dir", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "data row 5 has a non-finite value" in err
+        assert len(err.splitlines()) == 1
+        assert not (out / "fit.csv").exists()
+
 
 class TestKernelsCommand:
     def test_writes_samples_and_moments(self, tmp_path):

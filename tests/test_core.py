@@ -115,6 +115,16 @@ class TestDataSet:
         with pytest.raises(ValidationError):
             DataSet(2, DerivIndex.from_string("00"), np.zeros((3, 2)), np.zeros(2))
 
+    def test_rejects_nan_in_X(self):
+        X = np.array([[0.2, 0.3], [0.4, np.nan]])
+        with pytest.raises(ValidationError, match="X has a non-finite value in row 2"):
+            DataSet(2, DerivIndex.from_string("00"), X, np.zeros(2))
+
+    def test_rejects_inf_in_Y(self):
+        Y = np.array([1.0, 2.0, np.inf])
+        with pytest.raises(ValidationError, match="Y has a non-finite value in row 3"):
+            DataSet(1, DerivIndex.from_string("0"), np.full((3, 1), 0.5), Y)
+
     def test_immutability(self):
         ds = DataSet(1, DerivIndex.from_string("0"), np.array([[0.5]]), np.array([1.0]))
         with pytest.raises(ValueError):

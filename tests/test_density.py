@@ -1,6 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference
 from derivreg import DataSet, DensityEstimator, DerivIndex, ValidationError, floored_density, loo_at_rows, loo_density, split_stream
 
 Z2 = DerivIndex.zeros(2)
@@ -113,3 +118,97 @@ class TestValidation:
     def test_floor_positive(self):
         with pytest.raises(ValidationError):
             DensityEstimator(_ds([[0.4], [0.6]]), d1=2, H=0.2, floor=0.0)
+
+
+# Coordinates on and near the faces and on a coarse grid give rows inside the
+# edge-kernel regions and ties in coordinate 1; free floats fill in the rest.
+_coord = st.one_of(
+    st.sampled_from([0.0, 0.01, 0.25, 0.5, 0.75, 0.99, 1.0]),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+
+
+@st.composite
+def _designs(draw, max_n):
+    """(X, H, edge): rows in [0, 1]^k, some repeated exactly."""
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(2, max_n))
+    rows = draw(st.lists(st.lists(_coord, min_size=k, max_size=k), min_size=n, max_size=n))
+    X = np.array(rows, dtype=float)
+    copies = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n // 2))
+    for src, dst in copies:
+        X[dst] = X[src]
+    H = draw(st.floats(min_value=1e-3, max_value=1.0, exclude_max=True))
+    return X, H, draw(st.booleans())
+
+
+class TestWindowedSweep:
+    """loo_at_rows against the naive oracle, on any design and bandwidth."""
+
+    @staticmethod
+    def _naive(X, H, edge, d1=4):
+        return np.array(
+            [reference.loo_density(X.tolist(), i, X[i].tolist(), H, d1, edge) for i in range(len(X))]
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(_designs(max_n=140))
+    def test_matches_naive_oracle(self, design):
+        X, H, edge = design
+        est = DensityEstimator(_ds(X), d1=4, H=H, edge_corrected=edge)
+        got = loo_at_rows(est, floored=False)
+        want = self._naive(X, H, edge)
+        # Summation order differs from the oracle's; values scale like H^-k.
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+    @pytest.mark.parametrize(
+        "X, H",
+        [
+            ([[0.3], [0.7]], 0.5),  # n = 2
+            ([[0.0, 1.0], [1.0, 0.0]], 0.999),  # one window covers every row
+            ([[0.5, 0.2], [0.5, 0.2], [0.5, 0.9], [0.02, 0.98]], 0.6),  # ties, duplicates, faces
+            ([[0.0]] * 3 + [[1.0]] * 3, 0.05),  # duplicate rows on both faces
+        ],
+    )
+    @pytest.mark.parametrize("edge", [True, False])
+    def test_edge_cases_match_naive_oracle(self, X, H, edge):
+        X = np.asarray(X, dtype=float)
+        est = DensityEstimator(_ds(X), d1=4, H=H, edge_corrected=edge)
+        got = loo_at_rows(est, floored=False)
+        assert np.all(np.abs(got - self._naive(X, H, edge)) <= 1e-12)
+
+    def test_many_blocks_match_naive_oracle(self):
+        X = split_stream(31, [0]).uniform((300, 2)) ** 1.5
+        est = DensityEstimator(_ds(X), d1=4, H=0.12)
+        got = loo_at_rows(est, floored=False)
+        assert np.max(np.abs(got - self._naive(X, 0.12, True))) <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(_designs(max_n=300), st.randoms(use_true_random=False))
+    def test_row_permutation_permutes_output_bitwise(self, design, rnd):
+        X, H, edge = design
+        perm = np.array(rnd.sample(range(len(X)), len(X)))
+        a = loo_at_rows(DensityEstimator(_ds(X), d1=4, H=H, edge_corrected=edge), floored=False)
+        b = loo_at_rows(DensityEstimator(_ds(X[perm]), d1=4, H=H, edge_corrected=edge), floored=False)
+        assert np.array_equal(a[perm], b)
+
+    def test_duplicate_run_across_blocks_permutes_bitwise(self):
+        # 150 copies of one row span three blocks of the sweep.
+        X = np.vstack([np.full((150, 2), 0.3), split_stream(4, [0]).uniform((50, 2))])
+        perm = split_stream(4, [1]).gen.permutation(200)
+        a = loo_at_rows(DensityEstimator(_ds(X), d1=4, H=0.2))
+        b = loo_at_rows(DensityEstimator(_ds(X[perm]), d1=4, H=0.2))
+        assert np.array_equal(a[perm], b)
+        assert np.all(a[:150] == a[0])
+
+    def test_memory_stays_bounded_at_large_n(self):
+        # A dense n x n kernel matrix would need 3.2 GB per temporary here.
+        X = split_stream(3, [0]).uniform((20_000, 2))
+        est = DensityEstimator(_ds(X), d1=4, H=0.05)
+        tracemalloc.start()
+        try:
+            loo_at_rows(est)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20

@@ -14,6 +14,7 @@ from derivreg import (
     loo_at_rows,
     make_grid,
     nadaraya_watson,
+    nadaraya_watson_grid,
     nonlocal_estimate,
     poly_function,
     reconstruction_integral,
@@ -125,6 +126,27 @@ class TestFit:
         ra, rb = fit(plan_a, pts), fit(plan_b, pts)
         assert np.array_equal(ra.values, rb.values)
 
+    def test_row_permutation_invariance_bitwise_with_loo_density(self):
+        g = poly_function(2, {(1, 1): 1.0, (2, 0): 0.5})
+        idx0, idx1 = D("00"), D("10")
+        ds0 = _uniform_dataset(2, idx0, 300, g, 0.3, 8, (0,))
+        ds1 = _uniform_dataset(2, idx1, 250, g, 0.3, 8, (1,))
+        # exact duplicate rows, some in different blocks of the density sweep
+        X1 = ds1.X.copy()
+        X1[200:] = X1[:50]
+        ds1 = DataSet(2, idx1, X1, g.deriv(idx1, X1))
+        perms = [split_stream(9, [j]).gen.permutation(ds.n) for j, ds in enumerate((ds0, ds1))]
+        permuted = [DataSet(2, ds.deriv, ds.X[p], ds.Y[p]) for ds, p in zip((ds0, ds1), perms)]
+        plans = [
+            EstimationPlan.build(2, [0], 0, {idx0: a, idx1: b}, d=2, density="loo")
+            for a, b in ((ds0, ds1), permuted)
+        ]
+        pts = make_grid(2, 4, offset=0.2)
+        ra, rb = fit(plans[0], pts), fit(plans[1], pts)
+        assert np.array_equal(ra.values, rb.values)
+        for label in ra.contributions:
+            assert np.array_equal(ra.contributions[label], rb.contributions[label])
+
     def test_separable_remainder_plan_shape(self):
         # only the top derivative and the function itself observed (k = 2)
         g = poly_function(2, {(1, 1): 1.0, (1, 0): 1.0})
@@ -183,6 +205,20 @@ class TestBaselineSmoother:
             h = float(rng.uniform(0.3, 0.5))
             naive = reference.nadaraya_watson(X.tolist(), Y.tolist(), x.tolist(), h, 2, 0.05)
             assert nadaraya_watson(ds, x, h, den_floor=0.05) == pytest.approx(naive, abs=1e-12)
+
+    @pytest.mark.parametrize("h", [0.3, 0.7])
+    def test_grid_matches_naive_reference(self, h):
+        # h = 0.7 makes the edge regions overlap; the left kernel takes precedence.
+        import reference
+
+        rng = np.random.default_rng(78)
+        X = rng.uniform(size=(60, 2))
+        Y = rng.normal(size=60)
+        pts = np.array([[0.5, 0.5], [0.05, 0.95], [0.4, 0.6], [1.0, 0.0]])
+        got = nadaraya_watson_grid(X, Y, pts, h, den_floor=0.05)
+        for x, v in zip(pts, got):
+            naive = reference.nadaraya_watson(X.tolist(), Y.tolist(), x.tolist(), h, 2, 0.05)
+            assert v == pytest.approx(naive, abs=1e-12)
 
     def test_bias_order_on_fixed_grid(self):
         # noiseless quadratic on a deterministic grid: error scales like h^2
