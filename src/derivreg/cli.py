@@ -205,45 +205,62 @@ def _read_raw_csv(path: Path, k: int) -> np.ndarray:
     return arr
 
 
+def _option(parser: configparser.ConfigParser, section: str, key: str, kind=str, fallback=None):
+    """One config value converted by ``kind``; a bad value is a ValidationError."""
+    try:
+        raw = parser.get(section, key, fallback=None)
+        return fallback if raw is None else kind(raw)
+    except (ValueError, configparser.Error) as exc:
+        raise ValidationError(f"[{section}] {key}: {' '.join(str(exc).split())}") from None
+
+
 def _load_estimate_config(path: Path):
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
+    try:
+        read = parser.read(str(path))
+    except configparser.Error as exc:
+        raise ValidationError(" ".join(str(exc).split())) from None
     if not read:
         raise OSError(f"cannot read config file {path}")
     if "plan" not in parser:
         raise ValidationError("config needs a [plan] section")
-    plan = parser["plan"]
-    k = plan.getint("k")
+    k = _option(parser, "plan", "k", int)
     if k is None or k < 1:
         raise ValidationError("[plan] k must be a positive integer")
-    coords_raw = plan.get("coords", "")
-    coords = [int(c) - 1 for c in coords_raw.replace(",", " ").split()]
+    coords_raw = _option(parser, "plan", "coords", str, "")
+    try:
+        coords = [int(c) - 1 for c in coords_raw.replace(",", " ").split()]
+    except ValueError:
+        coords = []
     if not coords:
         raise ValidationError("[plan] coords must list the 1-based derivative coordinates")
-    ell = plan.getint("ell", 0)
     plan_cfg = {
         "k": k,
         "coords": coords,
-        "ell": ell,
-        "d": plan.getint("d", fallback=None),
-        "d1": plan.getint("d1", fallback=None),
-        "density": plan.get("density", "uniform"),
-        "floor": plan.getfloat("floor", 0.05),
-        "h_const": plan.getfloat("h_const", 1.0),
+        "ell": _option(parser, "plan", "ell", int, 0),
+        "d": _option(parser, "plan", "d", int),
+        "d1": _option(parser, "plan", "d1", int),
+        "density": _option(parser, "plan", "density", str, "uniform"),
+        "floor": _option(parser, "plan", "floor", float, 0.05),
+        "h_const": _option(parser, "plan", "h_const", float, 1.0),
     }
     data_paths: dict[DerivIndex, Path] = {}
     for section in parser.sections():
         if section.startswith("data "):
-            bits = section.split(None, 1)[1].strip()
+            bits = section[len("data "):].strip()
             idx = DerivIndex.from_string(bits)
             if idx.k != k:
                 raise ValidationError(f"[{section}] index has k={idx.k}, plan has k={k}")
-            data_paths[idx] = Path(parser[section]["path"])
+            data_path = _option(parser, section, "path")
+            if data_path is None:
+                raise ValidationError(f"[{section}] needs a path")
+            data_paths[idx] = Path(data_path)
+    offset = _option(parser, "grid", "offset", str, "auto")
     grid = {
-        "points": parser.getint("grid", "points", fallback=9),
-        "offset": parser.get("grid", "offset", fallback="auto"),
+        "points": _option(parser, "grid", "points", int, 9),
+        "offset": offset if offset == "auto" else _option(parser, "grid", "offset", float),
     }
-    rescale = parser.get("output", "rescale", fallback="auto")
+    rescale = _option(parser, "output", "rescale", str, "auto")
     return plan_cfg, data_paths, grid, rescale
 
 
@@ -311,7 +328,7 @@ def run_estimate(args) -> int:
         ]
         offset = max(hs) if hs else 0.0
     else:
-        offset = float(grid["offset"])
+        offset = grid["offset"]
     pts = make_grid(k, grid["points"], offset=offset)
 
     result = fit(plan, pts)
@@ -395,7 +412,12 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--seed", type=int, default=42)
         p.add_argument("--out-dir", default="derivreg-out")
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument(
+            "--workers",
+            type=int,
+            default=1,
+            help="processes for simulate's replications; other subcommands accept and ignore it",
+        )
         p.add_argument("--quad-nodes", type=int, default=32)
 
     p = sub.add_parser("verify", help="run the exact-identity and kernel-moment suite")

@@ -13,17 +13,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import DataSet, ValidationError
-from .kernels import ProductKernel, product_kernel
+from .kernels import ProductKernel, band_sweep, product_kernel
 
 __all__ = ["DensityEstimator", "loo_density", "floored_density", "loo_at_rows"]
-
-# Sorted rows per block of the windowed sweep in :func:`loo_at_rows`.
-_BLOCK = 64
-# Widening of each block's window in coordinate 1.  It is far above the
-# rounding error of (X_j - x)/H, so no row the kernels could weight is missed;
-# a row inside the pad but outside the support adds an exact zero.
-_PAD = 1e-9
-
 
 @dataclass(frozen=True)
 class DensityEstimator:
@@ -58,10 +50,6 @@ class DensityEstimator:
             family = ProductKernel(family.order, family.interior, family.interior, family.interior)
         object.__setattr__(self, "family", family)
 
-    def _coordinate_weights(self, x_j: float, col: np.ndarray) -> np.ndarray:
-        spec = self.family.select(float(x_j), self.H)
-        return spec.eval((col - x_j) / self.H) / self.H
-
 
 def loo_density(est: DensityEstimator, i: int, x) -> float:
     """Leave-one-out density estimate at x, dropping design row i.
@@ -75,7 +63,7 @@ def loo_density(est: DensityEstimator, i: int, x) -> float:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     w = np.ones(n)
     for j in range(est.data.k):
-        w *= est._coordinate_weights(float(x[j]), est.data.X[:, j])
+        w *= est.family.column_weights(float(x[j]), est.data.X[:, j], est.H)
     w[i] = 0.0
     return float(w.sum() / (n - 1))
 
@@ -92,32 +80,25 @@ def loo_at_rows(est: DensityEstimator, floored: bool = True) -> np.ndarray:
     calling :func:`loo_density` (or its floored form) at every (i, X_i), up to
     the order of summation.
 
-    An exact windowed sweep: rows are sorted lexicographically with coordinate
-    1 as the primary key and taken in blocks of consecutive sorted rows.  Only
+    An exact sorted-band sweep (:func:`derivreg.kernels.band_sweep`): rows
+    are sorted lexicographically with coordinate 1 as the primary key and
+    taken in blocks of 64 consecutive sorted rows.  Only
     rows within H of a block's range in coordinate 1 can carry kernel mass, so
     each block evaluates the same edge-switching kernels on a block x window
     slab.  Time is n x (rows within H in coordinate 1) kernel values and memory
-    is block x n.  Each row is summed over its window in canonical row order,
+    is 64 x n.  Each row is summed over its window in canonical row order,
     so a permutation of the rows permutes the result bit for bit.
     """
     X = est.data.X
-    n, k = X.shape
-    order = np.lexsort(X.T[::-1])
+    n = X.shape[0]
+    order, blocks = band_sweep(X.T, est.H)
     Xs = X[order]
-    first = Xs[:, 0]
     sums = np.empty(n)
-    for a in range(0, n, _BLOCK):
-        b = min(a + _BLOCK, n)
-        lo = np.searchsorted(first, first[a] - est.H - _PAD, side="left")
-        hi = np.searchsorted(first, first[b - 1] + est.H + _PAD, side="right")
-        w = np.ones((b - a, hi - lo))
-        for j in range(k):
-            col = Xs[lo:hi, j]
-            xj = Xs[a:b, j]
-            for spec, rows in est.family.regions(xj, est.H):
-                w[rows] *= spec.eval((col[None, :] - xj[rows, None]) / est.H) / est.H
-        w[np.arange(b - a), np.arange(a - lo, b - lo)] = 0.0
-        sums[a:b] = w.sum(axis=1)
+    for idx, lo, hi in blocks:
+        w = est.family.weights(Xs[idx], Xs[lo:hi], est.H)
+        w[np.arange(idx.size), idx - lo] = 0.0
+        sums[idx] = w.sum(axis=1)
+        del w  # free this slab before the next block builds its own
     # Identical rows are adjacent after sorting but may fall in blocks with
     # different windows; all copies take the sum of the first one.
     new_run = np.ones(n, dtype=bool)

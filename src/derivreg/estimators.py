@@ -19,7 +19,7 @@ import numpy as np
 from .core import DataSet, DerivIndex, ValidationError
 from .density import DensityEstimator, loo_at_rows
 from .functionals import Quadrature, Term, TermPlan, Weight, build_term_plan
-from .kernels import BandwidthPlan, ProductKernel, check_orders, default_orders, product_kernel
+from .kernels import BandwidthPlan, ProductKernel, band_sweep, check_orders, default_orders, product_kernel
 
 __all__ = [
     "EstimationPlan",
@@ -34,10 +34,25 @@ __all__ = [
 ]
 
 
+def _canonical_keys(X: np.ndarray, Y: np.ndarray) -> list[np.ndarray]:
+    """Sort keys of the canonical row order, most significant first."""
+    return [X[:, j] for j in range(X.shape[1])] + [Y]
+
+
 def _canonical_order(ds: DataSet) -> np.ndarray:
     """Row order used for all summations: lexicographic in (X columns, Y)."""
-    keys = [ds.Y] + [ds.X[:, j] for j in range(ds.k - 1, -1, -1)]
-    return np.lexsort(keys)
+    return np.lexsort(_canonical_keys(ds.X, ds.Y)[::-1])
+
+
+def _check_points(pts, k: int) -> np.ndarray:
+    """Evaluation points as an (m, k) array of finite points in [0, 1]^k."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    if pts.shape[1] != k:
+        raise ValidationError(f"evaluation points have {pts.shape[1]} columns, data has k={k}")
+    bad = np.flatnonzero(~np.all(np.isfinite(pts) & (pts >= 0.0) & (pts <= 1.0), axis=1))
+    if bad.size:
+        raise ValidationError(f"evaluation point {pts[bad[0]]} is not a finite point of the unit cube")
+    return pts
 
 
 def _term_value(
@@ -206,9 +221,7 @@ def fit(plan: EstimationPlan, eval_points) -> FitResult:
     contribution columns.  Deterministic for fixed inputs: row order is
     canonicalized and points are processed independently.
     """
-    pts = np.atleast_2d(np.asarray(eval_points, dtype=float))
-    if pts.shape[1] != plan.k:
-        raise ValidationError(f"evaluation points have {pts.shape[1]} columns, plan k={plan.k}")
+    pts = _check_points(eval_points, plan.k)
     family = product_kernel(plan.d)
 
     orders: dict[DerivIndex, np.ndarray] = {}
@@ -274,28 +287,37 @@ def nadaraya_watson(
     den_floor: float | None = None,
 ) -> float:
     """Locally weighted average over all k coordinates (the no-derivative
-    baseline), with edge-switching product kernels.
+    baseline) at one point: :func:`nadaraya_watson_grid` without widening.
 
     Raises when no design point carries kernel mass at x (bandwidth too
-    small).  ``den_floor`` bounds the normalizing density estimate away from
-    zero; higher-order edge kernels can otherwise produce near-zero or
-    negative total weight.
+    small) or, without ``den_floor``, when the kernel mass cancels exactly.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    family = product_kernel(d)
-    w = np.ones(ds.n)
-    for j in range(ds.k):
-        w = w * family.column_weights(float(x[j]), ds.X[:, j], h)
-    if not np.any(w != 0.0):
-        raise ValidationError(f"no design points within bandwidth h={h} of {x}; increase h")
-    order = _canonical_order(ds)
-    num = float((ds.Y * w)[order].sum())
-    den = float(w[order].sum())
+    return float(nadaraya_watson_grid(ds.X, ds.Y, x[None, :], h, d=d, den_floor=den_floor)[0])
+
+
+def _nw_pass(X, Y, pts, h, family, den_floor):
+    """One windowed NW pass: (values, mass, ok) at ``pts``.
+
+    ``mass`` flags points where some design row carries kernel weight; values
+    are NaN unless ``ok`` (mass and a nonzero normalizer).
+    """
+    n = X.shape[0]
+    order, blocks = band_sweep(_canonical_keys(X, Y), h, pts[:, 0])
+    Xs, Ys = X[order], Y[order]
+    num, den = np.empty(pts.shape[0]), np.empty(pts.shape[0])
+    mass = np.empty(pts.shape[0], dtype=bool)
+    for idx, lo, hi in blocks:
+        w = family.weights(pts[idx], Xs[lo:hi], h)
+        num[idx] = (w * Ys[None, lo:hi]).sum(axis=1)
+        den[idx] = w.sum(axis=1)
+        mass[idx] = (w != 0.0).any(axis=1)
+        del w  # free this slab before the next block builds its own
     if den_floor is not None:
-        den = max(den, den_floor * ds.n)
-    if den == 0.0:
-        raise ValidationError(f"kernel mass cancels exactly at {x}; increase h")
-    return num / den
+        # den / n estimates the design density at the point; floor it there.
+        den = np.maximum(den, den_floor * n)
+    ok = mass & (den != 0.0)
+    return np.where(ok, num / np.where(ok, den, 1.0), np.nan), mass, ok
 
 
 def nadaraya_watson_grid(
@@ -307,59 +329,42 @@ def nadaraya_watson_grid(
     den_floor: float | None = 0.05,
     widen_on_empty: bool = False,
 ) -> np.ndarray:
-    """Vectorized baseline smoother over many evaluation points.
+    """Baseline smoother over many evaluation points in the unit cube.
 
-    With ``widen_on_empty`` the bandwidth is doubled locally (at most six
-    times) at points with no in-window data, instead of raising; Monte Carlo
+    A sorted-band sweep (:func:`derivreg.kernels.band_sweep`): data rows are
+    sorted in canonical order, evaluation points are taken in blocks of 64 by
+    coordinate 1, and each block weights only the rows within h of it in that
+    coordinate.  Time is m x (rows within h in coordinate 1) kernel values and
+    memory 64 x n.  Sums run in canonical row order, so the result is bitwise
+    invariant under row permutations of (X, Y).
+
+    ``den_floor`` bounds the normalizing density estimate away from zero;
+    higher-order edge kernels can otherwise give near-zero or negative total
+    weight.  With ``widen_on_empty`` the points with no in-window data are
+    re-run at doubled h (at most six times) instead of raising; Monte Carlo
     harnesses use this so one starved window cannot abort a replication.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    pts = _check_points(pts, X.shape[1])
     family = product_kernel(d)
-    n, k = X.shape
-    m = pts.shape[0]
-
-    w = np.ones((m, n))
-    for j in range(k):
-        col = X[:, j]
-        xj = pts[:, j]
-        for spec, rows in family.regions(xj, h):
-            w[rows] *= spec.eval((col[None, :] - xj[rows, None]) / h) / h
-
-    num = (w * Y[None, :]).sum(axis=1)
-    den = w.sum(axis=1)
-    mass = (w != 0.0).any(axis=1)
-    if den_floor is not None:
-        # den / n estimates the design density at the point; floor it there.
-        den = np.maximum(den, den_floor * n)
-    elif np.any(mass & (den == 0.0)):
-        raise ValidationError("kernel mass cancels exactly at an evaluation point; increase h")
-    out = num / np.where(den == 0.0, np.nan, den)
-
-    starved = ~mass
-    if np.any(starved):
-        if not widen_on_empty:
-            raise ValidationError(
-                f"{int(starved.sum())} evaluation points have no design points within h={h}"
-            )
-        for idx in np.flatnonzero(starved):
-            hj, tries = h, 0
-            while tries < 6:
-                hj *= 2.0
-                try:
-                    out[idx] = nadaraya_watson(
-                        DataSet(k=k, deriv=DerivIndex.zeros(k), X=X, Y=Y),
-                        pts[idx],
-                        hj,
-                        d=d,
-                        den_floor=den_floor,
-                    )
-                    break
-                except ValidationError:
-                    tries += 1
-            else:
-                raise ValidationError(f"no design points near {pts[idx]} even after widening")
+    out, mass, ok = _nw_pass(X, Y, pts, h, family, den_floor)
+    if np.any(mass & ~ok):
+        bad = pts[np.flatnonzero(mass & ~ok)[0]]
+        raise ValidationError(f"kernel mass cancels exactly at {bad}; increase h")
+    left = np.flatnonzero(~mass)
+    if left.size and not widen_on_empty:
+        raise ValidationError(f"no design points within h={h} of {pts[left[0]]} ({left.size} points); increase h")
+    hj = h
+    for _ in range(6):
+        if not left.size:
+            break
+        hj *= 2.0
+        vals, _, ok = _nw_pass(X, Y, pts[left], hj, family, den_floor)
+        out[left[ok]] = vals[ok]
+        left = left[~ok]
+    if left.size:
+        raise ValidationError(f"no design points near {pts[left[0]]} even after widening")
     return out
 
 

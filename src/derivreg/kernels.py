@@ -24,6 +24,14 @@ from numpy.polynomial import polynomial as P
 
 from .core import ValidationError
 
+# Evaluation points per block of a sorted-band sweep (:func:`band_sweep`).
+_BLOCK = 64
+# Widening of each block's window in coordinate 1, relative to the data's
+# scale.  It is far above the rounding error of the kernel arguments, so no row
+# a window predicate could accept is missed; a row inside the pad but outside
+# the support adds an exact zero.
+_PAD = 1e-9
+
 __all__ = [
     "KernelSpec",
     "make_interior_kernel",
@@ -31,6 +39,7 @@ __all__ = [
     "kernel_moment",
     "ProductKernel",
     "product_kernel",
+    "band_sweep",
     "check_orders",
     "default_orders",
     "BandwidthPlan",
@@ -207,6 +216,20 @@ class ProductKernel:
         pairs = ((self.left, left), (self.right, right), (self.interior, interior))
         return [(spec, np.flatnonzero(mask)) for spec, mask in pairs if mask.any()]
 
+    def weights(self, x: np.ndarray, X: np.ndarray, bandwidth: float) -> np.ndarray:
+        """Product-kernel weights prod_i kappa_i((X_j,i - x_i)/h) / h.
+
+        Returns an (m, n) array for evaluation points ``x`` (m, k) and data rows
+        ``X`` (n, k), with kernels selected per point and coordinate as in
+        :meth:`select`.
+        """
+        w = np.ones((x.shape[0], X.shape[0]))
+        for i in range(x.shape[1]):
+            col, xi = X[:, i], x[:, i]
+            for spec, rows in self.regions(xi, bandwidth):
+                w[rows] *= spec.eval((col[None, :] - xi[rows, None]) / bandwidth) / bandwidth
+        return w
+
     def eval_product(self, x, u, bandwidth: float) -> float:
         """Evaluate prod_i kappa_i(u_i) with specs selected for point x."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -234,6 +257,37 @@ def product_kernel(d: int) -> ProductKernel:
         left=make_edge_kernel(interior.order, "left"),
         right=make_edge_kernel(interior.order, "right"),
     )
+
+
+def band_sweep(keys, radius: float, queries=None):
+    """Blocks of an exact sweep for weights that vanish unless coordinate 1
+    of a data row lies within ``radius`` of the evaluation point's.
+
+    Rows are sorted lexicographically by ``keys`` (per-row arrays, most
+    significant first, coordinate 1 as ``keys[0]``).  ``queries`` holds the
+    evaluation points' coordinate 1, or ``None`` for the sorted rows
+    themselves; they are taken in ascending order in blocks of 64.  Returns
+    ``(order, blocks)``: ``order`` sorts the rows, and each block
+    ``(idx, lo, hi)`` pairs query indices (sorted row positions when
+    ``queries`` is ``None``) with the sorted rows ``lo:hi``, which include
+    every row within ``radius`` of one of them.
+    """
+    order = np.lexsort(tuple(np.asarray(key) for key in keys[::-1]))
+    first = np.asarray(keys[0], dtype=float)[order]
+    if queries is None:
+        qorder, qs = np.arange(first.size), first
+    else:
+        queries = np.asarray(queries, dtype=float)
+        qorder = np.argsort(queries, kind="stable")
+        qs = queries[qorder]
+    pad = _PAD * max(1.0, float(np.abs(first).max(initial=0.0)))
+    blocks = []
+    for a in range(0, qs.size, _BLOCK):
+        b = min(a + _BLOCK, qs.size)
+        lo = int(np.searchsorted(first, qs[a] - radius - pad, side="left"))
+        hi = int(np.searchsorted(first, qs[b - 1] + radius + pad, side="right"))
+        blocks.append((qorder[a:b], lo, hi))
+    return order, blocks
 
 
 def check_orders(d: int, d1: int, k: int, p: int) -> None:

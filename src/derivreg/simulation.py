@@ -21,7 +21,7 @@ import numpy as np
 from .core import DataSet, DerivIndex, TestFunction, ValidationError, split_stream, product_function
 from .estimators import EstimationPlan, fit, make_grid, nadaraya_watson_grid
 from .functionals import build_term_plan
-from .kernels import BandwidthPlan
+from .kernels import BandwidthPlan, band_sweep
 
 __all__ = [
     "CobbDouglasConfig",
@@ -189,36 +189,43 @@ def derivative_ac_curve(
     injecting window-count noise proportional to the level of the target.
     Returns (part_a, part_b, part_a + part_b).  Raises if any Q-window is
     empty (bandwidth too small).
+
+    Both passes (part a at the data points, then both parts at the
+    evaluation points) are sorted-band sweeps
+    (:func:`derivreg.kernels.band_sweep`): points are taken in blocks of 64
+    by Q, and each block reads only the rows within h/2 of it in Q.  Time is
+    (n + m) x (rows in a Q-window) and memory 64 x n.  Sums run in a
+    canonical row order keyed on (q, v, r, y_al, y_ac), so the result is
+    bitwise invariant under row permutations of the sample.
     """
     if h <= 0:
         raise ValidationError("window width h must be positive")
     eval_q = np.atleast_1d(np.asarray(eval_q, dtype=float))
     eval_v = np.atleast_1d(np.asarray(eval_v, dtype=float))
     eval_r = np.broadcast_to(np.asarray(eval_r, dtype=float), eval_q.shape)
-    q, v = sample.q, sample.v
+    keys = (sample.q, sample.v, sample.r, sample.y_al, sample.y_ac)
+    order, data_blocks = band_sweep(keys, 0.5 * h)
+    q, v, r, y_al, y_ac = (key[order] for key in keys)
 
-    def windowed_sums(pts_q, pts_v, vals_cum, vals_win):
-        """Per point: (window count, cum-masked sum, window sum), in blocks."""
+    def windowed_sums(blocks, pts_q, pts_v, vals_win):
+        """Per point: (window count, cum-masked y_al sum, window sum of vals_win)."""
         m = pts_q.shape[0]
         counts = np.empty(m, dtype=np.int64)
         cum_sums = np.empty(m)
         win_sums = np.empty(m)
-        block = max(1, int(2e7) // max(q.shape[0], 1))
-        for lo in range(0, m, block):
-            hi = min(lo + block, m)
-            win = np.abs(q[None, :] - pts_q[lo:hi, None]) <= 0.5 * h
-            counts[lo:hi] = win.sum(axis=1)
-            cum = win & (v[None, :] <= pts_v[lo:hi, None])
-            cum_sums[lo:hi] = (cum * vals_cum[None, :]).sum(axis=1)
-            win_sums[lo:hi] = (win * vals_win[None, :]).sum(axis=1)
+        for idx, lo, hi in blocks:
+            win = np.abs(q[None, lo:hi] - pts_q[idx, None]) <= 0.5 * h
+            counts[idx] = win.sum(axis=1)
+            cum = win & (v[None, lo:hi] <= pts_v[idx, None])
+            cum_sums[idx] = (cum * y_al[None, lo:hi]).sum(axis=1)
+            win_sums[idx] = (win * vals_win[None, lo:hi]).sum(axis=1)
         return counts, cum_sums, win_sums
 
     # part a at the data points themselves (needed for the part-b remainder)
-    counts_d, cum_d, _ = windowed_sums(q, v, sample.y_al, sample.y_al)
-    ga_data = sample.r * cum_d / counts_d
-
-    resid = (sample.y_ac - ga_data) / sample.r
-    counts, cum_sums, win_sums = windowed_sums(eval_q, eval_v, sample.y_al, resid)
+    counts_d, cum_d, _ = windowed_sums(data_blocks, q, v, y_al)
+    resid = (y_ac - r * cum_d / counts_d) / r
+    _, eval_blocks = band_sweep(keys, 0.5 * h, eval_q)
+    counts, cum_sums, win_sums = windowed_sums(eval_blocks, eval_q, eval_v, resid)
     if not np.all(counts > 0):
         raise ValidationError(f"empty Q-window at width h={h}; increase h")
     ga = eval_r * cum_sums / counts

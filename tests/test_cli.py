@@ -166,6 +166,34 @@ class TestEstimate:
         assert not (out / "fit.csv").exists()
 
 
+    def _bad_config_exits_one(self, tmp_path, example_config, capsys, edit):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(edit(example_config.read_text()))
+        out = tmp_path / "o"
+        assert run(["estimate", "--config", bad, "--out-dir", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert not (out / "fit.csv").exists()
+        return err
+
+    def test_inline_comments_as_in_readme(self, tmp_path, example_config):
+        commented = tmp_path / "commented.ini"
+        commented.write_text(example_config.read_text().replace("coords = 1", "coords = 1  ; 1-based"))
+        for cfg, sub in ((example_config, "a"), (commented, "b")):
+            assert run(["estimate", "--config", cfg, "--out-dir", tmp_path / sub]) == 0
+        assert (tmp_path / "a" / "fit.csv").read_bytes() == (tmp_path / "b" / "fit.csv").read_bytes()
+
+    def test_non_integer_k_exits_one(self, tmp_path, example_config, capsys):
+        edit = lambda text: text.replace("k = 2", "k = two")
+        err = self._bad_config_exits_one(tmp_path, example_config, capsys, edit)
+        assert "[plan] k" in err and "'two'" in err
+
+    def test_duplicate_section_exits_one(self, tmp_path, example_config, capsys):
+        edit = lambda text: text + "\n[data 10]\npath = elsewhere.csv\n"
+        err = self._bad_config_exits_one(tmp_path, example_config, capsys, edit)
+        assert "section 'data 10' already exists" in err
+
+
 class TestKernelsCommand:
     def test_writes_samples_and_moments(self, tmp_path):
         assert run(["kernels", "--out-dir", tmp_path, "--interior", 2, "--edge", 1, 2]) == 0

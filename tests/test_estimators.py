@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from derivreg import (
     BandwidthPlan,
@@ -167,6 +171,13 @@ class TestFit:
         with pytest.raises(ValidationError, match="10"):
             EstimationPlan.build(2, [0], 0, datasets, d=2)
 
+    @pytest.mark.parametrize("bad", [7.0, -0.5, np.nan, np.inf])
+    def test_rejects_points_outside_unit_cube(self, bad):
+        g = poly_function(1, {(2,): 1.0})
+        plan = self._full_hierarchy_plan(g, 50, seed=7)
+        with pytest.raises(ValidationError, match="unit cube"):
+            fit(plan, [[0.5], [bad]])
+
     def test_loo_density_weighting_path(self):
         g = poly_function(1, {(1,): 1.0})
         plan = self._full_hierarchy_plan(g, 120, seed=12, sigma=0.2, density="loo")
@@ -220,6 +231,14 @@ class TestBaselineSmoother:
             naive = reference.nadaraya_watson(X.tolist(), Y.tolist(), x.tolist(), h, 2, 0.05)
             assert v == pytest.approx(naive, abs=1e-12)
 
+    @pytest.mark.parametrize("bad", [[7.0, 0.5], [0.5, -0.01], [np.nan, 0.5], [0.5, np.inf]])
+    def test_rejects_points_outside_unit_cube(self, bad):
+        X = split_stream(2, [0]).uniform((40, 2))
+        with pytest.raises(ValidationError, match="unit cube"):
+            nadaraya_watson_grid(X, X[:, 0], np.array([[0.5, 0.5], bad]), 0.2, widen_on_empty=True)
+        with pytest.raises(ValidationError, match="unit cube"):
+            nadaraya_watson(DataSet(2, D("00"), X, X[:, 0]), bad, 0.2)
+
     def test_bias_order_on_fixed_grid(self):
         # noiseless quadratic on a deterministic grid: error scales like h^2
         grid = np.linspace(0.0, 1.0, 2001)[:, None]
@@ -229,6 +248,109 @@ class TestBaselineSmoother:
         errs = np.array([abs(nadaraya_watson(ds, [0.5], h=h) - 0.25) for h in hs])
         slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
         assert abs(slope - 2.0) <= 0.2
+
+
+# Coordinates from a fixed menu hit the faces, the interior/edge switch points
+# and exact ties; free floats fill in the rest.
+_coord = st.one_of(
+    st.sampled_from([0.0, 0.01, 0.25, 0.5, 0.75, 0.99, 1.0]),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+
+
+@st.composite
+def _nw_problems(draw, max_n, max_m):
+    """(X, Y, pts, h, d): data in [0, 1]^k; some rows repeat another row's X,
+    and with a response from a short menu some repeat it exactly."""
+    k = draw(st.integers(1, 3))
+    n = draw(st.one_of(st.integers(1, 20), st.integers(65, max_n)))
+    X = np.array(draw(st.lists(st.lists(_coord, min_size=k, max_size=k), min_size=n, max_size=n)))
+    y = st.one_of(st.sampled_from([-1.0, 0.5, 2.0]), st.floats(-3.0, 3.0))
+    Y = np.array(draw(st.lists(y, min_size=n, max_size=n)))
+    for src, dst in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n // 2)):
+        X[dst] = X[src]
+    m = draw(st.one_of(st.integers(1, 20), st.integers(65, max_m)))  # one block or several
+    pts = np.array(draw(st.lists(st.lists(_coord, min_size=k, max_size=k), min_size=m, max_size=m)))
+    h = draw(st.one_of(st.sampled_from([0.05, 0.25, 0.5, 0.7]), st.floats(0.02, 0.9)))
+    return X, Y, pts, h, draw(st.sampled_from([2, 4]))
+
+
+def _naive_widened_nw(X, Y, x, h, d, den_floor):
+    """The oracle at the first of h, 2h, ..., 64h that puts kernel mass at x."""
+    import reference
+
+    for t in range(7):
+        hj = h * 2.0**t
+        if any(
+            np.prod([reference._kernel_value(reference._select(x[c], hj, d), (row[c] - x[c]) / hj) for c in range(len(x))])
+            != 0.0
+            for row in X
+        ):
+            return reference.nadaraya_watson(X.tolist(), Y.tolist(), list(x), hj, d, den_floor)
+    return None
+
+
+class TestWindowedBaseline:
+    """nadaraya_watson_grid's sorted-band sweep against the naive oracle."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(_nw_problems(max_n=100, max_m=100))
+    def test_matches_naive_oracle_with_widening(self, problem):
+        X, Y, pts, h, d = problem
+        want = [_naive_widened_nw(X, Y, x, h, d, 0.05) for x in pts]
+        if any(w is None for w in want):
+            with pytest.raises(ValidationError, match="even after widening"):
+                nadaraya_watson_grid(X, Y, pts, h, d=d, den_floor=0.05, widen_on_empty=True)
+            return
+        got = nadaraya_watson_grid(X, Y, pts, h, d=d, den_floor=0.05, widen_on_empty=True)
+        want = np.array(want)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+    @pytest.mark.parametrize("h", [0.15, 0.7])
+    def test_many_blocks_match_naive_oracle(self, h):
+        import reference
+
+        X = split_stream(32, [0]).uniform((300, 2)) ** 1.5
+        Y = split_stream(32, [1]).standard_normal(300)
+        pts = np.vstack([split_stream(32, [2]).uniform((150, 2)), [[0.0, 1.0], [1.0, 0.5]]])
+        got = nadaraya_watson_grid(X, Y, pts, h, d=4)
+        want = np.array([reference.nadaraya_watson(X.tolist(), Y.tolist(), x.tolist(), h, 4, 0.05) for x in pts])
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+    def test_starved_points_widen_only_themselves(self):
+        X = np.array([[0.1, 0.1], [0.15, 0.12], [0.9, 0.9]])
+        Y = np.array([1.0, 2.0, 5.0])
+        pts = np.array([[0.12, 0.1], [0.5, 0.5], [0.9, 0.88]])
+        got = nadaraya_watson_grid(X, Y, pts, 0.1, widen_on_empty=True)
+        for x, v in zip(pts, got):
+            assert v == pytest.approx(_naive_widened_nw(X, Y, x, 0.1, 2, 0.05), abs=1e-12)
+        with pytest.raises(ValidationError, match="increase h"):
+            nadaraya_watson_grid(X, Y, pts, 0.1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_nw_problems(max_n=300, max_m=100), st.randoms(use_true_random=False))
+    def test_row_permutation_invariance_bitwise(self, problem, rnd):
+        X, Y, pts, h, d = problem
+        out = []
+        for perm in (np.arange(len(X)), np.array(rnd.sample(range(len(X)), len(X)))):
+            try:
+                out.append(nadaraya_watson_grid(X[perm], Y[perm], pts, h, d=d, widen_on_empty=True))
+            except ValidationError as exc:
+                out.append(str(exc))
+        a, b = out
+        assert a == b if isinstance(a, str) else np.array_equal(a, b)
+
+    def test_memory_stays_bounded_at_large_n(self):
+        # The dense m x n weight block would need 320 MB per temporary here.
+        X = split_stream(5, [0]).uniform((20_000, 2))
+        Y = split_stream(5, [1]).standard_normal(20_000)
+        tracemalloc.start()
+        try:
+            nadaraya_watson_grid(X, Y, X[:2000], 0.05)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
 
 class TestLimitCovariance:

@@ -1,7 +1,12 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference
 
 from derivreg import (
     CobbDouglasConfig,
@@ -104,6 +109,95 @@ class TestDerivativeAcEstimator:
         est = derivative_ac_estimate(sample, 1.0, 1.0, h=0.05)
         truth = float(sample.oracle.ac(1.0, 1.0))
         assert est == pytest.approx(truth, abs=0.02)
+
+
+def _sample(q, v, r, y_ac, y_al):
+    """A SimSample carrying the given rows (truth fields are unused here)."""
+    base = generate(CobbDouglasConfig(n=len(q), seed=0))
+    arrays = dict(q=q, v=v, r=r, y_ac=y_ac, y_al=y_al)
+    return replace(base, **{name: np.asarray(a, dtype=float) for name, a in arrays.items()})
+
+
+def _naive_ac(s, eq, ev, er, h):
+    rows = [a.tolist() for a in (s.q, s.v, s.r, s.y_ac, s.y_al)]
+    return np.array([reference.derivative_ac(*rows, q0, v0, r0, h) for q0, v0, r0 in zip(eq, ev, er)])
+
+
+# Dyadic values put data exactly on window edges q0 +- h/2; free floats fill in.
+_dyadic = st.sampled_from([0.5 + j / 8 for j in range(9)])
+_q = st.one_of(_dyadic, st.floats(0.5, 1.5))
+
+
+@st.composite
+def _ac_problems(draw, max_n, max_m):
+    """(sample, eval_q, eval_v, eval_r, h); some rows share a prefix of
+    (q, v, r, y_al, y_ac) with another row, up to an exact repeat."""
+    n = draw(st.one_of(st.integers(1, 20), st.integers(65, max_n)))  # one block or several
+    r = st.one_of(st.sampled_from([0.75, 1.0]), st.floats(0.5, 1.5))
+    y = st.one_of(st.sampled_from([-1.0, 0.5, 2.0]), st.floats(-3.0, 3.0))
+    cols = [draw(st.lists(c, min_size=n, max_size=n)) for c in (_q, _q, r, y, y)]
+    rows = [list(t) for t in zip(*cols)]
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(1, 5))
+    for src, dst, width in draw(st.lists(pairs, max_size=n // 2)):
+        rows[dst][:width] = rows[src][:width]
+    q, v, r, y_al, y_ac = (np.array(c) for c in zip(*rows))
+    m = draw(st.one_of(st.integers(1, 20), st.integers(65, max_m)))
+    at_data = st.sampled_from(sorted(set(q.tolist())))
+    evals = [np.array(draw(st.lists(st.one_of(_q, at_data), min_size=m, max_size=m)))]
+    evals += [np.array(draw(st.lists(_q, min_size=m, max_size=m))) for _ in range(2)]
+    h = draw(st.one_of(st.sampled_from([0.125, 0.25, 0.5, 1.0]), st.floats(0.01, 1.2)))
+    return _sample(q, v, r, y_ac, y_al), *evals, h
+
+
+class TestWindowedSweep:
+    """derivative_ac_curve's sorted-band sweep against the naive oracle."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(_ac_problems(max_n=90, max_m=80))
+    def test_matches_naive_oracle(self, problem):
+        s, eq, ev, er, h = problem
+        if np.any(np.all(np.abs(s.q[None, :] - eq[:, None]) > 0.5 * h, axis=1)):
+            with pytest.raises(ValidationError, match="empty Q-window"):
+                derivative_ac_curve(s, eq, ev, er, h)
+            return
+        _, _, got = derivative_ac_curve(s, eq, ev, er, h)
+        want = _naive_ac(s, eq, ev, er, h)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+    def test_rows_exactly_on_window_edges(self):
+        # h = 0.25 at q0 = 1.0: rows at 0.875 and 1.125 are in, their neighbours out.
+        q = [0.875, 1.0, 1.125, np.nextafter(1.125, 2.0), np.nextafter(0.875, 0.0), 1.3]
+        s = _sample(q, [0.9, 1.2, 0.7, 0.8, 0.6, 1.0], [1.0, 1.2, 0.8, 1.0, 1.1, 0.9],
+                    [2.0, 1.5, 1.0, -4.0, 8.0, 3.0], [0.5, 0.25, 1.0, 16.0, 32.0, 2.0])
+        ga, gb, ac = derivative_ac_curve(s, [1.0], [1.0], 1.0, 0.25)
+        assert ga[0] == (0.5 + 1.0) / 3  # v <= 1.0 among the three in-window rows
+        assert ac[0] == pytest.approx(_naive_ac(s, [1.0], [1.0], [1.0], 0.25)[0], abs=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_ac_problems(max_n=200, max_m=80), st.randoms(use_true_random=False))
+    def test_row_permutation_invariance_bitwise(self, problem, rnd):
+        s, eq, ev, er, h = problem
+        perm = np.array(rnd.sample(range(len(s.q)), len(s.q)))
+        shuffled = _sample(s.q[perm], s.v[perm], s.r[perm], s.y_ac[perm], s.y_al[perm])
+        try:
+            a = derivative_ac_curve(s, eq, ev, er, h)
+        except ValidationError:
+            with pytest.raises(ValidationError):
+                derivative_ac_curve(shuffled, eq, ev, er, h)
+            return
+        b = derivative_ac_curve(shuffled, eq, ev, er, h)
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+    def test_memory_stays_bounded_at_large_n(self):
+        # The dense m x n window blocks took 20 MB of masks plus 160 MB of products.
+        sample = generate(CobbDouglasConfig(n=20_000, seed=3))
+        tracemalloc.start()
+        try:
+            derivative_ac_curve(sample, sample.q[:2000], sample.v[:2000], 1.0, 0.05)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
 
 class TestBenchmark:
