@@ -23,9 +23,9 @@ from .core import (
     AffineMap,
     DataSet,
     DerivIndex,
-    ParseError,
     ToleranceError,
     ValidationError,
+    read_csv,
 )
 from .estimators import EstimationPlan, fit, make_grid
 from .functionals import build_term_plan, identity_checks, kernel_checks, nonparametric_dimension
@@ -176,35 +176,6 @@ def run_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _read_raw_csv(path: Path, k: int) -> np.ndarray:
-    rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("missing header row", 1) from None
-        if len(header) != k + 1:
-            raise ParseError(f"expected {k + 1} columns, found {len(header)}", 1)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                rows.append([float(c) for c in row])
-            except ValueError as exc:
-                raise ParseError(str(exc), lineno) from None
-            if len(rows[-1]) != k + 1:
-                raise ParseError(f"expected {k + 1} cells, found {len(row)}", lineno)
-    if not rows:
-        raise ValidationError(f"n >= 1 required: {path} has no data rows")
-    arr = np.asarray(rows, dtype=float)
-    # Checked before rescaling, which would spread one bad cell over its column.
-    bad = np.flatnonzero(~np.isfinite(arr).all(axis=1))
-    if bad.size:
-        raise ValidationError(f"{path}: data row {bad[0] + 1} has a non-finite value")
-    return arr
-
-
 def _option(parser: configparser.ConfigParser, section: str, key: str, kind=str, fallback=None):
     """One config value converted by ``kind``; a bad value is a ValidationError."""
     try:
@@ -285,7 +256,13 @@ def run_estimate(args) -> int:
         print(f"nonparametric dimension bound: {bound}")
         return 0
 
-    raw = {idx: _read_raw_csv(data_paths[idx], k) for idx in needed}
+    raw = {}
+    for idx in needed:
+        raw[idx], _ = read_csv(data_paths[idx], k)
+        # Checked before rescaling, which would spread one bad cell over its column.
+        bad = np.flatnonzero(~np.isfinite(raw[idx]).all(axis=1))
+        if bad.size:
+            raise ValidationError(f"{data_paths[idx]}: data row {bad[0] + 1} has a non-finite value")
 
     # Joint per-coordinate affine maps onto the unit cube.
     mins = np.min([r[:, :k].min(axis=0) for r in raw.values()], axis=0)

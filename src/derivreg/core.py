@@ -22,6 +22,7 @@ __all__ = [
     "AffineMap",
     "rescale_to_unit",
     "DataSet",
+    "read_csv",
     "load_csv",
     "save_csv",
     "RngStream",
@@ -222,14 +223,14 @@ class DataSet:
         return self.X.shape[0]
 
 
-def load_csv(path, k: int, deriv: DerivIndex) -> DataSet:
-    """Read a dataset from CSV: header row, k coordinate columns, one response.
+def read_csv(path, k: int) -> tuple[np.ndarray, list[int]]:
+    """Parse a CSV with a header row, k coordinate columns and one response.
 
-    Coordinates must already lie in [0, 1]; out-of-range values are rejected,
-    not clamped.  Malformed cells raise :class:`ParseError` with the 1-based
-    line number.
+    Returns the (n, k + 1) values and the 1-based line number of each data
+    row; blank lines are skipped.  A malformed row raises :class:`ParseError`
+    with its line number.
     """
-    rows = []
+    rows, lines = [], []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -244,18 +245,26 @@ def load_csv(path, k: int, deriv: DerivIndex) -> DataSet:
             if len(row) != k + 1:
                 raise ParseError(f"expected {k + 1} cells, found {len(row)}", lineno)
             try:
-                vals = [float(c) for c in row]
+                rows.append([float(c) for c in row])
             except ValueError as exc:
                 raise ParseError(str(exc), lineno) from None
-            for j in range(k):
-                if not 0.0 <= vals[j] <= 1.0:
-                    raise ParseError(
-                        f"coordinate x{j + 1}={vals[j]} outside [0, 1]", lineno
-                    )
-            rows.append(vals)
+            lines.append(lineno)
     if not rows:
-        raise ValidationError("n >= 1 required: CSV has no data rows")
-    arr = np.asarray(rows, dtype=float)
+        raise ValidationError(f"n >= 1 required: {path} has no data rows")
+    return np.asarray(rows, dtype=float), lines
+
+
+def load_csv(path, k: int, deriv: DerivIndex) -> DataSet:
+    """Read a dataset from CSV (see :func:`read_csv`).
+
+    Coordinates must already lie in [0, 1]; out-of-range values are rejected,
+    not clamped, with a :class:`ParseError` naming the 1-based line number.
+    """
+    arr, lines = read_csv(path, k)
+    outside = ~((arr[:, :k] >= 0.0) & (arr[:, :k] <= 1.0))
+    if outside.any():
+        r, j = np.argwhere(outside)[0]
+        raise ParseError(f"coordinate x{j + 1}={float(arr[r, j])} outside [0, 1]", lines[r])
     return DataSet(k=k, deriv=deriv, X=arr[:, :k], Y=arr[:, k])
 
 

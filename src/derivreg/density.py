@@ -61,9 +61,9 @@ def loo_density(est: DensityEstimator, i: int, x) -> float:
     if not 0 <= i < n:
         raise ValidationError(f"row index {i} out of range for n={n}")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    w = np.ones(n)
-    for j in range(est.data.k):
-        w *= est.family.column_weights(float(x[j]), est.data.X[:, j], est.H)
+    if x.shape != (est.data.k,):
+        raise ValidationError(f"x has shape {x.shape}, data has k={est.data.k}")
+    w = est.family.weights(x[None, :], est.data.X, est.H)[0]
     w[i] = 0.0
     return float(w.sum() / (n - 1))
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import DataSet, DerivIndex, ValidationError
 from .density import DensityEstimator, loo_at_rows
-from .functionals import Quadrature, Term, TermPlan, Weight, build_term_plan
+from .functionals import Quadrature, Term, TermPlan, Weight, build_term_plan, gl_panels, weight_shape
 from .kernels import BandwidthPlan, ProductKernel, band_sweep, check_orders, default_orders, product_kernel
 
 __all__ = [
@@ -61,22 +61,16 @@ def _term_value(
     x: np.ndarray,
     h: float | None,
     family: ProductKernel,
-    inv_density: np.ndarray,
+    density: np.ndarray,
     order: np.ndarray,
 ) -> float:
     """Sample analogue of one integral term at a single evaluation point."""
-    w = ds.Y / inv_density
+    w = ds.Y / density
     for i, kind in enumerate(term.weights):
-        col = ds.X[:, i]
         if kind is Weight.LOCAL:
-            w = w * family.column_weights(float(x[i]), col, h)
-        elif kind is Weight.CUM:
-            w = w * (col <= x[i])
-        elif kind is Weight.RAMP:
-            w = w * (1.0 - col)
-        elif kind is Weight.RECON:
-            w = w * np.where(col <= x[i], col, col - 1.0)
-        # FLAT multiplies by 1
+            w = w * family.weights(x[None, i : i + 1], ds.X[:, i : i + 1], h)[0]
+        elif kind is not Weight.FLAT:
+            w = w * weight_shape(kind, ds.X[:, i], x[i])
     return float(w[order].sum() / ds.n)
 
 
@@ -97,8 +91,8 @@ def nonlocal_estimate(
         raise ValidationError(f"dataset holds {ds.deriv}, requested {alpha}")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     term = Term(1, alpha, tuple(Weight.RECON if b else Weight.FLAT for b in alpha.bits))
-    inv = np.ones(ds.n) if density is None else np.asarray(density, dtype=float)
-    return _term_value(term, ds, x, None, product_kernel(2), inv, _canonical_order(ds))
+    density = np.ones(ds.n) if density is None else np.asarray(density, dtype=float)
+    return _term_value(term, ds, x, None, product_kernel(2), density, _canonical_order(ds))
 
 
 def smoothed_nonlocal_estimate(
@@ -129,8 +123,8 @@ def smoothed_nonlocal_estimate(
         for i in range(ds.k)
     )
     term = Term(1, beta, weights)
-    inv = np.ones(ds.n) if density is None else np.asarray(density, dtype=float)
-    return _term_value(term, ds, x, h, product_kernel(d), inv, _canonical_order(ds))
+    density = np.ones(ds.n) if density is None else np.asarray(density, dtype=float)
+    return _term_value(term, ds, x, h, product_kernel(d), density, _canonical_order(ds))
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +219,7 @@ def fit(plan: EstimationPlan, eval_points) -> FitResult:
     family = product_kernel(plan.d)
 
     orders: dict[DerivIndex, np.ndarray] = {}
-    inv_density: dict[DerivIndex, np.ndarray] = {}
+    density: dict[DerivIndex, np.ndarray] = {}
     for idx in plan.plan.required_indices:
         ds = plan.datasets[idx]
         orders[idx] = _canonical_order(ds)
@@ -236,9 +230,9 @@ def fit(plan: EstimationPlan, eval_points) -> FitResult:
                 H=plan.bandwidths.H(ds.n, plan.d1, plan.d, plan.k - plan.p),
                 floor=plan.floor,
             )
-            inv_density[idx] = loo_at_rows(est, floored=True)
+            density[idx] = loo_at_rows(est, floored=True)
         else:
-            inv_density[idx] = np.ones(ds.n)
+            density[idx] = np.ones(ds.n)
 
     contribs: dict[str, np.ndarray] = {}
     meta_terms = []
@@ -249,7 +243,7 @@ def fit(plan: EstimationPlan, eval_points) -> FitResult:
         col = np.empty(pts.shape[0])
         for j in range(pts.shape[0]):
             col[j] = term.coef * _term_value(
-                term, ds, pts[j], h, family, inv_density[term.deriv], orders[term.deriv]
+                term, ds, pts[j], h, family, density[term.deriv], orders[term.deriv]
             )
         contribs[term.label] = col
         meta_terms.append(
@@ -398,18 +392,12 @@ def limit_covariance(
     axes = []
     for i in range(k):
         if beta.bits[i]:
-            breaks = sorted({0.0, float(x1[i]), float(x2[i]), 1.0})
-            ts, ws = [], []
-            for lo, hi in zip(breaks[:-1], breaks[1:]):
-                if hi <= lo:
-                    continue
-                t, w = _gl_panel(quad.nodes, lo, hi)
-                chi = np.where(t <= x1[i], t, t - 1.0) * np.where(t <= x2[i], t, t - 1.0)
-                ts.append(t)
-                ws.append(w * chi)
-            axes.append((np.concatenate(ts), np.concatenate(ws)))
+            t, w = gl_panels(quad.nodes, sorted((0.0, float(x1[i]), float(x2[i]), 1.0)))
+            chi1 = weight_shape(Weight.RECON, t, x1[i])
+            chi2 = weight_shape(Weight.RECON, t, x2[i])
+            axes.append((t, w * (chi1 * chi2)))
         else:
-            axes.append(_gl_panel(quad.nodes, 0.0, 1.0))
+            axes.append(gl_panels(quad.nodes, (0.0, 1.0)))
 
     grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
     wgrids = np.meshgrid(*[a[1] for a in axes], indexing="ij")
@@ -419,11 +407,6 @@ def limit_covariance(
         wprod *= wg.ravel()
     dens = np.ones(pts.shape[0]) if f is None else np.asarray(f(pts), dtype=float)
     return float(sigma2 * np.sum(wprod / dens))
-
-
-def _gl_panel(nodes: int, lo: float, hi: float):
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    return 0.5 * (lo + hi) + 0.5 * (hi - lo) * x, 0.5 * (hi - lo) * w
 
 
 def make_grid(k: int, per_dim: int, offset: float = 0.0) -> np.ndarray:

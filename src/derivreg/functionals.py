@@ -42,7 +42,9 @@ from . import kernels as _kernels
 
 __all__ = [
     "Weight",
+    "weight_shape",
     "recon_weight",
+    "gl_panels",
     "Quadrature",
     "weighted_integral",
     "reconstruction_integral",
@@ -75,6 +77,24 @@ class Weight(Enum):
     RECON = "recon"
 
 
+def weight_shape(kind: Weight, u, x):
+    """Value at ``u`` of an integrated shape for evaluation coordinate ``x``:
+    FLAT 1, CUM 1{u <= x}, RAMP 1 - u, RECON u - 1 + 1{u <= x} (u at u = x).
+
+    LOCAL coordinates are not integrated and have no shape.
+    """
+    u = np.asarray(u, dtype=float)
+    if kind is Weight.FLAT:
+        return np.ones_like(u)
+    if kind is Weight.CUM:
+        return u <= x
+    if kind is Weight.RAMP:
+        return 1.0 - u
+    if kind is Weight.RECON:
+        return np.where(u <= x, u, u - 1.0)
+    raise ValidationError(f"coordinate weight {kind} is not integrable")
+
+
 def recon_weight(alpha: DerivIndex, u, x) -> np.ndarray:
     """The product weight  prod_j w_{alpha_j}(u_j, x_j)  with w_0 = 1 and
     w_1(u, x) = u - 1 + 1{u <= x}  (value at equality u = x is u).
@@ -91,8 +111,7 @@ def recon_weight(alpha: DerivIndex, u, x) -> np.ndarray:
     u, x = np.broadcast_arrays(u, x)
     out = np.ones(u.shape[:-1])
     for j in alpha.support:
-        uj = u[..., j]
-        out = out * np.where(uj <= x[..., j], uj, uj - 1.0)
+        out = out * weight_shape(Weight.RECON, u[..., j], x[..., j])
     return out
 
 
@@ -107,10 +126,16 @@ def _leggauss(n: int):
     return x, w
 
 
-def _panel(n: int, lo: float, hi: float):
-    x, w = _leggauss(n)
-    t = 0.5 * (lo + hi) + 0.5 * (hi - lo) * x
-    return t, 0.5 * (hi - lo) * w
+def gl_panels(nodes: int, breaks) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights, ``nodes`` per panel, on every
+    nonempty panel between consecutive breakpoints (sorted ascending)."""
+    spans = [(lo, hi) for lo, hi in zip(breaks[:-1], breaks[1:]) if hi > lo]
+    if not spans:
+        return np.empty(0), np.empty(0)
+    x, w = _leggauss(nodes)
+    ts = [0.5 * (lo + hi) + 0.5 * (hi - lo) * x for lo, hi in spans]
+    ws = [0.5 * (hi - lo) * w for lo, hi in spans]
+    return np.concatenate(ts), np.concatenate(ws)
 
 
 @dataclass(frozen=True)
@@ -126,27 +151,10 @@ class Quadrature:
 
     def line_rule(self, weight: Weight, x_i: float) -> tuple[np.ndarray, np.ndarray]:
         """Return (nodes, weights) realizing the univariate weighted integral."""
-        if weight is Weight.FLAT:
-            return _panel(self.nodes, 0.0, 1.0)
-        if weight is Weight.RAMP:
-            t, w = _panel(self.nodes, 0.0, 1.0)
-            return t, w * (1.0 - t)
-        if weight is Weight.CUM:
-            if x_i <= 0.0:
-                return np.empty(0), np.empty(0)
-            return _panel(self.nodes, 0.0, min(x_i, 1.0))
-        if weight is Weight.RECON:
-            parts = []
-            if x_i > 0.0:
-                t, w = _panel(self.nodes, 0.0, min(x_i, 1.0))
-                parts.append((t, w * t))
-            if x_i < 1.0:
-                t, w = _panel(self.nodes, max(x_i, 0.0), 1.0)
-                parts.append((t, w * (t - 1.0)))
-            ts = np.concatenate([p[0] for p in parts])
-            ws = np.concatenate([p[1] for p in parts])
-            return ts, ws
-        raise ValidationError(f"coordinate weight {weight} is not integrable")
+        x_i = min(max(x_i, 0.0), 1.0)
+        breaks = {Weight.CUM: (0.0, x_i), Weight.RECON: (0.0, x_i, 1.0)}.get(weight, (0.0, 1.0))
+        t, w = gl_panels(self.nodes, breaks)
+        return t, w * weight_shape(weight, t, x_i)
 
 
 def weighted_integral(

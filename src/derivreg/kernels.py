@@ -9,8 +9,10 @@ line.  Coefficients are obtained from the moment linear system
 
 Multivariate smoothing uses a product of univariate kernels, with the kernel
 for coordinate i switched to a one-sided edge kernel whenever the evaluation
-point is within one bandwidth of a face of the unit cube.  Kernel arguments
-follow the convention u = (data - evaluation point) / bandwidth.
+point is within one bandwidth of exactly one face of the unit cube; within
+one bandwidth of both faces (possible only for bandwidths above 1/2) the
+interior kernel reaches the data on both sides.  Kernel arguments follow the
+convention u = (data - evaluation point) / bandwidth.
 """
 
 from __future__ import annotations
@@ -185,9 +187,11 @@ def kernel_moment(spec: KernelSpec, j: int) -> float:
 class ProductKernel:
     """Product kernel with per-coordinate interior/edge switching.
 
-    Coordinate i uses the interior kernel iff the evaluation point satisfies
-    x_i in [bandwidth, 1 - bandwidth]; otherwise the appropriate one-sided
-    edge kernel of the same order takes over.
+    Coordinate i uses the left (right) edge kernel when the evaluation point
+    lies within the bandwidth of the lower (upper) face only, and the interior
+    kernel otherwise: away from both faces, or near both when the bandwidth
+    exceeds 1/2.  :meth:`regions` holds this rule and :meth:`weights` applies
+    it.
     """
 
     order: int
@@ -195,23 +199,19 @@ class ProductKernel:
     left: KernelSpec
     right: KernelSpec
 
-    def select(self, x_i: float, bandwidth: float) -> KernelSpec:
-        if x_i < bandwidth:
-            return self.left
-        if x_i > 1.0 - bandwidth:
-            return self.right
-        return self.interior
-
     def regions(self, x, bandwidth: float) -> list[tuple[KernelSpec, np.ndarray]]:
-        """Vectorized :meth:`select`: split evaluation coordinates ``x`` by kernel.
+        """Split evaluation coordinates ``x`` by kernel.
 
         Returns ``(spec, rows)`` for each non-empty set of rows using the left
-        edge, right edge or interior kernel, with the precedence of
-        :meth:`select` when ``bandwidth > 0.5`` makes the edge regions overlap.
+        edge, right edge or interior kernel: x < bandwidth selects the left
+        kernel, x > 1 - bandwidth the right one, and both or neither the
+        interior one.
         """
         x = np.asarray(x, dtype=float)
-        left = x < bandwidth
-        right = ~left & (x > 1.0 - bandwidth)
+        near_lo = x < bandwidth
+        near_hi = x > 1.0 - bandwidth
+        left = near_lo & ~near_hi
+        right = near_hi & ~near_lo
         interior = ~(left | right)
         pairs = ((self.left, left), (self.right, right), (self.interior, interior))
         return [(spec, np.flatnonzero(mask)) for spec, mask in pairs if mask.any()]
@@ -220,8 +220,8 @@ class ProductKernel:
         """Product-kernel weights prod_i kappa_i((X_j,i - x_i)/h) / h.
 
         Returns an (m, n) array for evaluation points ``x`` (m, k) and data rows
-        ``X`` (n, k), with kernels selected per point and coordinate as in
-        :meth:`select`.
+        ``X`` (n, k), with kernels selected per point and coordinate by
+        :meth:`regions`.
         """
         w = np.ones((x.shape[0], X.shape[0]))
         for i in range(x.shape[1]):
@@ -229,22 +229,6 @@ class ProductKernel:
             for spec, rows in self.regions(xi, bandwidth):
                 w[rows] *= spec.eval((col[None, :] - xi[rows, None]) / bandwidth) / bandwidth
         return w
-
-    def eval_product(self, x, u, bandwidth: float) -> float:
-        """Evaluate prod_i kappa_i(u_i) with specs selected for point x."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        if x.shape != u.shape:
-            raise ValidationError(f"x and u shapes differ: {x.shape} vs {u.shape}")
-        out = 1.0
-        for xi, ui in zip(x, u):
-            out *= float(self.select(float(xi), bandwidth).eval(ui))
-        return out
-
-    def column_weights(self, x_i: float, col: np.ndarray, h: float) -> np.ndarray:
-        """Kernel values kappa((col - x_i)/h) / h for one coordinate."""
-        spec = self.select(float(x_i), h)
-        return spec.eval((col - x_i) / h) / h
 
 
 @lru_cache(maxsize=64)

@@ -32,9 +32,11 @@ def _kernel_value(spec: KernelSpec, t: float) -> float:
 
 
 def _select(x_j: float, h: float, d: int) -> KernelSpec:
-    if x_j < h:
+    """Edge kernel within h of exactly one face, interior kernel otherwise."""
+    near_lo, near_hi = x_j < h, x_j > 1.0 - h
+    if near_lo and not near_hi:
         return make_edge_kernel(d, "left")
-    if x_j > 1.0 - h:
+    if near_hi and not near_lo:
         return make_edge_kernel(d, "right")
     return make_interior_kernel(d)
 

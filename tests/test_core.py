@@ -59,6 +59,12 @@ class TestCsv:
         f.write_text("x1,x2,y\n1.2,0.2,3.0\n")
         with pytest.raises(ParseError, match="x1=1.2"):
             load_csv(f, 2, DerivIndex.from_string("00"))
+        f.write_text("x1,y\n0.5,1.0\n\n-0.25,2.0\n")
+        with pytest.raises(ParseError, match=r"line 4: coordinate x1=-0.25 outside"):
+            load_csv(f, 1, DerivIndex.from_string("0"))
+        f.write_text("x1,y\n0.5,1.0\nnan,2.0\n")
+        with pytest.raises(ParseError, match=r"line 3: coordinate x1=nan outside"):
+            load_csv(f, 1, DerivIndex.from_string("0"))
 
     def test_empty_data_section(self, tmp_path):
         f = tmp_path / "d.csv"

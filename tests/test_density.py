@@ -38,6 +38,8 @@ class TestPointEvaluations:
         est = DensityEstimator(_ds([[0.5], [0.6]]), d1=2, H=0.2)
         with pytest.raises(ValidationError):
             loo_density(est, 2, [0.5])
+        with pytest.raises(ValidationError, match="shape"):
+            loo_density(est, 0, [0.5, 0.5])
 
 
 class TestFloor:

@@ -219,7 +219,7 @@ class TestBaselineSmoother:
 
     @pytest.mark.parametrize("h", [0.3, 0.7])
     def test_grid_matches_naive_reference(self, h):
-        # h = 0.7 makes the edge regions overlap; the left kernel takes precedence.
+        # At h = 0.7 points within h of both faces take the interior kernel.
         import reference
 
         rng = np.random.default_rng(78)
@@ -316,6 +316,17 @@ class TestWindowedBaseline:
         got = nadaraya_watson_grid(X, Y, pts, h, d=4)
         want = np.array([reference.nadaraya_watson(X.tolist(), Y.tolist(), x.tolist(), h, 4, 0.05) for x in pts])
         assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+    @pytest.mark.parametrize("x", [1.0, 0.5])
+    def test_widening_reaches_data_below_the_point(self, x):
+        # Once the widened h exceeds 1/2 the point lies within h of both
+        # faces and takes the interior kernel, which reaches the data near 0;
+        # a left edge kernel would weight only [x, x + h].
+        X = np.array([[0.05], [0.1]])
+        Y = np.array([1.0, 3.0])
+        got = nadaraya_watson_grid(X, Y, np.array([[x]]), 0.1, widen_on_empty=True)
+        want = _naive_widened_nw(X, Y, [x], 0.1, 2, 0.05)
+        assert want is not None and got[0] == pytest.approx(want, abs=1e-12)
 
     def test_starved_points_widen_only_themselves(self):
         X = np.array([[0.1, 0.1], [0.15, 0.12], [0.9, 0.9]])

@@ -59,6 +59,26 @@ class TestReconWeight:
             recon_weight(D("10"), [[0.1]], [[0.2]])
 
 
+class TestLineRules:
+    @pytest.mark.parametrize("x", [-0.5, 0.0, 0.3, 1.0, 1.5])
+    def test_each_shape_integrates_exactly(self, x):
+        c = min(max(x, 0.0), 1.0)
+        exact = {
+            Weight.FLAT: (1.0, 0.5),
+            Weight.CUM: (c, c**2 / 2),
+            Weight.RAMP: (0.5, 1.0 / 6.0),
+            Weight.RECON: (c**2 / 2 - (1 - c) ** 2 / 2, c**2 / 2 - 1.0 / 6.0),
+        }
+        for kind, (mass, first) in exact.items():
+            t, w = QUAD.line_rule(kind, x)
+            assert w.sum() == pytest.approx(mass, abs=1e-14)
+            assert (w * t).sum() == pytest.approx(first, abs=1e-14)
+
+    def test_local_is_not_integrable(self):
+        with pytest.raises(ValidationError, match="not integrable"):
+            QUAD.line_rule(Weight.LOCAL, 0.5)
+
+
 class TestReconstructionIntegral:
     def test_constant_integrand(self):
         # integral of (u - 1 + 1{u<=x}) du = x - 1/2

@@ -67,35 +67,45 @@ class TestEdgeKernels:
 class TestProductKernel:
     def test_peak_product(self):
         fam = product_kernel(2)
-        val = fam.eval_product([0.5, 0.5], [0.0, 0.0], 0.1)
-        assert val == pytest.approx(0.75**2)
+        val = fam.weights(np.array([[0.5, 0.5]]), np.array([[0.5, 0.5]]), 0.1)
+        assert val.shape == (1, 1)
+        assert val[0, 0] * 0.1**2 == pytest.approx(0.75**2)
 
     def test_outside_support_is_zero(self):
         fam = product_kernel(2)
-        assert fam.eval_product([0.5, 0.5], [1.5, 0.0], 0.1) == 0.0
+        X = np.array([[0.65, 0.5], [0.5, 0.35], [0.2, 0.7]])
+        assert np.all(fam.weights(np.array([[0.5, 0.5]]), X, 0.1) == 0.0)
 
     def test_boundary_switches_to_edge_kernel(self):
         fam = product_kernel(2)
-        assert fam.select(0.0, 0.1).kind == "left"
-        assert fam.select(1.0, 0.1).kind == "right"
-        assert fam.select(0.5, 0.1).kind == "interior"
+        kinds = {spec.kind: rows.tolist() for spec, rows in fam.regions([0.0, 1.0, 0.5], 0.1)}
+        assert kinds == {"left": [0], "right": [1], "interior": [2]}
+        # Above h = 1/2 a point within h of both faces takes the interior kernel.
+        kinds = {spec.kind: rows.tolist() for spec, rows in fam.regions([0.3, 0.7, 0.45, 0.0, 1.0], 0.6)}
+        assert kinds == {"left": [0, 3], "right": [1, 4], "interior": [2]}
         # edge-coordinate mass equals interior mass (both integrate to one)
         t, w = np.polynomial.legendre.leggauss(40)
-        u = 0.5 * (t + 1.0)
-        mass = 0.5 * np.sum(w * np.array([fam.eval_product([0.0], [ui], 0.1) for ui in u]))
-        assert mass == pytest.approx(1.0, abs=1e-10)
+        for x, lo in ((0.0, 0.0), (1.0, 0.9)):
+            rows = lo + 0.05 * (t + 1.0)
+            mass = 0.05 * np.sum(w * fam.weights(np.array([[x]]), rows[:, None], 0.1)[0])
+            assert mass == pytest.approx(1.0, abs=1e-10)
 
     def test_product_equals_univariate_product(self):
+        import reference
+
         fam = product_kernel(4)
         rng = np.random.default_rng(5)
-        for _ in range(20):
-            x = rng.uniform(size=3)
-            u = rng.uniform(-1.2, 1.2, size=3)
-            h = 0.2
-            expected = 1.0
-            for xi, ui in zip(x, u):
-                expected *= float(fam.select(xi, h).eval(ui))
-            assert fam.eval_product(x, u, h) == pytest.approx(expected, rel=1e-14, abs=1e-300)
+        for h in (0.2, 0.5, 0.7, 0.95):
+            x = np.vstack([rng.uniform(size=(20, 3)), [[0.0, 0.5, 1.0], [h, 1.0 - h, 0.5]]])
+            X = np.clip(x[:, None, :] + rng.uniform(-1.2, 1.2, size=(22, 5, 3)) * h, 0.0, 1.0).reshape(-1, 3)
+            got = fam.weights(x, X, h)
+            for a in range(x.shape[0]):
+                for b in range(X.shape[0]):
+                    want = 1.0
+                    for c in range(3):
+                        spec = reference._select(x[a, c], h, 4)
+                        want *= reference._kernel_value(spec, (X[b, c] - x[a, c]) / h) / h
+                    assert got[a, b] == pytest.approx(want, rel=1e-14, abs=1e-300)
 
 
 class TestOrderGate:
