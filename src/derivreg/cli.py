@@ -127,7 +127,7 @@ def run_simulate(args) -> int:
         raise ValidationError("--reps must be >= 1")
     rhos = [float(r) for r in args.rhos]
     for r in rhos:
-        if abs(r) > 1:
+        if not abs(r) <= 1:
             raise ValidationError(f"|rho| <= 1 required, got {r}")
     ns = [int(n) for n in args.ns]
     if any(n < 2 for n in ns):
@@ -136,6 +136,7 @@ def run_simulate(args) -> int:
         h_deriv_const=args.h_deriv_const,
         h_base_const=args.h_base_const,
     )
+    generator = CobbDouglasConfig(sigma=args.sigma, seed=cfg.seed)
     if args.reps < 30:
         print(f"warning: reps={args.reps} gives a noisy MC standard error", file=sys.stderr)
     results, extra = relative_mse_table(
@@ -143,7 +144,7 @@ def run_simulate(args) -> int:
         rhos=rhos,
         reps=args.reps,
         seed=cfg.seed,
-        cfg=CobbDouglasConfig(sigma=args.sigma, seed=cfg.seed),
+        cfg=generator,
         rules=rules,
         workers=cfg.workers,
     )
@@ -231,7 +232,11 @@ def _load_estimate_config(path: Path):
         "points": _option(parser, "grid", "points", int, 9),
         "offset": offset if offset == "auto" else _option(parser, "grid", "offset", float),
     }
+    if grid["points"] < 1:
+        raise ValidationError(f"[grid] points must be a positive integer, got {grid['points']}")
     rescale = _option(parser, "output", "rescale", str, "auto")
+    if rescale not in ("auto", "always", "never"):
+        raise ValidationError(f"[output] rescale must be auto, always or never, got {rescale!r}")
     return plan_cfg, data_paths, grid, rescale
 
 
@@ -258,7 +263,7 @@ def run_estimate(args) -> int:
 
     raw = {}
     for idx in needed:
-        raw[idx], _ = read_csv(data_paths[idx], k)
+        raw[idx] = read_csv(data_paths[idx], k)
         # Checked before rescaling, which would spread one bad cell over its column.
         bad = np.flatnonzero(~np.isfinite(raw[idx]).all(axis=1))
         if bad.size:
@@ -379,8 +384,16 @@ def run_kernels(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a usage error as one line with exit code 1 (exit 2 means a
+    tolerance failure); subcommand parsers inherit this class."""
+
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {' '.join(message.split())}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="derivreg",
         description="Nonparametric regression with derivative data",
     )
@@ -429,8 +442,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,7 +8,9 @@ returned affine maps.
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -222,24 +224,64 @@ class DataSet:
     def n(self) -> int:
         return self.X.shape[0]
 
+    @cached_property
+    def order(self) -> np.ndarray:
+        """Canonical row order of every summation: lexicographic in
+        (x1, ..., xk, y), computed once.
 
-def read_csv(path, k: int) -> tuple[np.ndarray, list[int]]:
-    """Parse a CSV with a header row, k coordinate columns and one response.
+        A stable sort on x1 alone gives the same permutation when x1 has no
+        ties; the full lexsort runs only when it has.
+        """
+        order = np.argsort(self.X[:, 0], kind="stable")
+        x1 = self.X[order, 0]
+        if np.any(x1[1:] == x1[:-1]):
+            order = np.lexsort((self.Y, *self.X.T[::-1]))
+        order.setflags(write=False)
+        return order
 
-    Returns the (n, k + 1) values and the 1-based line number of each data
-    row; blank lines are skipped.  A malformed row raises :class:`ParseError`
-    with its line number.
+
+def _header(fh, k: int) -> None:
+    """Consume and check the header row of a k-coordinate CSV."""
+    try:
+        header = next(csv.reader(fh))
+    except StopIteration:
+        raise ParseError("missing header row", 1) from None
+    if len(header) != k + 1:
+        raise ParseError(f"expected {k + 1} columns, found {len(header)}", 1)
+
+
+def read_csv(path, k: int) -> np.ndarray:
+    """Parse a CSV with a header row, k coordinate columns and one response
+    into the (n, k + 1) values; blank lines are skipped.
+
+    The bulk is parsed by ``np.loadtxt``, which converts cells as ``float``
+    does, straight from the file.  Any file it rejects (quoted cells, a wrong
+    cell count, a bad cell, no data) is parsed again row by row by
+    :func:`_parse_rows`, which raises :class:`ParseError` with the offending
+    line number.
     """
+    with open(path, newline="", encoding="utf-8") as fh:
+        _header(fh, k)
+        # loadtxt warns on input without data, so find the first data line.
+        first = next((line for line in fh if line.strip("\r\n")), None)
+        if first is not None:
+            try:
+                arr = np.loadtxt(itertools.chain([first], fh), delimiter=",", comments=None, ndmin=2)
+            except ValueError:
+                pass
+            else:
+                if arr.shape[1] == k + 1:
+                    return arr
+    return _parse_rows(path, k)[0]
+
+
+def _parse_rows(path, k: int) -> tuple[np.ndarray, list[int]]:
+    """The row-by-row parser behind :func:`read_csv`: the values and the
+    1-based line number of each data row."""
     rows, lines = [], []
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("missing header row", 1) from None
-        if len(header) != k + 1:
-            raise ParseError(f"expected {k + 1} columns, found {len(header)}", 1)
-        for lineno, row in enumerate(reader, start=2):
+        _header(fh, k)
+        for lineno, row in enumerate(csv.reader(fh), start=2):
             if not row:
                 continue
             if len(row) != k + 1:
@@ -260,11 +302,12 @@ def load_csv(path, k: int, deriv: DerivIndex) -> DataSet:
     Coordinates must already lie in [0, 1]; out-of-range values are rejected,
     not clamped, with a :class:`ParseError` naming the 1-based line number.
     """
-    arr, lines = read_csv(path, k)
+    arr = read_csv(path, k)
     outside = ~((arr[:, :k] >= 0.0) & (arr[:, :k] <= 1.0))
     if outside.any():
         r, j = np.argwhere(outside)[0]
-        raise ParseError(f"coordinate x{j + 1}={float(arr[r, j])} outside [0, 1]", lines[r])
+        line = _parse_rows(path, k)[1][r]
+        raise ParseError(f"coordinate x{j + 1}={float(arr[r, j])} outside [0, 1]", line)
     return DataSet(k=k, deriv=deriv, X=arr[:, :k], Y=arr[:, k])
 
 

@@ -39,8 +39,8 @@ class DensityEstimator:
             raise ValidationError("leave-one-out density needs n >= 2")
         if not 0.0 < self.H < 1.0:
             raise ValidationError(f"bandwidth H must lie in (0, 1), got {self.H}")
-        if self.floor <= 0.0:
-            raise ValidationError(f"density floor must be positive, got {self.floor}")
+        if not 0.0 < self.floor < np.inf:
+            raise ValidationError(f"density floor must be finite and positive, got {self.floor}")
         if not self.d1 > self.data.k:
             raise ValidationError(
                 f"density kernel order d1={self.d1} must exceed k={self.data.k}"

@@ -4,13 +4,22 @@ Every term produced by :func:`derivreg.functionals.build_term_plan` is
 estimated by the same sample analogue: responses are multiplied by the term's
 nonlocal weights at their own design points, locally smoothed over the term's
 free coordinates with an edge-switching product kernel, and divided by a
-floored leave-one-out density estimate on non-uniform designs.  Summation
-order is canonicalized so results are bit-identical under row permutations
-and any degree of parallelism.
+floored leave-one-out density estimate on non-uniform designs.
+
+Root-n terms (no free coordinate) are evaluated at all points at once by
+orthant sums (:func:`_orthant_column`): O(n 2^p + cells 2^p) time and
+O(n + cells) memory per term, with p the term's CUM/RECON coordinates and
+cells the grid between the points' distinct coordinates.  Terms with free
+coordinates take one pass over the data per point.  Summation runs in each
+dataset's canonical row order (:attr:`derivreg.core.DataSet.order`), so
+results are bit-identical under row permutations and any degree of
+parallelism.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
@@ -34,16 +43,6 @@ __all__ = [
 ]
 
 
-def _canonical_keys(X: np.ndarray, Y: np.ndarray) -> list[np.ndarray]:
-    """Sort keys of the canonical row order, most significant first."""
-    return [X[:, j] for j in range(X.shape[1])] + [Y]
-
-
-def _canonical_order(ds: DataSet) -> np.ndarray:
-    """Row order used for all summations: lexicographic in (X columns, Y)."""
-    return np.lexsort(_canonical_keys(ds.X, ds.Y)[::-1])
-
-
 def _check_points(pts, k: int) -> np.ndarray:
     """Evaluation points as an (m, k) array of finite points in [0, 1]^k."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -55,23 +54,104 @@ def _check_points(pts, k: int) -> np.ndarray:
     return pts
 
 
+def _point_chunks(P: np.ndarray, budget: int) -> list[tuple[int, int]]:
+    """Consecutive runs ``lo:hi`` of the distinct sorted rows of ``P`` whose
+    cell grids, the product over columns of (distinct values + 1), stay
+    within ``budget``; every run holds at least one row."""
+    runs, lo = [], 0
+    while lo < P.shape[0]:
+        # A run's distinct rows never outnumber its cells, so no longer run fits.
+        window = P[lo : lo + budget]
+        cells = np.ones(window.shape[0])
+        for col in window.T:
+            first = np.zeros(window.shape[0])
+            first[np.unique(col, return_index=True)[1]] = 1.0
+            cells *= np.cumsum(first) + 1.0
+        hi = lo + max(1, int(np.searchsorted(cells, budget, side="right")))
+        runs.append((lo, hi))
+        lo = hi
+    return runs
+
+
+def _orthant_column(term: Term, ds: DataSet, density: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Sample analogue of a term with no LOCAL coordinate at every point.
+
+    n^-1 sum_i v_i prod_j shape_j(X_ij, x_j) with v = Y / density.  RAMP
+    factors do not depend on x and fold into v.  Every split shape (CUM,
+    RECON) is a(u) - 1{u > x}, with a = 1 or u, so the product over the p
+    split coordinates is a signed sum over subsets T of them of orthant sums:
+    rows with u_j > x_j on T, weighted by v prod_{j not in T} a_j.  On each
+    split axis the rows are located among the sorted distinct point
+    coordinates g (u > g[t] iff t < cell); per T, the rows are binned into
+    the T cells in canonical order, reverse cumulative sums run along each T
+    axis, and each point reads its sum at its own index + 1 on every T axis.
+
+    The m distinct points (in the split coordinates) are taken in canonical
+    order, in runs whose cell grid stays within 2^p max(n, m) cells, so a
+    tensor grid is one run.  Time is
+    O(n 2^p + cells 2^p) per run and memory O(n + cells); a permutation of
+    the rows or of the points leaves every value bit for bit.
+    """
+    X = ds.X[ds.order]
+    v = ds.Y[ds.order] / density[ds.order]
+    split, base = [], []
+    for j, kind in enumerate(term.weights):
+        if kind is Weight.RAMP:
+            v = v * weight_shape(kind, X[:, j], 0.0)
+        elif kind in (Weight.CUM, Weight.RECON):
+            split.append(j)
+            base.append(weight_shape(kind, X[:, j], np.inf))  # a(u): no u exceeds x = inf
+    keys, inverse = np.unique(pts[:, split], axis=0, return_inverse=True)
+    p = len(split)
+    out = np.empty(keys.shape[0])
+    for lo, hi in _point_chunks(keys, 2**p * max(ds.n, keys.shape[0])):
+        grids, locs = [], []
+        for col in keys[lo:hi].T:
+            # With return_inverse, np.unique does not import numpy.ma (about
+            # 15 ms of set-up per process).
+            grid, loc = np.unique(col, return_inverse=True)
+            grids.append(grid)
+            locs.append(loc + 1)
+        cells = [np.searchsorted(g, X[:, j], side="left") for g, j in zip(grids, split)]
+        acc = np.zeros(hi - lo)
+        for T in itertools.product((False, True), repeat=p):
+            w, flat, shape = v, 0, []
+            for a in range(p):
+                if T[a]:
+                    flat = flat * (grids[a].size + 1) + cells[a]
+                    shape.append(grids[a].size + 1)
+                else:
+                    w = w * base[a]
+            sums = np.bincount(np.broadcast_to(flat, w.shape), weights=w, minlength=math.prod(shape))
+            sums = sums.reshape(shape)
+            for axis in range(len(shape)):
+                sums = np.flip(np.cumsum(np.flip(sums, axis), axis=axis), axis)
+            orthant = sums[tuple(loc for loc, t in zip(locs, T) if t)]
+            acc = acc - orthant if sum(T) % 2 else acc + orthant
+        out[lo:hi] = acc / ds.n
+    return out[inverse.reshape(-1)]
+
+
 def _term_value(
     term: Term,
     ds: DataSet,
     x: np.ndarray,
-    h: float | None,
+    h: float,
     family: ProductKernel,
     density: np.ndarray,
-    order: np.ndarray,
-) -> float:
-    """Sample analogue of one integral term at a single evaluation point."""
+) -> tuple[float, bool]:
+    """Sample analogue of a term with LOCAL coordinates at a single point,
+    and whether any design row carries kernel weight there."""
     w = ds.Y / density
+    inside = np.ones(ds.n, dtype=bool)
     for i, kind in enumerate(term.weights):
         if kind is Weight.LOCAL:
-            w = w * family.weights(x[None, i : i + 1], ds.X[:, i : i + 1], h)[0]
+            kern = family.weights(x[None, i : i + 1], ds.X[:, i : i + 1], h)[0]
+            inside &= kern != 0.0
+            w = w * kern
         elif kind is not Weight.FLAT:
             w = w * weight_shape(kind, ds.X[:, i], x[i])
-    return float(w[order].sum() / ds.n)
+    return float(w[ds.order].sum() / ds.n), bool(inside.any())
 
 
 def nonlocal_estimate(
@@ -85,14 +165,15 @@ def nonlocal_estimate(
     n^-1 sum_i Y_i w_alpha(X_i, x), where w_alpha is the reconstruction
     weight.  With ``density`` (floored leave-one-out values at the design
     rows), each summand is divided by its entry; absent, the design is
-    treated as uniform.
+    treated as uniform.  The one-point call of the orthant-sum evaluator that
+    :func:`fit` uses for every root-n term: O(n 2^|alpha|) time.
     """
     if ds.deriv != alpha:
         raise ValidationError(f"dataset holds {ds.deriv}, requested {alpha}")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    pts = _check_points(x, ds.k)
     term = Term(1, alpha, tuple(Weight.RECON if b else Weight.FLAT for b in alpha.bits))
     density = np.ones(ds.n) if density is None else np.asarray(density, dtype=float)
-    return _term_value(term, ds, x, None, product_kernel(2), density, _canonical_order(ds))
+    return float(_orthant_column(term, ds, density, pts)[0])
 
 
 def smoothed_nonlocal_estimate(
@@ -117,14 +198,14 @@ def smoothed_nonlocal_estimate(
         raise ValidationError(f"dataset holds {ds.deriv}, requested {beta}")
     if not beta.support <= set(range(p)):
         raise ValidationError(f"beta {beta} flags coordinates outside the first p={p}")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = _check_points(x, ds.k)[0]
     weights = tuple(
         (Weight.RECON if beta.bits[i] else Weight.FLAT) if i < p else Weight.LOCAL
         for i in range(ds.k)
     )
     term = Term(1, beta, weights)
     density = np.ones(ds.n) if density is None else np.asarray(density, dtype=float)
-    return _term_value(term, ds, x, h, product_kernel(d), density, _canonical_order(ds))
+    return _term_value(term, ds, x, h, product_kernel(d), density)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -212,17 +293,19 @@ def fit(plan: EstimationPlan, eval_points) -> FitResult:
     """Evaluate the full estimator (sum of per-term sample analogues).
 
     The fitted value at each point is exactly the sum of the per-term
-    contribution columns.  Deterministic for fixed inputs: row order is
-    canonicalized and points are processed independently.
+    contribution columns.  Root-n terms are evaluated at all points at once
+    by orthant sums, O(n 2^p + cells 2^p) time and O(n + cells) memory per
+    term (see :func:`_orthant_column`); terms with free coordinates take one
+    O(n) pass per point and raise :class:`ValidationError` at a point whose
+    kernel window holds no design row.  Deterministic for fixed inputs and
+    bitwise invariant under permutations of the data rows and of the points.
     """
     pts = _check_points(eval_points, plan.k)
     family = product_kernel(plan.d)
 
-    orders: dict[DerivIndex, np.ndarray] = {}
     density: dict[DerivIndex, np.ndarray] = {}
     for idx in plan.plan.required_indices:
         ds = plan.datasets[idx]
-        orders[idx] = _canonical_order(ds)
         if plan.density == "loo":
             est = DensityEstimator(
                 data=ds,
@@ -239,12 +322,19 @@ def fit(plan: EstimationPlan, eval_points) -> FitResult:
     for term in plan.plan.terms:
         ds = plan.datasets[term.deriv]
         m_free = term.free_dims
-        h = plan.bandwidths.h(ds.n, plan.d, m_free) if m_free > 0 else None
-        col = np.empty(pts.shape[0])
-        for j in range(pts.shape[0]):
-            col[j] = term.coef * _term_value(
-                term, ds, pts[j], h, family, density[term.deriv], orders[term.deriv]
-            )
+        if m_free == 0:
+            h = None
+            col = term.coef * _orthant_column(term, ds, density[term.deriv], pts)
+        else:
+            h = plan.bandwidths.h(ds.n, plan.d, m_free)
+            col = np.empty(pts.shape[0])
+            for j in range(pts.shape[0]):
+                value, mass = _term_value(term, ds, pts[j], h, family, density[term.deriv])
+                if not mass:
+                    raise ValidationError(
+                        f"term {term.label}: no design points within h={h} of {pts[j]}; increase h"
+                    )
+                col[j] = term.coef * value
         contribs[term.label] = col
         meta_terms.append(
             {"term": term.label, "coef": term.coef, "n": ds.n, "bandwidth": h, "free_dims": m_free}
@@ -297,7 +387,7 @@ def _nw_pass(X, Y, pts, h, family, den_floor):
     are NaN unless ``ok`` (mass and a nonzero normalizer).
     """
     n = X.shape[0]
-    order, blocks = band_sweep(_canonical_keys(X, Y), h, pts[:, 0])
+    order, blocks = band_sweep([*X.T, Y], h, pts[:, 0])
     Xs, Ys = X[order], Y[order]
     num, den = np.empty(pts.shape[0]), np.empty(pts.shape[0])
     mass = np.empty(pts.shape[0], dtype=bool)

@@ -310,8 +310,8 @@ class BandwidthPlan:
     H_const: float = 1.0
 
     def __post_init__(self):
-        if self.h_const <= 0 or self.H_const <= 0:
-            raise ValidationError("bandwidth constants must be positive")
+        if not (0.0 < self.h_const < np.inf and 0.0 < self.H_const < np.inf):
+            raise ValidationError("bandwidth constants must be finite and positive")
 
     def h(self, n: int, d: int, free_dims: int) -> float:
         if free_dims <= 0:

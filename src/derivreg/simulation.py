@@ -57,10 +57,10 @@ class CobbDouglasConfig:
     def __post_init__(self):
         if min(self.c1, self.c2, self.c) <= 0:
             raise ValidationError("c1, c2, c must be positive")
-        if abs(self.rho) > 1:
+        if not abs(self.rho) <= 1:
             raise ValidationError(f"|rho| <= 1 required, got {self.rho}")
-        if self.sigma < 0:
-            raise ValidationError("sigma must be nonnegative")
+        if not 0.0 <= self.sigma < np.inf:
+            raise ValidationError(f"sigma must be finite and nonnegative, got {self.sigma}")
         if self.n < 1:
             raise ValidationError("n >= 1 required")
 
@@ -262,6 +262,10 @@ class BenchmarkRules:
     trim: tuple[float, float] = (0.6, 1.4)
     base_order: int = 2
     base_floor: float = 0.05
+
+    def __post_init__(self):
+        if not (0.0 < self.h_deriv_const < np.inf and 0.0 < self.h_base_const < np.inf):
+            raise ValidationError("bandwidth constants must be finite and positive")
 
     def h_deriv(self, n: int) -> float:
         return self.h_deriv_const * float(n) ** (-self.h_deriv_expo)

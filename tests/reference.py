@@ -52,6 +52,26 @@ def nonlocal_avg(X, Y, bits, x, inv_density=None) -> float:
     return total / n
 
 
+def integrated_term(X, Y, kinds, x, density=None) -> float:
+    """Reference for a root-n term: ``kinds[j]`` is the integrated shape of
+    coordinate j, one of "flat", "cum", "ramp" or "recon"."""
+    n = len(Y)
+    total = 0.0
+    for i in range(n):
+        w = 1.0
+        for j, kind in enumerate(kinds):
+            u = X[i][j]
+            if kind == "cum":
+                w *= 1.0 if u <= x[j] else 0.0
+            elif kind == "ramp":
+                w *= 1.0 - u
+            elif kind == "recon":
+                w *= u if u <= x[j] else u - 1.0
+        f = 1.0 if density is None else density[i]
+        total += Y[i] * w / f
+    return total / n
+
+
 def loo_density(X, i, x, H, d1, edge=True) -> float:
     """Reference leave-one-out product-kernel density estimate."""
     n = len(X)

@@ -69,6 +69,17 @@ class TestSimulate:
         assert code == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flag",
+        [["--sigma", "nan"], ["--sigma", "inf"], ["--rhos", "nan"], ["--h-deriv-const", "nan"], ["--h-base-const", "-1"]],
+    )
+    def test_non_finite_inputs_exit_one(self, tmp_path, capsys, flag):
+        out = tmp_path / "never"
+        assert run(["simulate", "--ns", 60, "--reps", 2, "--out-dir", out] + flag) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert not out.exists()
+
     def test_low_reps_warns(self, tmp_path, capsys):
         assert run(["simulate", "--ns", 60, "--rhos", 0.0, "--reps", 2, "--out-dir", tmp_path]) == 0
         assert "noisy" in capsys.readouterr().err
@@ -193,6 +204,20 @@ class TestEstimate:
         err = self._bad_config_exits_one(tmp_path, example_config, capsys, edit)
         assert "section 'data 10' already exists" in err
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda t: t.replace("d = 2", "d = 2\ndensity = loo\nfloor = nan"), "density floor must be finite"),
+            (lambda t: t.replace("d = 2", "d = 2\nh_const = nan"), "bandwidth constants must be finite"),
+            (lambda t: t.replace("points = 4", "points = -1"), "[grid] points must be a positive integer"),
+            (lambda t: t + "\n[output]\nrescale = maybe\n", "[output] rescale must be auto, always or never"),
+            (lambda t: t.replace("d = 2", "d = 2\nh_const = 1e-6"), "no design points within h="),
+        ],
+    )
+    def test_bad_values_exit_one(self, tmp_path, example_config, capsys, edit, message):
+        err = self._bad_config_exits_one(tmp_path, example_config, capsys, edit)
+        assert message in err
+
 
 class TestKernelsCommand:
     def test_writes_samples_and_moments(self, tmp_path):
@@ -213,3 +238,24 @@ class TestExitCodes:
 
     def test_bad_workers_validated(self, tmp_path):
         assert run(["verify", "--workers", 0, "--out-dir", tmp_path]) == 1
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["estimate"], "the following arguments are required: --config"),
+            ([], "the following arguments are required: command"),
+            (["simulate", "--reps", "many"], "argument --reps: invalid int value: 'many'"),
+            (["fit"], "invalid choice: 'fit'"),
+        ],
+    )
+    def test_usage_errors_exit_one_with_one_line(self, capsys, argv, message):
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: derivreg") and len(captured.err.splitlines()) == 1
+        assert message in captured.err and captured.out == ""
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["estimate", "--help"])
+        assert exc.value.code == 0
+        assert "--config" in capsys.readouterr().out

@@ -15,6 +15,7 @@ from derivreg import (
     save_csv,
     split_stream,
 )
+from derivreg.core import _parse_rows, read_csv
 
 
 class TestDerivIndex:
@@ -78,6 +79,35 @@ class TestCsv:
         with pytest.raises(ParseError, match="line 3"):
             load_csv(f, 1, DerivIndex.from_string("0"))
 
+    def test_bulk_parse_matches_row_parser(self, tmp_path):
+        rng = np.random.default_rng(5)
+        cells = [repr(float(v)) for v in rng.uniform(-2.0, 2.0, 300)]
+        cells[:6] = ["1e-3", " 0.5 ", "-0", "inf", "7", "-2.5E+2"]
+        f = tmp_path / "d.csv"
+        lines = [",".join(cells[i : i + 3]) for i in range(0, 300, 3)]
+        f.write_text("x1,x2,y\n" + "\n".join(lines[:50]) + "\n\n" + "\r\n".join(lines[50:]) + "\n")
+        bulk, (rows, line_numbers) = read_csv(f, 2), _parse_rows(f, 2)
+        assert bulk.shape == (100, 3)
+        assert np.array_equal(bulk, rows) and np.array_equal(np.signbit(bulk), np.signbit(rows))
+        assert line_numbers[49:51] == [51, 53]
+
+    def test_row_parser_fallback_keeps_errors(self, tmp_path):
+        f = tmp_path / "d.csv"
+        f.write_text('x1,y\n"0.5","1.0"\n0.25,2.0\n')
+        assert read_csv(f, 1).tolist() == [[0.5, 1.0], [0.25, 2.0]]
+        f.write_text("x1,y\n0.5,1.0\n\n0.6,#\n")
+        with pytest.raises(ParseError, match=r"^line 4: could not convert string to float: '#'$"):
+            read_csv(f, 1)
+        f.write_text("x1,y\n0.5,1.0\n0.6,2.0,\n")
+        with pytest.raises(ParseError, match=r"^line 3: expected 2 cells, found 3$"):
+            read_csv(f, 1)
+        f.write_text("x1,y\n0.5,1.0\n  \n")
+        with pytest.raises(ParseError, match=r"^line 3: expected 2 cells, found 1$"):
+            read_csv(f, 1)
+        f.write_text("x1,y\n\n\n")
+        with pytest.raises(ValidationError, match="n >= 1 required"):
+            read_csv(f, 1)
+
     def test_round_trip_bit_exact(self, tmp_path):
         f = tmp_path / "d.csv"
         f.write_text("x1,y\n0.1,0.30000000000000004\n0.7071067811865476,-2.5\n")
@@ -135,6 +165,20 @@ class TestDataSet:
         ds = DataSet(1, DerivIndex.from_string("0"), np.array([[0.5]]), np.array([1.0]))
         with pytest.raises(ValueError):
             ds.X[0, 0] = 0.2
+
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_order_is_lexsort(self, ties):
+        rng = np.random.default_rng(8)
+        X = rng.uniform(size=(500, 3))
+        Y = rng.normal(size=500)
+        if ties:
+            X[:, 0] = np.round(X[:, 0], 1)
+            X[:250, 1] = np.round(X[:250, 1], 1)
+            X[400:] = X[:100]
+            Y[450:] = Y[:50]
+        ds = DataSet(3, DerivIndex.from_string("000"), X, Y)
+        assert np.array_equal(ds.order, np.lexsort((Y, X[:, 2], X[:, 1], X[:, 0])))
+        assert ds.order is ds.order
 
 
 class TestRngStreams:

@@ -121,6 +121,11 @@ class TestValidation:
         with pytest.raises(ValidationError):
             DensityEstimator(_ds([[0.4], [0.6]]), d1=2, H=0.2, floor=0.0)
 
+    @pytest.mark.parametrize("floor", [np.nan, np.inf])
+    def test_floor_finite(self, floor):
+        with pytest.raises(ValidationError, match="floor must be finite"):
+            DensityEstimator(_ds([[0.4], [0.6]]), d1=2, H=0.2, floor=floor)
+
 
 # Coordinates on and near the faces and on a coarse grid give rows inside the
 # edge-kernel regions and ties in coordinate 1; free floats fill in the rest.

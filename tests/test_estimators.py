@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -25,6 +26,8 @@ from derivreg import (
     smoothed_nonlocal_estimate,
     split_stream,
 )
+from derivreg.estimators import _orthant_column, _point_chunks
+from derivreg.functionals import Term, Weight
 
 D = DerivIndex.from_string
 QUAD = Quadrature(nodes=32)
@@ -64,6 +67,12 @@ class TestNonlocalEstimate:
         with pytest.raises(ValidationError):
             nonlocal_estimate(ds, D("1"), [0.5])
 
+    @pytest.mark.parametrize("bad", [[1.5], [np.nan], [0.5, 0.5]])
+    def test_point_checked(self, bad):
+        ds = DataSet(1, D("1"), np.array([[0.1]]), np.array([1.0]))
+        with pytest.raises(ValidationError):
+            nonlocal_estimate(ds, D("1"), bad)
+
 
 class TestSmoothedEstimate:
     def test_zero_outside_kernel_window(self):
@@ -90,6 +99,12 @@ class TestSmoothedEstimate:
         ds = DataSet(1, D("1"), np.array([[0.5]]), np.array([1.0]))
         with pytest.raises(ValidationError):
             smoothed_nonlocal_estimate(ds, D("1"), [0.5], p=1, h=0.1)
+
+    @pytest.mark.parametrize("bad", [[0.5, 1.5], [np.nan, 0.5], [0.5]])
+    def test_point_checked(self, bad):
+        ds = DataSet(2, D("10"), np.array([[0.1, 0.5]]), np.array([1.0]))
+        with pytest.raises(ValidationError):
+            smoothed_nonlocal_estimate(ds, D("10"), bad, p=1, h=0.2)
 
 
 class TestFit:
@@ -184,6 +199,16 @@ class TestFit:
         res = fit(plan, make_grid(1, 3, offset=0.2))
         assert np.all(np.isfinite(res.values))
         assert res.metadata["density"] == "loo"
+
+    def test_empty_local_window_names_term_point_and_h(self):
+        g = poly_function(2, {(1, 1): 1.0})
+        idx0, idx1 = D("00"), D("10")
+        X = np.column_stack([np.linspace(0.0, 1.0, 40), np.full(40, 0.9)])
+        datasets = {idx: DataSet(2, idx, X, g.deriv(idx, X)) for idx in (idx0, idx1)}
+        plan = EstimationPlan.build(2, [0], 0, datasets, d=2, bandwidths=BandwidthPlan(h_const=0.1))
+        with pytest.raises(ValidationError, match=r"term avg\[10\]: no design points within h=.* of \[0.5 0.1\]; increase h"):
+            fit(plan, [[0.5, 0.9], [0.5, 0.1]])
+        assert np.all(np.isfinite(fit(plan, [[0.5, 0.9]]).values))
 
 
 class TestBaselineSmoother:
@@ -362,6 +387,127 @@ class TestWindowedBaseline:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
+
+
+_SHAPES = (Weight.FLAT, Weight.CUM, Weight.RAMP, Weight.RECON)
+_NAMES = {Weight.FLAT: "flat", Weight.CUM: "cum", Weight.RAMP: "ramp", Weight.RECON: "recon"}
+
+
+@st.composite
+def _rootn_problems(draw):
+    """(term, X, Y, density, pts): repeated rows, points on faces and on data
+    coordinates, and point sets with many distinct coordinates."""
+    k = draw(st.integers(1, 3))
+    kinds = tuple(draw(st.lists(st.sampled_from(_SHAPES), min_size=k, max_size=k)))
+    n = draw(st.integers(1, 40))
+    X = np.array(draw(st.lists(st.lists(_coord, min_size=k, max_size=k), min_size=n, max_size=n)))
+    for src, dst in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n // 2)):
+        X[dst] = X[src]
+    Y = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)))
+    density = np.array(draw(st.lists(st.floats(0.05, 4.0), min_size=n, max_size=n)))
+    m = draw(st.integers(1, 60))
+    pts = np.array(draw(st.lists(st.lists(_coord, min_size=k, max_size=k), min_size=m, max_size=m)))
+    for src, dst in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, m - 1)), max_size=m)):
+        pts[dst] = X[src]  # a point on a data row: RECON takes u where u = x
+    bits = tuple(int(kind is Weight.RECON) for kind in kinds)
+    return Term(1, DerivIndex(bits), kinds), X, Y, density, pts
+
+
+def _close(got, want):
+    want = np.asarray(want)
+    return np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
+class TestOrthantSums:
+    """The root-n evaluator against the naive per-point oracle."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(_rootn_problems())
+    def test_matches_naive_oracle(self, problem):
+        import reference
+
+        term, X, Y, density, pts = problem
+        ds = DataSet(X.shape[1], term.deriv, X, Y)
+        kinds = [_NAMES[w] for w in term.weights]
+        want = [reference.integrated_term(X.tolist(), Y.tolist(), kinds, x.tolist(), density.tolist()) for x in pts]
+        assert _close(_orthant_column(term, ds, density, pts), want)
+
+    def test_scattered_points_take_several_chunks(self):
+        import reference
+
+        X = split_stream(41, [0]).uniform((50, 3))
+        Y = split_stream(41, [1]).standard_normal(50)
+        pts = np.vstack([split_stream(41, [2]).uniform((200, 3)), X[:5], [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]])
+        keys = np.unique(pts, axis=0)
+        assert len(_point_chunks(keys, 8 * keys.shape[0])) > 1
+        for kinds in ((Weight.RECON,) * 3, (Weight.CUM, Weight.RAMP, Weight.RECON)):
+            term = Term(1, D("111"), kinds)
+            ds = DataSet(3, term.deriv, X, Y)
+            names = [_NAMES[w] for w in kinds]
+            want = [reference.integrated_term(X.tolist(), Y.tolist(), names, x.tolist()) for x in pts]
+            assert _close(_orthant_column(term, ds, np.ones(50), pts), want)
+
+    def test_tensor_grid_is_one_chunk(self):
+        for k, per_dim in ((1, 1), (2, 9), (3, 9), (3, 2)):
+            keys = make_grid(k, per_dim, offset=0.1)
+            assert _point_chunks(keys, 2**k * keys.shape[0]) == [(0, keys.shape[0])]
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 3), st.integers(2, 60), st.integers(1, 40), st.integers(0, 2**16))
+    def test_fit_matches_naive_oracle(self, k, n, m, seed):
+        import reference
+
+        rng = np.random.default_rng(seed)
+        datasets = {}
+        for bits in itertools.product((0, 1), repeat=k):
+            X = rng.uniform(size=(n, k))
+            X[n // 2 :] = X[: n - n // 2]  # repeated rows
+            datasets[DerivIndex(bits)] = DataSet(k, DerivIndex(bits), X, rng.normal(size=n))
+        plan = EstimationPlan.build(k, range(k), 0, datasets)
+        pts = np.vstack([rng.uniform(size=(m, k)), np.zeros(k), np.ones(k), datasets[DerivIndex.ones(k)].X[:1]])
+        res = fit(plan, pts)
+        for term in plan.plan.terms:
+            ds = plan.datasets[term.deriv]
+            names = [_NAMES[w] for w in term.weights]
+            want = [term.coef * reference.integrated_term(ds.X.tolist(), ds.Y.tolist(), names, x.tolist()) for x in pts]
+            assert _close(res.contributions[term.label], want)
+
+    @pytest.mark.parametrize("density", ["uniform", "loo"])
+    def test_fit_bitwise_invariant_under_row_and_point_permutations(self, density):
+        g = poly_function(2, {(1, 1): 1.0, (2, 0): 0.5})
+        datasets = {}
+        for j, bits in enumerate(("00", "01", "10", "11")):
+            ds = _uniform_dataset(2, D(bits), 300, g, 0.3, 13, (j,))
+            X = ds.X.copy()
+            X[250:] = X[:50]  # exact duplicate rows
+            datasets[D(bits)] = DataSet(2, D(bits), X, ds.Y)
+        permuted = {}
+        for j, (idx, ds) in enumerate(datasets.items()):
+            perm = split_stream(14, [j]).gen.permutation(ds.n)
+            permuted[idx] = DataSet(2, idx, ds.X[perm], ds.Y[perm])
+        pts = np.vstack([split_stream(15, [0]).uniform((40, 2)), make_grid(2, 5)])
+        pperm = split_stream(15, [1]).gen.permutation(pts.shape[0])
+        plans = [EstimationPlan.build(2, [0, 1], 0, dsets, density=density) for dsets in (datasets, permuted)]
+        ra, rb = fit(plans[0], pts), fit(plans[1], pts[pperm])
+        assert np.array_equal(ra.values[pperm], rb.values)
+        for label in ra.contributions:
+            assert np.array_equal(ra.contributions[label][pperm], rb.contributions[label])
+
+    def test_memory_stays_bounded_with_scattered_points(self):
+        # A dense m x n weight block would take 320 MB here.
+        X = split_stream(16, [0]).uniform((20_000, 3))
+        Y = split_stream(16, [1]).standard_normal(20_000)
+        pts = split_stream(16, [2]).uniform((2_000, 3))
+        term = Term(1, D("111"), (Weight.RECON,) * 3)
+        ds = DataSet(3, term.deriv, X, Y)
+        ds.order  # computed once per dataset, outside the bound
+        tracemalloc.start()
+        try:
+            _orthant_column(term, ds, np.ones(ds.n), pts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestLimitCovariance:

@@ -44,6 +44,11 @@ class TestConfigAndOracle:
             CobbDouglasConfig(rho=1.5)
         with pytest.raises(ValidationError):
             CobbDouglasConfig(c1=-1.0)
+        for bad in (-0.1, np.nan, np.inf):
+            with pytest.raises(ValidationError, match="sigma"):
+                CobbDouglasConfig(sigma=bad)
+        with pytest.raises(ValidationError, match="rho"):
+            CobbDouglasConfig(rho=np.nan)
 
 
 class TestGenerate:
