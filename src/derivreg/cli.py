@@ -26,6 +26,7 @@ from .core import (
     ToleranceError,
     ValidationError,
     read_csv,
+    rescale_to_unit,
 )
 from .estimators import EstimationPlan, fit, make_grid
 from .functionals import build_term_plan, identity_checks, kernel_checks, nonparametric_dimension
@@ -48,8 +49,8 @@ class RunConfig:
     def __post_init__(self):
         if self.workers < 1:
             raise ValidationError(f"--workers must be >= 1, got {self.workers}")
-        if self.quad_nodes < 2:
-            raise ValidationError(f"--quad-nodes must be >= 2, got {self.quad_nodes}")
+        if not 2 <= self.quad_nodes <= 64:
+            raise ValidationError(f"--quad-nodes must lie in 2..64, got {self.quad_nodes}")
 
 
 def _common(args) -> RunConfig:
@@ -72,7 +73,7 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def _fmt(v) -> str:
-    if isinstance(v, (float, np.floating)) or (isinstance(v, np.ndarray) and v.ndim == 0):
+    if isinstance(v, (float, np.floating)):
         return repr(float(v))
     return str(v)
 
@@ -270,16 +271,11 @@ def run_estimate(args) -> int:
             raise ValidationError(f"{data_paths[idx]}: data row {bad[0] + 1} has a non-finite value")
 
     # Joint per-coordinate affine maps onto the unit cube.
-    mins = np.min([r[:, :k].min(axis=0) for r in raw.values()], axis=0)
-    maxs = np.max([r[:, :k].max(axis=0) for r in raw.values()], axis=0)
-    in_unit = bool((mins >= 0.0).all() and (maxs <= 1.0).all())
+    in_unit = all(((r[:, :k] >= 0.0) & (r[:, :k] <= 1.0)).all() for r in raw.values())
     if rescale == "never" or (rescale == "auto" and in_unit):
-        maps = [AffineMap(0.0, 1.0) for _ in range(k)]
+        maps = [AffineMap(0.0, 1.0)] * k
     else:
-        for j in range(k):
-            if maxs[j] <= mins[j]:
-                raise ValidationError(f"coordinate {j + 1} is constant; cannot rescale")
-        maps = [AffineMap(float(mins[j]), float(maxs[j] - mins[j])) for j in range(k)]
+        maps = rescale_to_unit(np.concatenate([r[:, :k] for r in raw.values()]))[1]
 
     datasets = {}
     for idx, arr in raw.items():
@@ -316,14 +312,10 @@ def run_estimate(args) -> int:
     result = fit(plan, pts)
 
     labels = sorted(result.contributions)
-    rows = []
-    for i in range(pts.shape[0]):
-        row = [maps[j].invert(pts[i, j]) for j in range(k)]
-        row.append(result.values[i])
-        row.extend(result.contributions[lab][i] for lab in labels)
-        rows.append(row)
+    columns = [maps[j].invert(pts[:, j]) for j in range(k)] + [result.values]
+    columns += [result.contributions[lab] for lab in labels]
     header = [f"x{j + 1}" for j in range(k)] + ["ghat"] + [f"term_{lab}" for lab in labels]
-    _write_csv(cfg.out_dir / "fit.csv", header, rows)
+    _write_csv(cfg.out_dir / "fit.csv", header, zip(*columns))
 
     meta = dict(result.metadata)
     meta.update(
@@ -346,6 +338,8 @@ def run_estimate(args) -> int:
 
 def run_kernels(args) -> int:
     cfg = _common(args)
+    if args.samples < 1:
+        raise ValidationError(f"--samples must be >= 1, got {args.samples}")
     specs = []
     for d in args.interior:
         specs.append((f"interior-d{d}", make_interior_kernel(int(d))))

@@ -27,7 +27,7 @@ import numpy as np
 
 from .core import DataSet, DerivIndex, ValidationError
 from .density import DensityEstimator, loo_at_rows
-from .functionals import Quadrature, Term, TermPlan, Weight, build_term_plan, gl_panels, weight_shape
+from .functionals import Quadrature, Term, TermPlan, Weight, build_term_plan, gl_panels, tensor_rule, weight_shape
 from .kernels import BandwidthPlan, ProductKernel, band_sweep, check_orders, default_orders, product_kernel
 
 __all__ = [
@@ -485,16 +485,11 @@ def limit_covariance(
             t, w = gl_panels(quad.nodes, sorted((0.0, float(x1[i]), float(x2[i]), 1.0)))
             chi1 = weight_shape(Weight.RECON, t, x1[i])
             chi2 = weight_shape(Weight.RECON, t, x2[i])
-            axes.append((t, w * (chi1 * chi2)))
+            axes.append((i, t, w * (chi1 * chi2)))
         else:
-            axes.append(gl_panels(quad.nodes, (0.0, 1.0)))
+            axes.append((i, *gl_panels(quad.nodes, (0.0, 1.0))))
 
-    grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
-    wgrids = np.meshgrid(*[a[1] for a in axes], indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    wprod = np.ones(pts.shape[0])
-    for wg in wgrids:
-        wprod *= wg.ravel()
+    pts, wprod = tensor_rule(x1, axes)
     dens = np.ones(pts.shape[0]) if f is None else np.asarray(f(pts), dtype=float)
     return float(sigma2 * np.sum(wprod / dens))
 
@@ -504,5 +499,4 @@ def make_grid(k: int, per_dim: int, offset: float = 0.0) -> np.ndarray:
     if not 0.0 <= offset < 0.5:
         raise ValidationError(f"offset must lie in [0, 0.5), got {offset}")
     axis = np.linspace(offset, 1.0 - offset, per_dim)
-    grids = np.meshgrid(*[axis] * k, indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
+    return tensor_rule(np.zeros(k), [(i, axis, np.ones(per_dim)) for i in range(k)])[0]

@@ -45,6 +45,7 @@ __all__ = [
     "weight_shape",
     "recon_weight",
     "gl_panels",
+    "tensor_rule",
     "Quadrature",
     "weighted_integral",
     "reconstruction_integral",
@@ -138,6 +139,29 @@ def gl_panels(nodes: int, breaks) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(ts), np.concatenate(ws)
 
 
+def tensor_rule(x, axes) -> tuple[np.ndarray, np.ndarray]:
+    """Points and weights of the tensor product of the 1-D rules in ``axes``,
+    a list of ``(coordinate, nodes, weights)``; every other coordinate stays
+    pinned at ``x``.
+
+    Rows run in C order over the axes (the last axis varies fastest), and
+    each row's weight is the product of its axis weights taken in axis order.
+    No axes give the single point ``x`` with weight 1; an empty axis gives no
+    points.  ``pts`` is the transpose of a (k, m) array, so that filling it
+    and reading a coordinate's column both run over contiguous memory.
+    """
+    x = np.asarray(x, dtype=float)
+    wprod = np.ones(())
+    for _, _, w in axes:
+        wprod = np.multiply.outer(wprod, w)
+    pts = np.empty(x.shape + wprod.shape)
+    for j in set(range(x.shape[0])) - {i for i, _, _ in axes}:
+        pts[j] = x[j]
+    for a, (i, t, _) in enumerate(axes):
+        pts[i] = np.reshape(t, (-1,) + (1,) * (len(axes) - a - 1))
+    return pts.reshape(x.shape[0], -1).T, wprod.ravel()
+
+
 @dataclass(frozen=True)
 class Quadrature:
     """Gauss-Legendre rule with per-coordinate panel splitting.
@@ -172,25 +196,12 @@ def weighted_integral(
     k = len(weights)
     if x.shape[0] != k:
         raise ValidationError(f"x has {x.shape[0]} coordinates, weights describe {k}")
-    axes = []
-    for i, wkind in enumerate(weights):
-        if wkind is Weight.LOCAL:
-            continue
-        t, w = quad.line_rule(wkind, float(x[i]))
-        if t.size == 0:
-            return 0.0
-        axes.append((i, t, w))
-    if not axes:
-        return float(f(x[None, :])[0])
-    grids = np.meshgrid(*[t for _, t, _ in axes], indexing="ij")
-    wgrids = np.meshgrid(*[w for _, _, w in axes], indexing="ij")
-    m = grids[0].size
-    pts = np.tile(x, (m, 1))
-    for (i, _, _), g in zip(axes, grids):
-        pts[:, i] = g.ravel()
-    wprod = np.ones(m)
-    for wg in wgrids:
-        wprod *= wg.ravel()
+    axes = [
+        (i, *quad.line_rule(wkind, float(x[i])))
+        for i, wkind in enumerate(weights)
+        if wkind is not Weight.LOCAL
+    ]
+    pts, wprod = tensor_rule(x, axes)
     vals = np.asarray(f(pts), dtype=float)
     return float(np.sum(vals * wprod))
 

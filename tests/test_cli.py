@@ -218,6 +218,17 @@ class TestEstimate:
         err = self._bad_config_exits_one(tmp_path, example_config, capsys, edit)
         assert message in err
 
+    def test_constant_coordinate_with_rescale_always_exits_one(self, tmp_path, example_config, capsys):
+        # x2 = 0.5 lies in the unit cube, so only an explicit rescale fails.
+        for name in ("g00.csv", "g10.csv"):
+            rows = np.loadtxt(tmp_path / name, delimiter=",", skiprows=1)
+            rows[:, 1] = 0.5
+            _write_csv(tmp_path / name, rows[:, :2], rows[:, 2])
+        assert run(["estimate", "--config", example_config, "--out-dir", tmp_path / "auto"]) == 0
+        edit = lambda t: t + "\n[output]\nrescale = always\n"
+        err = self._bad_config_exits_one(tmp_path, example_config, capsys, edit)
+        assert "coordinate 2 is constant" in err
+
 
 class TestKernelsCommand:
     def test_writes_samples_and_moments(self, tmp_path):
@@ -238,6 +249,22 @@ class TestExitCodes:
 
     def test_bad_workers_validated(self, tmp_path):
         assert run(["verify", "--workers", 0, "--out-dir", tmp_path]) == 1
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["kernels", "--samples", "0"], "--samples must be >= 1, got 0"),
+            (["kernels", "--samples", "-5"], "--samples must be >= 1, got -5"),
+            (["verify", "--quad-nodes", "1"], "--quad-nodes must lie in 2..64, got 1"),
+            (["verify", "--quad-nodes", "65"], "--quad-nodes must lie in 2..64, got 65"),
+        ],
+    )
+    def test_bad_flag_values_exit_one_with_one_line(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "never"
+        assert run(argv + ["--out-dir", out]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and captured.out == ""
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv, message",

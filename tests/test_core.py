@@ -2,6 +2,9 @@ import concurrent.futures
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from derivreg import (
     DataSet,
@@ -140,6 +143,25 @@ class TestRescale:
         scaled, maps = rescale_to_unit(raw)
         back = np.column_stack([maps[j].invert(scaled[:, j]) for j in range(3)])
         assert np.max(np.abs(back - raw) / np.maximum(np.abs(raw), 1.0)) < 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        arrays(
+            float,
+            st.tuples(st.integers(2, 40), st.integers(1, 3)),
+            elements=st.floats(-1e9, 1e9, allow_subnormal=False),
+        )
+    )
+    def test_inverse_round_trip_within_a_few_ulp(self, raw):
+        assume(all(np.ptp(raw, axis=0) > 0))
+        scaled, maps = rescale_to_unit(raw)
+        assert ((scaled >= 0.0) & (scaled <= 1.0)).all()
+        for j, m in enumerate(maps):
+            # lo + s ((x - lo) / s) rounds three times in x - lo (|x - lo| <= s)
+            # and once in x: about (3 s + |x|) u <= 7 u max|x| for unit
+            # roundoff u, which is under 8 ulp of max|x|.
+            bound = 8 * np.spacing(np.abs(raw[:, j]).max())
+            assert np.abs(m.invert(scaled[:, j]) - raw[:, j]).max() <= bound
 
 
 class TestDataSet:

@@ -166,6 +166,21 @@ class TestFit:
         for label in ra.contributions:
             assert np.array_equal(ra.contributions[label], rb.contributions[label])
 
+    @pytest.mark.parametrize("density", ["uniform", "loo"])
+    @settings(max_examples=10, deadline=None)
+    @given(c=st.floats(-50.0, 50.0), seed=st.integers(0, 2**16))
+    def test_scaling_responses_scales_the_fit(self, density, c, seed):
+        # Local smoothing in x2 and root-n terms in x1, for each density.
+        g = poly_function(2, {(1, 1): 1.0, (2, 0): 0.5})
+        datasets = {idx: _uniform_dataset(2, idx, 150, g, 0.3, seed, (j,)) for j, idx in enumerate((D("00"), D("10")))}
+        scaled = {idx: DataSet(2, idx, ds.X, c * ds.Y) for idx, ds in datasets.items()}
+        pts = make_grid(2, 3, offset=0.2)
+        base, res = (
+            fit(EstimationPlan.build(2, [0], 0, dsets, d=2, density=density), pts) for dsets in (datasets, scaled)
+        )
+        want = c * base.values
+        assert np.all(np.abs(res.values - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
     def test_separable_remainder_plan_shape(self):
         # only the top derivative and the function itself observed (k = 2)
         g = poly_function(2, {(1, 1): 1.0, (1, 0): 1.0})

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from derivreg import (
     DerivIndex,
@@ -27,6 +29,7 @@ from derivreg.functionals import (
     identity_checks,
     polynomial_suite,
     subindices,
+    tensor_rule,
 )
 
 QUAD = Quadrature(nodes=32)
@@ -77,6 +80,50 @@ class TestLineRules:
     def test_local_is_not_integrable(self):
         with pytest.raises(ValidationError, match="not integrable"):
             QUAD.line_rule(Weight.LOCAL, 0.5)
+
+
+def _meshgrid_rule(x, axes):
+    """Reference tensor rule from meshgrid copies of nodes and weights and
+    tiled pinned coordinates; no axes give the single point x."""
+    if not axes:
+        return x[None, :], np.ones(1)
+    grids = np.meshgrid(*[t for _, t, _ in axes], indexing="ij")
+    wgrids = np.meshgrid(*[w for _, _, w in axes], indexing="ij")
+    pts = np.tile(x, (grids[0].size, 1))
+    for (i, _, _), g in zip(axes, grids):
+        pts[:, i] = g.ravel()
+    wprod = np.ones(grids[0].size)
+    for wg in wgrids:
+        wprod *= wg.ravel()
+    return pts, wprod
+
+
+@st.composite
+def _tensor_problems(draw):
+    k = draw(st.integers(1, 4))
+    coords = draw(st.permutations(range(k)))[: draw(st.integers(0, min(k, 3)))]
+    values = st.floats(-1e3, 1e3)
+    x = np.array(draw(st.lists(values, min_size=k, max_size=k)))
+    axes = []
+    for i in coords:
+        size = draw(st.integers(0, 4))
+        t = np.array(draw(st.lists(values, min_size=size, max_size=size)))
+        w = np.array(draw(st.lists(values, min_size=size, max_size=size)))
+        axes.append((i, t, w))
+    return x, axes
+
+
+class TestTensorRule:
+    @settings(max_examples=300, deadline=None)
+    @given(_tensor_problems())
+    @example((np.array([0.3, -0.0]), []))
+    @example((np.array([0.3, 0.6, 0.9]), [(2, np.array([0.1, 0.5]), np.array([0.5, 0.5])), (0, np.empty(0), np.empty(0))]))
+    def test_bitwise_equal_to_meshgrid_construction(self, problem):
+        x, axes = problem
+        pts, w = tensor_rule(x, axes)
+        want_pts, want_w = _meshgrid_rule(x, axes)
+        assert pts.shape == want_pts.shape and pts.tobytes() == want_pts.tobytes()
+        assert w.shape == want_w.shape and w.tobytes() == want_w.tobytes()
 
 
 class TestReconstructionIntegral:
