@@ -40,7 +40,6 @@ __all__ = ["main", "RunConfig"]
 class RunConfig:
     """Validated run parameters common to every subcommand."""
 
-    subcommand: str
     out_dir: Path
     seed: int
     workers: int
@@ -55,7 +54,6 @@ class RunConfig:
 
 def _common(args) -> RunConfig:
     return RunConfig(
-        subcommand=args.command,
         out_dir=Path(args.out_dir),
         seed=args.seed,
         workers=args.workers,
@@ -205,8 +203,10 @@ def _load_estimate_config(path: Path):
         coords = [int(c) - 1 for c in coords_raw.replace(",", " ").split()]
     except ValueError:
         coords = []
-    if not coords:
-        raise ValidationError("[plan] coords must list the 1-based derivative coordinates")
+    if not coords or not all(0 <= c < k for c in coords):
+        raise ValidationError(
+            f"[plan] coords must list 1-based derivative coordinates in 1..{k}, got {coords_raw!r}"
+        )
     plan_cfg = {
         "k": k,
         "coords": coords,
@@ -235,6 +235,9 @@ def _load_estimate_config(path: Path):
     }
     if grid["points"] < 1:
         raise ValidationError(f"[grid] points must be a positive integer, got {grid['points']}")
+    # The grid holds points^k points; any k >= 20 exceeds 10^6 once points >= 2.
+    if grid["points"] ** min(k, 20) > 10**6:
+        raise ValidationError(f"[grid] points = {grid['points']} with k = {k} gives more than 10^6 grid points")
     rescale = _option(parser, "output", "rescale", str, "auto")
     if rescale not in ("auto", "always", "never"):
         raise ValidationError(f"[output] rescale must be auto, always or never, got {rescale!r}")
@@ -271,15 +274,15 @@ def run_estimate(args) -> int:
             raise ValidationError(f"{data_paths[idx]}: data row {bad[0] + 1} has a non-finite value")
 
     # Joint per-coordinate affine maps onto the unit cube.
-    in_unit = all(((r[:, :k] >= 0.0) & (r[:, :k] <= 1.0)).all() for r in raw.values())
-    if rescale == "never" or (rescale == "auto" and in_unit):
+    X_all = np.concatenate([r[:, :k] for r in raw.values()])
+    if rescale == "never" or (rescale == "auto" and ((X_all >= 0.0) & (X_all <= 1.0)).all()):
         maps = [AffineMap(0.0, 1.0)] * k
     else:
-        maps = rescale_to_unit(np.concatenate([r[:, :k] for r in raw.values()]))[1]
+        X_all, maps = rescale_to_unit(X_all)
 
     datasets = {}
-    for idx, arr in raw.items():
-        X = np.column_stack([maps[j].apply(arr[:, j]) for j in range(k)])
+    parts = np.split(X_all, np.cumsum([r.shape[0] for r in raw.values()])[:-1])
+    for (idx, arr), X in zip(raw.items(), parts):
         # Chain rule: responses for differentiated coordinates scale with the map.
         scale = 1.0
         for j in idx.support:
@@ -305,6 +308,10 @@ def run_estimate(args) -> int:
             if t.free_dims > 0
         ]
         offset = max(hs) if hs else 0.0
+        if not offset < 0.5:
+            raise ValidationError(
+                f"[grid] offset = auto is the largest bandwidth h, which must be below 0.5, got h = {offset:.6g}"
+            )
     else:
         offset = grid["offset"]
     pts = make_grid(k, grid["points"], offset=offset)

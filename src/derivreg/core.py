@@ -24,6 +24,7 @@ __all__ = [
     "AffineMap",
     "rescale_to_unit",
     "DataSet",
+    "canonical_order",
     "read_csv",
     "load_csv",
     "save_csv",
@@ -226,18 +227,25 @@ class DataSet:
 
     @cached_property
     def order(self) -> np.ndarray:
-        """Canonical row order of every summation: lexicographic in
-        (x1, ..., xk, y), computed once.
-
-        A stable sort on x1 alone gives the same permutation when x1 has no
-        ties; the full lexsort runs only when it has.
-        """
-        order = np.argsort(self.X[:, 0], kind="stable")
-        x1 = self.X[order, 0]
-        if np.any(x1[1:] == x1[:-1]):
-            order = np.lexsort((self.Y, *self.X.T[::-1]))
+        """Canonical row order of every summation over this dataset:
+        :func:`canonical_order` of (x1, ..., xk, y), computed once."""
+        order = canonical_order((*self.X.T, self.Y))
         order.setflags(write=False)
         return order
+
+
+def canonical_order(keys) -> np.ndarray:
+    """The one row order in which the package sums data: lexicographic in
+    ``keys`` (per-row arrays, most significant first).
+
+    A stable sort on the first key alone gives the same permutation when that
+    key has no ties; the full lexsort runs only when it has.
+    """
+    order = np.argsort(keys[0], kind="stable")
+    first = keys[0][order]
+    if np.any(first[1:] == first[:-1]):
+        order = np.lexsort(keys[::-1])
+    return order
 
 
 def _header(fh, k: int) -> None:

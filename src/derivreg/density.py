@@ -80,27 +80,26 @@ def loo_at_rows(est: DensityEstimator, floored: bool = True) -> np.ndarray:
     calling :func:`loo_density` (or its floored form) at every (i, X_i), up to
     the order of summation.
 
-    An exact sorted-band sweep (:func:`derivreg.kernels.band_sweep`): rows
-    are sorted lexicographically with coordinate 1 as the primary key and
-    taken in blocks of 64 consecutive sorted rows.  Only
+    An exact sorted-band sweep (:func:`derivreg.kernels.band_sweep`) over the
+    rows in the dataset's canonical order (:attr:`derivreg.core.DataSet.order`,
+    which the estimators reuse), taken in blocks of 64 consecutive rows.  Only
     rows within H of a block's range in coordinate 1 can carry kernel mass, so
     each block evaluates the same edge-switching kernels on a block x window
     slab.  Time is n x (rows within H in coordinate 1) kernel values and memory
     is 64 x n.  Each row is summed over its window in canonical row order,
     so a permutation of the rows permutes the result bit for bit.
     """
-    X = est.data.X
-    n = X.shape[0]
-    order, blocks = band_sweep(X.T, est.H)
-    Xs = X[order]
+    order = est.data.order
+    Xs = est.data.X[order]
+    n = Xs.shape[0]
     sums = np.empty(n)
-    for idx, lo, hi in blocks:
+    for idx, lo, hi in band_sweep(Xs[:, 0], est.H):
         w = est.family.weights(Xs[idx], Xs[lo:hi], est.H)
         w[np.arange(idx.size), idx - lo] = 0.0
         sums[idx] = w.sum(axis=1)
         del w  # free this slab before the next block builds its own
-    # Identical rows are adjacent after sorting but may fall in blocks with
-    # different windows; all copies take the sum of the first one.
+    # Identical rows are adjacent in canonical order but may fall in blocks
+    # with different windows; all copies take the sum of the first one.
     new_run = np.ones(n, dtype=bool)
     new_run[1:] = np.any(Xs[1:] != Xs[:-1], axis=1)
     sums = sums[np.maximum.accumulate(np.where(new_run, np.arange(n), 0))]

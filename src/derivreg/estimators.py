@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .core import DataSet, DerivIndex, ValidationError
+from .core import DataSet, DerivIndex, ValidationError, canonical_order
 from .density import DensityEstimator, loo_at_rows
 from .functionals import Quadrature, Term, TermPlan, Weight, build_term_plan, gl_panels, tensor_rule, weight_shape
 from .kernels import BandwidthPlan, ProductKernel, band_sweep, check_orders, default_orders, product_kernel
@@ -218,12 +218,10 @@ class EstimationPlan:
     """Everything needed to fit: term plan, datasets, kernels, bandwidths.
 
     ``density`` selects uniform-design weighting ("uniform", weights one) or
-    floored leave-one-out weighting ("loo").
+    floored leave-one-out weighting ("loo").  k, the derivative coordinates
+    and ell are those of ``plan``.
     """
 
-    k: int
-    coords: tuple[int, ...]
-    ell: int
     d: int
     d1: int
     plan: TermPlan
@@ -262,9 +260,6 @@ class EstimationPlan:
             if ds.deriv != idx:
                 raise ValidationError(f"dataset registered under {idx} holds {ds.deriv}")
         return cls(
-            k=k,
-            coords=plan.coords,
-            ell=ell,
             d=d,
             d1=d1,
             plan=plan,
@@ -276,7 +271,7 @@ class EstimationPlan:
 
     @property
     def p(self) -> int:
-        return len(self.coords)
+        return len(self.plan.coords)
 
 
 @dataclass(frozen=True)
@@ -300,7 +295,8 @@ def fit(plan: EstimationPlan, eval_points) -> FitResult:
     kernel window holds no design row.  Deterministic for fixed inputs and
     bitwise invariant under permutations of the data rows and of the points.
     """
-    pts = _check_points(eval_points, plan.k)
+    k = plan.plan.k
+    pts = _check_points(eval_points, k)
     family = product_kernel(plan.d)
 
     density: dict[DerivIndex, np.ndarray] = {}
@@ -310,7 +306,7 @@ def fit(plan: EstimationPlan, eval_points) -> FitResult:
             est = DensityEstimator(
                 data=ds,
                 d1=plan.d1,
-                H=plan.bandwidths.H(ds.n, plan.d1, plan.d, plan.k - plan.p),
+                H=plan.bandwidths.H(ds.n, plan.d1, plan.d, k - plan.p),
                 floor=plan.floor,
             )
             density[idx] = loo_at_rows(est, floored=True)
@@ -345,9 +341,9 @@ def fit(plan: EstimationPlan, eval_points) -> FitResult:
         values = values + contribs[label]
 
     metadata = {
-        "k": plan.k,
-        "coords": list(plan.coords),
-        "ell": plan.ell,
+        "k": k,
+        "coords": list(plan.plan.coords),
+        "ell": plan.plan.ell,
         "d": plan.d,
         "d1": plan.d1,
         "density": plan.density,
@@ -380,18 +376,17 @@ def nadaraya_watson(
     return float(nadaraya_watson_grid(ds.X, ds.Y, x[None, :], h, d=d, den_floor=den_floor)[0])
 
 
-def _nw_pass(X, Y, pts, h, family, den_floor):
-    """One windowed NW pass: (values, mass, ok) at ``pts``.
+def _nw_pass(Xs, Ys, pts, h, family, den_floor):
+    """One windowed NW pass over rows ``Xs``, ``Ys`` in canonical order:
+    (values, mass, ok) at ``pts``.
 
     ``mass`` flags points where some design row carries kernel weight; values
     are NaN unless ``ok`` (mass and a nonzero normalizer).
     """
-    n = X.shape[0]
-    order, blocks = band_sweep([*X.T, Y], h, pts[:, 0])
-    Xs, Ys = X[order], Y[order]
+    n = Xs.shape[0]
     num, den = np.empty(pts.shape[0]), np.empty(pts.shape[0])
     mass = np.empty(pts.shape[0], dtype=bool)
-    for idx, lo, hi in blocks:
+    for idx, lo, hi in band_sweep(Xs[:, 0], h, pts[:, 0]):
         w = family.weights(pts[idx], Xs[lo:hi], h)
         num[idx] = (w * Ys[None, lo:hi]).sum(axis=1)
         den[idx] = w.sum(axis=1)
@@ -416,11 +411,13 @@ def nadaraya_watson_grid(
     """Baseline smoother over many evaluation points in the unit cube.
 
     A sorted-band sweep (:func:`derivreg.kernels.band_sweep`): data rows are
-    sorted in canonical order, evaluation points are taken in blocks of 64 by
-    coordinate 1, and each block weights only the rows within h of it in that
-    coordinate.  Time is m x (rows within h in coordinate 1) kernel values and
-    memory 64 x n.  Sums run in canonical row order, so the result is bitwise
-    invariant under row permutations of (X, Y).
+    sorted once, in the canonical order of (x1, ..., xk, y)
+    (:func:`derivreg.core.canonical_order`), for every pass; evaluation
+    points are taken in blocks of 64 by coordinate 1, and each block weights
+    only the rows within h of it in that coordinate.  Time is
+    m x (rows within h in coordinate 1) kernel values and memory 64 x n.
+    Sums run in canonical row order, so the result is bitwise invariant
+    under row permutations of (X, Y).
 
     ``den_floor`` bounds the normalizing density estimate away from zero;
     higher-order edge kernels can otherwise give near-zero or negative total
@@ -432,6 +429,8 @@ def nadaraya_watson_grid(
     Y = np.asarray(Y, dtype=float)
     pts = _check_points(pts, X.shape[1])
     family = product_kernel(d)
+    order = canonical_order((*X.T, Y))
+    X, Y = X[order], Y[order]
     out, mass, ok = _nw_pass(X, Y, pts, h, family, den_floor)
     if np.any(mass & ~ok):
         bad = pts[np.flatnonzero(mass & ~ok)[0]]

@@ -53,16 +53,13 @@ class KernelSpec:
     """A univariate kernel: polynomial times a boundary-vanishing weight.
 
     Evaluation keeps the factored form q(t) * w(t) so the kernel is exactly
-    zero at the endpoints of its support; ``coeffs`` carries the expanded
-    polynomial for reporting.
+    zero at the endpoints of its support.
     """
 
     kind: str  # "interior" | "left" | "right"
     order: int
     support: tuple[float, float]
     q_coeffs: tuple[float, ...]  # ascending powers of t
-    coeffs: tuple[float, ...]  # expanded q(t) * w(t), ascending powers
-    sup_abs: float
 
     def _weight(self, u: np.ndarray) -> np.ndarray:
         if self.kind == "interior":
@@ -82,7 +79,7 @@ class KernelSpec:
         return f"KernelSpec({self.kind}, order={self.order}, support={self.support})"
 
 
-def _solve_moment_system(powers_weight, d: int, interval: tuple[float, float]) -> np.ndarray:
+def _solve_moment_system(powers_weight, d: int) -> tuple[float, ...]:
     """Solve for q in q(t) * w(t) with moments delta_{j0}, j < d.
 
     ``powers_weight(m)`` must return integral over the interval of t^m * w(t).
@@ -97,21 +94,7 @@ def _solve_moment_system(powers_weight, d: int, interval: tuple[float, float]) -
     rhs[0] = 1.0
     q = np.linalg.solve(A, rhs)
     assert np.all(np.isfinite(q)), "moment system produced non-finite coefficients"
-    return q
-
-
-def _finalize(kind: str, order: int, support: tuple[float, float], q_coeffs, coeffs) -> KernelSpec:
-    spec = KernelSpec(
-        kind,
-        order,
-        support,
-        tuple(float(c) for c in q_coeffs),
-        tuple(float(c) for c in coeffs),
-        0.0,
-    )
-    grid = np.linspace(support[0], support[1], 4097)
-    object.__setattr__(spec, "sup_abs", float(np.abs(spec.eval(grid)).max()))
-    return spec
+    return tuple(float(c) for c in q)
 
 
 def make_interior_kernel(d: int) -> KernelSpec:
@@ -137,9 +120,7 @@ def _interior_kernel(d: int) -> KernelSpec:
             return 0.0
         return 2.0 / (m + 1) - 2.0 / (m + 3)
 
-    q = _solve_moment_system(moment, d, (-1.0, 1.0))
-    coeffs = P.polymul(q, np.array([1.0, 0.0, -1.0]))
-    return _finalize("interior", d, (-1.0, 1.0), q, coeffs)
+    return KernelSpec("interior", d, (-1.0, 1.0), _solve_moment_system(moment, d))
 
 
 def make_edge_kernel(d: int, side: str) -> KernelSpec:
@@ -162,20 +143,19 @@ def _edge_kernel(d: int, side: str) -> KernelSpec:
         # integral_0^1 t^m (t - t^2) dt
         return 1.0 / (m + 2) - 1.0 / (m + 3)
 
-    q = _solve_moment_system(moment, d, (0.0, 1.0))
-    coeffs = P.polymul(q, np.array([0.0, 1.0, -1.0]))
+    q = _solve_moment_system(moment, d)
     if side == "left":
-        return _finalize("left", d, (0.0, 1.0), q, coeffs)
-    q_mirror = np.array([c * (-1.0) ** i for i, c in enumerate(q)])
-    mirrored = np.array([c * (-1.0) ** i for i, c in enumerate(coeffs)])
-    return _finalize("right", d, (-1.0, 0.0), q_mirror, mirrored)
+        return KernelSpec("left", d, (0.0, 1.0), q)
+    return KernelSpec("right", d, (-1.0, 0.0), tuple(c * (-1.0) ** i for i, c in enumerate(q)))
 
 
 def kernel_moment(spec: KernelSpec, j: int) -> float:
     """Gauss-Legendre moment  integral t^j kappa(t) dt, exact for polynomials."""
     if j < 0:
         raise ValidationError("moment index must be >= 0")
-    deg = j + len(spec.coeffs) - 1
+    # Degree of t^j q(t) w(t); q may end in exact zeros (odd powers of an
+    # interior kernel), which do not count.
+    deg = j + len(np.trim_zeros(spec.q_coeffs, "b")) + 1
     nodes = deg // 2 + 2
     x, w = np.polynomial.legendre.leggauss(nodes)
     lo, hi = spec.support
@@ -243,21 +223,19 @@ def product_kernel(d: int) -> ProductKernel:
     )
 
 
-def band_sweep(keys, radius: float, queries=None):
+def band_sweep(first, radius: float, queries=None):
     """Blocks of an exact sweep for weights that vanish unless coordinate 1
     of a data row lies within ``radius`` of the evaluation point's.
 
-    Rows are sorted lexicographically by ``keys`` (per-row arrays, most
-    significant first, coordinate 1 as ``keys[0]``).  ``queries`` holds the
-    evaluation points' coordinate 1, or ``None`` for the sorted rows
-    themselves; they are taken in ascending order in blocks of 64.  Returns
-    ``(order, blocks)``: ``order`` sorts the rows, and each block
-    ``(idx, lo, hi)`` pairs query indices (sorted row positions when
-    ``queries`` is ``None``) with the sorted rows ``lo:hi``, which include
-    every row within ``radius`` of one of them.
+    ``first`` is coordinate 1 of the data rows, already in canonical order
+    (:func:`derivreg.core.canonical_order`, coordinate 1 first), so it is
+    ascending; the sweep sorts no rows.  ``queries`` holds the evaluation
+    points' coordinate 1, or ``None`` for the rows themselves; they are taken
+    in ascending order in blocks of 64.  Each block ``(idx, lo, hi)`` pairs
+    query indices (row positions when ``queries`` is ``None``) with the rows
+    ``lo:hi``, which include every row within ``radius`` of one of them.
     """
-    order = np.lexsort(tuple(np.asarray(key) for key in keys[::-1]))
-    first = np.asarray(keys[0], dtype=float)[order]
+    first = np.ascontiguousarray(first, dtype=float)  # searchsorted copies strided input
     if queries is None:
         qorder, qs = np.arange(first.size), first
     else:
@@ -271,11 +249,13 @@ def band_sweep(keys, radius: float, queries=None):
         lo = int(np.searchsorted(first, qs[a] - radius - pad, side="left"))
         hi = int(np.searchsorted(first, qs[b - 1] + radius + pad, side="right"))
         blocks.append((qorder[a:b], lo, hi))
-    return order, blocks
+    return blocks
 
 
 def check_orders(d: int, d1: int, k: int, p: int) -> None:
-    """Gate on kernel orders: require d > (k + p)/2 and d1 > k."""
+    """Gate on kernel orders: require even d > (k + p)/2 and even d1 > k."""
+    if d % 2 or d1 % 2:
+        raise ValidationError(f"kernel orders must be even, got d={d}, d1={d1}")
     if not d > 0.5 * (k + p):
         raise ValidationError(
             f"kernel order d={d} violates d > (k + p)/2 = {(k + p) / 2} for k={k}, p={p}"

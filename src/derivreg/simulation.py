@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import DataSet, DerivIndex, TestFunction, ValidationError, split_stream, product_function
+from .core import DataSet, DerivIndex, TestFunction, ValidationError, canonical_order, split_stream, product_function
 from .estimators import EstimationPlan, fit, make_grid, nadaraya_watson_grid
 from .functionals import build_term_plan
 from .kernels import BandwidthPlan, band_sweep
@@ -190,13 +190,14 @@ def derivative_ac_curve(
     Returns (part_a, part_b, part_a + part_b).  Raises if any Q-window is
     empty (bandwidth too small).
 
-    Both passes (part a at the data points, then both parts at the
-    evaluation points) are sorted-band sweeps
-    (:func:`derivreg.kernels.band_sweep`): points are taken in blocks of 64
-    by Q, and each block reads only the rows within h/2 of it in Q.  Time is
-    (n + m) x (rows in a Q-window) and memory 64 x n.  Sums run in a
-    canonical row order keyed on (q, v, r, y_al, y_ac), so the result is
-    bitwise invariant under row permutations of the sample.
+    The rows are sorted once, in the canonical order of (q, v, r, y_al,
+    y_ac) (:func:`derivreg.core.canonical_order`).  Both passes (part a at
+    the data points, then both parts at the evaluation points) are
+    sorted-band sweeps over them (:func:`derivreg.kernels.band_sweep`):
+    points are taken in blocks of 64 by Q, and each block reads only the rows
+    within h/2 of it in Q.  Time is (n + m) x (rows in a Q-window) and memory
+    64 x n.  Sums run in canonical row order, so the result is bitwise
+    invariant under row permutations of the sample.
     """
     if h <= 0:
         raise ValidationError("window width h must be positive")
@@ -204,7 +205,7 @@ def derivative_ac_curve(
     eval_v = np.atleast_1d(np.asarray(eval_v, dtype=float))
     eval_r = np.broadcast_to(np.asarray(eval_r, dtype=float), eval_q.shape)
     keys = (sample.q, sample.v, sample.r, sample.y_al, sample.y_ac)
-    order, data_blocks = band_sweep(keys, 0.5 * h)
+    order = canonical_order(keys)
     q, v, r, y_al, y_ac = (key[order] for key in keys)
 
     def windowed_sums(blocks, pts_q, pts_v, vals_win):
@@ -222,10 +223,9 @@ def derivative_ac_curve(
         return counts, cum_sums, win_sums
 
     # part a at the data points themselves (needed for the part-b remainder)
-    counts_d, cum_d, _ = windowed_sums(data_blocks, q, v, y_al)
+    counts_d, cum_d, _ = windowed_sums(band_sweep(q, 0.5 * h), q, v, y_al)
     resid = (y_ac - r * cum_d / counts_d) / r
-    _, eval_blocks = band_sweep(keys, 0.5 * h, eval_q)
-    counts, cum_sums, win_sums = windowed_sums(eval_blocks, eval_q, eval_v, resid)
+    counts, cum_sums, win_sums = windowed_sums(band_sweep(q, 0.5 * h, eval_q), eval_q, eval_v, resid)
     if not np.all(counts > 0):
         raise ValidationError(f"empty Q-window at width h={h}; increase h")
     ga = eval_r * cum_sums / counts
@@ -435,8 +435,7 @@ def _rate_rep_mse(
         return float(np.mean((vals - g(pts)) ** 2))
 
     datasets = {}
-    plan_terms = build_plan_indices(k, p)
-    for j, idx in enumerate(plan_terms):
+    for j, idx in enumerate(build_term_plan(k, range(p), 0).required_indices):
         X = split_stream(seed, (rep, 2 * j)).uniform((n, k))
         eps = split_stream(seed, (rep, 2 * j + 1)).standard_normal(n)
         datasets[idx] = DataSet(k=k, deriv=idx, X=X, Y=g.deriv(idx, X) + sigma * eps)
@@ -451,10 +450,6 @@ def _rate_rep_mse(
     )
     res = fit(plan, pts)
     return float(np.mean((res.values - g(pts)) ** 2))
-
-
-def build_plan_indices(k: int, p: int) -> list[DerivIndex]:
-    return list(build_term_plan(k, range(p), 0).required_indices)
 
 
 def convergence_rate_experiment(

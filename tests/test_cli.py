@@ -1,5 +1,14 @@
+import contextlib
+import io
+import itertools
+import tempfile
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from derivreg.cli import main
 from derivreg import split_stream
@@ -212,6 +221,11 @@ class TestEstimate:
             (lambda t: t.replace("points = 4", "points = -1"), "[grid] points must be a positive integer"),
             (lambda t: t + "\n[output]\nrescale = maybe\n", "[output] rescale must be auto, always or never"),
             (lambda t: t.replace("d = 2", "d = 2\nh_const = 1e-6"), "no design points within h="),
+            (lambda t: t.replace("coords = 1", "coords = 3"), "coords must list 1-based derivative coordinates in 1..2, got '3'"),
+            (lambda t: t.replace("d = 2", "d = 3"), "kernel orders must be even, got d=3"),
+            (lambda t: t.replace("d = 2", "d = 2\nd1 = 5"), "kernel orders must be even, got d=2, d1=5"),
+            (lambda t: t.replace("points = 4", "points = 100000"), "gives more than 10^6 grid points"),
+            (lambda t: t.replace("d = 2", "d = 2\nh_const = 2"), "offset = auto is the largest bandwidth h, which must be below 0.5"),
         ],
     )
     def test_bad_values_exit_one(self, tmp_path, example_config, capsys, edit, message):
@@ -228,6 +242,101 @@ class TestEstimate:
         edit = lambda t: t + "\n[output]\nrescale = always\n"
         err = self._bad_config_exits_one(tmp_path, example_config, capsys, edit)
         assert "coordinate 2 is constant" in err
+
+
+@st.composite
+def _fuzz_case(draw) -> dict:
+    """One ``estimate`` case; mostly valid, so the fit itself runs often."""
+    k = draw(st.integers(1, 3))
+    valid = st.lists(st.integers(1, k), min_size=1, max_size=k, unique=True)
+    rare = lambda common, *odd: st.sampled_from([common] * 4 + list(odd))
+    return {
+        "k": k,
+        # 1-based; 0 and k + 1 are out of range
+        "coords": draw(st.lists(st.integers(0, k + 1), min_size=1, max_size=3) if draw(rare(False, True)) else valid),
+        "ell": draw(rare(0, 1, 2, 3)),
+        "d": draw(rare(None, 1, 2, 3, 4, 6)),
+        "d1": draw(rare(None, 1, 2, 3, 4, 5, 6)),
+        "density": draw(st.sampled_from(["uniform", "loo", "uniform", "loo", "LOO"])),
+        "h_const": draw(rare(None, "0.5", "1e-6", "3", "nan")),
+        "points": draw(st.sampled_from([1, 2, 3, 4, 100000])),
+        "offset": draw(st.sampled_from(["auto", "auto", "0", "0.2", "nan", "0.7", "-0.1"])),
+        "rescale": draw(st.sampled_from([None, "always", "never"])),
+        "n": draw(st.sampled_from([1, 2, 7, 40, 40])),
+        "span": draw(st.sampled_from([1.0, 10.0])),  # raw coordinates in [0, span]
+        "ties": draw(st.booleans()),
+        "drop": draw(rare(False, True)),  # leave out the last dataset the coordinates allow
+        "seed": draw(st.integers(0, 3)),
+    }
+
+
+_FUZZ_BASE = {
+    "k": 2, "coords": [1], "ell": 0, "d": None, "d1": None, "density": "uniform", "h_const": None,
+    "points": 3, "offset": "auto", "rescale": None, "n": 40, "span": 1.0, "ties": False, "drop": False, "seed": 0,
+}
+
+
+def _fuzz_inputs(root: Path, case: dict) -> Path:
+    """Write the config and CSVs of one generated ``estimate`` case."""
+    k = case["k"]
+    rng = np.random.default_rng(case["seed"])
+    lines = ["[plan]", f"k = {k}", "coords = " + " ".join(map(str, case["coords"])), f"ell = {case['ell']}"]
+    lines += [f"{key} = {case[key]}" for key in ("d", "d1", "h_const") if case[key] is not None]
+    lines += [f"density = {case['density']}", "", "[grid]", f"points = {case['points']}", f"offset = {case['offset']}"]
+    if case["rescale"] is not None:
+        lines += ["", "[output]", f"rescale = {case['rescale']}"]
+    valid = sorted({c - 1 for c in case["coords"] if 1 <= c <= k})
+    subsets = [s for r in range(len(valid) + 1) for s in itertools.combinations(valid, r)]
+    if case["drop"]:
+        subsets = subsets[:-1]
+    for support in subsets:
+        bits = "".join("1" if j in support else "0" for j in range(k))
+        X = rng.uniform(0.0, case["span"], size=(case["n"], k))
+        if case["ties"]:
+            X = np.round(X, 1)
+            X[1::2] = X[::2][: X[1::2].shape[0]]  # duplicate rows
+        _write_csv(root / f"g{bits}.csv", X, rng.normal(size=case["n"]))
+        lines += ["", f"[data {bits}]", f"path = {root / f'g{bits}.csv'}"]
+    config = root / "plan.ini"
+    config.write_text("\n".join(lines) + "\n")
+    return config
+
+
+class TestEstimateFuzz:
+    """Generated configs and CSVs through ``main``: each run exits 0 with an
+    empty stderr, or exits 1, 2 or 3 with exactly one stderr line."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_fuzz_case())
+    @example({**_FUZZ_BASE, "d": 3})
+    @example({**_FUZZ_BASE, "d1": 2})  # d1 <= k
+    @example({**_FUZZ_BASE, "n": 1, "density": "loo"})
+    @example({**_FUZZ_BASE, "h_const": "1e-6"})
+    @example({**_FUZZ_BASE, "offset": "nan"})
+    @example({**_FUZZ_BASE, "offset": "0.7"})
+    @example({**_FUZZ_BASE, "offset": "-0.1"})
+    @example({**_FUZZ_BASE, "ell": 2})  # ell > p
+    @example({**_FUZZ_BASE, "coords": [3]})
+    @example({**_FUZZ_BASE, "coords": [0]})
+    @example({**_FUZZ_BASE, "density": "LOO"})
+    @example({**_FUZZ_BASE, "points": 100000})
+    @example({**_FUZZ_BASE, "n": 1})
+    @example({**_FUZZ_BASE, "k": 3, "coords": [1, 2, 3], "density": "loo", "ties": True})
+    def test_one_line_or_success(self, case):
+        with tempfile.TemporaryDirectory() as tmp:
+            config = _fuzz_inputs(Path(tmp), case)
+            err = io.StringIO()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # a warning would print to stderr
+                with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                    code = main(["estimate", "--config", str(config), "--out-dir", str(Path(tmp) / "out")])
+            text = err.getvalue()
+            if code == 0:
+                assert text == ""
+                assert (Path(tmp) / "out" / "fit.csv").exists()
+            else:
+                assert code in (1, 2, 3)
+                assert text.endswith("\n") and text.count("\n") == 1, text
 
 
 class TestKernelsCommand:

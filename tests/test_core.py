@@ -18,6 +18,7 @@ from derivreg import (
     save_csv,
     split_stream,
 )
+from derivreg.core import canonical_order
 from derivreg.core import _parse_rows, read_csv
 
 
@@ -201,6 +202,17 @@ class TestDataSet:
         ds = DataSet(3, DerivIndex.from_string("000"), X, Y)
         assert np.array_equal(ds.order, np.lexsort((Y, X[:, 2], X[:, 1], X[:, 0])))
         assert ds.order is ds.order
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 60), st.integers(1, 4), st.data())
+    def test_canonical_order_is_lexsort(self, nkeys, n, levels, data):
+        # Keys on a few levels tie, in the first key too; repeated rows duplicate.
+        rows = data.draw(
+            st.lists(st.lists(st.integers(0, levels), min_size=nkeys, max_size=nkeys), min_size=1, max_size=n)
+        )
+        picks = data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=n, max_size=n))
+        keys = tuple(np.array([rows[i][j] / levels for i in picks]) for j in range(nkeys))
+        assert np.array_equal(canonical_order(keys), np.lexsort(keys[::-1]))
 
 
 class TestRngStreams:

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from derivreg import ValidationError, check_orders, kernel_moment, make_edge_kernel, make_interior_kernel, product_kernel
-from derivreg.kernels import BandwidthPlan, default_orders
+from derivreg.kernels import BandwidthPlan, band_sweep, default_orders
 
 
 class TestInteriorKernels:
@@ -61,7 +63,6 @@ class TestEdgeKernels:
                     assert abs(kernel_moment(spec, j) - target) < 1e-10
                 lo, hi = spec.support
                 assert abs(spec.eval(lo)) <= 1e-12 and abs(spec.eval(hi)) <= 1e-12
-                assert np.isfinite(spec.sup_abs) and spec.sup_abs > 0
 
 
 class TestProductKernel:
@@ -108,12 +109,42 @@ class TestProductKernel:
                     assert got[a, b] == pytest.approx(want, rel=1e-14, abs=1e-300)
 
 
+class TestBandSweep:
+    # Few distinct values, so the sorted column and the queries have ties.
+    _values = st.integers(0, 40).map(lambda i: i / 40.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(_values, min_size=1, max_size=300),
+        st.one_of(st.none(), st.lists(_values, min_size=1, max_size=300)),
+        st.sampled_from([0.0, 0.025, 0.1, 0.6]),
+    )
+    def test_blocks_cover_every_window(self, rows, queries, radius):
+        first = np.sort(np.array(rows))
+        qs = first if queries is None else np.array(queries)
+        blocks = band_sweep(first, radius, None if queries is None else qs)
+        idx = np.concatenate([b[0] for b in blocks])
+        assert np.array_equal(np.sort(idx), np.arange(qs.size))  # every query exactly once
+        assert np.all(np.diff(qs[idx]) >= 0.0)  # blocks ascending
+        for block, lo, hi in blocks:
+            assert 1 <= block.size <= 64
+            for q in qs[block]:
+                near = np.flatnonzero(np.abs(first - q) <= radius)
+                assert np.all((near >= lo) & (near < hi))
+
+
 class TestOrderGate:
     def test_rejects_low_orders(self):
         with pytest.raises(ValidationError, match="d > "):
             check_orders(d=2, d1=4, k=2, p=2)
         with pytest.raises(ValidationError, match="d1"):
             check_orders(d=2, d1=2, k=2, p=1)
+
+    @pytest.mark.parametrize("d, d1", [(3, 4), (4, 5), (5, 3)])
+    def test_rejects_odd_orders(self, d, d1):
+        # An odd order would run with the next even kernel but keep its own rate.
+        with pytest.raises(ValidationError, match="kernel orders must be even"):
+            check_orders(d=d, d1=d1, k=1, p=1)
 
     def test_accepts_valid(self):
         check_orders(d=2, d1=4, k=2, p=1)
