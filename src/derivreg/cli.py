@@ -30,7 +30,7 @@ from .core import (
 )
 from .estimators import EstimationPlan, fit, make_grid
 from .functionals import build_term_plan, identity_checks, kernel_checks, nonparametric_dimension
-from .kernels import BandwidthPlan, make_edge_kernel, make_interior_kernel, kernel_moment
+from .kernels import MOMENT_TOL, BandwidthPlan, make_edge_kernel, make_interior_kernel, kernel_moment
 from .simulation import CobbDouglasConfig, BenchmarkRules, relative_mse_table
 
 __all__ = ["main", "RunConfig"]
@@ -361,12 +361,14 @@ def run_kernels(args) -> int:
             sample_rows.append((name, t, v))
     _write_csv(cfg.out_dir / "kernel_samples.csv", ["kernel", "t", "value"], sample_rows)
 
-    moment_rows = []
+    moment_rows, deviations = [], []
     for name, spec in specs:
         for j in range(spec.order + 1):
             target = 1.0 if j == 0 else 0.0
             m = kernel_moment(spec, j)
             moment_rows.append((name, j, m, m - target if j < spec.order else m))
+            if j < spec.order:
+                deviations.append((abs(m - target), name, j))
     _write_csv(
         cfg.out_dir / "kernel_moments.csv",
         ["kernel", "j", "moment", "deviation"],
@@ -377,6 +379,10 @@ def run_kernels(args) -> int:
         {"interior": list(args.interior), "edge": list(args.edge), "samples": args.samples},
     )
     print(f"wrote {len(specs)} kernels to {cfg.out_dir}")
+    worst, name, j = max(deviations)
+    if worst > MOMENT_TOL:
+        # The monomial moment system grows ill-conditioned with the order.
+        raise ToleranceError(f"{name} moment j={j} deviates by {worst:.1e}, above {MOMENT_TOL:.0e}")
     return 0
 
 

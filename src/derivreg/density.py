@@ -82,22 +82,25 @@ def loo_at_rows(est: DensityEstimator, floored: bool = True) -> np.ndarray:
 
     An exact sorted-band sweep (:func:`derivreg.kernels.band_sweep`) over the
     rows in the dataset's canonical order (:attr:`derivreg.core.DataSet.order`,
-    which the estimators reuse), taken in blocks of 64 consecutive rows.  Only
-    rows within H of a block's range in coordinate 1 can carry kernel mass, so
-    each block evaluates the same edge-switching kernels on a block x window
-    slab.  Time is n x (rows within H in coordinate 1) kernel values and memory
-    is 64 x n.  Each row is summed over its window in canonical row order,
-    so a permutation of the rows permutes the result bit for bit.
+    which the estimators reuse), windowed in coordinates 1 and 2 (coordinate
+    1 alone, in blocks of 64, when k = 1).  The rows are taken in tiles of
+    16 that are compact in both coordinates; only rows within H of a tile's
+    range in both can carry kernel mass, so each tile evaluates the same
+    edge-switching kernels on a tile x window slab.  Time is n x (rows in a
+    tile's two-coordinate window) kernel values and memory at most 64 x n.
+    Each row is summed over its window in canonical row order, so a
+    permutation of the rows permutes the result bit for bit.
     """
     order = est.data.order
     Xs = est.data.X[order]
     n = Xs.shape[0]
+    positions = np.arange(n)
     sums = np.empty(n)
-    for idx, lo, hi in band_sweep(Xs[:, 0], est.H):
-        w = est.family.weights(Xs[idx], Xs[lo:hi], est.H)
-        w[np.arange(idx.size), idx - lo] = 0.0
+    for idx, rows in band_sweep(Xs[:, :2], est.H):
+        w = est.family.weights(Xs[idx], Xs[rows], est.H)
+        w[np.arange(idx.size), np.searchsorted(positions[rows], idx)] = 0.0
         sums[idx] = w.sum(axis=1)
-        del w  # free this slab before the next block builds its own
+        del w  # free this slab before the next tile builds its own
     # Identical rows are adjacent in canonical order but may fall in blocks
     # with different windows; all copies take the sum of the first one.
     new_run = np.ones(n, dtype=bool)

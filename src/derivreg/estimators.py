@@ -10,7 +10,11 @@ Root-n terms (no free coordinate) are evaluated at all points at once by
 orthant sums (:func:`_orthant_column`): O(n 2^p + cells 2^p) time and
 O(n + cells) memory per term, with p the term's CUM/RECON coordinates and
 cells the grid between the points' distinct coordinates.  Terms with free
-coordinates take one pass over the data per point.  Summation runs in each
+coordinates take one pass over the data per point.  The floored
+leave-one-out densities (:func:`derivreg.density.loo_at_rows`) and the
+baseline smoother (:func:`nadaraya_watson_grid`) are sorted-band sweeps
+windowed in coordinates 1 and 2: time (queries) x (rows in a tile's
+two-coordinate window) kernel values, memory at most 64 x n.  Summation runs in each
 dataset's canonical row order (:attr:`derivreg.core.DataSet.order`), so
 results are bit-identical under row permutations and any degree of
 parallelism.
@@ -386,12 +390,12 @@ def _nw_pass(Xs, Ys, pts, h, family, den_floor):
     n = Xs.shape[0]
     num, den = np.empty(pts.shape[0]), np.empty(pts.shape[0])
     mass = np.empty(pts.shape[0], dtype=bool)
-    for idx, lo, hi in band_sweep(Xs[:, 0], h, pts[:, 0]):
-        w = family.weights(pts[idx], Xs[lo:hi], h)
-        num[idx] = (w * Ys[None, lo:hi]).sum(axis=1)
+    for idx, rows in band_sweep(Xs[:, :2], h, pts[:, :2]):
+        w = family.weights(pts[idx], Xs[rows], h)
+        num[idx] = (w * Ys[None, rows]).sum(axis=1)
         den[idx] = w.sum(axis=1)
         mass[idx] = (w != 0.0).any(axis=1)
-        del w  # free this slab before the next block builds its own
+        del w  # free this slab before the next tile builds its own
     if den_floor is not None:
         # den / n estimates the design density at the point; floor it there.
         den = np.maximum(den, den_floor * n)
@@ -413,9 +417,10 @@ def nadaraya_watson_grid(
     A sorted-band sweep (:func:`derivreg.kernels.band_sweep`): data rows are
     sorted once, in the canonical order of (x1, ..., xk, y)
     (:func:`derivreg.core.canonical_order`), for every pass; evaluation
-    points are taken in blocks of 64 by coordinate 1, and each block weights
-    only the rows within h of it in that coordinate.  Time is
-    m x (rows within h in coordinate 1) kernel values and memory 64 x n.
+    points are taken in tiles of 16 that are compact in coordinates 1 and 2,
+    and each tile weights only the rows within h of it in both (coordinate 1
+    alone, in blocks of 64, when k = 1).  Time is m x (rows in a tile's
+    two-coordinate window) kernel values and memory at most 64 x n.
     Sums run in canonical row order, so the result is bitwise invariant
     under row permutations of (X, Y).
 

@@ -690,7 +690,7 @@ def kernel_checks() -> list[CheckResult]:
         worst = max(
             abs(_kernels.kernel_moment(spec, j) - (1.0 if j == 0 else 0.0)) for j in range(d)
         )
-        results.append(CheckResult(f"moment/interior-d{d}", worst, 1e-10))
+        results.append(CheckResult(f"moment/interior-d{d}", worst, _kernels.MOMENT_TOL))
         endpoint = max(abs(spec.eval(spec.support[0])), abs(spec.eval(spec.support[1])))
         results.append(CheckResult(f"endpoint/interior-d{d}", float(endpoint), 1e-12))
     for d in range(1, 6):
@@ -699,7 +699,7 @@ def kernel_checks() -> list[CheckResult]:
             worst = max(
                 abs(_kernels.kernel_moment(spec, j) - (1.0 if j == 0 else 0.0)) for j in range(d)
             )
-            results.append(CheckResult(f"moment/{side}-d{d}", worst, 1e-10))
+            results.append(CheckResult(f"moment/{side}-d{d}", worst, _kernels.MOMENT_TOL))
             endpoint = max(abs(spec.eval(spec.support[0])), abs(spec.eval(spec.support[1])))
             results.append(CheckResult(f"endpoint/{side}-d{d}", float(endpoint), 1e-12))
     return results

@@ -17,7 +17,7 @@ convention u = (data - evaluation point) / bandwidth.
 
 from __future__ import annotations
 
-import warnings
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -28,11 +28,17 @@ from .core import ValidationError
 
 # Evaluation points per block of a sorted-band sweep (:func:`band_sweep`).
 _BLOCK = 64
-# Widening of each block's window in coordinate 1, relative to the data's
+# Evaluation points per tile of a two-column sweep.  Tiles of 16 keep the
+# LOO density's slabs small enough to stay in cache; on a 2-core x86 host the
+# fit_loo benchmark ran 2.3 ops/s with them against 1.9 with tiles of 32.
+_TILE = 16
+# Widening of each block's window in each column, relative to the data's
 # scale.  It is far above the rounding error of the kernel arguments, so no row
 # a window predicate could accept is missed; a row inside the pad but outside
 # the support adds an exact zero.
 _PAD = 1e-9
+# Largest accepted deviation of a moment j < order from delta_{j0}.
+MOMENT_TOL = 1e-10
 
 __all__ = [
     "KernelSpec",
@@ -100,15 +106,14 @@ def _solve_moment_system(powers_weight, d: int) -> tuple[float, ...]:
 def make_interior_kernel(d: int) -> KernelSpec:
     """Construct the order-d interior kernel q(t)(1 - t^2) on [-1, 1].
 
-    Interior kernels are even-order; an odd request is rounded up with a
-    warning.  d = 2 gives the Epanechnikov kernel 0.75 (1 - t^2).  Kernels are
-    built once per order and shared; :class:`KernelSpec` is immutable.
+    Interior kernels are symmetric, so their orders are even and an odd d is
+    rejected.  d = 2 gives the Epanechnikov kernel 0.75 (1 - t^2).  Kernels
+    are built once per order and shared; :class:`KernelSpec` is immutable.
     """
     if d < 2:
         raise ValidationError(f"interior kernel order must be >= 2, got {d}")
     if d % 2:
-        warnings.warn(f"interior kernel order {d} is odd; using {d + 1}", stacklevel=2)
-        d = d + 1
+        raise ValidationError(f"interior kernel order must be even, got {d}")
     return _interior_kernel(d)
 
 
@@ -223,33 +228,58 @@ def product_kernel(d: int) -> ProductKernel:
     )
 
 
-def band_sweep(first, radius: float, queries=None):
-    """Blocks of an exact sweep for weights that vanish unless coordinate 1
-    of a data row lies within ``radius`` of the evaluation point's.
+def band_sweep(keys, radius: float, queries=None):
+    """Blocks of an exact sweep for weights that vanish unless a data row lies
+    within ``radius`` of the evaluation point in each window column.
 
-    ``first`` is coordinate 1 of the data rows, already in canonical order
-    (:func:`derivreg.core.canonical_order`, coordinate 1 first), so it is
-    ascending; the sweep sorts no rows.  ``queries`` holds the evaluation
-    points' coordinate 1, or ``None`` for the rows themselves; they are taken
-    in ascending order in blocks of 64.  Each block ``(idx, lo, hi)`` pairs
-    query indices (row positions when ``queries`` is ``None``) with the rows
-    ``lo:hi``, which include every row within ``radius`` of one of them.
+    ``keys`` holds one or two window columns of the data rows, coordinate 1
+    first (an (n,) or (n, c) array, c = 1 or 2), already in canonical order
+    (:func:`derivreg.core.canonical_order`), so coordinate 1 is ascending;
+    the sweep sorts no rows.  ``queries`` holds the same columns of the
+    evaluation points, or ``None`` for the rows themselves.  Yields blocks
+    ``(idx, rows)`` that pair query indices (row positions when ``queries`` is
+    ``None``) with ascending rows that include every row within ``radius`` of
+    one of them in every window column; every query is in one block.
+
+    With one column the queries are taken in ascending order in blocks of 64
+    and ``rows`` is the slice of the block's coordinate-1 window.  With two
+    the queries are cut into strips of consecutive coordinate-1 order and
+    ordered by coordinate 2 within each strip, with about as many tiles of 16
+    per strip as strips, so a tile is compact in both coordinates.  ``rows``
+    is then an index array: the tile's coordinate-1 window, less the rows
+    outside its coordinate-2 range widened by ``radius``.  A caller evaluates
+    (queries) x (rows in its block's window) kernel values and holds at most
+    64 x n of them at once; blocks are made one at a time, so the sweep holds
+    only the current block's rows.
     """
-    first = np.ascontiguousarray(first, dtype=float)  # searchsorted copies strided input
-    if queries is None:
-        qorder, qs = np.arange(first.size), first
-    else:
-        queries = np.asarray(queries, dtype=float)
-        qorder = np.argsort(queries, kind="stable")
-        qs = queries[qorder]
-    pad = _PAD * max(1.0, float(np.abs(first).max(initial=0.0)))
-    blocks = []
-    for a in range(0, qs.size, _BLOCK):
-        b = min(a + _BLOCK, qs.size)
-        lo = int(np.searchsorted(first, qs[a] - radius - pad, side="left"))
-        hi = int(np.searchsorted(first, qs[b - 1] + radius + pad, side="right"))
-        blocks.append((qorder[a:b], lo, hi))
-    return blocks
+    keys = np.asarray(keys, dtype=float)
+    keys = keys[:, None] if keys.ndim == 1 else keys
+    qs = keys if queries is None else np.asarray(queries, dtype=float).reshape(-1, keys.shape[1])
+    first = np.ascontiguousarray(keys[:, 0])  # searchsorted copies strided input
+    qorder = np.argsort(qs[:, 0], kind="stable")
+    m = qorder.size
+    pad = _PAD * max(1.0, float(np.abs(keys).max(initial=0.0)))
+    two = keys.shape[1] == 2
+
+    def window(idx):
+        q = qs[idx]
+        lo = int(np.searchsorted(first, q[:, 0].min() - radius - pad, side="left"))
+        hi = int(np.searchsorted(first, q[:, 0].max() + radius + pad, side="right"))
+        if not two:
+            return slice(lo, hi)
+        second = keys[lo:hi, 1]
+        near = (second >= q[:, 1].min() - radius - pad) & (second <= q[:, 1].max() + radius + pad)
+        return lo + np.flatnonzero(near)
+
+    tile = _TILE if two else _BLOCK
+    strip = tile * max(1, math.ceil(math.sqrt(m / tile))) if two else max(m, 1)
+    for a in range(0, m, strip):
+        run = qorder[a : a + strip]
+        if two:
+            run = run[np.argsort(qs[run, 1], kind="stable")]
+        for b in range(0, run.size, tile):
+            idx = run[b : b + tile]
+            yield idx, window(idx)
 
 
 def check_orders(d: int, d1: int, k: int, p: int) -> None:

@@ -214,12 +214,12 @@ def derivative_ac_curve(
         counts = np.empty(m, dtype=np.int64)
         cum_sums = np.empty(m)
         win_sums = np.empty(m)
-        for idx, lo, hi in blocks:
-            win = np.abs(q[None, lo:hi] - pts_q[idx, None]) <= 0.5 * h
+        for idx, rows in blocks:
+            win = np.abs(q[None, rows] - pts_q[idx, None]) <= 0.5 * h
             counts[idx] = win.sum(axis=1)
-            cum = win & (v[None, lo:hi] <= pts_v[idx, None])
-            cum_sums[idx] = (cum * y_al[None, lo:hi]).sum(axis=1)
-            win_sums[idx] = (win * vals_win[None, lo:hi]).sum(axis=1)
+            cum = win & (v[None, rows] <= pts_v[idx, None])
+            cum_sums[idx] = (cum * y_al[None, rows]).sum(axis=1)
+            win_sums[idx] = (win * vals_win[None, rows]).sum(axis=1)
         return counts, cum_sums, win_sums
 
     # part a at the data points themselves (needed for the part-b remainder)

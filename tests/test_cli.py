@@ -348,6 +348,25 @@ class TestKernelsCommand:
         assert first[0] == "interior-d2" and abs(float(first[2]) - 1.0) < 1e-10
         assert (tmp_path / "kernel_samples.csv").exists()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--edge", 8], "-d8 moment j="),
+            (["--interior", 40], "interior-d40 moment j="),
+        ],
+    )
+    def test_moment_deviation_above_tolerance_exits_two(self, tmp_path, capsys, argv, message):
+        # Both reports are written before the check, as verify writes its own.
+        assert run(["kernels", "--out-dir", tmp_path] + argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("tolerance failure: ") and message in err and err.endswith("above 1e-10\n")
+        assert err.count("\n") == 1
+        assert (tmp_path / "kernel_moments.csv").exists() and (tmp_path / "kernel_samples.csv").exists()
+
+    def test_odd_interior_order_exits_one_with_one_line(self, tmp_path, capsys):
+        assert run(["kernels", "--out-dir", tmp_path, "--interior", 3]) == 1
+        assert capsys.readouterr().err == "error: interior kernel order must be even, got 3\n"
+
 
 class TestExitCodes:
     def test_io_failure_exits_three(self, tmp_path):

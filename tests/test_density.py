@@ -208,9 +208,8 @@ class TestWindowedSweep:
         assert np.array_equal(a[perm], b)
         assert np.all(a[:150] == a[0])
 
-    def test_memory_stays_bounded_at_large_n(self):
-        # A dense n x n kernel matrix would need 3.2 GB per temporary here.
-        X = split_stream(3, [0]).uniform((20_000, 2))
+    @staticmethod
+    def _peak_bytes(X):
         est = DensityEstimator(_ds(X), d1=4, H=0.05)
         tracemalloc.start()
         try:
@@ -218,4 +217,14 @@ class TestWindowedSweep:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 2**20
+        return peak
+
+    def test_memory_stays_bounded_at_large_n(self):
+        # A dense n x n kernel matrix would need 3.2 GB per temporary here.
+        assert self._peak_bytes(split_stream(3, [0]).uniform((20_000, 2))) < 64 * 2**20
+
+    def test_memory_stays_bounded_when_rows_share_coordinate_2(self):
+        # Every tile's rows are then its whole coordinate-1 window.
+        X = split_stream(3, [0]).uniform((20_000, 2))
+        X[:, 1] = 0.5
+        assert self._peak_bytes(X) < 64 * 2**20

@@ -357,6 +357,11 @@ class TestWindowedBaseline:
         want = np.array([reference.nadaraya_watson(X.tolist(), Y.tolist(), x.tolist(), h, 4, 0.05) for x in pts])
         assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_no_design_points_raises(self, k):
+        with pytest.raises(ValidationError, match="no design points"):
+            nadaraya_watson_grid(np.empty((0, k)), np.empty(0), np.full((1, k), 0.5), 0.2)
+
     @pytest.mark.parametrize("x", [1.0, 0.5])
     def test_widening_reaches_data_below_the_point(self, x):
         # Once the widened h exceeds 1/2 the point lies within h of both
@@ -391,17 +396,37 @@ class TestWindowedBaseline:
         a, b = out
         assert a == b if isinstance(a, str) else np.array_equal(a, b)
 
-    def test_memory_stays_bounded_at_large_n(self):
-        # The dense m x n weight block would need 320 MB per temporary here.
-        X = split_stream(5, [0]).uniform((20_000, 2))
-        Y = split_stream(5, [1]).standard_normal(20_000)
+    def test_row_permutation_invariance_bitwise_at_k3(self):
+        X = split_stream(33, [0]).uniform((600, 3)) ** 1.5
+        X[300:400] = X[:100]  # repeated design rows, in the same tiles or not
+        Y = split_stream(33, [1]).standard_normal(600)
+        pts = np.vstack([split_stream(33, [2]).uniform((150, 3)), X[:20], [[0.0, 1.0, 0.5]]])
+        perm = split_stream(33, [3]).gen.permutation(600)
+        for h in (0.08, 0.3, 0.7):
+            a = nadaraya_watson_grid(X, Y, pts, h, d=4, widen_on_empty=True)
+            b = nadaraya_watson_grid(X[perm], Y[perm], pts, h, d=4, widen_on_empty=True)
+            assert np.array_equal(a, b)
+
+    @staticmethod
+    def _peak_bytes(X):
+        Y = split_stream(5, [1]).standard_normal(X.shape[0])
         tracemalloc.start()
         try:
             nadaraya_watson_grid(X, Y, X[:2000], 0.05)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 2**20
+        return peak
+
+    def test_memory_stays_bounded_at_large_n(self):
+        # The dense m x n weight block would need 320 MB per temporary here.
+        assert self._peak_bytes(split_stream(5, [0]).uniform((20_000, 2))) < 64 * 2**20
+
+    def test_memory_stays_bounded_when_rows_share_coordinate_2(self):
+        # Every tile's rows are then its whole coordinate-1 window.
+        X = split_stream(5, [0]).uniform((20_000, 2))
+        X[:, 1] = 0.5
+        assert self._peak_bytes(X) < 64 * 2**20
 
 
 _SHAPES = (Weight.FLAT, Weight.CUM, Weight.RAMP, Weight.RECON)

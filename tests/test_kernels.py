@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from derivreg import ValidationError, check_orders, kernel_moment, make_edge_kernel, make_interior_kernel, product_kernel
+from derivreg.core import canonical_order
 from derivreg.kernels import BandwidthPlan, band_sweep, default_orders
 
 
@@ -25,10 +28,11 @@ class TestInteriorKernels:
             assert abs(kernel_moment(spec, j)) < 1e-10
         assert abs(kernel_moment(spec, 4)) > 1e-3  # order-d kernel has nonzero dth moment
 
-    def test_odd_order_rounds_up_with_warning(self):
-        with pytest.warns(UserWarning, match="odd"):
-            spec = make_interior_kernel(3)
-        assert spec.order == 4
+    def test_odd_order_rejected(self):
+        # Interior kernels are even; an odd order would run as the next even one.
+        for d in (3, 5, 41):
+            with pytest.raises(ValidationError, match=f"must be even, got {d}"):
+                make_interior_kernel(d)
 
     def test_minimum_order(self):
         with pytest.raises(ValidationError):
@@ -109,28 +113,90 @@ class TestProductKernel:
                     assert got[a, b] == pytest.approx(want, rel=1e-14, abs=1e-300)
 
 
+def _one_column_sweep(first, radius, queries=None):
+    """The one-column sweep as specified: queries in stable ascending order,
+    blocks of 64, each paired with its padded coordinate-1 window."""
+    qorder = np.arange(first.size) if queries is None else np.argsort(queries, kind="stable")
+    qs = first[qorder] if queries is None else queries[qorder]
+    pad = 1e-9 * max(1.0, float(np.abs(first).max(initial=0.0)))
+    out = []
+    for a in range(0, qs.size, 64):
+        b = min(a + 64, qs.size)
+        lo = int(np.searchsorted(first, qs[a] - radius - pad, side="left"))
+        hi = int(np.searchsorted(first, qs[b - 1] + radius + pad, side="right"))
+        out.append((qorder[a:b], slice(lo, hi)))
+    return out
+
+
 class TestBandSweep:
-    # Few distinct values, so the sorted column and the queries have ties.
+    # Few distinct values, so the sorted columns and the queries have ties.
     _values = st.integers(0, 40).map(lambda i: i / 40.0)
+    _radii = st.sampled_from([0.0, 0.025, 0.1, 0.6, 1.0, 1.5])
 
     @settings(max_examples=60, deadline=None)
     @given(
         st.lists(_values, min_size=1, max_size=300),
         st.one_of(st.none(), st.lists(_values, min_size=1, max_size=300)),
-        st.sampled_from([0.0, 0.025, 0.1, 0.6]),
+        _radii,
     )
     def test_blocks_cover_every_window(self, rows, queries, radius):
         first = np.sort(np.array(rows))
         qs = first if queries is None else np.array(queries)
-        blocks = band_sweep(first, radius, None if queries is None else qs)
+        blocks = list(band_sweep(first, radius, None if queries is None else qs))
         idx = np.concatenate([b[0] for b in blocks])
         assert np.array_equal(np.sort(idx), np.arange(qs.size))  # every query exactly once
         assert np.all(np.diff(qs[idx]) >= 0.0)  # blocks ascending
-        for block, lo, hi in blocks:
+        for block, rows in blocks:
             assert 1 <= block.size <= 64
             for q in qs[block]:
                 near = np.flatnonzero(np.abs(first - q) <= radius)
-                assert np.all((near >= lo) & (near < hi))
+                assert np.all((near >= rows.start) & (near < rows.stop))
+        # A column given as (n, 1) is the same one-column sweep.
+        want = _one_column_sweep(first, radius, None if queries is None else qs)
+        for got in (blocks, list(band_sweep(first[:, None], radius, None if queries is None else qs[:, None]))):
+            assert len(got) == len(want)
+            for (a, ra), (b, rb) in zip(got, want):
+                assert np.array_equal(a, b) and ra == rb
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(1, 400),
+        st.one_of(st.none(), st.integers(1, 300)),
+        _radii,
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_two_column_tiles_cover_every_window(self, n, m, radius, flat, seed):
+        # Lattice values give ties; a few hundred rows give several strips and tiles.
+        rng = np.random.default_rng(seed)
+        keys = rng.integers(0, 41, size=(n, 2)) / 40.0
+        if flat:  # every row shares coordinate 2, so a tile reads its whole coordinate-1 window
+            keys[:, 1] = 0.5
+        keys = keys[canonical_order(tuple(keys.T))]
+        qs = keys if m is None else rng.integers(0, 41, size=(m, 2)) / 40.0
+        tiles = list(band_sweep(keys, radius, None if m is None else qs))
+        idx = np.concatenate([t[0] for t in tiles])
+        assert np.array_equal(np.sort(idx), np.arange(qs.shape[0]))  # every query exactly once
+        for tile, sel in tiles:
+            assert 1 <= tile.size <= 64
+            assert sel.dtype.kind == "i" and np.all(np.diff(sel) > 0)  # ascending rows
+            for q in qs[tile]:
+                near = np.flatnonzero(np.all(np.abs(keys - q) <= radius, axis=1))
+                assert np.all(np.isin(near, sel))
+
+    def test_wide_windows_are_not_held_at_once(self):
+        # Every tile's rows are nearly all n = 20 000 rows; holding the rows of
+        # all 1250 tiles at once would take about 190 MB.
+        keys = np.random.default_rng(0).uniform(size=(20_000, 2))
+        keys = keys[canonical_order(tuple(keys.T))]
+        tracemalloc.start()
+        try:
+            for _ in band_sweep(keys, 0.8):
+                pass
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
 
 class TestOrderGate:
