@@ -6,11 +6,11 @@ nonlocal weights at their own design points, locally smoothed over the term's
 free coordinates with an edge-switching product kernel, and divided by a
 floored leave-one-out density estimate on non-uniform designs.
 
-Root-n terms (no free coordinate) are evaluated at all points at once by
-orthant sums (:func:`_orthant_column`): O(n 2^p + cells 2^p) time and
-O(n + cells) memory per term, with p the term's CUM/RECON coordinates and
-cells the grid between the points' distinct coordinates.  Terms with free
-coordinates take one pass over the data per point.  The floored
+Every term is evaluated at all points at once by orthant sums
+(:func:`_term_column`), one group of points per value of its free
+coordinates: O(groups (n 2^p + cells 2^p)) time and O(2^p n + cells) memory
+per term, with p the term's CUM/RECON coordinates and cells the grid between
+the points' distinct coordinates.  The floored
 leave-one-out densities (:func:`derivreg.density.loo_at_rows`) and the
 baseline smoother (:func:`nadaraya_watson_grid`) are sorted-band sweeps
 windowed in coordinates 1 and 2: time (queries) x (rows in a tile's
@@ -32,7 +32,7 @@ import numpy as np
 from .core import DataSet, DerivIndex, ValidationError, canonical_order
 from .density import DensityEstimator, loo_at_rows
 from .functionals import Quadrature, Term, TermPlan, Weight, build_term_plan, gl_panels, tensor_rule, weight_shape
-from .kernels import BandwidthPlan, ProductKernel, band_sweep, check_orders, default_orders, product_kernel
+from .kernels import BandwidthPlan, band_sweep, check_orders, default_orders, product_kernel
 
 __all__ = [
     "EstimationPlan",
@@ -77,85 +77,89 @@ def _point_chunks(P: np.ndarray, budget: int) -> list[tuple[int, int]]:
     return runs
 
 
-def _orthant_column(term: Term, ds: DataSet, density: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Sample analogue of a term with no LOCAL coordinate at every point.
+def _term_column(
+    term: Term, ds: DataSet, density: np.ndarray, pts: np.ndarray, h: float | None = None, d: int = 2
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sample analogue of a term at every point, and per point whether any
+    design row carries kernel weight there.
 
-    n^-1 sum_i v_i prod_j shape_j(X_ij, x_j) with v = Y / density.  RAMP
-    factors do not depend on x and fold into v.  Every split shape (CUM,
-    RECON) is a(u) - 1{u > x}, with a = 1 or u, so the product over the p
-    split coordinates is a signed sum over subsets T of them of orthant sums:
-    rows with u_j > x_j on T, weighted by v prod_{j not in T} a_j.  On each
-    split axis the rows are located among the sorted distinct point
-    coordinates g (u > g[t] iff t < cell); per T, the rows are binned into
-    the T cells in canonical order, reverse cumulative sums run along each T
-    axis, and each point reads its sum at its own index + 1 on every T axis.
-
-    The m distinct points (in the split coordinates) are taken in canonical
-    order, in runs whose cell grid stays within 2^p max(n, m) cells, so a
-    tensor grid is one run.  Time is
-    O(n 2^p + cells 2^p) per run and memory O(n + cells); a permutation of
-    the rows or of the points leaves every value bit for bit.
+    n^-1 sum_i v_i K_h(X_iL - x_L) prod_j shape_j(X_ij, x_j) with
+    v = Y / density, L the LOCAL coordinates and K the order-d product kernel
+    (one when L is empty).  RAMP factors fold into v, and K, which depends on
+    x_L alone, into one kernel row per group of points with equal x_L.  Every
+    split shape (CUM, RECON) is a(u) - 1{u > x}, with a = 1 or u, so the
+    product over the p split coordinates is a signed sum over subsets T of
+    them of orthant sums: rows with u_j > x_j on T, weighted by
+    v K prod_{j not in T} a_j.  The distinct points (in the split
+    coordinates) are taken in canonical order, in runs whose cell grid stays
+    within 2^p max(n, m) cells, so a tensor grid is one run.  Rows and points
+    take cells among the run's distinct point coordinates, counted from the
+    top (u > x iff the row's cell is at most the point's); per T and group,
+    cumulative sums of the binned rows give every point's orthant sum.  Time
+    is O(groups (n 2^p + cells 2^p)) on a tensor grid, memory O(2^p n + cells);
+    permuting the rows or the points leaves every value bit for bit.
     """
     X = ds.X[ds.order]
     v = ds.Y[ds.order] / density[ds.order]
-    split, base = [], []
+    split, base, local = [], [], []
     for j, kind in enumerate(term.weights):
         if kind is Weight.RAMP:
             v = v * weight_shape(kind, X[:, j], 0.0)
         elif kind in (Weight.CUM, Weight.RECON):
             split.append(j)
             base.append(weight_shape(kind, X[:, j], np.inf))  # a(u): no u exceeds x = inf
-    keys, inverse = np.unique(pts[:, split], axis=0, return_inverse=True)
+        elif kind is Weight.LOCAL:
+            local.append(j)
     p = len(split)
-    out = np.empty(keys.shape[0])
-    for lo, hi in _point_chunks(keys, 2**p * max(ds.n, keys.shape[0])):
-        grids, locs = [], []
-        for col in keys[lo:hi].T:
+    subsets = [tuple(a for a in range(p) if t[a]) for t in itertools.product((False, True), repeat=p)]
+    vb = [math.prod((base[a] for a in range(p) if a not in T), start=v) for T in subsets]  # v a(u) off T
+    keys, key_of = np.unique(pts[:, split], axis=0, return_inverse=True)
+    runs = _point_chunks(keys, 2**p * max(ds.n, keys.shape[0]))
+    # With no LOCAL coordinate all points form one group, with kernel row 1.
+    centres, group = np.unique(pts[:, local], axis=0, return_inverse=True)
+    key_of, group = key_of.reshape(-1), group.reshape(-1)
+    run_of = np.searchsorted([lo for lo, _ in runs], key_of, side="right") - 1
+    order = np.lexsort((group, run_of))  # one stable sort: by run, then by group
+    col = np.empty(pts.shape[0])
+    mass = np.empty(pts.shape[0], dtype=bool)
+    for (lo, hi), block in zip(runs, np.split(order, np.searchsorted(run_of[order], range(1, len(runs))))):
+        sizes, plocs, rlocs, flats = [], [], [], []
+        for c, j in zip(keys[lo:hi].T, split):
             # With return_inverse, np.unique does not import numpy.ma (about
             # 15 ms of set-up per process).
-            grid, loc = np.unique(col, return_inverse=True)
-            grids.append(grid)
-            locs.append(loc + 1)
-        cells = [np.searchsorted(g, X[:, j], side="left") for g, j in zip(grids, split)]
-        acc = np.zeros(hi - lo)
-        for T in itertools.product((False, True), repeat=p):
-            w, flat, shape = v, 0, []
-            for a in range(p):
-                if T[a]:
-                    flat = flat * (grids[a].size + 1) + cells[a]
-                    shape.append(grids[a].size + 1)
-                else:
-                    w = w * base[a]
-            sums = np.bincount(np.broadcast_to(flat, w.shape), weights=w, minlength=math.prod(shape))
-            sums = sums.reshape(shape)
-            for axis in range(len(shape)):
-                sums = np.flip(np.cumsum(np.flip(sums, axis), axis=axis), axis)
-            orthant = sums[tuple(loc for loc, t in zip(locs, T) if t)]
-            acc = acc - orthant if sum(T) % 2 else acc + orthant
-        out[lo:hi] = acc / ds.n
-    return out[inverse.reshape(-1)]
+            grid, loc = np.unique(c, return_inverse=True)
+            sizes.append(grid.size + 1)
+            plocs.append(grid.size - 1 - loc)
+            rlocs.append(grid.size - np.searchsorted(grid, X[:, j], side="left"))
+        for T in subsets:
+            flat = np.zeros(ds.n, dtype=np.intp)
+            for a in T:
+                flat = flat * sizes[a] + rlocs[a]
+            flats.append(flat)
+        for idx in np.split(block, np.flatnonzero(np.diff(group[block])) + 1):
+            kern = product_kernel(d).weights(centres[group[idx[0]], None], X[:, local], h)[0]
+            mass[idx] = (kern != 0.0).any()
+            acc = np.zeros(idx.size)
+            for T, w, flat in zip(subsets, vb, flats):
+                shape = [sizes[a] for a in T]
+                sums = np.bincount(flat, weights=w * kern, minlength=math.prod(shape)).reshape(shape)
+                for axis in range(len(T)):
+                    sums = np.cumsum(sums, axis=axis)
+                orthant = sums[tuple(plocs[a][key_of[idx] - lo] for a in T)]
+                acc = acc - orthant if len(T) % 2 else acc + orthant
+            col[idx] = acc / ds.n
+    return col, mass
 
 
-def _term_value(
-    term: Term,
-    ds: DataSet,
-    x: np.ndarray,
-    h: float,
-    family: ProductKernel,
-    density: np.ndarray,
-) -> tuple[float, bool]:
-    """Sample analogue of a term with LOCAL coordinates at a single point,
-    and whether any design row carries kernel weight there."""
-    w = ds.Y / density
-    inside = np.ones(ds.n, dtype=bool)
-    for i, kind in enumerate(term.weights):
-        if kind is Weight.LOCAL:
-            kern = family.weights(x[None, i : i + 1], ds.X[:, i : i + 1], h)[0]
-            inside &= kern != 0.0
-            w = w * kern
-        elif kind is not Weight.FLAT:
-            w = w * weight_shape(kind, ds.X[:, i], x[i])
-    return float(w[ds.order].sum() / ds.n), bool(inside.any())
+def _check_one_point(ds: DataSet, density, h: float | None = None) -> np.ndarray:
+    """``density`` (ones when None) as n finite positive values; a given h
+    must be finite and positive."""
+    if h is not None and not (math.isfinite(h) and h > 0.0):
+        raise ValidationError(f"bandwidth h must be finite and positive, got {h}")
+    density = np.ones(ds.n) if density is None else np.asarray(density, dtype=float)
+    if density.shape != (ds.n,) or not np.all(np.isfinite(density) & (density > 0.0)):
+        raise ValidationError(f"density must hold n={ds.n} finite positive values, one per design row")
+    return density
 
 
 def nonlocal_estimate(
@@ -169,15 +173,15 @@ def nonlocal_estimate(
     n^-1 sum_i Y_i w_alpha(X_i, x), where w_alpha is the reconstruction
     weight.  With ``density`` (floored leave-one-out values at the design
     rows), each summand is divided by its entry; absent, the design is
-    treated as uniform.  The one-point call of the orthant-sum evaluator that
-    :func:`fit` uses for every root-n term: O(n 2^|alpha|) time.
+    treated as uniform.  The one-point call of the evaluator that :func:`fit`
+    uses for every term: O(n 2^|alpha|) time.
     """
     if ds.deriv != alpha:
         raise ValidationError(f"dataset holds {ds.deriv}, requested {alpha}")
     pts = _check_points(x, ds.k)
+    density = _check_one_point(ds, density)
     term = Term(1, alpha, tuple(Weight.RECON if b else Weight.FLAT for b in alpha.bits))
-    density = np.ones(ds.n) if density is None else np.asarray(density, dtype=float)
-    return float(_orthant_column(term, ds, density, pts)[0])
+    return float(_term_column(term, ds, density, pts[:1])[0][0])
 
 
 def smoothed_nonlocal_estimate(
@@ -194,7 +198,8 @@ def smoothed_nonlocal_estimate(
 
     (n h^(k-p))^-1 sum_i Y_i w_beta(X_i, x) K((X_i^last - x^last)/h) / f_i,
     with K the edge-switching product kernel and f_i the floored
-    leave-one-out density (ones when ``density`` is omitted).
+    leave-one-out density (ones when ``density`` is omitted); 0.0 when no
+    design row lies in the kernel window.
     """
     if not 1 <= p < ds.k:
         raise ValidationError(f"need 1 <= p < k for smoothing, got p={p}, k={ds.k}")
@@ -202,14 +207,11 @@ def smoothed_nonlocal_estimate(
         raise ValidationError(f"dataset holds {ds.deriv}, requested {beta}")
     if not beta.support <= set(range(p)):
         raise ValidationError(f"beta {beta} flags coordinates outside the first p={p}")
-    x = _check_points(x, ds.k)[0]
-    weights = tuple(
-        (Weight.RECON if beta.bits[i] else Weight.FLAT) if i < p else Weight.LOCAL
-        for i in range(ds.k)
-    )
+    pts = _check_points(x, ds.k)
+    density = _check_one_point(ds, density, h)
+    weights = tuple(Weight.RECON if b else Weight.FLAT for b in beta.bits[:p]) + (Weight.LOCAL,) * (ds.k - p)
     term = Term(1, beta, weights)
-    density = np.ones(ds.n) if density is None else np.asarray(density, dtype=float)
-    return _term_value(term, ds, x, h, product_kernel(d), density)[0]
+    return float(_term_column(term, ds, density, pts[:1], h, d)[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -292,16 +294,14 @@ def fit(plan: EstimationPlan, eval_points) -> FitResult:
     """Evaluate the full estimator (sum of per-term sample analogues).
 
     The fitted value at each point is exactly the sum of the per-term
-    contribution columns.  Root-n terms are evaluated at all points at once
-    by orthant sums, O(n 2^p + cells 2^p) time and O(n + cells) memory per
-    term (see :func:`_orthant_column`); terms with free coordinates take one
-    O(n) pass per point and raise :class:`ValidationError` at a point whose
-    kernel window holds no design row.  Deterministic for fixed inputs and
-    bitwise invariant under permutations of the data rows and of the points.
+    contribution columns.  Each term is one call of :func:`_term_column`:
+    O(groups (n 2^p + cells 2^p)) time and O(2^p n + cells) memory, and a
+    :class:`ValidationError` at the first point whose kernel window holds no
+    design row.  Deterministic for fixed inputs and bitwise invariant under
+    permutations of the data rows and of the points.
     """
     k = plan.plan.k
     pts = _check_points(eval_points, k)
-    family = product_kernel(plan.d)
 
     density: dict[DerivIndex, np.ndarray] = {}
     for idx in plan.plan.required_indices:
@@ -322,20 +322,12 @@ def fit(plan: EstimationPlan, eval_points) -> FitResult:
     for term in plan.plan.terms:
         ds = plan.datasets[term.deriv]
         m_free = term.free_dims
-        if m_free == 0:
-            h = None
-            col = term.coef * _orthant_column(term, ds, density[term.deriv], pts)
-        else:
-            h = plan.bandwidths.h(ds.n, plan.d, m_free)
-            col = np.empty(pts.shape[0])
-            for j in range(pts.shape[0]):
-                value, mass = _term_value(term, ds, pts[j], h, family, density[term.deriv])
-                if not mass:
-                    raise ValidationError(
-                        f"term {term.label}: no design points within h={h} of {pts[j]}; increase h"
-                    )
-                col[j] = term.coef * value
-        contribs[term.label] = col
+        h = plan.bandwidths.h(ds.n, plan.d, m_free) if m_free else None
+        col, mass = _term_column(term, ds, density[term.deriv], pts, h, plan.d)
+        if not mass.all():
+            bad = pts[np.argmin(mass)]
+            raise ValidationError(f"term {term.label}: no design points within h={h} of {bad}; increase h")
+        contribs[term.label] = term.coef * col
         meta_terms.append(
             {"term": term.label, "coef": term.coef, "n": ds.n, "bandwidth": h, "free_dims": m_free}
         )

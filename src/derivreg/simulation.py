@@ -187,8 +187,8 @@ def derivative_ac_curve(
     the boxcar-average form: the price ratio is uniform on a unit-width
     interval, so the estimand is unchanged while the normalizer stops
     injecting window-count noise proportional to the level of the target.
-    Returns (part_a, part_b, part_a + part_b).  Raises if any Q-window is
-    empty (bandwidth too small).
+    Returns (part_a, part_b, part_a + part_b).  Raises on evaluation inputs
+    of unequal length or not finite, and if any Q-window is empty.
 
     The rows are sorted once, in the canonical order of (q, v, r, y_al,
     y_ac) (:func:`derivreg.core.canonical_order`).  Both passes (part a at
@@ -199,11 +199,16 @@ def derivative_ac_curve(
     64 x n.  Sums run in canonical row order, so the result is bitwise
     invariant under row permutations of the sample.
     """
-    if h <= 0:
-        raise ValidationError("window width h must be positive")
+    if not (math.isfinite(h) and h > 0):
+        raise ValidationError(f"window width h must be finite and positive, got {h}")
     eval_q = np.atleast_1d(np.asarray(eval_q, dtype=float))
     eval_v = np.atleast_1d(np.asarray(eval_v, dtype=float))
-    eval_r = np.broadcast_to(np.asarray(eval_r, dtype=float), eval_q.shape)
+    eval_r = np.asarray(eval_r, dtype=float)
+    if eval_v.shape != eval_q.shape or (eval_r.ndim and eval_r.shape != eval_q.shape):
+        raise ValidationError("eval_q, eval_v and an array eval_r must have one length")
+    eval_r = np.broadcast_to(eval_r, eval_q.shape)
+    if not all(np.isfinite(a).all() for a in (eval_q, eval_v, eval_r)):
+        raise ValidationError("evaluation values must be finite")
     keys = (sample.q, sample.v, sample.r, sample.y_al, sample.y_ac)
     order = canonical_order(keys)
     q, v, r, y_al, y_ac = (key[order] for key in keys)

@@ -52,16 +52,19 @@ def nonlocal_avg(X, Y, bits, x, inv_density=None) -> float:
     return total / n
 
 
-def integrated_term(X, Y, kinds, x, density=None) -> float:
-    """Reference for a root-n term: ``kinds[j]`` is the integrated shape of
-    coordinate j, one of "flat", "cum", "ramp" or "recon"."""
+def integrated_term(X, Y, kinds, x, density=None, h=None, d=2) -> float:
+    """Reference for a term: ``kinds[j]`` is the shape of coordinate j, one
+    of "flat", "cum", "ramp" or "recon", or "local" for a coordinate smoothed
+    by the order-d edge-switching kernel at bandwidth h."""
     n = len(Y)
     total = 0.0
     for i in range(n):
         w = 1.0
         for j, kind in enumerate(kinds):
             u = X[i][j]
-            if kind == "cum":
+            if kind == "local":
+                w *= _kernel_value(_select(x[j], h, d), (u - x[j]) / h) / h
+            elif kind == "cum":
                 w *= 1.0 if u <= x[j] else 0.0
             elif kind == "ramp":
                 w *= 1.0 - u

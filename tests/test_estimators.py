@@ -26,7 +26,7 @@ from derivreg import (
     smoothed_nonlocal_estimate,
     split_stream,
 )
-from derivreg.estimators import _orthant_column, _point_chunks
+from derivreg.estimators import _point_chunks, _term_column
 from derivreg.functionals import Term, Weight
 
 D = DerivIndex.from_string
@@ -105,6 +105,44 @@ class TestSmoothedEstimate:
         ds = DataSet(2, D("10"), np.array([[0.1, 0.5]]), np.array([1.0]))
         with pytest.raises(ValidationError):
             smoothed_nonlocal_estimate(ds, D("10"), bad, p=1, h=0.2)
+
+
+class TestOnePointInputs:
+    """Both one-point estimators reject a bad density or bandwidth."""
+
+    X = np.column_stack([np.linspace(0.05, 0.95, 10), np.linspace(0.9, 0.1, 10)])
+
+    @pytest.mark.parametrize(
+        "density",
+        [
+            pytest.param(np.ones(20), id="long"),
+            pytest.param(np.ones(5), id="short"),
+            pytest.param(np.ones((10, 1)), id="column"),
+            pytest.param(np.zeros(10), id="zero"),
+            pytest.param(-np.ones(10), id="negative"),
+            pytest.param(np.r_[np.ones(9), np.nan], id="nan"),
+            pytest.param(np.r_[np.ones(9), np.inf], id="inf"),
+        ],
+    )
+    @pytest.mark.parametrize("estimator", ["nonlocal", "smoothed"])
+    def test_bad_density_rejected(self, estimator, density):
+        ds = DataSet(2, D("10"), self.X, np.ones(10))
+        with pytest.raises(ValidationError, match="density"):
+            if estimator == "nonlocal":
+                nonlocal_estimate(ds, D("10"), [0.5, 0.5], density=density)
+            else:
+                smoothed_nonlocal_estimate(ds, D("10"), [0.5, 0.5], p=1, h=0.3, density=density)
+
+    @pytest.mark.parametrize("h", [-0.3, 0.0, np.inf, np.nan])
+    def test_bad_bandwidth_rejected(self, h):
+        ds = DataSet(2, D("10"), self.X, np.ones(10))
+        with pytest.raises(ValidationError, match="bandwidth"):
+            smoothed_nonlocal_estimate(ds, D("10"), [0.5, 0.5], p=1, h=h)
+
+    def test_valid_density_accepted(self):
+        ds = DataSet(2, D("10"), self.X, np.ones(10))
+        half = np.full(10, 0.5)
+        assert nonlocal_estimate(ds, D("10"), [0.5, 0.5], density=half) == 2.0 * nonlocal_estimate(ds, D("10"), [0.5, 0.5])
 
 
 class TestFit:
@@ -224,6 +262,9 @@ class TestFit:
         with pytest.raises(ValidationError, match=r"term avg\[10\]: no design points within h=.* of \[0.5 0.1\]; increase h"):
             fit(plan, [[0.5, 0.9], [0.5, 0.1]])
         assert np.all(np.isfinite(fit(plan, [[0.5, 0.9]]).values))
+        # Grouping by x2 takes [0.5 0.1] first; the error names the first failing point in input order.
+        with pytest.raises(ValidationError, match=r"of \[0.3 0.2\]; increase h"):
+            fit(plan, [[0.5, 0.9], [0.3, 0.2], [0.5, 0.1], [0.3, 0.2]])
 
 
 class TestBaselineSmoother:
@@ -429,14 +470,15 @@ class TestWindowedBaseline:
         assert self._peak_bytes(X) < 64 * 2**20
 
 
-_SHAPES = (Weight.FLAT, Weight.CUM, Weight.RAMP, Weight.RECON)
-_NAMES = {Weight.FLAT: "flat", Weight.CUM: "cum", Weight.RAMP: "ramp", Weight.RECON: "recon"}
+_SHAPES = (Weight.FLAT, Weight.CUM, Weight.RAMP, Weight.RECON, Weight.LOCAL)
+_NAMES = {Weight.FLAT: "flat", Weight.CUM: "cum", Weight.RAMP: "ramp", Weight.RECON: "recon", Weight.LOCAL: "local"}
 
 
 @st.composite
-def _rootn_problems(draw):
-    """(term, X, Y, density, pts): repeated rows, points on faces and on data
-    coordinates, and point sets with many distinct coordinates."""
+def _term_problems(draw):
+    """(term, X, Y, density, pts, h, d): repeated rows, points on faces and on
+    data coordinates, scattered point sets with many distinct coordinates or
+    with shared LOCAL coordinates, and tensor grids."""
     k = draw(st.integers(1, 3))
     kinds = tuple(draw(st.lists(st.sampled_from(_SHAPES), min_size=k, max_size=k)))
     n = draw(st.integers(1, 40))
@@ -445,12 +487,22 @@ def _rootn_problems(draw):
         X[dst] = X[src]
     Y = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)))
     density = np.array(draw(st.lists(st.floats(0.05, 4.0), min_size=n, max_size=n)))
-    m = draw(st.integers(1, 60))
-    pts = np.array(draw(st.lists(st.lists(_coord, min_size=k, max_size=k), min_size=m, max_size=m)))
-    for src, dst in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, m - 1)), max_size=m)):
-        pts[dst] = X[src]  # a point on a data row: RECON takes u where u = x
+    if draw(st.booleans()):
+        # A tensor grid whose axes may hold data coordinates.
+        axes = [draw(st.lists(st.one_of(_coord, st.sampled_from(X[:, j].tolist())), min_size=1, max_size=4)) for j in range(k)]
+        pts = np.array(list(itertools.product(*axes)))
+    else:
+        m = draw(st.integers(1, 60))
+        pts = np.array(draw(st.lists(st.lists(_coord, min_size=k, max_size=k), min_size=m, max_size=m)))
+        for src, dst in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, m - 1)), max_size=m)):
+            pts[dst] = X[src]  # a point on a data row: RECON takes u where u = x
+        local = [j for j, kind in enumerate(kinds) if kind is Weight.LOCAL]
+        for src, dst in draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)), max_size=m)):
+            pts[dst, local] = pts[src, local]  # points that share one kernel row
+    h = draw(st.one_of(st.sampled_from([0.25, 0.5, 1.0]), st.floats(0.25, 1.5)))
+    d = draw(st.sampled_from([2, 4]))
     bits = tuple(int(kind is Weight.RECON) for kind in kinds)
-    return Term(1, DerivIndex(bits), kinds), X, Y, density, pts
+    return Term(1, DerivIndex(bits), kinds), X, Y, density, pts, h, d
 
 
 def _close(got, want):
@@ -459,18 +511,18 @@ def _close(got, want):
 
 
 class TestOrthantSums:
-    """The root-n evaluator against the naive per-point oracle."""
+    """The term evaluator against the naive per-point oracle."""
 
-    @settings(max_examples=80, deadline=None)
-    @given(_rootn_problems())
+    @settings(max_examples=120, deadline=None)
+    @given(_term_problems())
     def test_matches_naive_oracle(self, problem):
         import reference
 
-        term, X, Y, density, pts = problem
+        term, X, Y, density, pts, h, d = problem
         ds = DataSet(X.shape[1], term.deriv, X, Y)
         kinds = [_NAMES[w] for w in term.weights]
-        want = [reference.integrated_term(X.tolist(), Y.tolist(), kinds, x.tolist(), density.tolist()) for x in pts]
-        assert _close(_orthant_column(term, ds, density, pts), want)
+        want = [reference.integrated_term(X.tolist(), Y.tolist(), kinds, x.tolist(), density.tolist(), h, d) for x in pts]
+        assert _close(_term_column(term, ds, density, pts, h, d)[0], want)
 
     def test_scattered_points_take_several_chunks(self):
         import reference
@@ -485,7 +537,7 @@ class TestOrthantSums:
             ds = DataSet(3, term.deriv, X, Y)
             names = [_NAMES[w] for w in kinds]
             want = [reference.integrated_term(X.tolist(), Y.tolist(), names, x.tolist()) for x in pts]
-            assert _close(_orthant_column(term, ds, np.ones(50), pts), want)
+            assert _close(_term_column(term, ds, np.ones(50), pts)[0], want)
 
     def test_tensor_grid_is_one_chunk(self):
         for k, per_dim in ((1, 1), (2, 9), (3, 9), (3, 2)):
@@ -512,8 +564,18 @@ class TestOrthantSums:
             want = [term.coef * reference.integrated_term(ds.X.tolist(), ds.Y.tolist(), names, x.tolist()) for x in pts]
             assert _close(res.contributions[term.label], want)
 
-    @pytest.mark.parametrize("density", ["uniform", "loo"])
-    def test_fit_bitwise_invariant_under_row_and_point_permutations(self, density):
+    @pytest.mark.parametrize(
+        "density, coords",
+        [
+            pytest.param("uniform", [0, 1], id="uniform"),
+            pytest.param("loo", [0, 1], id="loo"),
+            pytest.param("uniform", [0], id="uniform-coord1"),
+            pytest.param("loo", [0], id="loo-coord1"),
+            pytest.param("uniform", [1], id="uniform-coord2"),
+            pytest.param("loo", [1], id="loo-coord2"),
+        ],
+    )
+    def test_fit_bitwise_invariant_under_row_and_point_permutations(self, density, coords):
         g = poly_function(2, {(1, 1): 1.0, (2, 0): 0.5})
         datasets = {}
         for j, bits in enumerate(("00", "01", "10", "11")):
@@ -527,7 +589,7 @@ class TestOrthantSums:
             permuted[idx] = DataSet(2, idx, ds.X[perm], ds.Y[perm])
         pts = np.vstack([split_stream(15, [0]).uniform((40, 2)), make_grid(2, 5)])
         pperm = split_stream(15, [1]).gen.permutation(pts.shape[0])
-        plans = [EstimationPlan.build(2, [0, 1], 0, dsets, density=density) for dsets in (datasets, permuted)]
+        plans = [EstimationPlan.build(2, coords, 0, dsets, density=density) for dsets in (datasets, permuted)]
         ra, rb = fit(plans[0], pts), fit(plans[1], pts[pperm])
         assert np.array_equal(ra.values[pperm], rb.values)
         for label in ra.contributions:
@@ -538,16 +600,17 @@ class TestOrthantSums:
         X = split_stream(16, [0]).uniform((20_000, 3))
         Y = split_stream(16, [1]).standard_normal(20_000)
         pts = split_stream(16, [2]).uniform((2_000, 3))
-        term = Term(1, D("111"), (Weight.RECON,) * 3)
-        ds = DataSet(3, term.deriv, X, Y)
-        ds.order  # computed once per dataset, outside the bound
-        tracemalloc.start()
-        try:
-            _orthant_column(term, ds, np.ones(ds.n), pts)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 16 * 2**20
+        for kinds, h in (((Weight.RECON,) * 3, None), ((Weight.RECON, Weight.RECON, Weight.LOCAL), 0.1)):
+            term = Term(1, D("110") if h else D("111"), kinds)
+            ds = DataSet(3, term.deriv, X, Y)
+            ds.order  # computed once per dataset, outside the bound
+            tracemalloc.start()
+            try:
+                _term_column(term, ds, np.ones(ds.n), pts, h)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 * 2**20
 
 
 class TestLimitCovariance:

@@ -263,3 +263,26 @@ class TestR2:
     def test_sample_size_validated(self):
         with pytest.raises(ValidationError):
             equation_r2(CobbDouglasConfig(), 50)
+
+
+class TestAcCurveInputs:
+    @pytest.mark.parametrize(
+        "eval_q, eval_v, eval_r, h",
+        [
+            ([1.0, 1.1], [1.0], 1.0, 0.3),  # longer eval_q
+            ([1.0], [1.0, 1.1], 1.0, 0.3),  # longer eval_v
+            ([1.0, 1.1], [1.0, 1.1], [1.0], 0.3),  # short array eval_r
+            ([1.0], [1.0], [1.0, 1.0], 0.3),  # long array eval_r
+            ([np.nan], [1.0], 1.0, 0.3),
+            ([1.0], [np.inf], 1.0, 0.3),
+            ([1.0], [1.0], np.nan, 0.3),
+            ([1.0], [1.0], 1.0, np.nan),
+            ([1.0], [1.0], 1.0, np.inf),
+            ([1.0], [1.0], 1.0, 0.0),
+        ],
+    )
+    def test_bad_evaluation_inputs_rejected(self, eval_q, eval_v, eval_r, h):
+        sample = generate(CobbDouglasConfig(n=50, seed=11))
+        with pytest.raises(ValidationError) as err:
+            derivative_ac_curve(sample, eval_q, eval_v, eval_r, h)
+        assert "empty Q-window" not in str(err.value)
