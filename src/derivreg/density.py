@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import DataSet, ValidationError
-from .kernels import ProductKernel, band_sweep, product_kernel
+from .kernels import ProductKernel, Workspace, band_sweep, product_kernel
 
 __all__ = ["DensityEstimator", "loo_density", "floored_density", "loo_at_rows"]
 
@@ -87,7 +87,10 @@ def loo_at_rows(est: DensityEstimator, floored: bool = True) -> np.ndarray:
     16 that are compact in both coordinates; only rows within H of a tile's
     range in both can carry kernel mass, so each tile evaluates the same
     edge-switching kernels on a tile x window slab.  Time is n x (rows in a
-    tile's two-coordinate window) kernel values and memory at most 64 x n.
+    tile's two-coordinate window) kernel values.  The sweep keeps one
+    :class:`derivreg.kernels.Workspace` for all its tiles, so memory is a few
+    buffers of the largest tile slab: 16 x window for k >= 2, 64 x window
+    for k = 1.
     Each row is summed over its window in canonical row order, so a
     permutation of the rows permutes the result bit for bit.
     """
@@ -96,11 +99,11 @@ def loo_at_rows(est: DensityEstimator, floored: bool = True) -> np.ndarray:
     n = Xs.shape[0]
     positions = np.arange(n)
     sums = np.empty(n)
+    work = Workspace()
     for idx, rows in band_sweep(Xs[:, :2], est.H):
-        w = est.family.weights(Xs[idx], Xs[rows], est.H)
+        w = est.family.weights(Xs[idx], Xs[rows], est.H, work)
         w[np.arange(idx.size), np.searchsorted(positions[rows], idx)] = 0.0
         sums[idx] = w.sum(axis=1)
-        del w  # free this slab before the next tile builds its own
     # Identical rows are adjacent in canonical order but may fall in blocks
     # with different windows; all copies take the sum of the first one.
     new_run = np.ones(n, dtype=bool)

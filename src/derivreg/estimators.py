@@ -32,7 +32,7 @@ import numpy as np
 from .core import DataSet, DerivIndex, ValidationError, canonical_order
 from .density import DensityEstimator, loo_at_rows
 from .functionals import Quadrature, Term, TermPlan, Weight, build_term_plan, gl_panels, tensor_rule, weight_shape
-from .kernels import BandwidthPlan, band_sweep, check_orders, default_orders, product_kernel
+from .kernels import BandwidthPlan, Workspace, band_sweep, check_orders, default_orders, product_kernel
 
 __all__ = [
     "EstimationPlan",
@@ -151,15 +151,18 @@ def _term_column(
     return col, mass
 
 
-def _check_one_point(ds: DataSet, density, h: float | None = None) -> np.ndarray:
-    """``density`` (ones when None) as n finite positive values; a given h
-    must be finite and positive."""
+def _check_one_point(ds: DataSet, x, density, h: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """``x`` as a (1, k) point of the unit cube and ``density`` (ones when
+    None) as n finite positive values; a given h must be finite and positive."""
+    pts = _check_points(x, ds.k)
+    if pts.shape[0] != 1:
+        raise ValidationError(f"x must be one point, got {pts.shape[0]}")
     if h is not None and not (math.isfinite(h) and h > 0.0):
         raise ValidationError(f"bandwidth h must be finite and positive, got {h}")
     density = np.ones(ds.n) if density is None else np.asarray(density, dtype=float)
     if density.shape != (ds.n,) or not np.all(np.isfinite(density) & (density > 0.0)):
         raise ValidationError(f"density must hold n={ds.n} finite positive values, one per design row")
-    return density
+    return pts, density
 
 
 def nonlocal_estimate(
@@ -178,10 +181,9 @@ def nonlocal_estimate(
     """
     if ds.deriv != alpha:
         raise ValidationError(f"dataset holds {ds.deriv}, requested {alpha}")
-    pts = _check_points(x, ds.k)
-    density = _check_one_point(ds, density)
+    pts, density = _check_one_point(ds, x, density)
     term = Term(1, alpha, tuple(Weight.RECON if b else Weight.FLAT for b in alpha.bits))
-    return float(_term_column(term, ds, density, pts[:1])[0][0])
+    return float(_term_column(term, ds, density, pts)[0][0])
 
 
 def smoothed_nonlocal_estimate(
@@ -207,11 +209,10 @@ def smoothed_nonlocal_estimate(
         raise ValidationError(f"dataset holds {ds.deriv}, requested {beta}")
     if not beta.support <= set(range(p)):
         raise ValidationError(f"beta {beta} flags coordinates outside the first p={p}")
-    pts = _check_points(x, ds.k)
-    density = _check_one_point(ds, density, h)
+    pts, density = _check_one_point(ds, x, density, h)
     weights = tuple(Weight.RECON if b else Weight.FLAT for b in beta.bits[:p]) + (Weight.LOCAL,) * (ds.k - p)
     term = Term(1, beta, weights)
-    return float(_term_column(term, ds, density, pts[:1], h, d)[0][0])
+    return float(_term_column(term, ds, density, pts, h, d)[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -382,12 +383,13 @@ def _nw_pass(Xs, Ys, pts, h, family, den_floor):
     n = Xs.shape[0]
     num, den = np.empty(pts.shape[0]), np.empty(pts.shape[0])
     mass = np.empty(pts.shape[0], dtype=bool)
+    work = Workspace()
     for idx, rows in band_sweep(Xs[:, :2], h, pts[:, :2]):
-        w = family.weights(pts[idx], Xs[rows], h)
-        num[idx] = (w * Ys[None, rows]).sum(axis=1)
+        w = family.weights(pts[idx], Xs[rows], h, work)
         den[idx] = w.sum(axis=1)
         mass[idx] = (w != 0.0).any(axis=1)
-        del w  # free this slab before the next tile builds its own
+        w *= Ys[None, rows]
+        num[idx] = w.sum(axis=1)
     if den_floor is not None:
         # den / n estimates the design density at the point; floor it there.
         den = np.maximum(den, den_floor * n)
@@ -412,7 +414,10 @@ def nadaraya_watson_grid(
     points are taken in tiles of 16 that are compact in coordinates 1 and 2,
     and each tile weights only the rows within h of it in both (coordinate 1
     alone, in blocks of 64, when k = 1).  Time is m x (rows in a tile's
-    two-coordinate window) kernel values and memory at most 64 x n.
+    two-coordinate window) kernel values.  Each pass keeps one
+    :class:`derivreg.kernels.Workspace` for all its tiles, so memory is a few
+    buffers of the largest tile slab: 16 x window for k >= 2, 64 x window
+    for k = 1.
     Sums run in canonical row order, so the result is bitwise invariant
     under row permutations of (X, Y).
 

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 from .core import ValidationError
 
@@ -41,6 +40,7 @@ _PAD = 1e-9
 MOMENT_TOL = 1e-10
 
 __all__ = [
+    "Workspace",
     "KernelSpec",
     "make_interior_kernel",
     "make_edge_kernel",
@@ -52,6 +52,27 @@ __all__ = [
     "default_orders",
     "BandwidthPlan",
 ]
+
+
+class Workspace:
+    """Scratch buffers for one sweep of kernel slabs.
+
+    Each named buffer grows to the largest slab asked of it and is reused by
+    later tiles, so a sweep allocates its slabs (and the OS faults them in)
+    once rather than once per tile.  A workspace belongs to the call that made
+    it: arrays taken from it are overwritten by the next take of the same name,
+    and it must not be shared across threads.
+    """
+
+    def __init__(self):
+        self._bufs: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, shape: tuple[int, ...], dtype=float) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self._bufs.get(name)
+        if buf is None or buf.size < size:
+            buf = self._bufs[name] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -67,19 +88,38 @@ class KernelSpec:
     support: tuple[float, float]
     q_coeffs: tuple[float, ...]  # ascending powers of t
 
-    def _weight(self, u: np.ndarray) -> np.ndarray:
-        if self.kind == "interior":
-            return (1.0 - u) * (1.0 + u)
-        if self.kind == "left":
-            return u * (1.0 - u)
-        return -u * (1.0 + u)
-
     def eval(self, u) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
+        """Kernel values at ``u`` (a scalar or an array), leaving ``u`` as is."""
+        return self.eval_inplace(np.array(u, dtype=float), Workspace())
+
+    def eval_inplace(self, u: np.ndarray, work: Workspace) -> np.ndarray:
+        """Kernel values at the float array ``u``, in a buffer of ``work``.
+
+        ``u`` is overwritten.  The operations and their order are those of
+        ``np.where(inside, P.polyval(u, q) * weight(u), 0.0)``: Horner's rule
+        from q's leading coefficient, then the weight (1 - u)(1 + u), u(1 - u)
+        or (-u)(1 + u), then zero outside the closed support, NaN included.
+        """
         lo, hi = self.support
-        inside = (u >= lo) & (u <= hi)
-        vals = P.polyval(u, np.asarray(self.q_coeffs)) * self._weight(u)
-        return np.where(inside, vals, 0.0)
+        outside = np.greater_equal(u, lo, out=work.take("outside", u.shape, bool))
+        outside &= np.less_equal(u, hi, out=work.take("below", u.shape, bool))
+        np.logical_not(outside, out=outside)
+        q = np.multiply(u, 0.0, out=work.take("kappa", u.shape))
+        q += self.q_coeffs[-1]
+        for c in self.q_coeffs[-2::-1]:
+            q *= u
+            q += c
+        wt = work.take("weight", u.shape)
+        if self.kind == "right":
+            np.negative(u, out=wt)
+        else:
+            np.subtract(1.0, u, out=wt)
+        if self.kind != "left":
+            u += 1.0  # u now holds 1 + u
+        wt *= u
+        q *= wt
+        np.putmask(q, outside, 0.0)
+        return q
 
     def __repr__(self):
         return f"KernelSpec({self.kind}, order={self.order}, support={self.support})"
@@ -201,18 +241,32 @@ class ProductKernel:
         pairs = ((self.left, left), (self.right, right), (self.interior, interior))
         return [(spec, np.flatnonzero(mask)) for spec, mask in pairs if mask.any()]
 
-    def weights(self, x: np.ndarray, X: np.ndarray, bandwidth: float) -> np.ndarray:
+    def weights(
+        self, x: np.ndarray, X: np.ndarray, bandwidth: float, work: Workspace | None = None
+    ) -> np.ndarray:
         """Product-kernel weights prod_i kappa_i((X_j,i - x_i)/h) / h.
 
         Returns an (m, n) array for evaluation points ``x`` (m, k) and data rows
         ``X`` (n, k), with kernels selected per point and coordinate by
-        :meth:`regions`.
+        :meth:`regions`.  The array and every temporary live in ``work`` (a
+        fresh :class:`Workspace` when omitted); a sweep passes one workspace
+        to all its tiles, and each tile's result is valid until the next call.
         """
-        w = np.ones((x.shape[0], X.shape[0]))
+        work = Workspace() if work is None else work
+        m, n = x.shape[0], X.shape[0]
+        w = work.take("product", (m, n))
+        w.fill(1.0)
         for i in range(x.shape[1]):
             col, xi = X[:, i], x[:, i]
             for spec, rows in self.regions(xi, bandwidth):
-                w[rows] *= spec.eval((col[None, :] - xi[rows, None]) / bandwidth) / bandwidth
+                u = np.subtract(col[None, :], xi[rows, None], out=work.take("u", (rows.size, n)))
+                u /= bandwidth
+                factor = spec.eval_inplace(u, work)
+                factor /= bandwidth
+                if rows.size == m:
+                    w *= factor
+                else:
+                    w[rows] *= factor
         return w
 
 

@@ -4,6 +4,9 @@ these to 1e-12 on small instances."""
 
 from __future__ import annotations
 
+import numpy as np
+from numpy.polynomial import polynomial as P
+
 from derivreg.kernels import KernelSpec, make_edge_kernel, make_interior_kernel
 
 
@@ -29,6 +32,33 @@ def _kernel_value(spec: KernelSpec, t: float) -> float:
     else:
         w = -t * (1.0 + t)
     return q * w
+
+
+def kernel_eval(spec: KernelSpec, u) -> np.ndarray:
+    """Frozen vectorized kernel formula, the bitwise target of
+    :meth:`KernelSpec.eval`: numpy's polyval times the weight, then zero
+    outside the closed support."""
+    u = np.asarray(u, dtype=float)
+    lo, hi = spec.support
+    inside = (u >= lo) & (u <= hi)
+    if spec.kind == "interior":
+        w = (1.0 - u) * (1.0 + u)
+    elif spec.kind == "left":
+        w = u * (1.0 - u)
+    else:
+        w = -u * (1.0 + u)
+    return np.where(inside, P.polyval(u, np.asarray(spec.q_coeffs)) * w, 0.0)
+
+
+def product_weights(x, X, h: float, d: int) -> np.ndarray:
+    """Frozen product-kernel weights, the bitwise target of
+    :meth:`ProductKernel.weights`: one evaluation point at a time, the
+    kernel picked by :func:`_select` and applied coordinate by coordinate."""
+    w = np.ones((x.shape[0], X.shape[0]))
+    for a in range(x.shape[0]):
+        for c in range(x.shape[1]):
+            w[a] *= kernel_eval(_select(x[a, c], h, d), (X[:, c] - x[a, c]) / h) / h
+    return w
 
 
 def _select(x_j: float, h: float, d: int) -> KernelSpec:

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import itertools
 import tempfile
@@ -337,6 +338,40 @@ class TestEstimateFuzz:
             else:
                 assert code in (1, 2, 3)
                 assert text.endswith("\n") and text.count("\n") == 1, text
+
+
+class TestGoldenPayloads:
+    """sha256 digests of two payloads, recorded before the kernel evaluator
+    moved to in-place workspace buffers; its arithmetic is unchanged, so the
+    bytes are too."""
+
+    @staticmethod
+    def _digest(path):
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_default_kernel_samples(self, tmp_path):
+        assert run(["kernels", "--out-dir", tmp_path]) == 0
+        assert self._digest(tmp_path / "kernel_samples.csv") == (
+            "3a423955555074086f6cdf4e9ecccd2ce84ee50f1e4096cc2e00404adc797fcc"
+        )
+
+    def test_loo_density_fit(self, tmp_path):
+        # A non-uniform design, so every density weight differs from one.
+        n = 500
+        X0 = split_stream(23, [0]).uniform((n, 2)) ** 1.5
+        X1 = split_stream(23, [1]).uniform((n, 2)) ** 1.5
+        _write_csv(tmp_path / "g00.csv", X0, X0[:, 0] * X0[:, 1] + np.sin(3 * X0[:, 1]))
+        _write_csv(tmp_path / "g10.csv", X1, X1[:, 1])
+        cfg = tmp_path / "plan.ini"
+        cfg.write_text(
+            "[plan]\nk = 2\ncoords = 1\nell = 0\nd = 2\nd1 = 4\ndensity = loo\n\n"
+            f"[data 00]\npath = {tmp_path / 'g00.csv'}\n\n[data 10]\npath = {tmp_path / 'g10.csv'}\n\n"
+            "[grid]\npoints = 5\noffset = auto\n"
+        )
+        assert run(["estimate", "--config", cfg, "--out-dir", tmp_path / "out"]) == 0
+        assert self._digest(tmp_path / "out" / "fit.csv") == (
+            "9f4f1678bd74ef887edd81d5391b64bb7c80b9252e4881586390232abc3d645b"
+        )
 
 
 class TestKernelsCommand:

@@ -1,5 +1,8 @@
 import itertools
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -67,7 +70,7 @@ class TestNonlocalEstimate:
         with pytest.raises(ValidationError):
             nonlocal_estimate(ds, D("1"), [0.5])
 
-    @pytest.mark.parametrize("bad", [[1.5], [np.nan], [0.5, 0.5]])
+    @pytest.mark.parametrize("bad", [[1.5], [np.nan], [0.5, 0.5], [[0.5], [0.6]]])
     def test_point_checked(self, bad):
         ds = DataSet(1, D("1"), np.array([[0.1]]), np.array([1.0]))
         with pytest.raises(ValidationError):
@@ -100,7 +103,7 @@ class TestSmoothedEstimate:
         with pytest.raises(ValidationError):
             smoothed_nonlocal_estimate(ds, D("1"), [0.5], p=1, h=0.1)
 
-    @pytest.mark.parametrize("bad", [[0.5, 1.5], [np.nan, 0.5], [0.5]])
+    @pytest.mark.parametrize("bad", [[0.5, 1.5], [np.nan, 0.5], [0.5], [[0.5, 0.5], [0.6, 0.5]]])
     def test_point_checked(self, bad):
         ds = DataSet(2, D("10"), np.array([[0.1, 0.5]]), np.array([1.0]))
         with pytest.raises(ValidationError):
@@ -468,6 +471,34 @@ class TestWindowedBaseline:
         X = split_stream(5, [0]).uniform((20_000, 2))
         X[:, 1] = 0.5
         assert self._peak_bytes(X) < 64 * 2**20
+
+
+class TestConcurrentSweeps:
+    def test_two_threads_match_serial_bitwise(self):
+        # LOO density and NW share the cached order-4 product kernel; each
+        # sweep must keep its scratch buffers to itself.
+        X = split_stream(41, [0]).uniform((3000, 2)) ** 1.5
+        Y = split_stream(41, [1]).standard_normal(3000)
+        pts = split_stream(41, [2]).uniform((1500, 2))
+        est = DensityEstimator(DataSet(2, D("00"), X, Y), d1=4, H=0.1)
+        loo = lambda: loo_at_rows(est, floored=False).tobytes()
+        nw = lambda: nadaraya_watson_grid(X, Y, pts, 0.08, d=4).tobytes()
+        serial = {loo: loo(), nw: nw()}
+        barrier = threading.Barrier(2, timeout=60)
+
+        def repeat(job):
+            barrier.wait()
+            return [job() for _ in range(3)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the threads' tiles finely
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                for pair in ((loo, loo), (nw, nw), (loo, nw)):
+                    for job, got in zip(pair, pool.map(repeat, pair, timeout=120)):
+                        assert got == [serial[job]] * 3
+        finally:
+            sys.setswitchinterval(interval)
 
 
 _SHAPES = (Weight.FLAT, Weight.CUM, Weight.RAMP, Weight.RECON, Weight.LOCAL)

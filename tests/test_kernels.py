@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from derivreg import ValidationError, check_orders, kernel_moment, make_edge_kernel, make_interior_kernel, product_kernel
 from derivreg.core import canonical_order
-from derivreg.kernels import BandwidthPlan, band_sweep, default_orders
+from derivreg.kernels import BandwidthPlan, Workspace, band_sweep, default_orders
+
+import reference
 
 
 class TestInteriorKernels:
@@ -96,8 +98,6 @@ class TestProductKernel:
             assert mass == pytest.approx(1.0, abs=1e-10)
 
     def test_product_equals_univariate_product(self):
-        import reference
-
         fam = product_kernel(4)
         rng = np.random.default_rng(5)
         for h in (0.2, 0.5, 0.7, 0.95):
@@ -111,6 +111,60 @@ class TestProductKernel:
                         spec = reference._select(x[a, c], h, 4)
                         want *= reference._kernel_value(spec, (X[b, c] - x[a, c]) / h) / h
                     assert got[a, b] == pytest.approx(want, rel=1e-14, abs=1e-300)
+
+
+_SPECS = [make_interior_kernel(d) for d in range(2, 13, 2)] + [
+    make_edge_kernel(d, side) for d in range(2, 13) for side in ("left", "right")
+]
+# Every support endpoint and its neighbours, signed zeros, points outside
+# every support, and non-finite values.
+_SPECIAL_U = [v for e in (-1.0, 0.0, 1.0) for v in (e, np.nextafter(e, -np.inf), np.nextafter(e, np.inf))]
+_SPECIAL_U += [-0.0, -1.5, 1.5, -np.inf, np.inf, np.nan]
+
+
+class TestInPlaceEvaluator:
+    """The in-place evaluator against the frozen formulas of
+    ``reference.kernel_eval`` and ``reference.product_weights``, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from(_SPECS),
+        st.lists(st.one_of(st.sampled_from(_SPECIAL_U), st.floats(-1.5, 1.5)), min_size=1, max_size=40),
+    )
+    def test_eval_matches_frozen_formula(self, spec, us):
+        u = np.array(us)
+        given_bytes = u.tobytes()
+        with np.errstate(invalid="ignore"):
+            want = reference.kernel_eval(spec, u).tobytes()
+            assert spec.eval(u).tobytes() == want
+            assert spec.eval(u.reshape(-1, 1)).tobytes() == want
+            assert spec.eval(us[0]).shape == ()
+            assert spec.eval(us[0]).tobytes() == reference.kernel_eval(spec, us[0]).tobytes()
+        assert u.tobytes() == given_bytes  # eval leaves its argument alone
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sampled_from([2, 4, 6, 8]),
+        st.sampled_from([0.05, 0.2, 0.45, 0.5, 0.6, 0.95]),
+        st.integers(1, 3),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_weights_match_frozen_loop(self, d, h, k, seed):
+        # Points on and beside the faces and at h and 1 - h, so a tile's rows
+        # split across the left, right and interior kernels (near both faces
+        # when h > 1/2); data rows at exactly one bandwidth from a point.
+        rng = np.random.default_rng(seed)
+        fam = product_kernel(d)
+        values = np.concatenate([[0.0, 1.0, h, 1.0 - h, np.nextafter(h, 0.0), np.nextafter(1.0 - h, 1.0)], rng.uniform(size=6)])
+        work = Workspace()
+        for m, n in rng.integers(1, 40, size=(3, 2)):
+            x = rng.choice(values, size=(m, k))
+            near = x[rng.integers(m, size=n)]
+            X = np.clip(near + rng.uniform(-1.2, 1.2, size=(n, k)) * h, 0.0, 1.0)
+            X = np.vstack([X, np.clip(near[:1] + h, 0.0, 1.0), np.clip(near[:1] - h, 0.0, 1.0)])
+            want = reference.product_weights(x, X, h, d).tobytes()
+            assert fam.weights(x, X, h, work).tobytes() == want  # reused, grown or shrunk
+            assert fam.weights(x, X, h).tobytes() == want  # a fresh workspace
 
 
 def _one_column_sweep(first, radius, queries=None):
