@@ -26,13 +26,13 @@ from .core import (
     rescale_to_unit,
     save_csv,
     split_stream,
+    write_csv,
 )
 from .kernels import (
     BandwidthPlan,
     KernelSpec,
     ProductKernel,
     check_orders,
-    kernel_moment,
     make_edge_kernel,
     make_interior_kernel,
     product_kernel,
@@ -48,6 +48,7 @@ from .functionals import (
     identity_checks,
     integrate_out,
     integrate_to,
+    kernel_moment,
     nonparametric_dimension,
     partial_decomposition_residual,
     plan_residual,

@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -27,53 +25,22 @@ from .core import (
     ValidationError,
     read_csv,
     rescale_to_unit,
+    write_csv,
 )
 from .estimators import EstimationPlan, fit, make_grid
-from .functionals import build_term_plan, identity_checks, kernel_checks, nonparametric_dimension
-from .kernels import MOMENT_TOL, BandwidthPlan, make_edge_kernel, make_interior_kernel, kernel_moment
+from .functionals import (
+    build_term_plan,
+    identity_checks,
+    kernel_checks,
+    kernel_moments,
+    moment_check,
+    named_kernels,
+    nonparametric_dimension,
+)
+from .kernels import BandwidthPlan
 from .simulation import CobbDouglasConfig, BenchmarkRules, relative_mse_table
 
-__all__ = ["main", "RunConfig"]
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run parameters common to every subcommand."""
-
-    out_dir: Path
-    seed: int
-    workers: int
-    quad_nodes: int
-
-    def __post_init__(self):
-        if self.workers < 1:
-            raise ValidationError(f"--workers must be >= 1, got {self.workers}")
-        if not 2 <= self.quad_nodes <= 64:
-            raise ValidationError(f"--quad-nodes must lie in 2..64, got {self.quad_nodes}")
-
-
-def _common(args) -> RunConfig:
-    return RunConfig(
-        out_dir=Path(args.out_dir),
-        seed=args.seed,
-        workers=args.workers,
-        quad_nodes=args.quad_nodes,
-    )
-
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-
-
-def _fmt(v) -> str:
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(v)
+__all__ = ["main"]
 
 
 def _write_metadata(path: Path, payload: dict) -> None:
@@ -91,16 +58,18 @@ def _write_metadata(path: Path, payload: dict) -> None:
 
 
 def run_verify(args) -> int:
-    cfg = _common(args)
-    checks = identity_checks(quad_nodes=cfg.quad_nodes) + kernel_checks()
-    _write_csv(
-        cfg.out_dir / "verify_report.csv",
+    # The k = 3 tensor grids hold up to (2 nodes)^3 points.
+    if not 2 <= args.quad_nodes <= 64:
+        raise ValidationError(f"--quad-nodes must lie in 2..64, got {args.quad_nodes}")
+    checks = identity_checks(quad_nodes=args.quad_nodes) + kernel_checks()
+    write_csv(
+        args.out_dir / "verify_report.csv",
         ["name", "residual", "tol", "passed"],
         [(c.name, c.residual, c.tol, int(c.passed)) for c in checks],
     )
     _write_metadata(
-        cfg.out_dir / "verify_metadata.json",
-        {"quad_nodes": cfg.quad_nodes, "checks": len(checks)},
+        args.out_dir / "verify_metadata.json",
+        {"quad_nodes": args.quad_nodes, "checks": len(checks)},
     )
     failed = [c for c in checks if not c.passed]
     width = max(len(c.name) for c in checks)
@@ -121,7 +90,6 @@ def run_verify(args) -> int:
 
 
 def run_simulate(args) -> int:
-    cfg = _common(args)
     if args.reps < 1:
         raise ValidationError("--reps must be >= 1")
     rhos = [float(r) for r in args.rhos]
@@ -135,20 +103,18 @@ def run_simulate(args) -> int:
         h_deriv_const=args.h_deriv_const,
         h_base_const=args.h_base_const,
     )
-    generator = CobbDouglasConfig(sigma=args.sigma, seed=cfg.seed)
-    if args.reps < 30:
-        print(f"warning: reps={args.reps} gives a noisy MC standard error", file=sys.stderr)
+    generator = CobbDouglasConfig(sigma=args.sigma, seed=args.seed)
     results, extra = relative_mse_table(
         ns=ns,
         rhos=rhos,
         reps=args.reps,
-        seed=cfg.seed,
+        seed=args.seed,
         cfg=generator,
         rules=rules,
-        workers=cfg.workers,
+        workers=args.workers,
     )
-    _write_csv(
-        cfg.out_dir / "benchmark.csv",
+    write_csv(
+        args.out_dir / "benchmark.csv",
         ["n", "rho", "mse_deriv", "mse_base", "ratio", "se_ratio", "reps"],
         [(r.n, r.rho, r.mse_deriv, r.mse_base, r.ratio, r.se_ratio, r.reps) for r in results],
     )
@@ -157,17 +123,20 @@ def run_simulate(args) -> int:
         for (n, rho), arrs in extra["cells"].items():
             for rep, (a, b) in enumerate(zip(arrs["mse_deriv"], arrs["mse_base"])):
                 rows.append((n, rho, rep, a, b))
-        _write_csv(
-            cfg.out_dir / "benchmark_replications.csv",
+        write_csv(
+            args.out_dir / "benchmark_replications.csv",
             ["n", "rho", "rep", "mse_deriv", "mse_base"],
             rows,
         )
-    _write_metadata(cfg.out_dir / "benchmark_metadata.json", extra["metadata"])
+    _write_metadata(args.out_dir / "benchmark_metadata.json", extra["metadata"])
     for r in results:
         print(
             f"n={r.n:5d} rho={r.rho:.1f}  ratio={r.ratio:.3f} (se {r.se_ratio:.3f})  "
             f"mse_deriv={r.mse_deriv:.5f} mse_base={r.mse_base:.5f}"
         )
+    # Warned after the run, so that a run that fails reports one line.
+    if args.reps < 30:
+        print(f"warning: reps={args.reps} gives a noisy MC standard error", file=sys.stderr)
     return 0
 
 
@@ -245,7 +214,6 @@ def _load_estimate_config(path: Path):
 
 
 def run_estimate(args) -> int:
-    cfg = _common(args)
     plan_cfg, data_paths, grid, rescale = _load_estimate_config(Path(args.config))
     k = plan_cfg["k"]
 
@@ -322,7 +290,7 @@ def run_estimate(args) -> int:
     columns = [maps[j].invert(pts[:, j]) for j in range(k)] + [result.values]
     columns += [result.contributions[lab] for lab in labels]
     header = [f"x{j + 1}" for j in range(k)] + ["ghat"] + [f"term_{lab}" for lab in labels]
-    _write_csv(cfg.out_dir / "fit.csv", header, zip(*columns))
+    write_csv(args.out_dir / "fit.csv", header, zip(*columns))
 
     meta = dict(result.metadata)
     meta.update(
@@ -330,11 +298,11 @@ def run_estimate(args) -> int:
             "grid_points_per_dim": grid["points"],
             "grid_offset": offset,
             "rescale_maps": [{"offset": m.offset, "scale": m.scale} for m in maps],
-            "seed": cfg.seed,
+            "seed": args.seed,
         }
     )
-    _write_metadata(cfg.out_dir / "fit_metadata.json", meta)
-    print(f"wrote {pts.shape[0]} fitted values to {cfg.out_dir / 'fit.csv'}")
+    _write_metadata(args.out_dir / "fit_metadata.json", meta)
+    print(f"wrote {pts.shape[0]} fitted values to {args.out_dir / 'fit.csv'}")
     return 0
 
 
@@ -344,45 +312,39 @@ def run_estimate(args) -> int:
 
 
 def run_kernels(args) -> int:
-    cfg = _common(args)
     if args.samples < 1:
         raise ValidationError(f"--samples must be >= 1, got {args.samples}")
-    specs = []
-    for d in args.interior:
-        specs.append((f"interior-d{d}", make_interior_kernel(int(d))))
-    for d in args.edge:
-        specs.append((f"left-d{d}", make_edge_kernel(int(d), "left")))
-        specs.append((f"right-d{d}", make_edge_kernel(int(d), "right")))
+    specs = named_kernels(args.interior, args.edge)
 
     sample_rows = []
     for name, spec in specs:
         ts = np.linspace(spec.support[0], spec.support[1], args.samples)
         for t, v in zip(ts, spec.eval(ts)):
             sample_rows.append((name, t, v))
-    _write_csv(cfg.out_dir / "kernel_samples.csv", ["kernel", "t", "value"], sample_rows)
+    write_csv(args.out_dir / "kernel_samples.csv", ["kernel", "t", "value"], sample_rows)
 
-    moment_rows, deviations = [], []
+    moment_rows, failed = [], []
     for name, spec in specs:
-        for j in range(spec.order + 1):
-            target = 1.0 if j == 0 else 0.0
-            m = kernel_moment(spec, j)
-            moment_rows.append((name, j, m, m - target if j < spec.order else m))
-            if j < spec.order:
-                deviations.append((abs(m - target), name, j))
-    _write_csv(
-        cfg.out_dir / "kernel_moments.csv",
+        moments = kernel_moments(spec)
+        moment_rows += [(name, *row) for row in moments]
+        j = max(moments[:-1], key=lambda row: abs(row[2]))[0]
+        check = moment_check(f"{name} moment j={j}", moments)
+        if not check.passed:
+            failed.append(check)
+    write_csv(
+        args.out_dir / "kernel_moments.csv",
         ["kernel", "j", "moment", "deviation"],
         moment_rows,
     )
     _write_metadata(
-        cfg.out_dir / "kernels_metadata.json",
+        args.out_dir / "kernels_metadata.json",
         {"interior": list(args.interior), "edge": list(args.edge), "samples": args.samples},
     )
-    print(f"wrote {len(specs)} kernels to {cfg.out_dir}")
-    worst, name, j = max(deviations)
-    if worst > MOMENT_TOL:
+    print(f"wrote {len(specs)} kernels to {args.out_dir}")
+    if failed:
         # The monomial moment system grows ill-conditioned with the order.
-        raise ToleranceError(f"{name} moment j={j} deviates by {worst:.1e}, above {MOMENT_TOL:.0e}")
+        worst = max(failed, key=lambda c: c.residual)
+        raise ToleranceError(f"{worst.name} deviates by {worst.residual:.1e}, above {worst.tol:.0e}")
     return 0
 
 
@@ -408,17 +370,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--out-dir", default="derivreg-out")
+        p.add_argument("--out-dir", type=Path, default=Path("derivreg-out"))
         p.add_argument(
             "--workers",
             type=int,
             default=1,
             help="processes for simulate's replications; other subcommands accept and ignore it",
         )
-        p.add_argument("--quad-nodes", type=int, default=32)
 
     p = sub.add_parser("verify", help="run the exact-identity and kernel-moment suite")
     add_common(p)
+    p.add_argument("--quad-nodes", type=int, default=32, help="Gauss-Legendre nodes per panel, 2..64")
     p.set_defaults(func=run_verify)
 
     p = sub.add_parser("simulate", help="run the relative-MSE benchmark")
@@ -451,6 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        if args.workers < 1:
+            raise ValidationError(f"--workers must be >= 1, got {args.workers}")
         return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

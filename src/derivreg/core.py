@@ -11,6 +11,7 @@ import csv
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -27,6 +28,7 @@ __all__ = [
     "canonical_order",
     "read_csv",
     "load_csv",
+    "write_csv",
     "save_csv",
     "RngStream",
     "split_stream",
@@ -45,10 +47,11 @@ class ValidationError(DerivRegError, ValueError):
 
 
 class ParseError(ValidationError):
-    """A file could not be parsed; carries the offending 1-based line number."""
+    """A file could not be parsed; carries its path and 1-based line number."""
 
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
+    def __init__(self, message: str, path, line: int):
+        super().__init__(f"{path}: line {line}: {message}")
+        self.path = path
         self.line = line
 
 
@@ -248,14 +251,14 @@ def canonical_order(keys) -> np.ndarray:
     return order
 
 
-def _header(fh, k: int) -> None:
+def _header(fh, path, k: int) -> None:
     """Consume and check the header row of a k-coordinate CSV."""
     try:
         header = next(csv.reader(fh))
     except StopIteration:
-        raise ParseError("missing header row", 1) from None
+        raise ParseError("missing header row", path, 1) from None
     if len(header) != k + 1:
-        raise ParseError(f"expected {k + 1} columns, found {len(header)}", 1)
+        raise ParseError(f"expected {k + 1} columns, found {len(header)}", path, 1)
 
 
 def read_csv(path, k: int) -> np.ndarray:
@@ -265,11 +268,11 @@ def read_csv(path, k: int) -> np.ndarray:
     The bulk is parsed by ``np.loadtxt``, which converts cells as ``float``
     does, straight from the file.  Any file it rejects (quoted cells, a wrong
     cell count, a bad cell, no data) is parsed again row by row by
-    :func:`_parse_rows`, which raises :class:`ParseError` with the offending
-    line number.
+    :func:`_parse_rows`, which raises :class:`ParseError` with the path and
+    the offending line number.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        _header(fh, k)
+        _header(fh, path, k)
         # loadtxt warns on input without data, so find the first data line.
         first = next((line for line in fh if line.strip("\r\n")), None)
         if first is not None:
@@ -288,16 +291,16 @@ def _parse_rows(path, k: int) -> tuple[np.ndarray, list[int]]:
     1-based line number of each data row."""
     rows, lines = [], []
     with open(path, newline="", encoding="utf-8") as fh:
-        _header(fh, k)
+        _header(fh, path, k)
         for lineno, row in enumerate(csv.reader(fh), start=2):
             if not row:
                 continue
             if len(row) != k + 1:
-                raise ParseError(f"expected {k + 1} cells, found {len(row)}", lineno)
+                raise ParseError(f"expected {k + 1} cells, found {len(row)}", path, lineno)
             try:
                 rows.append([float(c) for c in row])
             except ValueError as exc:
-                raise ParseError(str(exc), lineno) from None
+                raise ParseError(str(exc), path, lineno) from None
             lines.append(lineno)
     if not rows:
         raise ValidationError(f"n >= 1 required: {path} has no data rows")
@@ -308,24 +311,34 @@ def load_csv(path, k: int, deriv: DerivIndex) -> DataSet:
     """Read a dataset from CSV (see :func:`read_csv`).
 
     Coordinates must already lie in [0, 1]; out-of-range values are rejected,
-    not clamped, with a :class:`ParseError` naming the 1-based line number.
+    not clamped, with a :class:`ParseError` naming the path and the 1-based
+    line number.
     """
     arr = read_csv(path, k)
     outside = ~((arr[:, :k] >= 0.0) & (arr[:, :k] <= 1.0))
     if outside.any():
         r, j = np.argwhere(outside)[0]
         line = _parse_rows(path, k)[1][r]
-        raise ParseError(f"coordinate x{j + 1}={float(arr[r, j])} outside [0, 1]", line)
+        raise ParseError(f"coordinate x{j + 1}={float(arr[r, j])} outside [0, 1]", path, line)
     return DataSet(k=k, deriv=deriv, X=arr[:, :k], Y=arr[:, k])
 
 
-def save_csv(ds: DataSet, path) -> None:
-    """Write a dataset as CSV using shortest round-trip decimal formatting."""
+def write_csv(path, header: list[str], rows) -> None:
+    """Write CSV, creating missing directories; floats as ``repr``, the
+    shortest decimal that reads back to the same bits, other cells as ``str``."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow([f"x{j + 1}" for j in range(ds.k)] + ["y"])
-        for i in range(ds.n):
-            writer.writerow([repr(float(v)) for v in ds.X[i]] + [repr(float(ds.Y[i]))])
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(
+                [repr(float(v)) if isinstance(v, (float, np.floating)) else str(v) for v in row]
+            )
+
+
+def save_csv(ds: DataSet, path) -> None:
+    """Write a dataset as CSV (:func:`write_csv`), readable by :func:`load_csv`."""
+    write_csv(path, [f"x{j + 1}" for j in range(ds.k)] + ["y"], zip(*ds.X.T, ds.Y))
 
 
 # ---------------------------------------------------------------------------
@@ -371,25 +384,22 @@ class TestFunction:
 
     ``deriv(alpha, pts)`` returns the partial in which each coordinate flagged
     by ``alpha`` is differentiated exactly once; the all-zero index returns
-    the function itself.  Evaluation is vectorized over an (m, k) point array.
+    the function itself, as does calling it; ``deriv_fn(alpha, pts)``
+    computes both.  Evaluation is vectorized over an (m, k) point array.
     """
 
-    def __init__(self, k: int, eval_fn: Callable, deriv_fn: Callable, label: str = ""):
+    def __init__(self, k: int, deriv_fn: Callable, label: str = ""):
         self.k = k
-        self._eval = eval_fn
         self._deriv = deriv_fn
         self.label = label
 
     def __call__(self, pts) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return np.asarray(self._eval(pts), dtype=float)
+        return self.deriv(DerivIndex.zeros(self.k), pts)
 
     def deriv(self, alpha: DerivIndex, pts) -> np.ndarray:
         if alpha.k != self.k:
             raise ValidationError(f"alpha has k={alpha.k}, function has k={self.k}")
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        if alpha.order == 0:
-            return self(pts)
         return np.asarray(self._deriv(alpha, pts), dtype=float)
 
     def __repr__(self):
@@ -430,22 +440,12 @@ def poly_function(k: int, terms: dict[tuple[int, ...], float], label: str = "") 
         return out
 
     return TestFunction(
-        k,
-        lambda pts: _eval_terms(terms, pts),
-        lambda alpha, pts: _eval_terms(_diff(terms, alpha), pts),
-        label=label or f"poly{terms}",
+        k, lambda alpha, pts: _eval_terms(_diff(terms, alpha), pts), label=label or f"poly{terms}"
     )
 
 
 def product_function(factors: Sequence[tuple[Callable, Callable]], label: str = "") -> TestFunction:
     """Separable product  g(x) = f_1(x_1) ... f_k(x_k)  from (f, f') pairs."""
-    k = len(factors)
-
-    def _eval(pts):
-        out = np.ones(pts.shape[0])
-        for j, (f, _) in enumerate(factors):
-            out = out * f(pts[:, j])
-        return out
 
     def _deriv(alpha, pts):
         out = np.ones(pts.shape[0])
@@ -453,4 +453,4 @@ def product_function(factors: Sequence[tuple[Callable, Callable]], label: str = 
             out = out * (df(pts[:, j]) if alpha.bits[j] else f(pts[:, j]))
         return out
 
-    return TestFunction(k, _eval, _deriv, label=label or "product")
+    return TestFunction(len(factors), _deriv, label=label or "product")

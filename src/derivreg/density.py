@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import DataSet, ValidationError
-from .kernels import ProductKernel, Workspace, band_sweep, product_kernel
+from .kernels import ProductKernel, Workspace, band_sweep, check_bandwidth, product_kernel
 
 __all__ = ["DensityEstimator", "loo_density", "floored_density", "loo_at_rows"]
 
@@ -45,6 +45,7 @@ class DensityEstimator:
             raise ValidationError(
                 f"density kernel order d1={self.d1} must exceed k={self.data.k}"
             )
+        check_bandwidth(self.H, self.d1, self.data.k, "H")
         family = product_kernel(self.d1)
         if not self.edge_corrected:
             family = ProductKernel(family.order, family.interior, family.interior, family.interior)

@@ -32,7 +32,7 @@ import numpy as np
 from .core import DataSet, DerivIndex, ValidationError, canonical_order
 from .density import DensityEstimator, loo_at_rows
 from .functionals import Quadrature, Term, TermPlan, Weight, build_term_plan, gl_panels, tensor_rule, weight_shape
-from .kernels import BandwidthPlan, Workspace, band_sweep, check_orders, default_orders, product_kernel
+from .kernels import BandwidthPlan, Workspace, band_sweep, check_bandwidth, check_orders, default_orders, product_kernel
 
 __all__ = [
     "EstimationPlan",
@@ -151,14 +151,12 @@ def _term_column(
     return col, mass
 
 
-def _check_one_point(ds: DataSet, x, density, h: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _check_one_point(ds: DataSet, x, density) -> tuple[np.ndarray, np.ndarray]:
     """``x`` as a (1, k) point of the unit cube and ``density`` (ones when
-    None) as n finite positive values; a given h must be finite and positive."""
+    None) as n finite positive values."""
     pts = _check_points(x, ds.k)
     if pts.shape[0] != 1:
         raise ValidationError(f"x must be one point, got {pts.shape[0]}")
-    if h is not None and not (math.isfinite(h) and h > 0.0):
-        raise ValidationError(f"bandwidth h must be finite and positive, got {h}")
     density = np.ones(ds.n) if density is None else np.asarray(density, dtype=float)
     if density.shape != (ds.n,) or not np.all(np.isfinite(density) & (density > 0.0)):
         raise ValidationError(f"density must hold n={ds.n} finite positive values, one per design row")
@@ -209,7 +207,8 @@ def smoothed_nonlocal_estimate(
         raise ValidationError(f"dataset holds {ds.deriv}, requested {beta}")
     if not beta.support <= set(range(p)):
         raise ValidationError(f"beta {beta} flags coordinates outside the first p={p}")
-    pts, density = _check_one_point(ds, x, density, h)
+    pts, density = _check_one_point(ds, x, density)
+    check_bandwidth(h, d, ds.k - p)
     weights = tuple(Weight.RECON if b else Weight.FLAT for b in beta.bits[:p]) + (Weight.LOCAL,) * (ds.k - p)
     term = Term(1, beta, weights)
     return float(_term_column(term, ds, density, pts, h, d)[0][0])
@@ -421,6 +420,7 @@ def nadaraya_watson_grid(
     Sums run in canonical row order, so the result is bitwise invariant
     under row permutations of (X, Y).
 
+    ``h`` must pass :func:`derivreg.kernels.check_bandwidth`.
     ``den_floor`` bounds the normalizing density estimate away from zero;
     higher-order edge kernels can otherwise give near-zero or negative total
     weight.  With ``widen_on_empty`` the points with no in-window data are
@@ -430,6 +430,7 @@ def nadaraya_watson_grid(
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     pts = _check_points(pts, X.shape[1])
+    check_bandwidth(h, d, X.shape[1])
     family = product_kernel(d)
     order = canonical_order((*X.T, Y))
     X, Y = X[order], Y[order]

@@ -38,13 +38,20 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .core import DerivIndex, TestFunction, ValidationError, poly_function, product_function
-from . import kernels as _kernels
+from .kernels import KernelSpec, make_edge_kernel, make_interior_kernel
+
+# Largest accepted deviation of a kernel moment j < order from delta_{j0}.
+MOMENT_TOL = 1e-10
 
 __all__ = [
     "Weight",
     "weight_shape",
     "recon_weight",
     "gl_panels",
+    "named_kernels",
+    "kernel_moment",
+    "kernel_moments",
+    "moment_check",
     "tensor_rule",
     "Quadrature",
     "weighted_integral",
@@ -137,6 +144,31 @@ def gl_panels(nodes: int, breaks) -> tuple[np.ndarray, np.ndarray]:
     ts = [0.5 * (lo + hi) + 0.5 * (hi - lo) * x for lo, hi in spans]
     ws = [0.5 * (hi - lo) * w for lo, hi in spans]
     return np.concatenate(ts), np.concatenate(ws)
+
+
+def named_kernels(interior=(2, 4, 6), edge=range(1, 6)) -> list[tuple[str, KernelSpec]]:
+    """Interior kernels, then left and right edge kernels, of the given orders,
+    under the names that ``derivreg verify`` and ``derivreg kernels`` report."""
+    specs = [(f"interior-d{d}", make_interior_kernel(d)) for d in interior]
+    return specs + [(f"{side}-d{d}", make_edge_kernel(d, side)) for d in edge for side in ("left", "right")]
+
+
+def kernel_moment(spec: KernelSpec, j: int) -> float:
+    """Gauss-Legendre moment  integral t^j kappa(t) dt, exact for polynomials."""
+    if j < 0:
+        raise ValidationError("moment index must be >= 0")
+    # Degree of t^j q(t) w(t); q may end in exact zeros (odd powers of an
+    # interior kernel), which do not count.
+    deg = j + len(np.trim_zeros(spec.q_coeffs, "b")) + 1
+    t, w = gl_panels(deg // 2 + 2, spec.support)
+    return float(np.sum(w * t**j * spec.eval(t)))
+
+
+def kernel_moments(spec: KernelSpec) -> list[tuple[int, float, float]]:
+    """Rows (j, moment, deviation), j = 0..order: the deviation from delta_{j0}
+    below the order, and the moment itself at j = order, which is left free."""
+    moments = [kernel_moment(spec, j) for j in range(spec.order + 1)]
+    return [(j, m, m - (1.0 if j == 0 else 0.0) if j < spec.order else m) for j, m in enumerate(moments)]
 
 
 def tensor_rule(x, axes) -> tuple[np.ndarray, np.ndarray]:
@@ -682,24 +714,17 @@ def identity_checks(
     return results
 
 
+def moment_check(name: str, moments: list[tuple[int, float, float]]) -> CheckResult:
+    """The largest |deviation| below the order among :func:`kernel_moments`
+    rows, checked against MOMENT_TOL."""
+    return CheckResult(name, max(abs(dev) for _, _, dev in moments[:-1]), MOMENT_TOL)
+
+
 def kernel_checks() -> list[CheckResult]:
-    """Moment and endpoint checks for every built kernel order."""
+    """Moment and endpoint checks for the default :func:`named_kernels`."""
     results = []
-    for d in (2, 4, 6):
-        spec = _kernels.make_interior_kernel(d)
-        worst = max(
-            abs(_kernels.kernel_moment(spec, j) - (1.0 if j == 0 else 0.0)) for j in range(d)
-        )
-        results.append(CheckResult(f"moment/interior-d{d}", worst, _kernels.MOMENT_TOL))
+    for label, spec in named_kernels():
+        results.append(moment_check(f"moment/{label}", kernel_moments(spec)))
         endpoint = max(abs(spec.eval(spec.support[0])), abs(spec.eval(spec.support[1])))
-        results.append(CheckResult(f"endpoint/interior-d{d}", float(endpoint), 1e-12))
-    for d in range(1, 6):
-        for side in ("left", "right"):
-            spec = _kernels.make_edge_kernel(d, side)
-            worst = max(
-                abs(_kernels.kernel_moment(spec, j) - (1.0 if j == 0 else 0.0)) for j in range(d)
-            )
-            results.append(CheckResult(f"moment/{side}-d{d}", worst, _kernels.MOMENT_TOL))
-            endpoint = max(abs(spec.eval(spec.support[0])), abs(spec.eval(spec.support[1])))
-            results.append(CheckResult(f"endpoint/{side}-d{d}", float(endpoint), 1e-12))
+        results.append(CheckResult(f"endpoint/{label}", float(endpoint), 1e-12))
     return results

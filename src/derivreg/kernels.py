@@ -18,6 +18,7 @@ convention u = (data - evaluation point) / bandwidth.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -36,18 +37,20 @@ _TILE = 16
 # a window predicate could accept is missed; a row inside the pad but outside
 # the support adds an exact zero.
 _PAD = 1e-9
-# Largest accepted deviation of a moment j < order from delta_{j0}.
-MOMENT_TOL = 1e-10
+# Largest natural log of a power of 1/h that a bandwidth may put into kernel
+# values: half of the float exponent range, which leaves the other half for
+# kernel coefficients, row counts, responses and their sums.
+_LOG_LIMIT = 0.5 * math.log(sys.float_info.max)
 
 __all__ = [
     "Workspace",
     "KernelSpec",
     "make_interior_kernel",
     "make_edge_kernel",
-    "kernel_moment",
     "ProductKernel",
     "product_kernel",
     "band_sweep",
+    "check_bandwidth",
     "check_orders",
     "default_orders",
     "BandwidthPlan",
@@ -194,20 +197,6 @@ def _edge_kernel(d: int, side: str) -> KernelSpec:
     return KernelSpec("right", d, (-1.0, 0.0), tuple(c * (-1.0) ** i for i, c in enumerate(q)))
 
 
-def kernel_moment(spec: KernelSpec, j: int) -> float:
-    """Gauss-Legendre moment  integral t^j kappa(t) dt, exact for polynomials."""
-    if j < 0:
-        raise ValidationError("moment index must be >= 0")
-    # Degree of t^j q(t) w(t); q may end in exact zeros (odd powers of an
-    # interior kernel), which do not count.
-    deg = j + len(np.trim_zeros(spec.q_coeffs, "b")) + 1
-    nodes = deg // 2 + 2
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    lo, hi = spec.support
-    t = 0.5 * (lo + hi) + 0.5 * (hi - lo) * x
-    return float(0.5 * (hi - lo) * np.sum(w * t**j * spec.eval(t)))
-
-
 @dataclass(frozen=True)
 class ProductKernel:
     """Product kernel with per-coordinate interior/edge switching.
@@ -336,6 +325,21 @@ def band_sweep(keys, radius: float, queries=None):
             yield idx, window(idx)
 
 
+def check_bandwidth(h: float, d: int, k: int, name: str = "h") -> None:
+    """Reject a bandwidth of order-d product kernels in k coordinates that is
+    not finite and positive, or so small that kernel values overflow.
+
+    On the unit cube |u| <= 1/h.  The polynomial q(u) w(u), of degree d + 1,
+    is evaluated before it is zeroed outside the support, and k factors
+    kappa/h multiply inside it, so (1 + 1/h)^max(d + 1, k) must stay below
+    exp(_LOG_LIMIT).
+    """
+    if not (math.isfinite(h) and h > 0.0):
+        raise ValidationError(f"bandwidth {name} must be finite and positive, got {h}")
+    if max(d + 1, k) * (math.log1p(h) - math.log(h)) > _LOG_LIMIT:
+        raise ValidationError(f"bandwidth {name}={h:.6g} is too small for order-{d} kernels in floating point")
+
+
 def check_orders(d: int, d1: int, k: int, p: int) -> None:
     """Gate on kernel orders: require even d > (k + p)/2 and even d1 > k."""
     if d % 2 or d1 % 2:
@@ -367,20 +371,21 @@ class BandwidthPlan:
     smoothed coordinates.  ``H(n)`` sits strictly inside the admissible
     window: it must shrink faster than both n^(-1/(2 d1)) and h(n) while
     staying above n^(-1/(2k)), which the extra n^(-0.01) factor ensures for
-    the supported orders.
+    the supported orders.  ``h`` checks its result (:func:`check_bandwidth`).
     """
 
     h_const: float = 1.0
-    H_const: float = 1.0
 
     def __post_init__(self):
-        if not (0.0 < self.h_const < np.inf and 0.0 < self.H_const < np.inf):
+        if not 0.0 < self.h_const < np.inf:
             raise ValidationError("bandwidth constants must be finite and positive")
 
     def h(self, n: int, d: int, free_dims: int) -> float:
         if free_dims <= 0:
             raise ValidationError("h() is only defined when coordinates are smoothed")
-        return self.h_const * float(n) ** (-1.0 / (2 * d + free_dims))
+        h = self.h_const * float(n) ** (-1.0 / (2 * d + free_dims))
+        check_bandwidth(h, d, free_dims)
+        return h
 
     def H(self, n: int, d1: int, d: int, free_dims: int) -> float:
         # H must shrink faster than both n^(-1/(2 d1)) and the smoothing
@@ -388,4 +393,4 @@ class BandwidthPlan:
         expo = 1.0 / (2 * d1)
         if free_dims > 0:
             expo = max(expo, 1.0 / (2 * d + free_dims))
-        return self.H_const * float(n) ** (-expo) * float(n) ** (-0.01)
+        return float(n) ** (-expo) * float(n) ** (-0.01)

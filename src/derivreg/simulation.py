@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -52,7 +53,6 @@ class CobbDouglasConfig:
     rho: float = 0.0
     n: int = 100
     seed: int = 0
-    r_random: bool = False  # draw capital price r ~ U[0.5, 1.5] instead of r = 1
 
     def __post_init__(self):
         if min(self.c1, self.c2, self.c) <= 0:
@@ -109,9 +109,9 @@ class CobbDouglasOracle:
 class SimSample:
     """One generated sample: raw covariates, responses, and oracle truth.
 
-    ``ds_ac``/``ds_al`` hold the same data with covariates shifted onto the
-    unit square (the raw support [0.5, 1.5]^2 has unit width, so the map is
-    a pure shift).
+    The capital price ``r`` is one in every row.  ``ds_ac``/``ds_al`` hold
+    the same data with covariates shifted onto the unit square (the raw
+    support [0.5, 1.5]^2 has unit width, so the map is a pure shift).
     """
 
     cfg: CobbDouglasConfig
@@ -137,7 +137,7 @@ class SimSample:
 
 def generate(cfg: CobbDouglasConfig, path_prefix: tuple[int, ...] = ()) -> SimSample:
     """Draw one sample; streams are addressed (*path_prefix, j) with
-    j = 0 output, 1 price ratio, 2 error pair, 3 capital price.
+    j = 0 output, 1 price ratio, 2 error pair.
 
     With a fixed prefix, changing rho changes only the error mixing, not the
     covariate draws, which couples Monte Carlo cells across correlations.
@@ -145,10 +145,7 @@ def generate(cfg: CobbDouglasConfig, path_prefix: tuple[int, ...] = ()) -> SimSa
     q = split_stream(cfg.seed, (*path_prefix, 0)).uniform(cfg.n, _LO, _HI)
     v = split_stream(cfg.seed, (*path_prefix, 1)).uniform(cfg.n, _LO, _HI)
     z = split_stream(cfg.seed, (*path_prefix, 2)).standard_normal((cfg.n, 2))
-    if cfg.r_random:
-        r = split_stream(cfg.seed, (*path_prefix, 3)).uniform(cfg.n, _LO, _HI)
-    else:
-        r = np.ones(cfg.n)
+    r = np.ones(cfg.n)
     eps_ac = cfg.sigma * z[:, 0]
     eps_al = cfg.sigma * (cfg.rho * z[:, 0] + math.sqrt(1.0 - cfg.rho**2) * z[:, 1])
     oracle = CobbDouglasOracle(cfg)
@@ -261,12 +258,12 @@ class BenchmarkRules:
     """
 
     h_deriv_const: float = 0.35
-    h_deriv_expo: float = 1.0 / 5.0
     h_base_const: float = 0.30
-    h_base_expo: float = 1.0 / 4.0
-    trim: tuple[float, float] = (0.6, 1.4)
-    base_order: int = 2
-    base_floor: float = 0.05
+    h_deriv_expo: ClassVar[float] = 1.0 / 5.0
+    h_base_expo: ClassVar[float] = 1.0 / 4.0
+    trim: ClassVar[tuple[float, float]] = (0.6, 1.4)
+    base_order: ClassVar[int] = 2
+    base_floor: ClassVar[float] = 0.05
 
     def __post_init__(self):
         if not (0.0 < self.h_deriv_const < np.inf and 0.0 < self.h_base_const < np.inf):
@@ -375,7 +372,7 @@ def relative_mse_table(
     meta = {
         "seed": seed,
         "reps": reps,
-        "stream_layout": "(replication, equation): 0=Q, 1=w/r, 2=errors, 3=r",
+        "stream_layout": "(replication, equation): 0=Q, 1=w/r, 2=errors",
         "rules": {
             "h_deriv": f"{rules.h_deriv_const}*n^(-{rules.h_deriv_expo})",
             "h_base": f"{rules.h_base_const}*n^(-{rules.h_base_expo})",
@@ -388,7 +385,6 @@ def relative_mse_table(
             "c2": base.c2,
             "c": base.c,
             "sigma": base.sigma,
-            "r_random": base.r_random,
         },
     }
     return results, {"cells": details, "metadata": meta}

@@ -81,7 +81,14 @@ class TestSimulate:
 
     @pytest.mark.parametrize(
         "flag",
-        [["--sigma", "nan"], ["--sigma", "inf"], ["--rhos", "nan"], ["--h-deriv-const", "nan"], ["--h-base-const", "-1"]],
+        [
+            ["--sigma", "nan"],
+            ["--sigma", "inf"],
+            ["--rhos", "nan"],
+            ["--h-deriv-const", "nan"],
+            ["--h-base-const", "-1"],
+            ["--h-base-const", "1e-200"],  # too small: (0.75/h)^2 overflows
+        ],
     )
     def test_non_finite_inputs_exit_one(self, tmp_path, capsys, flag):
         out = tmp_path / "never"
@@ -185,6 +192,15 @@ class TestEstimate:
         assert err.startswith("error: ") and "data row 5 has a non-finite value" in err
         assert len(err.splitlines()) == 1
         assert not (out / "fit.csv").exists()
+
+    def test_bad_cell_names_its_file(self, tmp_path, example_config, capsys):
+        g10 = tmp_path / "g10.csv"
+        lines = g10.read_text().splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0] + ",abc"
+        g10.write_text("\n".join(lines) + "\n")
+        assert run(["estimate", "--config", example_config, "--out-dir", tmp_path / "o"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {g10}: line 3: could not convert string to float: 'abc'\n"
 
 
     def _bad_config_exits_one(self, tmp_path, example_config, capsys, edit):
@@ -313,6 +329,7 @@ class TestEstimateFuzz:
     @example({**_FUZZ_BASE, "d1": 2})  # d1 <= k
     @example({**_FUZZ_BASE, "n": 1, "density": "loo"})
     @example({**_FUZZ_BASE, "h_const": "1e-6"})
+    @example({**_FUZZ_BASE, "h_const": "1e-200"})  # kernel values would overflow
     @example({**_FUZZ_BASE, "offset": "nan"})
     @example({**_FUZZ_BASE, "offset": "0.7"})
     @example({**_FUZZ_BASE, "offset": "-0.1"})
@@ -398,6 +415,19 @@ class TestKernelsCommand:
         assert err.count("\n") == 1
         assert (tmp_path / "kernel_moments.csv").exists() and (tmp_path / "kernel_samples.csv").exists()
 
+    def test_reports_the_deviations_of_verify(self, tmp_path):
+        from derivreg.functionals import kernel_checks
+
+        assert run(["kernels", "--out-dir", tmp_path]) == 0
+        worst = {}
+        for row in (tmp_path / "kernel_moments.csv").read_text().splitlines()[1:]:
+            name, j, _, deviation = row.split(",")
+            order = int(name.rsplit("-d", 1)[1])
+            if int(j) < order:
+                worst[f"moment/{name}"] = max(worst.get(f"moment/{name}", 0.0), abs(float(deviation)))
+        checks = {c.name: c.residual for c in kernel_checks() if c.name.startswith("moment/")}
+        assert worst == checks
+
     def test_odd_interior_order_exits_one_with_one_line(self, tmp_path, capsys):
         assert run(["kernels", "--out-dir", tmp_path, "--interior", 3]) == 1
         assert capsys.readouterr().err == "error: interior kernel order must be even, got 3\n"
@@ -436,6 +466,10 @@ class TestExitCodes:
             ([], "the following arguments are required: command"),
             (["simulate", "--reps", "many"], "argument --reps: invalid int value: 'many'"),
             (["fit"], "invalid choice: 'fit'"),
+            # --quad-nodes belongs to verify alone.
+            (["simulate", "--quad-nodes", "16"], "unrecognized arguments: --quad-nodes 16"),
+            (["estimate", "--config", "plan.ini", "--quad-nodes", "16"], "unrecognized arguments: --quad-nodes 16"),
+            (["kernels", "--quad-nodes", "16"], "unrecognized arguments: --quad-nodes 16"),
         ],
     )
     def test_usage_errors_exit_one_with_one_line(self, capsys, argv, message):

@@ -1,4 +1,5 @@
 import concurrent.futures
+import re
 
 import numpy as np
 import pytest
@@ -99,14 +100,15 @@ class TestCsv:
         f = tmp_path / "d.csv"
         f.write_text('x1,y\n"0.5","1.0"\n0.25,2.0\n')
         assert read_csv(f, 1).tolist() == [[0.5, 1.0], [0.25, 2.0]]
+        at = re.escape(str(f))
         f.write_text("x1,y\n0.5,1.0\n\n0.6,#\n")
-        with pytest.raises(ParseError, match=r"^line 4: could not convert string to float: '#'$"):
+        with pytest.raises(ParseError, match=rf"^{at}: line 4: could not convert string to float: '#'$"):
             read_csv(f, 1)
         f.write_text("x1,y\n0.5,1.0\n0.6,2.0,\n")
-        with pytest.raises(ParseError, match=r"^line 3: expected 2 cells, found 3$"):
+        with pytest.raises(ParseError, match=rf"^{at}: line 3: expected 2 cells, found 3$"):
             read_csv(f, 1)
         f.write_text("x1,y\n0.5,1.0\n  \n")
-        with pytest.raises(ParseError, match=r"^line 3: expected 2 cells, found 1$"):
+        with pytest.raises(ParseError, match=rf"^{at}: line 3: expected 2 cells, found 1$"):
             read_csv(f, 1)
         f.write_text("x1,y\n\n\n")
         with pytest.raises(ValidationError, match="n >= 1 required"):

@@ -112,6 +112,8 @@ class TestValidation:
     def test_bandwidth_range(self):
         with pytest.raises(ValidationError):
             DensityEstimator(_ds([[0.4], [0.6]]), d1=2, H=1.5)
+        with pytest.raises(ValidationError, match="bandwidth H=1e-200 is too small"):
+            DensityEstimator(_ds([[0.4], [0.6]]), d1=2, H=1e-200)
 
     def test_order_gate(self):
         with pytest.raises(ValidationError, match="d1"):

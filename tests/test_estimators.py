@@ -136,7 +136,7 @@ class TestOnePointInputs:
             else:
                 smoothed_nonlocal_estimate(ds, D("10"), [0.5, 0.5], p=1, h=0.3, density=density)
 
-    @pytest.mark.parametrize("h", [-0.3, 0.0, np.inf, np.nan])
+    @pytest.mark.parametrize("h", [-0.3, 0.0, np.inf, np.nan, 1e-200])
     def test_bad_bandwidth_rejected(self, h):
         ds = DataSet(2, D("10"), self.X, np.ones(10))
         with pytest.raises(ValidationError, match="bandwidth"):
@@ -280,6 +280,22 @@ class TestBaselineSmoother:
     def test_single_in_window_point(self):
         ds = DataSet(1, D("0"), np.array([[0.5], [0.95]]), np.array([7.0, -1.0]))
         assert nadaraya_watson(ds, [0.48], h=0.1) == pytest.approx(7.0)
+
+    @pytest.mark.parametrize(
+        "h, message",
+        [
+            (0.0, "must be finite and positive, got 0.0"),
+            (-0.1, "must be finite and positive, got -0.1"),
+            (np.nan, "must be finite and positive, got nan"),
+            (np.inf, "must be finite and positive, got inf"),
+            (1e-200, "bandwidth h=1e-200 is too small for order-2 kernels"),
+        ],
+    )
+    def test_bad_bandwidth_rejected_before_any_kernel(self, h, message):
+        # A kernel evaluated at such an h warns (RuntimeWarning is an error here).
+        X = split_stream(2, [0]).uniform((40, 2))
+        with pytest.raises(ValidationError, match=message):
+            nadaraya_watson_grid(X, X[:, 0], np.array([[0.5, 0.5]]), h, widen_on_empty=True)
 
     def test_zero_mass_errors(self):
         ds = DataSet(1, D("0"), np.array([[0.9]]), np.array([1.0]))

@@ -79,10 +79,6 @@ class TestGenerate:
         assert sample.ds_ac.X.min() >= 0.0 and sample.ds_ac.X.max() <= 1.0
         assert str(sample.ds_al.deriv) == "01"
 
-    def test_r_random_flag(self):
-        sample = generate(CobbDouglasConfig(n=100, seed=6, r_random=True))
-        assert sample.r.min() >= 0.5 and sample.r.max() <= 1.5 and sample.r.std() > 0
-
 
 class TestDerivativeAcEstimator:
     def test_zero_labor_gives_windowed_cost_mean(self):
