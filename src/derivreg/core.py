@@ -25,6 +25,7 @@ __all__ = [
     "AffineMap",
     "rescale_to_unit",
     "DataSet",
+    "check_design",
     "canonical_order",
     "read_csv",
     "load_csv",
@@ -199,26 +200,9 @@ class DataSet:
     Y: np.ndarray
 
     def __post_init__(self):
-        X = np.asarray(self.X, dtype=float)
-        Y = np.asarray(self.Y, dtype=float)
-        if X.ndim != 2 or X.shape[1] != self.k:
-            raise ValidationError(f"X must be (n, {self.k}), got shape {X.shape}")
-        if Y.ndim != 1 or Y.shape[0] != X.shape[0]:
-            raise ValidationError("X rows and Y must have equal count")
-        if X.shape[0] < 1:
-            raise ValidationError("n >= 1 required")
+        X, Y = check_design(self.X, self.Y, self.k)
         if self.deriv.k != self.k:
             raise ValidationError(f"deriv has k={self.deriv.k}, dataset has k={self.k}")
-        for name, arr in (("X", X), ("Y", Y)):
-            bad = np.argwhere(~np.isfinite(arr))
-            if bad.size:
-                row = bad[0][0]
-                raise ValidationError(f"{name} has a non-finite value in row {row + 1}: {arr[row]}")
-        if X.size and (X.min() < 0.0 or X.max() > 1.0):
-            bad = np.argwhere((X < 0.0) | (X > 1.0))[0]
-            raise ValidationError(
-                f"design coordinate x{bad[1] + 1}={X[bad[0], bad[1]]} outside [0, 1]"
-            )
         X.setflags(write=False)
         Y.setflags(write=False)
         object.__setattr__(self, "X", X)
@@ -235,6 +219,30 @@ class DataSet:
         order = canonical_order((*self.X.T, self.Y))
         order.setflags(write=False)
         return order
+
+
+def check_design(X, Y, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Design rows ``X`` (n, k) and responses ``Y`` (n,) as float arrays, or a
+    one-line :class:`ValidationError`: n >= 1, every value finite, every
+    coordinate in [0, 1].  Float64 arrays come back as the same objects, and
+    their write flags are left as they are."""
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    if X.ndim != 2 or X.shape[1] != k:
+        raise ValidationError(f"X must be (n, {k}), got shape {X.shape}")
+    if Y.ndim != 1 or Y.shape[0] != X.shape[0]:
+        raise ValidationError("X rows and Y must have equal count")
+    if X.shape[0] < 1:
+        raise ValidationError("n >= 1 required")
+    for name, arr in (("X", X), ("Y", Y)):
+        bad = np.argwhere(~np.isfinite(arr))
+        if bad.size:
+            row = bad[0][0]
+            raise ValidationError(f"{name} has a non-finite value in row {row + 1}: {arr[row]}")
+    if X.size and (X.min() < 0.0 or X.max() > 1.0):
+        row, col = np.argwhere((X < 0.0) | (X > 1.0))[0]
+        raise ValidationError(f"design coordinate x{col + 1}={X[row, col]} in row {row + 1} outside [0, 1]")
+    return X, Y
 
 
 def canonical_order(keys) -> np.ndarray:

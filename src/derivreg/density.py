@@ -81,17 +81,12 @@ def loo_at_rows(est: DensityEstimator, floored: bool = True) -> np.ndarray:
     calling :func:`loo_density` (or its floored form) at every (i, X_i), up to
     the order of summation.
 
-    An exact sorted-band sweep (:func:`derivreg.kernels.band_sweep`) over the
-    rows in the dataset's canonical order (:attr:`derivreg.core.DataSet.order`,
-    which the estimators reuse), windowed in coordinates 1 and 2 (coordinate
-    1 alone, in blocks of 64, when k = 1).  The rows are taken in tiles of
-    16 that are compact in both coordinates; only rows within H of a tile's
-    range in both can carry kernel mass, so each tile evaluates the same
-    edge-switching kernels on a tile x window slab.  Time is n x (rows in a
-    tile's two-coordinate window) kernel values.  The sweep keeps one
-    :class:`derivreg.kernels.Workspace` for all its tiles, so memory is a few
-    buffers of the largest tile slab: 16 x window for k >= 2, 64 x window
-    for k = 1.
+    An exact sorted-band sweep (:func:`derivreg.kernels.band_sweep`, which
+    gives its tiling, time and memory) over the rows in the dataset's
+    canonical order (:attr:`derivreg.core.DataSet.order`, which the
+    estimators reuse), with one :class:`derivreg.kernels.Workspace` for all
+    its tiles.  Only rows within H of a tile can carry kernel mass, so each
+    tile evaluates the edge-switching kernels on a tile x window slab.
     Each row is summed over its window in canonical row order, so a
     permutation of the rows permutes the result bit for bit.
     """
@@ -101,7 +96,7 @@ def loo_at_rows(est: DensityEstimator, floored: bool = True) -> np.ndarray:
     positions = np.arange(n)
     sums = np.empty(n)
     work = Workspace()
-    for idx, rows in band_sweep(Xs[:, :2], est.H):
+    for idx, rows in band_sweep(Xs, est.H):
         w = est.family.weights(Xs[idx], Xs[rows], est.H, work)
         w[np.arange(idx.size), np.searchsorted(positions[rows], idx)] = 0.0
         sums[idx] = w.sum(axis=1)

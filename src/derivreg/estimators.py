@@ -13,8 +13,7 @@ per term, with p the term's CUM/RECON coordinates and cells the grid between
 the points' distinct coordinates.  The floored
 leave-one-out densities (:func:`derivreg.density.loo_at_rows`) and the
 baseline smoother (:func:`nadaraya_watson_grid`) are sorted-band sweeps
-windowed in coordinates 1 and 2: time (queries) x (rows in a tile's
-two-coordinate window) kernel values, memory at most 64 x n.  Summation runs in each
+(:func:`derivreg.kernels.band_sweep`).  Summation runs in each
 dataset's canonical row order (:attr:`derivreg.core.DataSet.order`), so
 results are bit-identical under row permutations and any degree of
 parallelism.
@@ -29,7 +28,7 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .core import DataSet, DerivIndex, ValidationError, canonical_order
+from .core import DataSet, DerivIndex, ValidationError, canonical_order, check_design
 from .density import DensityEstimator, loo_at_rows
 from .functionals import Quadrature, Term, TermPlan, Weight, build_term_plan, gl_panels, tensor_rule, weight_shape
 from .kernels import BandwidthPlan, Workspace, band_sweep, check_bandwidth, check_orders, default_orders, product_kernel
@@ -360,13 +359,13 @@ def nadaraya_watson(
     x,
     h: float,
     d: int = 2,
-    den_floor: float | None = None,
+    den_floor: float = 0.05,
 ) -> float:
     """Locally weighted average over all k coordinates (the no-derivative
     baseline) at one point: :func:`nadaraya_watson_grid` without widening.
 
     Raises when no design point carries kernel mass at x (bandwidth too
-    small) or, without ``den_floor``, when the kernel mass cancels exactly.
+    small).
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     return float(nadaraya_watson_grid(ds.X, ds.Y, x[None, :], h, d=d, den_floor=den_floor)[0])
@@ -374,26 +373,19 @@ def nadaraya_watson(
 
 def _nw_pass(Xs, Ys, pts, h, family, den_floor):
     """One windowed NW pass over rows ``Xs``, ``Ys`` in canonical order:
-    (values, mass, ok) at ``pts``.
-
-    ``mass`` flags points where some design row carries kernel weight; values
-    are NaN unless ``ok`` (mass and a nonzero normalizer).
-    """
-    n = Xs.shape[0]
+    (values, mass) at ``pts``, where ``mass`` flags the points at which some
+    design row carries kernel weight."""
     num, den = np.empty(pts.shape[0]), np.empty(pts.shape[0])
     mass = np.empty(pts.shape[0], dtype=bool)
     work = Workspace()
-    for idx, rows in band_sweep(Xs[:, :2], h, pts[:, :2]):
+    for idx, rows in band_sweep(Xs, h, pts):
         w = family.weights(pts[idx], Xs[rows], h, work)
         den[idx] = w.sum(axis=1)
         mass[idx] = (w != 0.0).any(axis=1)
         w *= Ys[None, rows]
         num[idx] = w.sum(axis=1)
-    if den_floor is not None:
-        # den / n estimates the design density at the point; floor it there.
-        den = np.maximum(den, den_floor * n)
-    ok = mass & (den != 0.0)
-    return np.where(ok, num / np.where(ok, den, 1.0), np.nan), mass, ok
+    # den / n estimates the design density at the point; floor it there.
+    return num / np.maximum(den, den_floor * Xs.shape[0]), mass
 
 
 def nadaraya_watson_grid(
@@ -402,42 +394,37 @@ def nadaraya_watson_grid(
     pts: np.ndarray,
     h: float,
     d: int = 2,
-    den_floor: float | None = 0.05,
+    den_floor: float = 0.05,
     widen_on_empty: bool = False,
 ) -> np.ndarray:
     """Baseline smoother over many evaluation points in the unit cube.
 
-    A sorted-band sweep (:func:`derivreg.kernels.band_sweep`): data rows are
-    sorted once, in the canonical order of (x1, ..., xk, y)
-    (:func:`derivreg.core.canonical_order`), for every pass; evaluation
-    points are taken in tiles of 16 that are compact in coordinates 1 and 2,
-    and each tile weights only the rows within h of it in both (coordinate 1
-    alone, in blocks of 64, when k = 1).  Time is m x (rows in a tile's
-    two-coordinate window) kernel values.  Each pass keeps one
-    :class:`derivreg.kernels.Workspace` for all its tiles, so memory is a few
-    buffers of the largest tile slab: 16 x window for k >= 2, 64 x window
-    for k = 1.
-    Sums run in canonical row order, so the result is bitwise invariant
-    under row permutations of (X, Y).
+    ``X`` and ``Y`` must pass :func:`derivreg.core.check_design`, the row
+    checks of :class:`derivreg.core.DataSet`; they are read, not made
+    read-only.  ``h`` must pass :func:`derivreg.kernels.check_bandwidth`.
+    ``den_floor`` (finite and positive) bounds the normalizing density
+    estimate away from zero; higher-order edge kernels can otherwise give
+    near-zero or negative total weight.  With ``widen_on_empty`` the points
+    with no in-window data are re-run at doubled h (at most six times)
+    instead of raising; Monte Carlo harnesses use this so one starved window
+    cannot abort a replication.
 
-    ``h`` must pass :func:`derivreg.kernels.check_bandwidth`.
-    ``den_floor`` bounds the normalizing density estimate away from zero;
-    higher-order edge kernels can otherwise give near-zero or negative total
-    weight.  With ``widen_on_empty`` the points with no in-window data are
-    re-run at doubled h (at most six times) instead of raising; Monte Carlo
-    harnesses use this so one starved window cannot abort a replication.
+    Data rows are sorted once, in the canonical order of (x1, ..., xk, y)
+    (:func:`derivreg.core.canonical_order`), and every pass is a sorted-band
+    sweep over them (:func:`derivreg.kernels.band_sweep`, which gives its
+    tiling, time and memory) with one :class:`derivreg.kernels.Workspace`
+    for all its tiles.  Sums run in canonical row order, so the result is
+    bitwise invariant under row permutations of (X, Y).
     """
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
+    X, Y = check_design(X, Y, np.shape(X)[-1])
     pts = _check_points(pts, X.shape[1])
     check_bandwidth(h, d, X.shape[1])
+    if not 0.0 < den_floor < np.inf:
+        raise ValidationError(f"den_floor must be finite and positive, got {den_floor}")
     family = product_kernel(d)
     order = canonical_order((*X.T, Y))
     X, Y = X[order], Y[order]
-    out, mass, ok = _nw_pass(X, Y, pts, h, family, den_floor)
-    if np.any(mass & ~ok):
-        bad = pts[np.flatnonzero(mass & ~ok)[0]]
-        raise ValidationError(f"kernel mass cancels exactly at {bad}; increase h")
+    out, mass = _nw_pass(X, Y, pts, h, family, den_floor)
     left = np.flatnonzero(~mass)
     if left.size and not widen_on_empty:
         raise ValidationError(f"no design points within h={h} of {pts[left[0]]} ({left.size} points); increase h")
@@ -446,9 +433,9 @@ def nadaraya_watson_grid(
         if not left.size:
             break
         hj *= 2.0
-        vals, _, ok = _nw_pass(X, Y, pts[left], hj, family, den_floor)
-        out[left[ok]] = vals[ok]
-        left = left[~ok]
+        vals, mass = _nw_pass(X, Y, pts[left], hj, family, den_floor)
+        out[left[mass]] = vals[mass]
+        left = left[~mass]
     if left.size:
         raise ValidationError(f"no design points near {pts[left[0]]} even after widening")
     return out

@@ -607,21 +607,18 @@ def identity_checks(
 
     for k in (1, 2, 3):
         pts = _grid_points(k)
-        for g in polynomial_suite(k):
-            r = max(decomposition_residual(g, x, quad) for x in pts)
-            results.append(CheckResult(f"reconstruction/k={k}/poly:{g.label}", r, 1e-10))
-        for g in analytic_suite(k):
-            r = max(decomposition_residual(g, x, quad) for x in pts)
-            results.append(CheckResult(f"reconstruction/k={k}/analytic:{g.label}", r, 1e-8))
-        for p in range(1, k + 1):
-            for g in polynomial_suite(k):
-                r = max(partial_decomposition_residual(g, p, x, quad) for x in pts)
-                results.append(CheckResult(f"partial-reconstruction/k={k}/p={p}/poly:{g.label}", r, 1e-10))
-            for g in analytic_suite(k):
-                r = max(partial_decomposition_residual(g, p, x, quad) for x in pts)
-                results.append(
-                    CheckResult(f"partial-reconstruction/k={k}/p={p}/analytic:{g.label}", r, 1e-8)
-                )
+        suite = [("poly", g, 1e-10) for g in polynomial_suite(k)]
+        suite += [("analytic", g, 1e-8) for g in analytic_suite(k)]
+        worst = [
+            [max(partial_decomposition_residual(g, p, x, quad) for x in pts) for _, g, _ in suite]
+            for p in range(1, k + 1)
+        ]
+        # The full reconstruction is the partial one at p = k.
+        for (kind, g, tol), r in zip(suite, worst[-1]):
+            results.append(CheckResult(f"reconstruction/k={k}/{kind}:{g.label}", r, tol))
+        for p, rs in enumerate(worst, 1):
+            for (kind, g, tol), r in zip(suite, rs):
+                results.append(CheckResult(f"partial-reconstruction/k={k}/p={p}/{kind}:{g.label}", r, tol))
 
     # Term plans across every admissible (k, coords-prefix, ell).
     for k in (1, 2, 3):

@@ -275,29 +275,35 @@ def band_sweep(keys, radius: float, queries=None):
     """Blocks of an exact sweep for weights that vanish unless a data row lies
     within ``radius`` of the evaluation point in each window column.
 
-    ``keys`` holds one or two window columns of the data rows, coordinate 1
-    first (an (n,) or (n, c) array, c = 1 or 2), already in canonical order
-    (:func:`derivreg.core.canonical_order`), so coordinate 1 is ascending;
-    the sweep sorts no rows.  ``queries`` holds the same columns of the
-    evaluation points, or ``None`` for the rows themselves.  Yields blocks
-    ``(idx, rows)`` that pair query indices (row positions when ``queries`` is
-    ``None``) with ascending rows that include every row within ``radius`` of
-    one of them in every window column; every query is in one block.
+    ``keys`` holds the data rows, an (n,) or (n, k) array already in
+    canonical order (:func:`derivreg.core.canonical_order`), so coordinate 1
+    is ascending; the sweep sorts no rows.  Its window columns are the first
+    min(k, 2): coordinate 1, and coordinate 2 when k >= 2.  ``queries`` holds
+    the evaluation points with the same columns, or ``None`` for the rows
+    themselves.  Yields blocks ``(idx, rows)`` that pair query indices (row
+    positions when ``queries`` is ``None``) with ascending rows that include
+    every row within ``radius`` of one of them in every window column; every
+    query is in one block.
 
-    With one column the queries are taken in ascending order in blocks of 64
-    and ``rows`` is the slice of the block's coordinate-1 window.  With two
-    the queries are cut into strips of consecutive coordinate-1 order and
-    ordered by coordinate 2 within each strip, with about as many tiles of 16
-    per strip as strips, so a tile is compact in both coordinates.  ``rows``
-    is then an index array: the tile's coordinate-1 window, less the rows
-    outside its coordinate-2 range widened by ``radius``.  A caller evaluates
-    (queries) x (rows in its block's window) kernel values and holds at most
-    64 x n of them at once; blocks are made one at a time, so the sweep holds
-    only the current block's rows.
+    With one window column the queries are taken in ascending order in
+    blocks of 64 and ``rows`` is the slice of the block's coordinate-1
+    window.  With two the queries are cut into strips of consecutive
+    coordinate-1 order and ordered by coordinate 2 within each strip, with
+    about as many tiles of 16 per strip as strips, so a tile is compact in
+    both coordinates.  ``rows`` is then an index array: the tile's
+    coordinate-1 window, less the rows outside its coordinate-2 range widened
+    by ``radius``.  A caller evaluates (queries) x (rows in its block's
+    window) kernel values, so time is m x (rows in a tile's window), and it
+    holds at most 64 x n of them at once; blocks are made one at a time, so
+    the sweep holds only the current block's rows.  With a
+    :class:`Workspace` kept for all blocks, memory is a few buffers of the
+    largest block's slab: 16 x window for two window columns, 64 x window
+    for one.
     """
     keys = np.asarray(keys, dtype=float)
-    keys = keys[:, None] if keys.ndim == 1 else keys
-    qs = keys if queries is None else np.asarray(queries, dtype=float).reshape(-1, keys.shape[1])
+    c = 1 if keys.ndim == 1 else keys.shape[1]
+    keys = keys.reshape(-1, c)[:, :2]
+    qs = keys if queries is None else np.asarray(queries, dtype=float).reshape(-1, c)[:, :2]
     first = np.ascontiguousarray(keys[:, 0])  # searchsorted copies strided input
     qorder = np.argsort(qs[:, 0], kind="stable")
     m = qorder.size

@@ -190,11 +190,10 @@ def derivative_ac_curve(
     The rows are sorted once, in the canonical order of (q, v, r, y_al,
     y_ac) (:func:`derivreg.core.canonical_order`).  Both passes (part a at
     the data points, then both parts at the evaluation points) are
-    sorted-band sweeps over them (:func:`derivreg.kernels.band_sweep`):
-    points are taken in blocks of 64 by Q, and each block reads only the rows
-    within h/2 of it in Q.  Time is (n + m) x (rows in a Q-window) and memory
-    64 x n.  Sums run in canonical row order, so the result is bitwise
-    invariant under row permutations of the sample.
+    sorted-band sweeps over them in Q (:func:`derivreg.kernels.band_sweep`,
+    which gives their blocks, time and memory), each block reading only the
+    rows within h/2 of it.  Sums run in canonical row order, so the result
+    is bitwise invariant under row permutations of the sample.
     """
     if not (math.isfinite(h) and h > 0):
         raise ValidationError(f"window width h must be finite and positive, got {h}")
@@ -210,22 +209,24 @@ def derivative_ac_curve(
     order = canonical_order(keys)
     q, v, r, y_al, y_ac = (key[order] for key in keys)
 
-    def windowed_sums(blocks, pts_q, pts_v, vals_win):
-        """Per point: (window count, cum-masked y_al sum, window sum of vals_win)."""
+    def windowed_sums(blocks, pts_q, pts_v, *vals_win):
+        """Per point: window count, cum-masked y_al sum, and the window sum of
+        each array in ``vals_win``."""
         m = pts_q.shape[0]
         counts = np.empty(m, dtype=np.int64)
         cum_sums = np.empty(m)
-        win_sums = np.empty(m)
+        win_sums = [np.empty(m) for _ in vals_win]
         for idx, rows in blocks:
             win = np.abs(q[None, rows] - pts_q[idx, None]) <= 0.5 * h
             counts[idx] = win.sum(axis=1)
             cum = win & (v[None, rows] <= pts_v[idx, None])
             cum_sums[idx] = (cum * y_al[None, rows]).sum(axis=1)
-            win_sums[idx] = (win * vals_win[None, rows]).sum(axis=1)
-        return counts, cum_sums, win_sums
+            for out, vals in zip(win_sums, vals_win):
+                out[idx] = (win * vals[None, rows]).sum(axis=1)
+        return counts, cum_sums, *win_sums
 
     # part a at the data points themselves (needed for the part-b remainder)
-    counts_d, cum_d, _ = windowed_sums(band_sweep(q, 0.5 * h), q, v, y_al)
+    counts_d, cum_d = windowed_sums(band_sweep(q, 0.5 * h), q, v)
     resid = (y_ac - r * cum_d / counts_d) / r
     counts, cum_sums, win_sums = windowed_sums(band_sweep(q, 0.5 * h, eval_q), eval_q, eval_v, resid)
     if not np.all(counts > 0):

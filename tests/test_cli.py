@@ -358,9 +358,11 @@ class TestEstimateFuzz:
 
 
 class TestGoldenPayloads:
-    """sha256 digests of two payloads, recorded before the kernel evaluator
-    moved to in-place workspace buffers; its arithmetic is unchanged, so the
-    bytes are too."""
+    """sha256 digests of payloads.  The kernel samples and the LOO fit were
+    recorded before the kernel evaluator moved to in-place workspace buffers,
+    the simulate and verify payloads before the NW baseline took DataSet's
+    row checks and one den_floor mode; neither change moved a bit.  A change
+    meant to alter these bytes updates the digest and says why."""
 
     @staticmethod
     def _digest(path):
@@ -388,6 +390,22 @@ class TestGoldenPayloads:
         assert run(["estimate", "--config", cfg, "--out-dir", tmp_path / "out"]) == 0
         assert self._digest(tmp_path / "out" / "fit.csv") == (
             "9f4f1678bd74ef887edd81d5391b64bb7c80b9252e4881586390232abc3d645b"
+        )
+
+    def test_simulate_tables(self, tmp_path):
+        argv = ["simulate", "--ns", 200, 1000, "--rhos", 0, 0.9, "--reps", 4, "--dump-reps", "--seed", 5]
+        assert run(argv + ["--out-dir", tmp_path]) == 0
+        assert self._digest(tmp_path / "benchmark.csv") == (
+            "b362ca6c746fa98c501fafd70023af033461768ba64a425db512070ad188b0eb"
+        )
+        assert self._digest(tmp_path / "benchmark_replications.csv") == (
+            "8561baeb865b2b477bd28c54e8eee5e374428e3e7d5d0dc25c69e4005c4cabe9"
+        )
+
+    def test_verify_report(self, tmp_path):
+        assert run(["verify", "--quad-nodes", 16, "--out-dir", tmp_path]) == 0
+        assert self._digest(tmp_path / "verify_report.csv") == (
+            "e6f9d0fff427a222b939cfe40c174aad17dde4b9164d93ea5edadc069401f599"
         )
 
 

@@ -339,6 +339,45 @@ class TestBaselineSmoother:
         with pytest.raises(ValidationError, match="unit cube"):
             nadaraya_watson(DataSet(2, D("00"), X, X[:, 0]), bad, 0.2)
 
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize(
+        "x1, y, message",
+        [
+            (np.nan, 1.0, r"^X has a non-finite value in row 2: "),
+            (1e200, 1.0, r"^design coordinate x1=1e\+200 in row 2 outside \[0, 1\]$"),
+            (0.5, np.nan, r"^Y has a non-finite value in row 2: nan$"),
+        ],
+    )
+    def test_design_rows_checked_as_in_dataset(self, k, x1, y, message):
+        # Without the check the other two rows gave a value, or Y's NaN a NaN.
+        X = np.full((3, k), 0.5)
+        X[:, 0] = [0.2, x1, 0.4]
+        Y = np.array([1.0, y, 2.0])
+        pts = np.full((1, k), 0.3)
+        for call in (
+            lambda: nadaraya_watson_grid(X, Y, pts, 0.5, widen_on_empty=True),
+            lambda: DataSet(k, DerivIndex.zeros(k), X, Y),
+        ):
+            with pytest.raises(ValidationError, match=message) as exc:
+                call()
+            assert "\n" not in str(exc.value)
+
+    @pytest.mark.parametrize("den_floor", [0.0, -1.0, np.nan, np.inf])
+    def test_den_floor_must_be_finite_and_positive(self, den_floor):
+        X = split_stream(2, [0]).uniform((40, 2))
+        ds = DataSet(2, D("00"), X, X[:, 0])
+        message = f"den_floor must be finite and positive, got {den_floor}"
+        with pytest.raises(ValidationError, match=message):
+            nadaraya_watson_grid(X, X[:, 0], np.array([[0.5, 0.5]]), 0.3, den_floor=den_floor)
+        with pytest.raises(ValidationError, match=message):
+            nadaraya_watson(ds, [0.5, 0.5], 0.3, den_floor=den_floor)
+
+    def test_leaves_the_callers_arrays_writable(self):
+        X = split_stream(2, [0]).uniform((40, 2))
+        Y = X[:, 0].copy()
+        nadaraya_watson_grid(X, Y, np.array([[0.5, 0.5]]), 0.3)
+        assert X.flags.writeable and Y.flags.writeable
+
     def test_bias_order_on_fixed_grid(self):
         # noiseless quadratic on a deterministic grid: error scales like h^2
         grid = np.linspace(0.0, 1.0, 2001)[:, None]
@@ -419,7 +458,7 @@ class TestWindowedBaseline:
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_no_design_points_raises(self, k):
-        with pytest.raises(ValidationError, match="no design points"):
+        with pytest.raises(ValidationError, match="n >= 1 required"):
             nadaraya_watson_grid(np.empty((0, k)), np.empty(0), np.full((1, k), 0.5), 0.2)
 
     @pytest.mark.parametrize("x", [1.0, 0.5])

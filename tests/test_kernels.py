@@ -238,6 +238,18 @@ class TestBandSweep:
                 near = np.flatnonzero(np.all(np.abs(keys - q) <= radius, axis=1))
                 assert np.all(np.isin(near, sel))
 
+    @pytest.mark.parametrize("queries", [False, True])
+    def test_columns_past_the_second_are_not_windowed(self, queries):
+        rng = np.random.default_rng(3)
+        keys = rng.integers(0, 41, size=(300, 3)) / 40.0
+        keys = keys[canonical_order(tuple(keys.T))]
+        qs = rng.integers(0, 41, size=(120, 3)) / 40.0 if queries else None
+        got = list(band_sweep(keys, 0.1, qs))
+        want = list(band_sweep(keys[:, :2], 0.1, None if qs is None else qs[:, :2]))
+        assert len(got) == len(want) >= 8  # several tiles
+        for (a, ra), (b, rb) in zip(got, want):
+            assert np.array_equal(a, b) and np.array_equal(ra, rb)
+
     def test_wide_windows_are_not_held_at_once(self):
         # Every tile's rows are nearly all n = 20 000 rows; holding the rows of
         # all 1250 tiles at once would take about 190 MB.
