@@ -25,7 +25,6 @@ __all__ = [
     "AffineMap",
     "rescale_to_unit",
     "DataSet",
-    "check_design",
     "canonical_order",
     "read_csv",
     "load_csv",
@@ -125,10 +124,6 @@ class DerivIndex:
         self._check_same_k(other)
         return DerivIndex(tuple(a | b for a, b in zip(self.bits, other.bits)))
 
-    def __and__(self, other: "DerivIndex") -> "DerivIndex":
-        self._check_same_k(other)
-        return DerivIndex(tuple(a & b for a, b in zip(self.bits, other.bits)))
-
     def _check_same_k(self, other: "DerivIndex") -> None:
         if self.k != other.k:
             raise ValidationError(f"dimension mismatch: k={self.k} vs k={other.k}")
@@ -190,8 +185,13 @@ class DataSet:
     """Design points in [0, 1]^k with responses for one derivative index.
 
     ``Y[i]`` is a noisy observation of the ``deriv`` mixed partial of the
-    regression function at ``X[i]``.  Arrays are made read-only so datasets
-    can be shared freely across threads.
+    regression function at ``X[i]``.  The rows must pass one check, or a
+    one-line :class:`ValidationError` names the first that fails: ``X`` is
+    (n, k) and ``Y`` is (n,) with n >= 1, every value is finite and every
+    coordinate lies in [0, 1].  The dataset keeps its own read-only float
+    copies of ``X`` and ``Y``: the caller's arrays stay writable, later
+    writes to them do not reach the dataset, and datasets can be shared
+    freely across threads.
     """
 
     k: int
@@ -200,7 +200,22 @@ class DataSet:
     Y: np.ndarray
 
     def __post_init__(self):
-        X, Y = check_design(self.X, self.Y, self.k)
+        X = np.array(self.X, dtype=float)
+        Y = np.array(self.Y, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.k:
+            raise ValidationError(f"X must be (n, {self.k}), got shape {X.shape}")
+        if Y.ndim != 1 or Y.shape[0] != X.shape[0]:
+            raise ValidationError("X rows and Y must have equal count")
+        if X.shape[0] < 1:
+            raise ValidationError("n >= 1 required")
+        for name, arr in (("X", X), ("Y", Y)):
+            bad = np.argwhere(~np.isfinite(arr))
+            if bad.size:
+                row = bad[0][0]
+                raise ValidationError(f"{name} has a non-finite value in row {row + 1}: {arr[row]}")
+        if X.size and (X.min() < 0.0 or X.max() > 1.0):
+            row, col = np.argwhere((X < 0.0) | (X > 1.0))[0]
+            raise ValidationError(f"design coordinate x{col + 1}={X[row, col]} in row {row + 1} outside [0, 1]")
         if self.deriv.k != self.k:
             raise ValidationError(f"deriv has k={self.deriv.k}, dataset has k={self.k}")
         X.setflags(write=False)
@@ -219,30 +234,6 @@ class DataSet:
         order = canonical_order((*self.X.T, self.Y))
         order.setflags(write=False)
         return order
-
-
-def check_design(X, Y, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Design rows ``X`` (n, k) and responses ``Y`` (n,) as float arrays, or a
-    one-line :class:`ValidationError`: n >= 1, every value finite, every
-    coordinate in [0, 1].  Float64 arrays come back as the same objects, and
-    their write flags are left as they are."""
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    if X.ndim != 2 or X.shape[1] != k:
-        raise ValidationError(f"X must be (n, {k}), got shape {X.shape}")
-    if Y.ndim != 1 or Y.shape[0] != X.shape[0]:
-        raise ValidationError("X rows and Y must have equal count")
-    if X.shape[0] < 1:
-        raise ValidationError("n >= 1 required")
-    for name, arr in (("X", X), ("Y", Y)):
-        bad = np.argwhere(~np.isfinite(arr))
-        if bad.size:
-            row = bad[0][0]
-            raise ValidationError(f"{name} has a non-finite value in row {row + 1}: {arr[row]}")
-    if X.size and (X.min() < 0.0 or X.max() > 1.0):
-        row, col = np.argwhere((X < 0.0) | (X > 1.0))[0]
-        raise ValidationError(f"design coordinate x{col + 1}={X[row, col]} in row {row + 1} outside [0, 1]")
-    return X, Y
 
 
 def canonical_order(keys) -> np.ndarray:

@@ -93,14 +93,13 @@ def loo_at_rows(est: DensityEstimator, floored: bool = True) -> np.ndarray:
     order = est.data.order
     Xs = est.data.X[order]
     n = Xs.shape[0]
-    positions = np.arange(n)
     sums = np.empty(n)
     work = Workspace()
     for idx, rows in band_sweep(Xs, est.H):
         w = est.family.weights(Xs[idx], Xs[rows], est.H, work)
-        w[np.arange(idx.size), np.searchsorted(positions[rows], idx)] = 0.0
+        w[np.arange(idx.size), np.searchsorted(rows, idx)] = 0.0
         sums[idx] = w.sum(axis=1)
-    # Identical rows are adjacent in canonical order but may fall in blocks
+    # Identical rows are adjacent in canonical order but may fall in tiles
     # with different windows; all copies take the sum of the first one.
     new_run = np.ones(n, dtype=bool)
     new_run[1:] = np.any(Xs[1:] != Xs[:-1], axis=1)

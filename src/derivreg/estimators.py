@@ -28,7 +28,7 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .core import DataSet, DerivIndex, ValidationError, canonical_order, check_design
+from .core import DataSet, DerivIndex, ValidationError
 from .density import DensityEstimator, loo_at_rows
 from .functionals import Quadrature, Term, TermPlan, Weight, build_term_plan, gl_panels, tensor_rule, weight_shape
 from .kernels import BandwidthPlan, Workspace, band_sweep, check_bandwidth, check_orders, default_orders, product_kernel
@@ -399,9 +399,10 @@ def nadaraya_watson_grid(
 ) -> np.ndarray:
     """Baseline smoother over many evaluation points in the unit cube.
 
-    ``X`` and ``Y`` must pass :func:`derivreg.core.check_design`, the row
-    checks of :class:`derivreg.core.DataSet`; they are read, not made
-    read-only.  ``h`` must pass :func:`derivreg.kernels.check_bandwidth`.
+    ``X`` must be 2-D.  ``X`` and ``Y`` become a
+    :class:`derivreg.core.DataSet`, so they pass its row checks and the
+    caller's arrays stay writable.  ``h`` must pass
+    :func:`derivreg.kernels.check_bandwidth`.
     ``den_floor`` (finite and positive) bounds the normalizing density
     estimate away from zero; higher-order edge kernels can otherwise give
     near-zero or negative total weight.  With ``widen_on_empty`` the points
@@ -409,21 +410,23 @@ def nadaraya_watson_grid(
     instead of raising; Monte Carlo harnesses use this so one starved window
     cannot abort a replication.
 
-    Data rows are sorted once, in the canonical order of (x1, ..., xk, y)
-    (:func:`derivreg.core.canonical_order`), and every pass is a sorted-band
+    Data rows are sorted once, in the dataset's canonical order
+    (:attr:`derivreg.core.DataSet.order`), and every pass is a sorted-band
     sweep over them (:func:`derivreg.kernels.band_sweep`, which gives its
     tiling, time and memory) with one :class:`derivreg.kernels.Workspace`
     for all its tiles.  Sums run in canonical row order, so the result is
     bitwise invariant under row permutations of (X, Y).
     """
-    X, Y = check_design(X, Y, np.shape(X)[-1])
-    pts = _check_points(pts, X.shape[1])
-    check_bandwidth(h, d, X.shape[1])
+    if np.ndim(X) != 2:
+        raise ValidationError(f"X must be a 2-D (n, k) array, got shape {np.shape(X)}")
+    k = np.shape(X)[1]
+    ds = DataSet(k, DerivIndex.zeros(k), X, Y)
+    pts = _check_points(pts, k)
+    check_bandwidth(h, d, k)
     if not 0.0 < den_floor < np.inf:
         raise ValidationError(f"den_floor must be finite and positive, got {den_floor}")
     family = product_kernel(d)
-    order = canonical_order((*X.T, Y))
-    X, Y = X[order], Y[order]
+    X, Y = ds.X[ds.order], ds.Y[ds.order]
     out, mass = _nw_pass(X, Y, pts, h, family, den_floor)
     left = np.flatnonzero(~mass)
     if left.size and not widen_on_empty:

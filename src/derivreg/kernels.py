@@ -26,13 +26,12 @@ import numpy as np
 
 from .core import ValidationError
 
-# Evaluation points per block of a sorted-band sweep (:func:`band_sweep`).
-_BLOCK = 64
-# Evaluation points per tile of a two-column sweep.  Tiles of 16 keep the
-# LOO density's slabs small enough to stay in cache; on a 2-core x86 host the
-# fit_loo benchmark ran 2.3 ops/s with them against 1.9 with tiles of 32.
-_TILE = 16
-# Widening of each block's window in each column, relative to the data's
+# Evaluation points per tile of a sorted-band sweep (:func:`band_sweep`), by
+# its number of window columns.  Tiles of 16 keep the LOO density's slabs
+# small enough to stay in cache; on a 2-core x86 host the fit_loo benchmark
+# ran 2.3 ops/s with them against 1.9 with tiles of 32.
+_TILE = {1: 64, 2: 16}
+# Widening of each tile's window in each column, relative to the data's
 # scale.  It is far above the rounding error of the kernel arguments, so no row
 # a window predicate could accept is missed; a row inside the pad but outside
 # the support adds an exact zero.
@@ -272,63 +271,58 @@ def product_kernel(d: int) -> ProductKernel:
 
 
 def band_sweep(keys, radius: float, queries=None):
-    """Blocks of an exact sweep for weights that vanish unless a data row lies
+    """Tiles of an exact sweep for weights that vanish unless a data row lies
     within ``radius`` of the evaluation point in each window column.
 
     ``keys`` holds the data rows, an (n,) or (n, k) array already in
     canonical order (:func:`derivreg.core.canonical_order`), so coordinate 1
     is ascending; the sweep sorts no rows.  Its window columns are the first
-    min(k, 2): coordinate 1, and coordinate 2 when k >= 2.  ``queries`` holds
-    the evaluation points with the same columns, or ``None`` for the rows
-    themselves.  Yields blocks ``(idx, rows)`` that pair query indices (row
-    positions when ``queries`` is ``None``) with ascending rows that include
-    every row within ``radius`` of one of them in every window column; every
-    query is in one block.
+    c = min(k, 2).  ``queries`` holds the evaluation points with the same
+    columns, or ``None`` for the rows themselves.  Yields tiles ``(idx,
+    rows)`` that pair query indices (row positions when ``queries`` is
+    ``None``) with an ascending index array of rows that includes every row
+    within ``radius`` of one of them in every window column; every query is
+    in one tile.
 
-    With one window column the queries are taken in ascending order in
-    blocks of 64 and ``rows`` is the slice of the block's coordinate-1
-    window.  With two the queries are cut into strips of consecutive
-    coordinate-1 order and ordered by coordinate 2 within each strip, with
-    about as many tiles of 16 per strip as strips, so a tile is compact in
-    both coordinates.  ``rows`` is then an index array: the tile's
-    coordinate-1 window, less the rows outside its coordinate-2 range widened
-    by ``radius``.  A caller evaluates (queries) x (rows in its block's
-    window) kernel values, so time is m x (rows in a tile's window), and it
-    holds at most 64 x n of them at once; blocks are made one at a time, so
-    the sweep holds only the current block's rows.  With a
-    :class:`Workspace` kept for all blocks, memory is a few buffers of the
-    largest block's slab: 16 x window for two window columns, 64 x window
-    for one.
+    The m queries are cut by one rule.  With tiles of t = ``_TILE[c]`` (64
+    for one window column, 16 for two) and s = ceil((m / t)^(1/c)), for
+    j = 1, ..., c in turn the queries are sorted stably by coordinate j
+    within each slab of t * s^(c + 1 - j) consecutive queries of the
+    previous order (at j = 1 one slab holds them all).  Consecutive runs of
+    t are the tiles, so a tile is compact in every window column.  A tile's
+    rows are its coordinate-1 window (a binary search), less the rows
+    outside its range in each later window column, each range widened by
+    ``radius`` and a pad of 1e-9 times the data's scale.  A caller evaluates
+    (queries) x (rows in its tile's window) kernel values, so time is
+    m x (rows in a tile's window); tiles are made one at a time, so the
+    sweep holds only the current tile's rows.  With a :class:`Workspace`
+    kept for all tiles, memory is a few buffers of the largest tile's slab,
+    t x window.
     """
     keys = np.asarray(keys, dtype=float)
-    c = 1 if keys.ndim == 1 else keys.shape[1]
-    keys = keys.reshape(-1, c)[:, :2]
-    qs = keys if queries is None else np.asarray(queries, dtype=float).reshape(-1, c)[:, :2]
-    first = np.ascontiguousarray(keys[:, 0])  # searchsorted copies strided input
-    qorder = np.argsort(qs[:, 0], kind="stable")
-    m = qorder.size
+    k = 1 if keys.ndim == 1 else keys.shape[1]
+    c = min(k, 2)
+    keys = keys.reshape(-1, k)[:, :c]
+    qs = keys if queries is None else np.asarray(queries, dtype=float).reshape(-1, k)[:, :c]
+    cols = [np.ascontiguousarray(keys[:, j]) for j in range(c)]  # searchsorted and take copy strided input
     pad = _PAD * max(1.0, float(np.abs(keys).max(initial=0.0)))
-    two = keys.shape[1] == 2
-
-    def window(idx):
+    m, tile = qs.shape[0], _TILE[c]
+    s = max(1, math.ceil((m / tile) ** (1 / c)))
+    order = np.arange(m)
+    for j in range(c):
+        slab = tile * s ** (c - j)
+        for a in range(0, m, slab):
+            run = order[a : a + slab]
+            order[a : a + slab] = run[np.argsort(qs[run, j], kind="stable")]
+    for a in range(0, m, tile):
+        idx = order[a : a + tile]
         q = qs[idx]
-        lo = int(np.searchsorted(first, q[:, 0].min() - radius - pad, side="left"))
-        hi = int(np.searchsorted(first, q[:, 0].max() + radius + pad, side="right"))
-        if not two:
-            return slice(lo, hi)
-        second = keys[lo:hi, 1]
-        near = (second >= q[:, 1].min() - radius - pad) & (second <= q[:, 1].max() + radius + pad)
-        return lo + np.flatnonzero(near)
-
-    tile = _TILE if two else _BLOCK
-    strip = tile * max(1, math.ceil(math.sqrt(m / tile))) if two else max(m, 1)
-    for a in range(0, m, strip):
-        run = qorder[a : a + strip]
-        if two:
-            run = run[np.argsort(qs[run, 1], kind="stable")]
-        for b in range(0, run.size, tile):
-            idx = run[b : b + tile]
-            yield idx, window(idx)
+        lo, hi = q.min(axis=0) - radius - pad, q.max(axis=0) + radius + pad
+        rows = np.arange(np.searchsorted(cols[0], lo[0], "left"), np.searchsorted(cols[0], hi[0], "right"))
+        for j in range(1, c):
+            col = cols[j][rows]
+            rows = rows[(col >= lo[j]) & (col <= hi[j])]
+        yield idx, rows
 
 
 def check_bandwidth(h: float, d: int, k: int, name: str = "h") -> None:

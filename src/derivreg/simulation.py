@@ -191,7 +191,7 @@ def derivative_ac_curve(
     y_ac) (:func:`derivreg.core.canonical_order`).  Both passes (part a at
     the data points, then both parts at the evaluation points) are
     sorted-band sweeps over them in Q (:func:`derivreg.kernels.band_sweep`,
-    which gives their blocks, time and memory), each block reading only the
+    which gives their tiles, time and memory), each tile reading only the
     rows within h/2 of it.  Sums run in canonical row order, so the result
     is bitwise invariant under row permutations of the sample.
     """
@@ -209,14 +209,14 @@ def derivative_ac_curve(
     order = canonical_order(keys)
     q, v, r, y_al, y_ac = (key[order] for key in keys)
 
-    def windowed_sums(blocks, pts_q, pts_v, *vals_win):
+    def windowed_sums(tiles, pts_q, pts_v, *vals_win):
         """Per point: window count, cum-masked y_al sum, and the window sum of
         each array in ``vals_win``."""
         m = pts_q.shape[0]
         counts = np.empty(m, dtype=np.int64)
         cum_sums = np.empty(m)
         win_sums = [np.empty(m) for _ in vals_win]
-        for idx, rows in blocks:
+        for idx, rows in tiles:
             win = np.abs(q[None, rows] - pts_q[idx, None]) <= 0.5 * h
             counts[idx] = win.sum(axis=1)
             cum = win & (v[None, rows] <= pts_v[idx, None])

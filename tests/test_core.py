@@ -37,7 +37,8 @@ class TestDerivIndex:
             k = int(rng.integers(1, 9))
             a = DerivIndex(tuple(int(b) for b in rng.integers(0, 2, k)))
             b = DerivIndex(tuple(int(b) for b in rng.integers(0, 2, k)))
-            assert (a | b).order + (a & b).order == a.order + b.order
+            both = sum(x & y for x, y in zip(a.bits, b.bits))
+            assert (a | b).order + both == a.order + b.order
 
     def test_validation(self):
         with pytest.raises(ValidationError):
@@ -190,6 +191,14 @@ class TestDataSet:
         ds = DataSet(1, DerivIndex.from_string("0"), np.array([[0.5]]), np.array([1.0]))
         with pytest.raises(ValueError):
             ds.X[0, 0] = 0.2
+
+    def test_keeps_copies_of_the_callers_arrays(self):
+        X = np.array([[0.2], [0.5]])
+        Y = np.array([1.0, 2.0])
+        ds = DataSet(1, DerivIndex.from_string("0"), X, Y)
+        assert X.flags.writeable and Y.flags.writeable
+        X[0, 0], Y[0] = 0.9, -1.0
+        assert ds.X.tolist() == [[0.2], [0.5]] and ds.Y.tolist() == [1.0, 2.0]
 
     @pytest.mark.parametrize("ties", [False, True])
     def test_order_is_lexsort(self, ties):

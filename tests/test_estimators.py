@@ -362,6 +362,13 @@ class TestBaselineSmoother:
                 call()
             assert "\n" not in str(exc.value)
 
+    @pytest.mark.parametrize("X", [0.5, [0.2, 0.5, 0.8]], ids=["scalar", "1-D"])
+    def test_X_must_be_two_dimensional(self, X):
+        # A scalar X raised IndexError, and a 1-D X of length 3 was read as k = 3.
+        with pytest.raises(ValidationError, match=r"^X must be a 2-D \(n, k\) array, got shape \(") as exc:
+            nadaraya_watson_grid(X, [1.0, 2.0, 3.0], np.array([[0.5]]), 0.5)
+        assert "\n" not in str(exc.value)
+
     @pytest.mark.parametrize("den_floor", [0.0, -1.0, np.nan, np.inf])
     def test_den_floor_must_be_finite_and_positive(self, den_floor):
         X = split_stream(2, [0]).uniform((40, 2))

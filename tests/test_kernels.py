@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -182,6 +183,34 @@ def _one_column_sweep(first, radius, queries=None):
     return out
 
 
+def _two_column_sweep(keys, radius, queries=None):
+    """The two-column sweep as specified: queries in stable coordinate-1
+    order, cut into strips of 16 * ceil(sqrt(m / 16)); each strip in stable
+    coordinate-2 order, cut into tiles of 16; each tile paired with the rows
+    inside its padded range in both coordinates."""
+    qs = keys if queries is None else queries
+    m = qs.shape[0]
+    strip = 16 * max(1, math.ceil(math.sqrt(m / 16)))
+    pad = 1e-9 * max(1.0, float(np.abs(keys).max(initial=0.0)))
+    qorder = np.argsort(qs[:, 0], kind="stable")
+    out = []
+    for a in range(0, m, strip):
+        run = qorder[a : a + strip]
+        run = run[np.argsort(qs[run, 1], kind="stable")]
+        for b in range(0, run.size, 16):
+            idx = run[b : b + 16]
+            lo = qs[idx].min(axis=0) - radius - pad
+            hi = qs[idx].max(axis=0) + radius + pad
+            out.append((idx, np.flatnonzero(np.all((keys >= lo) & (keys <= hi), axis=1))))
+    return out
+
+
+def _index_rows(blocks, n):
+    """Sweep blocks with their rows as index arrays, whether given as slices
+    or as index arrays."""
+    return [(idx, np.arange(n)[rows]) for idx, rows in blocks]
+
+
 class TestBandSweep:
     # Few distinct values, so the sorted columns and the queries have ties.
     _values = st.integers(0, 40).map(lambda i: i / 40.0)
@@ -196,7 +225,7 @@ class TestBandSweep:
     def test_blocks_cover_every_window(self, rows, queries, radius):
         first = np.sort(np.array(rows))
         qs = first if queries is None else np.array(queries)
-        blocks = list(band_sweep(first, radius, None if queries is None else qs))
+        blocks = _index_rows(band_sweep(first, radius, None if queries is None else qs), first.size)
         idx = np.concatenate([b[0] for b in blocks])
         assert np.array_equal(np.sort(idx), np.arange(qs.size))  # every query exactly once
         assert np.all(np.diff(qs[idx]) >= 0.0)  # blocks ascending
@@ -204,13 +233,14 @@ class TestBandSweep:
             assert 1 <= block.size <= 64
             for q in qs[block]:
                 near = np.flatnonzero(np.abs(first - q) <= radius)
-                assert np.all((near >= rows.start) & (near < rows.stop))
+                assert np.all(np.isin(near, rows))
         # A column given as (n, 1) is the same one-column sweep.
-        want = _one_column_sweep(first, radius, None if queries is None else qs)
-        for got in (blocks, list(band_sweep(first[:, None], radius, None if queries is None else qs[:, None]))):
+        want = _index_rows(_one_column_sweep(first, radius, None if queries is None else qs), first.size)
+        column = band_sweep(first[:, None], radius, None if queries is None else qs[:, None])
+        for got in (blocks, _index_rows(column, first.size)):
             assert len(got) == len(want)
             for (a, ra), (b, rb) in zip(got, want):
-                assert np.array_equal(a, b) and ra == rb
+                assert np.array_equal(a, b) and np.array_equal(ra, rb)
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -237,6 +267,28 @@ class TestBandSweep:
             for q in qs[tile]:
                 near = np.flatnonzero(np.all(np.abs(keys - q) <= radius, axis=1))
                 assert np.all(np.isin(near, sel))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.sampled_from([1, 2]),
+        st.integers(1, 400),
+        st.one_of(st.none(), st.integers(1, 300)),
+        _radii,
+        st.integers(0, 2**32 - 1),
+    )
+    def test_blocks_match_the_reference_layout(self, c, n, m, radius, seed):
+        rng = np.random.default_rng(seed)
+        keys = rng.integers(0, 41, size=(n, c)) / 40.0
+        keys = keys[canonical_order(tuple(keys.T))]
+        qs = None if m is None else rng.integers(0, 41, size=(m, c)) / 40.0
+        if c == 1:
+            want = _index_rows(_one_column_sweep(keys[:, 0], radius, None if qs is None else qs[:, 0]), n)
+        else:
+            want = _two_column_sweep(keys, radius, qs)
+        got = _index_rows(band_sweep(keys, radius, qs), n)
+        assert len(got) == len(want)
+        for (a, ra), (b, rb) in zip(got, want):
+            assert np.array_equal(a, b) and np.array_equal(ra, rb)
 
     @pytest.mark.parametrize("queries", [False, True])
     def test_columns_past_the_second_are_not_windowed(self, queries):
