@@ -20,11 +20,9 @@ from .core import (
     TestFunction,
     ToleranceError,
     ValidationError,
-    load_csv,
     poly_function,
     product_function,
     rescale_to_unit,
-    save_csv,
     split_stream,
     write_csv,
 )
@@ -56,14 +54,13 @@ from .functionals import (
     reconstruction_integral,
     weighted_integral,
 )
-from .density import DensityEstimator, floored_density, loo_at_rows, loo_density
+from .density import DensityEstimator, loo_at_rows, loo_density
 from .estimators import (
     EstimationPlan,
     FitResult,
     fit,
     limit_covariance,
     make_grid,
-    nadaraya_watson,
     nadaraya_watson_grid,
     nonlocal_estimate,
     smoothed_nonlocal_estimate,
@@ -77,7 +74,6 @@ from .simulation import (
     BenchmarkRules,
     convergence_rate_experiment,
     derivative_ac_curve,
-    derivative_ac_estimate,
     equation_r2,
     generate,
     relative_mse_table,

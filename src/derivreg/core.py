@@ -25,11 +25,10 @@ __all__ = [
     "AffineMap",
     "rescale_to_unit",
     "DataSet",
+    "as_float_array",
     "canonical_order",
     "read_csv",
-    "load_csv",
     "write_csv",
-    "save_csv",
     "RngStream",
     "split_stream",
     "TestFunction",
@@ -116,10 +115,6 @@ class DerivIndex:
     def support(self) -> frozenset[int]:
         return frozenset(i for i, b in enumerate(self.bits) if b)
 
-    def is_subset_of(self, other: "DerivIndex") -> bool:
-        self._check_same_k(other)
-        return all(a <= b for a, b in zip(self.bits, other.bits))
-
     def __or__(self, other: "DerivIndex") -> "DerivIndex":
         self._check_same_k(other)
         return DerivIndex(tuple(a | b for a, b in zip(self.bits, other.bits)))
@@ -200,8 +195,8 @@ class DataSet:
     Y: np.ndarray
 
     def __post_init__(self):
-        X = np.array(self.X, dtype=float)
-        Y = np.array(self.Y, dtype=float)
+        X = np.array(as_float_array(self.X, "X"))
+        Y = np.array(as_float_array(self.Y, "Y"))
         if X.ndim != 2 or X.shape[1] != self.k:
             raise ValidationError(f"X must be (n, {self.k}), got shape {X.shape}")
         if Y.ndim != 1 or Y.shape[0] != X.shape[0]:
@@ -234,6 +229,15 @@ class DataSet:
         order = canonical_order((*self.X.T, self.Y))
         order.setflags(write=False)
         return order
+
+
+def as_float_array(a, name: str) -> np.ndarray:
+    """``a`` as a float array, or a one-line :class:`ValidationError` naming
+    it when it is not one (ragged nesting, cells that are not numbers)."""
+    try:
+        return np.asarray(a, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} is not a rectangular array of numbers") from None
 
 
 def canonical_order(keys) -> np.ndarray:
@@ -282,13 +286,12 @@ def read_csv(path, k: int) -> np.ndarray:
             else:
                 if arr.shape[1] == k + 1:
                     return arr
-    return _parse_rows(path, k)[0]
+    return _parse_rows(path, k)
 
 
-def _parse_rows(path, k: int) -> tuple[np.ndarray, list[int]]:
-    """The row-by-row parser behind :func:`read_csv`: the values and the
-    1-based line number of each data row."""
-    rows, lines = [], []
+def _parse_rows(path, k: int) -> np.ndarray:
+    """The row-by-row parser behind :func:`read_csv`."""
+    rows = []
     with open(path, newline="", encoding="utf-8") as fh:
         _header(fh, path, k)
         for lineno, row in enumerate(csv.reader(fh), start=2):
@@ -300,26 +303,9 @@ def _parse_rows(path, k: int) -> tuple[np.ndarray, list[int]]:
                 rows.append([float(c) for c in row])
             except ValueError as exc:
                 raise ParseError(str(exc), path, lineno) from None
-            lines.append(lineno)
     if not rows:
         raise ValidationError(f"n >= 1 required: {path} has no data rows")
-    return np.asarray(rows, dtype=float), lines
-
-
-def load_csv(path, k: int, deriv: DerivIndex) -> DataSet:
-    """Read a dataset from CSV (see :func:`read_csv`).
-
-    Coordinates must already lie in [0, 1]; out-of-range values are rejected,
-    not clamped, with a :class:`ParseError` naming the path and the 1-based
-    line number.
-    """
-    arr = read_csv(path, k)
-    outside = ~((arr[:, :k] >= 0.0) & (arr[:, :k] <= 1.0))
-    if outside.any():
-        r, j = np.argwhere(outside)[0]
-        line = _parse_rows(path, k)[1][r]
-        raise ParseError(f"coordinate x{j + 1}={float(arr[r, j])} outside [0, 1]", path, line)
-    return DataSet(k=k, deriv=deriv, X=arr[:, :k], Y=arr[:, k])
+    return np.asarray(rows, dtype=float)
 
 
 def write_csv(path, header: list[str], rows) -> None:
@@ -333,11 +319,6 @@ def write_csv(path, header: list[str], rows) -> None:
             writer.writerow(
                 [repr(float(v)) if isinstance(v, (float, np.floating)) else str(v) for v in row]
             )
-
-
-def save_csv(ds: DataSet, path) -> None:
-    """Write a dataset as CSV (:func:`write_csv`), readable by :func:`load_csv`."""
-    write_csv(path, [f"x{j + 1}" for j in range(ds.k)] + ["y"], zip(*ds.X.T, ds.Y))
 
 
 # ---------------------------------------------------------------------------

@@ -8,14 +8,14 @@ weights bounded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import DataSet, ValidationError
-from .kernels import ProductKernel, Workspace, band_sweep, check_bandwidth, product_kernel
+from .kernels import Workspace, band_sweep, check_bandwidth, product_kernel
 
-__all__ = ["DensityEstimator", "loo_density", "floored_density", "loo_at_rows"]
+__all__ = ["DensityEstimator", "loo_density", "loo_at_rows"]
 
 @dataclass(frozen=True)
 class DensityEstimator:
@@ -23,16 +23,13 @@ class DensityEstimator:
 
     The kernel order ``d1`` must exceed the dimension k; edge kernels take
     over in any coordinate within H of a face of the cube, which removes
-    boundary bias for the estimator as a whole.  Without ``edge_corrected``
-    the ``family`` uses the interior kernel in every region.
+    boundary bias for the estimator as a whole.
     """
 
     data: DataSet
     d1: int
     H: float
     floor: float = 0.05
-    edge_corrected: bool = True
-    family: ProductKernel = field(init=False)
 
     def __post_init__(self):
         if self.data.n < 2:
@@ -46,10 +43,6 @@ class DensityEstimator:
                 f"density kernel order d1={self.d1} must exceed k={self.data.k}"
             )
         check_bandwidth(self.H, self.d1, self.data.k, "H")
-        family = product_kernel(self.d1)
-        if not self.edge_corrected:
-            family = ProductKernel(family.order, family.interior, family.interior, family.interior)
-        object.__setattr__(self, "family", family)
 
 
 def loo_density(est: DensityEstimator, i: int, x) -> float:
@@ -64,22 +57,17 @@ def loo_density(est: DensityEstimator, i: int, x) -> float:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape != (est.data.k,):
         raise ValidationError(f"x has shape {x.shape}, data has k={est.data.k}")
-    w = est.family.weights(x[None, :], est.data.X, est.H)[0]
+    w = product_kernel(est.d1).weights(x[None, :], est.data.X, est.H)[0]
     w[i] = 0.0
     return float(w.sum() / (n - 1))
-
-
-def floored_density(est: DensityEstimator, i: int, x) -> float:
-    """max(loo_density, floor): keeps estimator weights bounded."""
-    return max(loo_density(est, i, x), est.floor)
 
 
 def loo_at_rows(est: DensityEstimator, floored: bool = True) -> np.ndarray:
     """Vector of leave-one-out densities at the design rows themselves.
 
     Precomputed once per dataset by the regression estimators; equal to
-    calling :func:`loo_density` (or its floored form) at every (i, X_i), up to
-    the order of summation.
+    calling :func:`loo_density` at every (i, X_i), up to the order of
+    summation, and floored at ``est.floor`` unless ``floored`` is false.
 
     An exact sorted-band sweep (:func:`derivreg.kernels.band_sweep`, which
     gives its tiling, time and memory) over the rows in the dataset's
@@ -94,9 +82,10 @@ def loo_at_rows(est: DensityEstimator, floored: bool = True) -> np.ndarray:
     Xs = est.data.X[order]
     n = Xs.shape[0]
     sums = np.empty(n)
+    family = product_kernel(est.d1)
     work = Workspace()
     for idx, rows in band_sweep(Xs, est.H):
-        w = est.family.weights(Xs[idx], Xs[rows], est.H, work)
+        w = family.weights(Xs[idx], Xs[rows], est.H, work)
         w[np.arange(idx.size), np.searchsorted(rows, idx)] = 0.0
         sums[idx] = w.sum(axis=1)
     # Identical rows are adjacent in canonical order but may fall in tiles

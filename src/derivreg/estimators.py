@@ -28,7 +28,7 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .core import DataSet, DerivIndex, ValidationError
+from .core import DataSet, DerivIndex, ValidationError, as_float_array
 from .density import DensityEstimator, loo_at_rows
 from .functionals import Quadrature, Term, TermPlan, Weight, build_term_plan, gl_panels, tensor_rule, weight_shape
 from .kernels import BandwidthPlan, Workspace, band_sweep, check_bandwidth, check_orders, default_orders, product_kernel
@@ -39,7 +39,6 @@ __all__ = [
     "nonlocal_estimate",
     "smoothed_nonlocal_estimate",
     "fit",
-    "nadaraya_watson",
     "nadaraya_watson_grid",
     "limit_covariance",
     "make_grid",
@@ -48,7 +47,7 @@ __all__ = [
 
 def _check_points(pts, k: int) -> np.ndarray:
     """Evaluation points as an (m, k) array of finite points in [0, 1]^k."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    pts = np.atleast_2d(as_float_array(pts, "evaluation points"))
     if pts.shape[1] != k:
         raise ValidationError(f"evaluation points have {pts.shape[1]} columns, data has k={k}")
     bad = np.flatnonzero(~np.all(np.isfinite(pts) & (pts >= 0.0) & (pts <= 1.0), axis=1))
@@ -354,23 +353,6 @@ def fit(plan: EstimationPlan, eval_points) -> FitResult:
 # ---------------------------------------------------------------------------
 
 
-def nadaraya_watson(
-    ds: DataSet,
-    x,
-    h: float,
-    d: int = 2,
-    den_floor: float = 0.05,
-) -> float:
-    """Locally weighted average over all k coordinates (the no-derivative
-    baseline) at one point: :func:`nadaraya_watson_grid` without widening.
-
-    Raises when no design point carries kernel mass at x (bandwidth too
-    small).
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    return float(nadaraya_watson_grid(ds.X, ds.Y, x[None, :], h, d=d, den_floor=den_floor)[0])
-
-
 def _nw_pass(Xs, Ys, pts, h, family, den_floor):
     """One windowed NW pass over rows ``Xs``, ``Ys`` in canonical order:
     (values, mass) at ``pts``, where ``mass`` flags the points at which some
@@ -397,7 +379,8 @@ def nadaraya_watson_grid(
     den_floor: float = 0.05,
     widen_on_empty: bool = False,
 ) -> np.ndarray:
-    """Baseline smoother over many evaluation points in the unit cube.
+    """Locally weighted average over all k coordinates (the no-derivative
+    baseline), at many evaluation points in the unit cube.
 
     ``X`` must be 2-D.  ``X`` and ``Y`` become a
     :class:`derivreg.core.DataSet`, so they pass its row checks and the
@@ -417,9 +400,10 @@ def nadaraya_watson_grid(
     for all its tiles.  Sums run in canonical row order, so the result is
     bitwise invariant under row permutations of (X, Y).
     """
-    if np.ndim(X) != 2:
-        raise ValidationError(f"X must be a 2-D (n, k) array, got shape {np.shape(X)}")
-    k = np.shape(X)[1]
+    X = as_float_array(X, "X")
+    if X.ndim != 2:
+        raise ValidationError(f"X must be a 2-D (n, k) array, got shape {X.shape}")
+    k = X.shape[1]
     ds = DataSet(k, DerivIndex.zeros(k), X, Y)
     pts = _check_points(pts, k)
     check_bandwidth(h, d, k)

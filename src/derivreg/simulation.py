@@ -29,7 +29,6 @@ __all__ = [
     "CobbDouglasOracle",
     "SimSample",
     "generate",
-    "derivative_ac_estimate",
     "derivative_ac_curve",
     "BenchmarkRules",
     "McResult",
@@ -109,9 +108,9 @@ class CobbDouglasOracle:
 class SimSample:
     """One generated sample: raw covariates, responses, and oracle truth.
 
-    The capital price ``r`` is one in every row.  ``ds_ac``/``ds_al`` hold
-    the same data with covariates shifted onto the unit square (the raw
-    support [0.5, 1.5]^2 has unit width, so the map is a pure shift).
+    The capital price ``r`` is one in every row.  ``ds_ac`` holds the cost
+    data with covariates shifted onto the unit square (the raw support
+    [0.5, 1.5]^2 has unit width, so the map is a pure shift).
     """
 
     cfg: CobbDouglasConfig
@@ -128,11 +127,6 @@ class SimSample:
     def ds_ac(self) -> DataSet:
         X = np.column_stack([self.q - _LO, self.v - _LO])
         return DataSet(k=2, deriv=DerivIndex.from_string("00"), X=X, Y=self.y_ac)
-
-    @property
-    def ds_al(self) -> DataSet:
-        X = np.column_stack([self.q - _LO, self.v - _LO])
-        return DataSet(k=2, deriv=DerivIndex.from_string("01"), X=X, Y=self.y_al)
 
 
 def generate(cfg: CobbDouglasConfig, path_prefix: tuple[int, ...] = ()) -> SimSample:
@@ -234,12 +228,6 @@ def derivative_ac_curve(
     ga = eval_r * cum_sums / counts
     gb = eval_r * win_sums / counts
     return ga, gb, ga + gb
-
-
-def derivative_ac_estimate(sample: SimSample, q: float, w_over_r: float, h: float, r: float = 1.0) -> float:
-    """Single-point derivative-based AC estimate (see derivative_ac_curve)."""
-    _, _, ac = derivative_ac_curve(sample, [q], [w_over_r], r, h)
-    return float(ac[0])
 
 
 # ---------------------------------------------------------------------------

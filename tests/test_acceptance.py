@@ -161,7 +161,7 @@ def test_criterion_7_oracle_equivalence():
         h = float(rng.uniform(0.3, 0.6))
         j = int(rng.integers(0, n))
         q0, v0 = float(sample.q[j]), float(sample.v[j])
-        prod = dr.derivative_ac_estimate(sample, q0, v0, h)
+        prod = dr.derivative_ac_curve(sample, [q0], [v0], 1.0, h)[2][0]
         naive = reference.derivative_ac(
             sample.q.tolist(), sample.v.tolist(), sample.r.tolist(),
             sample.y_ac.tolist(), sample.y_al.tolist(), q0, v0, 1.0, h,

@@ -12,15 +12,13 @@ from derivreg import (
     DerivIndex,
     ParseError,
     ValidationError,
-    load_csv,
     poly_function,
     product_function,
     rescale_to_unit,
-    save_csv,
     split_stream,
+    write_csv,
 )
-from derivreg.core import canonical_order
-from derivreg.core import _parse_rows, read_csv
+from derivreg.core import _parse_rows, canonical_order, read_csv
 
 
 class TestDerivIndex:
@@ -48,42 +46,26 @@ class TestDerivIndex:
         with pytest.raises(ValidationError):
             DerivIndex.from_string("10") | DerivIndex.from_string("100")
 
-    def test_subset(self):
-        assert DerivIndex.from_string("100").is_subset_of(DerivIndex.from_string("110"))
-        assert not DerivIndex.from_string("011").is_subset_of(DerivIndex.from_string("110"))
-
 
 class TestCsv:
     def test_parse_three_rows(self, tmp_path):
         f = tmp_path / "d.csv"
         f.write_text("x1,x2,y\n0.1,0.2,3.0\n0.4,0.5,-1.0\n1.0,0.0,0.25\n")
-        ds = load_csv(f, 2, DerivIndex.from_string("00"))
-        assert ds.n == 3
-        assert ds.X[2, 0] == 1.0 and ds.Y[1] == -1.0
-
-    def test_out_of_domain_rejected(self, tmp_path):
-        f = tmp_path / "d.csv"
-        f.write_text("x1,x2,y\n1.2,0.2,3.0\n")
-        with pytest.raises(ParseError, match="x1=1.2"):
-            load_csv(f, 2, DerivIndex.from_string("00"))
-        f.write_text("x1,y\n0.5,1.0\n\n-0.25,2.0\n")
-        with pytest.raises(ParseError, match=r"line 4: coordinate x1=-0.25 outside"):
-            load_csv(f, 1, DerivIndex.from_string("0"))
-        f.write_text("x1,y\n0.5,1.0\nnan,2.0\n")
-        with pytest.raises(ParseError, match=r"line 3: coordinate x1=nan outside"):
-            load_csv(f, 1, DerivIndex.from_string("0"))
+        arr = read_csv(f, 2)
+        assert arr.shape == (3, 3)
+        assert arr[2, 0] == 1.0 and arr[1, 2] == -1.0
 
     def test_empty_data_section(self, tmp_path):
         f = tmp_path / "d.csv"
         f.write_text("x1,x2,y\n")
         with pytest.raises(ValidationError, match="n >= 1 required"):
-            load_csv(f, 2, DerivIndex.from_string("00"))
+            read_csv(f, 2)
 
     def test_malformed_cell_names_line(self, tmp_path):
         f = tmp_path / "d.csv"
         f.write_text("x1,y\n0.5,1.0\n0.6,oops\n")
         with pytest.raises(ParseError, match="line 3"):
-            load_csv(f, 1, DerivIndex.from_string("0"))
+            read_csv(f, 1)
 
     def test_bulk_parse_matches_row_parser(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -92,10 +74,9 @@ class TestCsv:
         f = tmp_path / "d.csv"
         lines = [",".join(cells[i : i + 3]) for i in range(0, 300, 3)]
         f.write_text("x1,x2,y\n" + "\n".join(lines[:50]) + "\n\n" + "\r\n".join(lines[50:]) + "\n")
-        bulk, (rows, line_numbers) = read_csv(f, 2), _parse_rows(f, 2)
+        bulk, rows = read_csv(f, 2), _parse_rows(f, 2)
         assert bulk.shape == (100, 3)
         assert np.array_equal(bulk, rows) and np.array_equal(np.signbit(bulk), np.signbit(rows))
-        assert line_numbers[49:51] == [51, 53]
 
     def test_row_parser_fallback_keeps_errors(self, tmp_path):
         f = tmp_path / "d.csv"
@@ -118,12 +99,12 @@ class TestCsv:
     def test_round_trip_bit_exact(self, tmp_path):
         f = tmp_path / "d.csv"
         f.write_text("x1,y\n0.1,0.30000000000000004\n0.7071067811865476,-2.5\n")
-        ds = load_csv(f, 1, DerivIndex.from_string("0"))
         out1 = tmp_path / "o1.csv"
         out2 = tmp_path / "o2.csv"
-        save_csv(ds, out1)
-        save_csv(load_csv(out1, 1, DerivIndex.from_string("0")), out2)
+        write_csv(out1, ["x1", "y"], read_csv(f, 1).tolist())
+        write_csv(out2, ["x1", "y"], read_csv(out1, 1).tolist())
         assert out1.read_bytes() == out2.read_bytes()
+        assert np.array_equal(read_csv(out2, 1), read_csv(f, 1))
 
 
 class TestRescale:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from derivreg import DataSet, DensityEstimator, DerivIndex, ValidationError, floored_density, loo_at_rows, loo_density, split_stream
+from derivreg import DataSet, DensityEstimator, DerivIndex, ValidationError, loo_at_rows, loo_density, split_stream
 
 Z2 = DerivIndex.zeros(2)
 Z1 = DerivIndex.zeros(1)
@@ -44,43 +44,38 @@ class TestPointEvaluations:
 
 class TestFloor:
     def test_floor_behaviour(self):
-        # isolated evaluation point: raw value 0 -> floored to the floor
         est = DensityEstimator(_ds([[0.1], [0.12], [0.9]]), d1=2, H=0.05, floor=0.05)
-        assert loo_density(est, 2, [0.5]) == 0.0
-        assert floored_density(est, 2, [0.5]) == 0.05
+        raw, floored = loo_at_rows(est, floored=False), loo_at_rows(est)
+        # isolated row: raw value 0 -> floored to the floor
+        assert raw[2] == 0.0 and floored[2] == 0.05
         # dense cluster: raw value far above the floor passes through
-        raw = loo_density(est, 0, [0.11])
-        assert raw > 0.05
-        assert floored_density(est, 0, [0.11]) == raw
+        assert raw[0] > 0.05
+        assert floored[0] == raw[0]
 
     def test_rows_match_per_call(self):
         X = split_stream(8, [0]).uniform((40, 2))
         est = DensityEstimator(_ds(X), d1=4, H=0.3, floor=0.05)
         rows = loo_at_rows(est, floored=True)
         for i in (0, 7, 39):
-            assert rows[i] == pytest.approx(floored_density(est, i, X[i]), abs=1e-14)
+            assert rows[i] == pytest.approx(max(loo_density(est, i, X[i]), est.floor), abs=1e-14)
 
 
 class TestStatisticalBehaviour:
-    def _mc_mean(self, x, edge, nres=3000, n=40, H=0.3, d1=2, k=1):
+    def _mc_mean(self, x, nres=3000, n=40, H=0.3, d1=2, k=1):
         vals = np.empty(nres)
         for r in range(nres):
             X = split_stream(77, [r]).uniform((n, k))
-            est = DensityEstimator(_ds(X), d1=d1, H=H, edge_corrected=edge)
+            est = DensityEstimator(_ds(X), d1=d1, H=H)
             vals[r] = loo_density(est, 0, np.full(k, x) if np.isscalar(x) else x)
         return vals.mean(), vals.std(ddof=1) / np.sqrt(nres)
 
     def test_interior_unbiased_for_uniform(self):
-        mean, se = self._mc_mean(0.5, edge=True)
+        mean, se = self._mc_mean(0.5)
         assert abs(mean - 1.0) <= 3 * se
 
     def test_boundary_unbiased_with_edge_kernels(self):
-        mean, se = self._mc_mean(0.0, edge=True)
+        mean, se = self._mc_mean(0.0)
         assert abs(mean - 1.0) <= 3 * se
-
-    def test_boundary_halved_without_edge_kernels(self):
-        mean, _ = self._mc_mean(0.0, edge=False)
-        assert 0.4 <= mean <= 0.6
 
     def test_independent_of_responses(self):
         X = split_stream(5, [0]).uniform((30, 2))
@@ -139,7 +134,7 @@ _coord = st.one_of(
 
 @st.composite
 def _designs(draw, max_n):
-    """(X, H, edge): rows in [0, 1]^k, some repeated exactly."""
+    """(X, H): rows in [0, 1]^k, some repeated exactly."""
     k = draw(st.integers(1, 3))
     n = draw(st.integers(2, max_n))
     rows = draw(st.lists(st.lists(_coord, min_size=k, max_size=k), min_size=n, max_size=n))
@@ -148,25 +143,23 @@ def _designs(draw, max_n):
     for src, dst in copies:
         X[dst] = X[src]
     H = draw(st.floats(min_value=1e-3, max_value=1.0, exclude_max=True))
-    return X, H, draw(st.booleans())
+    return X, H
 
 
 class TestWindowedSweep:
     """loo_at_rows against the naive oracle, on any design and bandwidth."""
 
     @staticmethod
-    def _naive(X, H, edge, d1=4):
-        return np.array(
-            [reference.loo_density(X.tolist(), i, X[i].tolist(), H, d1, edge) for i in range(len(X))]
-        )
+    def _naive(X, H, d1=4):
+        return np.array([reference.loo_density(X.tolist(), i, X[i].tolist(), H, d1) for i in range(len(X))])
 
     @settings(max_examples=60, deadline=None)
     @given(_designs(max_n=140))
     def test_matches_naive_oracle(self, design):
-        X, H, edge = design
-        est = DensityEstimator(_ds(X), d1=4, H=H, edge_corrected=edge)
+        X, H = design
+        est = DensityEstimator(_ds(X), d1=4, H=H)
         got = loo_at_rows(est, floored=False)
-        want = self._naive(X, H, edge)
+        want = self._naive(X, H)
         # Summation order differs from the oracle's; values scale like H^-k.
         assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
@@ -179,26 +172,25 @@ class TestWindowedSweep:
             ([[0.0]] * 3 + [[1.0]] * 3, 0.05),  # duplicate rows on both faces
         ],
     )
-    @pytest.mark.parametrize("edge", [True, False])
-    def test_edge_cases_match_naive_oracle(self, X, H, edge):
+    def test_edge_cases_match_naive_oracle(self, X, H):
         X = np.asarray(X, dtype=float)
-        est = DensityEstimator(_ds(X), d1=4, H=H, edge_corrected=edge)
+        est = DensityEstimator(_ds(X), d1=4, H=H)
         got = loo_at_rows(est, floored=False)
-        assert np.all(np.abs(got - self._naive(X, H, edge)) <= 1e-12)
+        assert np.all(np.abs(got - self._naive(X, H)) <= 1e-12)
 
     def test_many_blocks_match_naive_oracle(self):
         X = split_stream(31, [0]).uniform((300, 2)) ** 1.5
         est = DensityEstimator(_ds(X), d1=4, H=0.12)
         got = loo_at_rows(est, floored=False)
-        assert np.max(np.abs(got - self._naive(X, 0.12, True))) <= 1e-12
+        assert np.max(np.abs(got - self._naive(X, 0.12))) <= 1e-12
 
     @settings(max_examples=40, deadline=None)
     @given(_designs(max_n=300), st.randoms(use_true_random=False))
     def test_row_permutation_permutes_output_bitwise(self, design, rnd):
-        X, H, edge = design
+        X, H = design
         perm = np.array(rnd.sample(range(len(X)), len(X)))
-        a = loo_at_rows(DensityEstimator(_ds(X), d1=4, H=H, edge_corrected=edge), floored=False)
-        b = loo_at_rows(DensityEstimator(_ds(X[perm]), d1=4, H=H, edge_corrected=edge), floored=False)
+        a = loo_at_rows(DensityEstimator(_ds(X), d1=4, H=H), floored=False)
+        b = loo_at_rows(DensityEstimator(_ds(X[perm]), d1=4, H=H), floored=False)
         assert np.array_equal(a[perm], b)
 
     def test_duplicate_run_across_blocks_permutes_bitwise(self):

@@ -21,7 +21,6 @@ from derivreg import (
     limit_covariance,
     loo_at_rows,
     make_grid,
-    nadaraya_watson,
     nadaraya_watson_grid,
     nonlocal_estimate,
     poly_function,
@@ -275,11 +274,11 @@ class TestBaselineSmoother:
         X = split_stream(2, [0]).uniform((60, 2))
         ds = DataSet(2, D("00"), X, np.full(60, 3.25))
         for x in ([0.5, 0.5], [0.2, 0.8]):
-            assert nadaraya_watson(ds, x, h=0.3) == pytest.approx(3.25, rel=1e-12)
+            assert nadaraya_watson_grid(ds.X, ds.Y, [x], h=0.3)[0] == pytest.approx(3.25, rel=1e-12)
 
     def test_single_in_window_point(self):
         ds = DataSet(1, D("0"), np.array([[0.5], [0.95]]), np.array([7.0, -1.0]))
-        assert nadaraya_watson(ds, [0.48], h=0.1) == pytest.approx(7.0)
+        assert nadaraya_watson_grid(ds.X, ds.Y, [[0.48]], h=0.1)[0] == pytest.approx(7.0)
 
     @pytest.mark.parametrize(
         "h, message",
@@ -300,7 +299,7 @@ class TestBaselineSmoother:
     def test_zero_mass_errors(self):
         ds = DataSet(1, D("0"), np.array([[0.9]]), np.array([1.0]))
         with pytest.raises(ValidationError, match="increase h"):
-            nadaraya_watson(ds, [0.2], h=0.05)
+            nadaraya_watson_grid(ds.X, ds.Y, [[0.2]], h=0.05)
 
     def test_matches_naive_reference(self):
         import reference
@@ -315,7 +314,7 @@ class TestBaselineSmoother:
             x = rng.uniform(0.05, 0.95, size=k)
             h = float(rng.uniform(0.3, 0.5))
             naive = reference.nadaraya_watson(X.tolist(), Y.tolist(), x.tolist(), h, 2, 0.05)
-            assert nadaraya_watson(ds, x, h, den_floor=0.05) == pytest.approx(naive, abs=1e-12)
+            assert nadaraya_watson_grid(ds.X, ds.Y, [x], h, den_floor=0.05)[0] == pytest.approx(naive, abs=1e-12)
 
     @pytest.mark.parametrize("h", [0.3, 0.7])
     def test_grid_matches_naive_reference(self, h):
@@ -337,7 +336,7 @@ class TestBaselineSmoother:
         with pytest.raises(ValidationError, match="unit cube"):
             nadaraya_watson_grid(X, X[:, 0], np.array([[0.5, 0.5], bad]), 0.2, widen_on_empty=True)
         with pytest.raises(ValidationError, match="unit cube"):
-            nadaraya_watson(DataSet(2, D("00"), X, X[:, 0]), bad, 0.2)
+            nadaraya_watson_grid(X, X[:, 0], [bad], 0.2)
 
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize(
@@ -362,6 +361,23 @@ class TestBaselineSmoother:
                 call()
             assert "\n" not in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda: DataSet(1, D("0"), [[0.5], [0.2, 0.3]], [1.0, 2.0]), "X"),
+            (lambda: DataSet(1, D("0"), [[0.5], [0.2]], [1.0, [2.0, 3.0]]), "Y"),
+            (lambda: nadaraya_watson_grid([[0.5], [0.2, 0.3]], [1.0, 2.0], [[0.5]], 0.5), "X"),
+            (lambda: nadaraya_watson_grid([[0.5], [0.2]], [1.0, [2.0, 3.0]], [[0.5]], 0.5), "Y"),
+            (lambda: nadaraya_watson_grid([[0.5], [0.2]], [1.0, 2.0], [[0.5], [0.2, 0.3]], 0.5), "evaluation points"),
+        ],
+        ids=["DataSet-X", "DataSet-Y", "grid-X", "grid-Y", "grid-points"],
+    )
+    def test_ragged_input_rejected(self, call, name):
+        # numpy raised its own "inhomogeneous shape" ValueError.
+        with pytest.raises(ValidationError, match=rf"^{name} is not a rectangular array of numbers$") as exc:
+            call()
+        assert "\n" not in str(exc.value)
+
     @pytest.mark.parametrize("X", [0.5, [0.2, 0.5, 0.8]], ids=["scalar", "1-D"])
     def test_X_must_be_two_dimensional(self, X):
         # A scalar X raised IndexError, and a 1-D X of length 3 was read as k = 3.
@@ -372,12 +388,9 @@ class TestBaselineSmoother:
     @pytest.mark.parametrize("den_floor", [0.0, -1.0, np.nan, np.inf])
     def test_den_floor_must_be_finite_and_positive(self, den_floor):
         X = split_stream(2, [0]).uniform((40, 2))
-        ds = DataSet(2, D("00"), X, X[:, 0])
         message = f"den_floor must be finite and positive, got {den_floor}"
         with pytest.raises(ValidationError, match=message):
             nadaraya_watson_grid(X, X[:, 0], np.array([[0.5, 0.5]]), 0.3, den_floor=den_floor)
-        with pytest.raises(ValidationError, match=message):
-            nadaraya_watson(ds, [0.5, 0.5], 0.3, den_floor=den_floor)
 
     def test_leaves_the_callers_arrays_writable(self):
         X = split_stream(2, [0]).uniform((40, 2))
@@ -391,7 +404,7 @@ class TestBaselineSmoother:
         g = poly_function(1, {(2,): 1.0})
         ds = DataSet(1, D("0"), grid, g(grid))
         hs = np.array([0.32, 0.16, 0.08, 0.04])
-        errs = np.array([abs(nadaraya_watson(ds, [0.5], h=h) - 0.25) for h in hs])
+        errs = np.array([abs(nadaraya_watson_grid(ds.X, ds.Y, [[0.5]], h=h)[0] - 0.25) for h in hs])
         slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
         assert abs(slope - 2.0) <= 0.2
 
