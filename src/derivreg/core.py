@@ -154,7 +154,7 @@ def rescale_to_unit(raw) -> tuple[np.ndarray, list[AffineMap]]:
     cannot be rescaled and raises :class:`ValidationError` naming the
     coordinate (1-based).
     """
-    raw = np.asarray(raw, dtype=float)
+    raw = as_float_array(raw, "raw")
     if raw.ndim == 1:
         raw = raw[:, None]
     scaled = np.empty_like(raw)
@@ -363,9 +363,12 @@ class TestFunction:
     """A k-variate function together with all its mixed first-order partials.
 
     ``deriv(alpha, pts)`` returns the partial in which each coordinate flagged
-    by ``alpha`` is differentiated exactly once; the all-zero index returns
-    the function itself, as does calling it; ``deriv_fn(alpha, pts)``
-    computes both.  Evaluation is vectorized over an (m, k) point array.
+    by ``alpha`` is differentiated exactly once, at every row of an (m, k)
+    point array; the all-zero index returns the function itself, as does
+    calling it.  ``partial(alpha)`` is the same partial as an integrand over
+    coordinate columns: it takes k arrays that broadcast against each other
+    and returns the values in their broadcast shape.  ``deriv_fn(alpha,
+    cols)`` computes both.
     """
 
     def __init__(self, k: int, deriv_fn: Callable, label: str = ""):
@@ -377,10 +380,17 @@ class TestFunction:
         return self.deriv(DerivIndex.zeros(self.k), pts)
 
     def deriv(self, alpha: DerivIndex, pts) -> np.ndarray:
+        pts = np.atleast_2d(as_float_array(pts, "pts"))
+        if pts.ndim != 2 or pts.shape[1] != self.k:
+            raise ValidationError(f"pts must be (m, {self.k}), got shape {pts.shape}")
+        return np.asarray(self.partial(alpha)(tuple(pts.T)), dtype=float)
+
+    def partial(self, alpha: DerivIndex) -> Callable:
+        """The ``alpha`` partial as a function of k broadcastable coordinate
+        columns."""
         if alpha.k != self.k:
             raise ValidationError(f"alpha has k={alpha.k}, function has k={self.k}")
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return np.asarray(self._deriv(alpha, pts), dtype=float)
+        return lambda cols: self._deriv(alpha, cols)
 
     def __repr__(self):
         return f"TestFunction(k={self.k}, {self.label!r})"
@@ -392,13 +402,13 @@ def poly_function(k: int, terms: dict[tuple[int, ...], float], label: str = "") 
         if len(exps) != k:
             raise ValidationError(f"exponent tuple {exps} does not have length {k}")
 
-    def _eval_terms(tms, pts):
-        out = np.zeros(pts.shape[0])
+    def _eval_terms(tms, cols):
+        out = np.zeros(np.broadcast_shapes(*(np.shape(c) for c in cols)))
         for exps, coef in tms.items():
-            mono = np.full(pts.shape[0], coef)
-            for j, e in enumerate(exps):
+            mono = np.float64(coef)
+            for col, e in zip(cols, exps):
                 if e:
-                    mono = mono * pts[:, j] ** e
+                    mono = mono * col**e
             out += mono
         return out
 
@@ -420,17 +430,21 @@ def poly_function(k: int, terms: dict[tuple[int, ...], float], label: str = "") 
         return out
 
     return TestFunction(
-        k, lambda alpha, pts: _eval_terms(_diff(terms, alpha), pts), label=label or f"poly{terms}"
+        k, lambda alpha, cols: _eval_terms(_diff(terms, alpha), cols), label=label or f"poly{terms}"
     )
 
 
 def product_function(factors: Sequence[tuple[Callable, Callable]], label: str = "") -> TestFunction:
-    """Separable product  g(x) = f_1(x_1) ... f_k(x_k)  from (f, f') pairs."""
+    """Separable product  g(x) = f_1(x_1) ... f_k(x_k)  from (f, f') pairs.
 
-    def _deriv(alpha, pts):
-        out = np.ones(pts.shape[0])
-        for j, (f, df) in enumerate(factors):
-            out = out * (df(pts[:, j]) if alpha.bits[j] else f(pts[:, j]))
+    Each factor runs on its own coordinate column only, and the product is
+    taken in coordinate order, ((1 * f_1) * f_2) * f_3.
+    """
+
+    def _deriv(alpha, cols):
+        out = np.ones(())
+        for bit, col, (f, df) in zip(alpha.bits, cols, factors):
+            out = out * (df(col) if bit else f(col))
         return out
 
     return TestFunction(len(factors), _deriv, label=label or "product")

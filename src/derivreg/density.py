@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DataSet, ValidationError
+from .core import DataSet, ValidationError, as_float_array
 from .kernels import Workspace, band_sweep, check_bandwidth, product_kernel
 
 __all__ = ["DensityEstimator", "loo_density", "loo_at_rows"]
@@ -54,7 +54,7 @@ def loo_density(est: DensityEstimator, i: int, x) -> float:
     n = est.data.n
     if not 0 <= i < n:
         raise ValidationError(f"row index {i} out of range for n={n}")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = np.atleast_1d(as_float_array(x, "x"))
     if x.shape != (est.data.k,):
         raise ValidationError(f"x has shape {x.shape}, data has k={est.data.k}")
     w = product_kernel(est.d1).weights(x[None, :], est.data.X, est.H)[0]

@@ -155,7 +155,7 @@ def _check_one_point(ds: DataSet, x, density) -> tuple[np.ndarray, np.ndarray]:
     pts = _check_points(x, ds.k)
     if pts.shape[0] != 1:
         raise ValidationError(f"x must be one point, got {pts.shape[0]}")
-    density = np.ones(ds.n) if density is None else np.asarray(density, dtype=float)
+    density = np.ones(ds.n) if density is None else as_float_array(density, "density")
     if density.shape != (ds.n,) or not np.all(np.isfinite(density) & (density > 0.0)):
         raise ValidationError(f"density must hold n={ds.n} finite positive values, one per design row")
     return pts, density

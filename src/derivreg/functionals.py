@@ -52,6 +52,7 @@ __all__ = [
     "kernel_moment",
     "kernel_moments",
     "moment_check",
+    "open_rule",
     "tensor_rule",
     "Quadrature",
     "weighted_integral",
@@ -171,27 +172,41 @@ def kernel_moments(spec: KernelSpec) -> list[tuple[int, float, float]]:
     return [(j, m, m - (1.0 if j == 0 else 0.0) if j < spec.order else m) for j, m in enumerate(moments)]
 
 
-def tensor_rule(x, axes) -> tuple[np.ndarray, np.ndarray]:
-    """Points and weights of the tensor product of the 1-D rules in ``axes``,
-    a list of ``(coordinate, nodes, weights)``; every other coordinate stays
-    pinned at ``x``.
+def open_rule(x, axes) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """The tensor product of the 1-D rules in ``axes``, a list of
+    ``(coordinate, nodes, weights)``, as an open grid: one column per
+    coordinate, and the weights on the full grid.
 
-    Rows run in C order over the axes (the last axis varies fastest), and
-    each row's weight is the product of its axis weights taken in axis order.
-    No axes give the single point ``x`` with weight 1; an empty axis gives no
-    points.  ``pts`` is the transpose of a (k, m) array, so that filling it
-    and reading a coordinate's column both run over contiguous memory.
+    The column of the a-th axis has shape (1, ..., n_a, ..., 1), with one
+    dimension per axis; every other coordinate stays pinned at ``x`` as a
+    0-d array.  So the columns broadcast against each other to the grid,
+    whose C order (the last axis varies fastest) is the row order of
+    :func:`tensor_rule`.  Each weight is the product of its axis weights
+    taken in axis order.  No axes give the single point ``x`` with weight 1;
+    an empty axis gives an empty grid.
     """
     x = np.asarray(x, dtype=float)
     wprod = np.ones(())
     for _, _, w in axes:
         wprod = np.multiply.outer(wprod, w)
-    pts = np.empty(x.shape + wprod.shape)
-    for j in set(range(x.shape[0])) - {i for i, _, _ in axes}:
-        pts[j] = x[j]
+    cols = [np.asarray(v) for v in x]
     for a, (i, t, _) in enumerate(axes):
-        pts[i] = np.reshape(t, (-1,) + (1,) * (len(axes) - a - 1))
-    return pts.reshape(x.shape[0], -1).T, wprod.ravel()
+        cols[i] = np.reshape(t, (1,) * a + (-1,) + (1,) * (len(axes) - a - 1))
+    return tuple(cols), wprod
+
+
+def tensor_rule(x, axes) -> tuple[np.ndarray, np.ndarray]:
+    """The rule of :func:`open_rule` with every point materialized: (m, k)
+    points and (m,) weights, rows in C order over the axes.
+
+    ``pts`` is the transpose of a (k, m) array, so that filling it and
+    reading a coordinate's column both run over contiguous memory.
+    """
+    cols, wprod = open_rule(x, axes)
+    pts = np.empty((len(cols),) + wprod.shape)
+    for j, col in enumerate(cols):
+        pts[j] = col
+    return pts.reshape(len(cols), -1).T, wprod.ravel()
 
 
 @dataclass(frozen=True)
@@ -214,7 +229,7 @@ class Quadrature:
 
 
 def weighted_integral(
-    f: Callable[[np.ndarray], np.ndarray],
+    f: Callable[[tuple[np.ndarray, ...]], np.ndarray],
     weights: Sequence[Weight],
     x,
     quad: Quadrature,
@@ -222,7 +237,11 @@ def weighted_integral(
     """Tensor-product integral of f against per-coordinate weights.
 
     LOCAL coordinates are pinned at ``x``; all others are integrated with
-    their weight shape.  ``f`` must accept an (m, k) array.
+    their weight shape.  ``f`` takes the k coordinate columns of
+    :func:`open_rule`, arrays that broadcast against each other (a LOCAL
+    coordinate is a 0-d array), and returns values that broadcast to their
+    grid; :meth:`TestFunction.partial` is such an integrand.  Memory is the
+    grid's weights and products: no (m, k) point array is formed.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     k = len(weights)
@@ -233,9 +252,11 @@ def weighted_integral(
         for i, wkind in enumerate(weights)
         if wkind is not Weight.LOCAL
     ]
-    pts, wprod = tensor_rule(x, axes)
-    vals = np.asarray(f(pts), dtype=float)
-    return float(np.sum(vals * wprod))
+    cols, wprod = open_rule(x, axes)
+    vals = np.asarray(f(cols), dtype=float)
+    # Summing the flat C-order products keeps the rows and the pairwise
+    # summation of the materialized tensor rule.
+    return float(np.sum((vals * wprod).ravel()))
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +264,8 @@ def weighted_integral(
 # ---------------------------------------------------------------------------
 
 
-def _as_callable(b) -> Callable[[np.ndarray], np.ndarray]:
-    return b if callable(b) else (lambda pts: np.full(pts.shape[0], float(b)))
+def _as_callable(b) -> Callable[[tuple[np.ndarray, ...]], np.ndarray]:
+    return b if callable(b) else (lambda cols: np.asarray(float(b)))
 
 
 def reconstruction_integral(
@@ -259,7 +280,9 @@ def reconstruction_integral(
     Integrates over the coordinates in ``coords`` (default: all k), with the
     RECON weight on the support of ``alpha`` and FLAT weight elsewhere; the
     remaining coordinates of b stay pinned at ``x``.  RECON coordinates split
-    quadrature panels at x_i, where the weight jumps.
+    quadrature panels at x_i, where the weight jumps.  ``b`` is a constant or
+    an integrand of k broadcastable coordinate columns, as in
+    :func:`weighted_integral`.
     """
     k = alpha.k
     active = set(range(k)) if coords is None else set(coords)
@@ -276,14 +299,20 @@ def integrate_out(index: DerivIndex, b, x, quad: Quadrature) -> float:
     """Integrate b over the flagged coordinates over [0, 1], others fixed at x.
 
     The all-zero index is the identity operator; composing two of these
-    operators equals a single one over the union of their supports.
+    operators equals a single one over the union of their supports.  ``b`` is
+    a constant or an integrand of k broadcastable coordinate columns, as in
+    :func:`weighted_integral`.
     """
     weights = [Weight.FLAT if bit else Weight.LOCAL for bit in index.bits]
     return weighted_integral(_as_callable(b), weights, x, quad)
 
 
 def integrate_to(index: DerivIndex, b, x, quad: Quadrature) -> float:
-    """Integrate b over the flagged coordinates from 0 to x_i, others fixed."""
+    """Integrate b over the flagged coordinates from 0 to x_i, others fixed.
+
+    ``b`` is a constant or an integrand of k broadcastable coordinate
+    columns, as in :func:`weighted_integral`.
+    """
     weights = [Weight.CUM if bit else Weight.LOCAL for bit in index.bits]
     return weighted_integral(_as_callable(b), weights, x, quad)
 
@@ -292,7 +321,9 @@ def corner_sum(b, x) -> float:
     """Signed corner sum  sum_gamma (-1)^{|gamma|} b(x with gamma-coords zeroed).
 
     Equals the full cumulative integral of the top mixed partial of b; used as
-    an independent oracle for :func:`integrate_to`.
+    an independent oracle for :func:`integrate_to`.  ``b`` is a constant or
+    an integrand of k coordinate columns, here each a 0-d array, as in
+    :func:`weighted_integral`.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     k = x.shape[0]
@@ -300,7 +331,7 @@ def corner_sum(b, x) -> float:
     fn = _as_callable(b)
     for gamma in itertools.product((0, 1), repeat=k):
         pt = np.where(np.asarray(gamma, dtype=bool), 0.0, x)
-        total += (-1) ** sum(gamma) * float(fn(pt[None, :])[0])
+        total += (-1) ** sum(gamma) * float(fn(tuple(np.asarray(v) for v in pt)))
     return total
 
 
@@ -340,9 +371,7 @@ def partial_decomposition_residual(g: TestFunction, p: int, x, quad: Quadrature)
     coords = range(p)
     total = 0.0
     for beta in subindices(DerivIndex.from_support(g.k, coords)):
-        total += reconstruction_integral(
-            beta, lambda pts, b=beta: g.deriv(b, pts), x, quad, coords=coords
-        )
+        total += reconstruction_integral(beta, g.partial(beta), x, quad, coords=coords)
     return abs(float(g(x[None, :])[0]) - total)
 
 
@@ -485,9 +514,7 @@ def evaluate_plan(plan: TermPlan, g: TestFunction, x, quad: Quadrature) -> float
         raise ValidationError(f"plan has k={plan.k}, function has k={g.k}")
     total = 0.0
     for t in plan.terms:
-        total += t.coef * weighted_integral(
-            lambda pts, d=t.deriv: g.deriv(d, pts), t.weights, x, quad
-        )
+        total += t.coef * weighted_integral(g.partial(t.deriv), t.weights, x, quad)
     return total
 
 
@@ -654,10 +681,8 @@ def identity_checks(
                             weights.append(Weight.CUM)
                         else:
                             weights.append(Weight.LOCAL)
-                    lhs += sign * weighted_integral(
-                        lambda p_, a=alpha: g.deriv(a, p_), tuple(weights), x, quad
-                    )
-                    rhs += sign * integrate_out(beta, lambda p_: g(p_), x, quad)
+                    lhs += sign * weighted_integral(g.partial(alpha), tuple(weights), x, quad)
+                    rhs += sign * integrate_out(beta, g.partial(DerivIndex.zeros(k)), x, quad)
                 worst = max(worst, abs(lhs - rhs))
             results.append(CheckResult(f"iex-operator/k={k}/alpha={alpha}", worst, 1e-10))
 
@@ -666,10 +691,7 @@ def identity_checks(
         g = polynomial_suite(k)[-1]
         top = DerivIndex.ones(k)
         r = max(
-            abs(
-                integrate_to(top, lambda p_: g.deriv(top, p_), x, quad)
-                - corner_sum(lambda p_: g(p_), x)
-            )
+            abs(integrate_to(top, g.partial(top), x, quad) - corner_sum(g.partial(DerivIndex.zeros(k)), x))
             for x in _grid_points(k)
         )
         results.append(CheckResult(f"corner-sum/k={k}", r, 1e-10))
@@ -686,11 +708,13 @@ def identity_checks(
 
     # Composition of plain averages: Avg_a Avg_b == Avg_{a|b}.
     g2 = analytic_suite(2)[0]
+    g2_val = g2.partial(DerivIndex.zeros(2))
     a, b = DerivIndex.from_string("10"), DerivIndex.from_string("01")
     comp = max(
         abs(
-            integrate_out(a, lambda y: np.array([integrate_out(b, lambda p_: g2(p_), yi, quad) for yi in y]), x, quad)
-            - integrate_out(a | b, lambda p_: g2(p_), x, quad)
+            # The outer integrand gets coordinate 1's nodes and x_2 (0-d); Avg_b runs at each node.
+            integrate_out(a, lambda c: np.array([integrate_out(b, g2_val, (u, c[1]), quad) for u in c[0]]), x, quad)
+            - integrate_out(a | b, g2_val, x, quad)
         )
         for x in _grid_points(2)
     )
@@ -701,8 +725,8 @@ def identity_checks(
     alpha = DerivIndex.from_string("11")
     dense = max(
         abs(
-            reconstruction_integral(alpha, lambda p_: g2.deriv(alpha, p_), x, quad)
-            - reconstruction_integral(alpha, lambda p_: g2.deriv(alpha, p_), x, quad2)
+            reconstruction_integral(alpha, g2.partial(alpha), x, quad)
+            - reconstruction_integral(alpha, g2.partial(alpha), x, quad2)
         )
         for x in _grid_points(2)
     )

@@ -13,13 +13,12 @@ dimensions.  The benchmark reports the ratio of their mean squared errors.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import ClassVar
 
 import numpy as np
 
-from .core import DataSet, DerivIndex, TestFunction, ValidationError, canonical_order, split_stream, product_function
+from .core import DataSet, DerivIndex, TestFunction, ValidationError, as_float_array, canonical_order, split_stream, product_function
 from .estimators import EstimationPlan, fit, make_grid, nadaraya_watson_grid
 from .functionals import build_term_plan
 from .kernels import BandwidthPlan, band_sweep
@@ -191,9 +190,9 @@ def derivative_ac_curve(
     """
     if not (math.isfinite(h) and h > 0):
         raise ValidationError(f"window width h must be finite and positive, got {h}")
-    eval_q = np.atleast_1d(np.asarray(eval_q, dtype=float))
-    eval_v = np.atleast_1d(np.asarray(eval_v, dtype=float))
-    eval_r = np.asarray(eval_r, dtype=float)
+    eval_q = np.atleast_1d(as_float_array(eval_q, "eval_q"))
+    eval_v = np.atleast_1d(as_float_array(eval_v, "eval_v"))
+    eval_r = as_float_array(eval_r, "eval_r")
     if eval_v.shape != eval_q.shape or (eval_r.ndim and eval_r.shape != eval_q.shape):
         raise ValidationError("eval_q, eval_v and an array eval_r must have one length")
     eval_r = np.broadcast_to(eval_r, eval_q.shape)
@@ -343,6 +342,10 @@ def relative_mse_table(
             cell_cfg = replace(base, n=int(n), rho=float(rho), seed=seed)
             pairs: list[tuple[float, float]] = []
             if workers > 1:
+                # Imported here: only worker pools need it, and every other
+                # run would pay its import time.
+                from concurrent.futures import ProcessPoolExecutor
+
                 bounds = np.linspace(0, reps, workers + 1).astype(int)
                 chunks = [
                     (cell_cfg, rules, int(a), int(b))

@@ -408,6 +408,14 @@ class TestGoldenPayloads:
             "e6f9d0fff427a222b939cfe40c174aad17dde4b9164d93ea5edadc069401f599"
         )
 
+    def test_verify_report_default_nodes(self, tmp_path):
+        # 32 nodes, the default; recorded before integrands moved from the
+        # materialized tensor points to the open grid, which moved no bit.
+        assert run(["verify", "--quad-nodes", 32, "--out-dir", tmp_path]) == 0
+        assert self._digest(tmp_path / "verify_report.csv") == (
+            "741d28b4473b477f854357e7133c7b58dac2fe4cccebc79ed5eeedede0406f1d"
+        )
+
 
 class TestKernelsCommand:
     def test_writes_samples_and_moments(self, tmp_path):

@@ -122,6 +122,11 @@ class TestRescale:
         with pytest.raises(ValidationError, match="coordinate 2"):
             rescale_to_unit(np.array([[1.0, 5.0], [2.0, 5.0]]))
 
+    def test_ragged_input_rejected(self):
+        # numpy raised its own "inhomogeneous shape" ValueError.
+        with pytest.raises(ValidationError, match=r"^raw is not a rectangular array of numbers$"):
+            rescale_to_unit([[1.0], [1.0, 1.1]])
+
     def test_inverse_round_trip(self):
         rng = np.random.default_rng(11)
         raw = rng.normal(scale=100.0, size=(50, 3)) + 17.0
@@ -269,3 +274,72 @@ class TestTestFunctions:
         g = poly_function(2, {(1, 1): 1.0})
         pts = np.array([[0.2, 0.9]])
         assert g.deriv(DerivIndex.zeros(2), pts) == g(pts)
+
+    @pytest.mark.parametrize(
+        "g, pts",
+        [
+            # A 1-D array is one point, here 64 coordinates wide.
+            (poly_function(1, {(2,): 1.0}), np.linspace(0.0, 1.0, 64)),
+            (product_function([(np.exp, np.exp), (np.sin, np.cos)]), np.full((4, 3), 0.5)),
+        ],
+        ids=["k=1", "k=2"],
+    )
+    def test_points_of_the_wrong_width_rejected(self, g, pts):
+        with pytest.raises(ValidationError, match=rf"pts must be \(m, {g.k}\)"):
+            g(pts)
+        with pytest.raises(ValidationError, match=rf"pts must be \(m, {g.k}\)"):
+            g.deriv(DerivIndex.ones(g.k), pts)
+
+    def test_partial_is_deriv_on_columns(self):
+        g = product_function([(np.exp, np.exp), (np.sin, np.cos)])
+        pts = split_stream(9, [0]).uniform(size=(50, 2))
+        for bits in ((0, 0), (1, 0), (0, 1), (1, 1)):
+            alpha = DerivIndex(bits)
+            want = g.deriv(alpha, pts)
+            assert g.partial(alpha)(tuple(pts.T)).tobytes() == want.tobytes()
+            # Open-grid columns give the same values on the whole grid.
+            grid = g.partial(alpha)((pts[:, 0][:, None], pts[:, 1][None, :]))
+            assert grid.shape == (50, 50)
+            assert grid[np.arange(50), np.arange(50)].tobytes() == want.tobytes()
+
+    def test_partial_rejects_an_index_of_another_k(self):
+        with pytest.raises(ValidationError, match="alpha has k=1"):
+            poly_function(2, {(1, 1): 1.0}).partial(DerivIndex.ones(1))
+
+
+_ELEMENTWISE = {
+    "exp": np.exp,
+    "sin": np.sin,
+    "cos": np.cos,
+    "**1": lambda a: a**1,
+    "**2": lambda a: a**2,
+    "**3": lambda a: a**3,
+}
+
+
+class TestElementwisePremise:
+    """Integrals evaluate a test function's factors once per axis node, on the
+    quadrature's open grid, where the tensor rule evaluated them at every
+    tensor point.  Their results keep their bits only if these functions give
+    a value the same bits wherever it sits; another CPU may take other SIMD
+    paths, and this test is what would say so."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        axis=arrays(np.float64, st.integers(1, 64), elements=st.floats(-4.0, 4.0)),
+        shift=st.integers(0, 17),
+        copies=st.integers(1, 9),
+    )
+    @pytest.mark.parametrize("name", sorted(_ELEMENTWISE))
+    def test_same_bits_wherever_a_value_sits(self, name, axis, shift, copies):
+        fn = _ELEMENTWISE[name]
+        want = fn(axis).tobytes()
+        zero_d = np.array([fn(np.asarray(v)) for v in axis])
+        assert zero_d.tobytes() == want
+        # A long contiguous column holds each value at many offsets, and a
+        # column of a row-major (m, 3) array holds them strided.
+        long = np.concatenate([np.linspace(-1.0, 1.0, shift), np.tile(axis, copies)])
+        strided = np.repeat(long[:, None], 3, axis=1)[:, 1]
+        for col in (long, strided):
+            got = fn(col)[shift:].reshape(copies, axis.size)
+            assert all(row.tobytes() == want for row in got)

@@ -41,6 +41,12 @@ class TestPointEvaluations:
         with pytest.raises(ValidationError, match="shape"):
             loo_density(est, 0, [0.5, 0.5])
 
+    def test_ragged_x_rejected(self):
+        # numpy raised its own "inhomogeneous shape" ValueError.
+        est = DensityEstimator(_ds([[0.5, 0.5], [0.6, 0.6]]), d1=4, H=0.2)
+        with pytest.raises(ValidationError, match=r"^x is not a rectangular array of numbers$"):
+            loo_density(est, 0, [[1.0], [1.0, 1.1]])
+
 
 class TestFloor:
     def test_floor_behaviour(self):

@@ -90,9 +90,7 @@ class TestSmoothedEstimate:
         n, h = 20_000, 0.12
         ds = _uniform_dataset(2, beta, n, g, 0.0, 21, (0,))
         x = [0.5, 0.5]
-        target = reconstruction_integral(
-            beta, lambda p: g.deriv(beta, p), x, QUAD, coords=[0]
-        )
+        target = reconstruction_integral(beta, g.partial(beta), x, QUAD, coords=[0])
         est = smoothed_nonlocal_estimate(ds, beta, x, p=1, h=h)
         # tolerance: 3x the (bias + MC sd) scale recorded when the test was frozen
         assert abs(est - target) <= 3 * (h**2 + 1.0 / np.sqrt(n * h))
@@ -124,6 +122,7 @@ class TestOnePointInputs:
             pytest.param(-np.ones(10), id="negative"),
             pytest.param(np.r_[np.ones(9), np.nan], id="nan"),
             pytest.param(np.r_[np.ones(9), np.inf], id="inf"),
+            pytest.param([1.0] * 9 + [[1.0, 1.1]], id="ragged"),
         ],
     )
     @pytest.mark.parametrize("estimator", ["nonlocal", "smoothed"])

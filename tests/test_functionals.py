@@ -30,6 +30,7 @@ from derivreg.functionals import (
     polynomial_suite,
     subindices,
     tensor_rule,
+    weighted_integral,
 )
 
 QUAD = Quadrature(nodes=32)
@@ -126,6 +127,29 @@ class TestTensorRule:
         assert w.shape == want_w.shape and w.tobytes() == want_w.tobytes()
 
 
+class TestWeightedIntegral:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_bitwise_equal_to_the_materialized_rule(self, k):
+        # The sum of g^alpha times the weights over the rows of tensor_rule.
+        x = np.array([0.3, 0.7, 0.45][:k])
+        kinds = [Weight.RECON, Weight.CUM, Weight.LOCAL, Weight.FLAT, Weight.RAMP]
+        for g in polynomial_suite(k) + analytic_suite(k):
+            for shift in range(len(kinds)):
+                weights = [kinds[(i + shift) % len(kinds)] for i in range(k)]
+                axes = [(i, *QUAD.line_rule(w, x[i])) for i, w in enumerate(weights) if w is not Weight.LOCAL]
+                pts, wprod = tensor_rule(x, axes)
+                for alpha in subindices(DerivIndex.ones(k)):
+                    want = float(np.sum(g.deriv(alpha, pts) * wprod))
+                    assert weighted_integral(g.partial(alpha), weights, x, QUAD) == want
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_point_array_integrand_rejected(self, k):
+        # The integrand gets k coordinate columns, not an (m, k) point array.
+        g = polynomial_suite(k)[0]
+        with pytest.raises(ValidationError, match="pts"):
+            integrate_out(DerivIndex.ones(k), lambda pts: g(pts), [0.5] * k, QUAD)
+
+
 class TestReconstructionIntegral:
     def test_constant_integrand(self):
         # integral of (u - 1 + 1{u<=x}) du = x - 1/2
@@ -136,8 +160,8 @@ class TestReconstructionIntegral:
     def test_univariate_square(self):
         # the two terms of the exact rewrite of x^2 at x = 0.5: 1/3 and -1/12
         g = poly_function(1, {(2,): 1.0})
-        t0 = reconstruction_integral(D("0"), lambda p: g(p), [0.5], QUAD)
-        t1 = reconstruction_integral(D("1"), lambda p: g.deriv(D("1"), p), [0.5], QUAD)
+        t0 = reconstruction_integral(D("0"), g.partial(D("0")), [0.5], QUAD)
+        t1 = reconstruction_integral(D("1"), g.partial(D("1")), [0.5], QUAD)
         assert t0 == pytest.approx(1.0 / 3.0, abs=1e-13)
         assert t1 == pytest.approx(2.0 / 3.0 - 1.0 + 0.25, abs=1e-13)
         assert t0 + t1 == pytest.approx(0.25, abs=1e-12)
@@ -146,16 +170,28 @@ class TestReconstructionIntegral:
         g = poly_function(2, {(3, 0): 1.0, (1, 2): 2.0, (0, 1): -1.0})
         dense = Quadrature(nodes=64)
         for x in ([0.3, 0.8], [0.5, 0.5], [0.9, 0.1]):
-            a = reconstruction_integral(D("11"), lambda p: g.deriv(D("11"), p), x, QUAD)
-            b = reconstruction_integral(D("11"), lambda p: g.deriv(D("11"), p), x, dense)
+            a = reconstruction_integral(D("11"), g.partial(D("11")), x, QUAD)
+            b = reconstruction_integral(D("11"), g.partial(D("11")), x, dense)
             assert a == pytest.approx(b, abs=1e-12)
+
+
+def _pointwise(fn):
+    """An integrand of broadcastable coordinate columns that calls ``fn`` on
+    each point of their grid."""
+
+    def integrand(cols):
+        grid = np.broadcast_arrays(*cols)
+        vals = [fn(pt) for pt in zip(*(c.ravel() for c in grid))]
+        return np.reshape(vals, grid[0].shape)
+
+    return integrand
 
 
 class TestIntegrateOperators:
     def test_zero_index_is_identity(self):
         g = analytic_suite(2)[0]
         x = np.array([0.4, 0.7])
-        assert integrate_out(D("00"), lambda p: g(p), x, QUAD) == pytest.approx(
+        assert integrate_out(D("00"), g.partial(D("00")), x, QUAD) == pytest.approx(
             float(g(x[None, :])[0]), abs=1e-14
         )
 
@@ -164,17 +200,15 @@ class TestIntegrateOperators:
 
     def test_partial_average_analytic(self):
         g = poly_function(2, {(1, 1): 1.0})
-        val = integrate_out(D("10"), lambda p: g(p), [0.0, 0.4], QUAD)
+        val = integrate_out(D("10"), g.partial(D("00")), [0.0, 0.4], QUAD)
         assert val == pytest.approx(0.2, abs=1e-13)
 
     def test_composition_equals_union(self):
         g = analytic_suite(2)[0]
         x = np.array([0.35, 0.65])
-        inner = lambda pts: np.array(
-            [integrate_out(D("01"), lambda p: g(p), xi, QUAD) for xi in pts]
-        )
+        inner = _pointwise(lambda xi: integrate_out(D("01"), g.partial(D("00")), xi, QUAD))
         composed = integrate_out(D("10"), inner, x, QUAD)
-        direct = integrate_out(D("11"), lambda p: g(p), x, QUAD)
+        direct = integrate_out(D("11"), g.partial(D("00")), x, QUAD)
         assert composed == pytest.approx(direct, abs=1e-10)
 
     def test_cumulative_constant(self):
@@ -184,13 +218,13 @@ class TestIntegrateOperators:
         g = poly_function(2, {(2, 1): 1.0})  # u1^2 u2 with top partial 2 u1
         top = D("11")
         for x in ([0.3, 0.8], [1.0, 1.0], [0.6, 0.2]):
-            val = integrate_to(top, lambda p: g.deriv(top, p), x, QUAD)
+            val = integrate_to(top, g.partial(top), x, QUAD)
             assert val == pytest.approx(x[0] ** 2 * x[1], abs=1e-12)
-            assert val == pytest.approx(corner_sum(lambda p: g(p), x), abs=1e-12)
+            assert val == pytest.approx(corner_sum(g.partial(D("00")), x), abs=1e-12)
 
     def test_cumulative_zero_coordinate(self):
         g = analytic_suite(2)[0]
-        assert integrate_to(D("11"), lambda p: g(p), [0.0, 0.5], QUAD) == 0.0
+        assert integrate_to(D("11"), g.partial(D("00")), [0.0, 0.5], QUAD) == 0.0
 
 
 class TestDecompositions:
@@ -202,7 +236,7 @@ class TestDecompositions:
         g = poly_function(2, {(0, 0): 4.2})
         assert decomposition_residual(g, [0.5, 0.5], QUAD) <= 1e-12
         # only the order-zero term survives
-        assert reconstruction_integral(D("00"), lambda p: g(p), [0.5, 0.5], QUAD) == pytest.approx(4.2, abs=1e-12)
+        assert reconstruction_integral(D("00"), g.partial(D("00")), [0.5, 0.5], QUAD) == pytest.approx(4.2, abs=1e-12)
 
     def test_exponential_k3(self):
         g = product_function([(np.exp, np.exp)] * 3)
@@ -310,11 +344,9 @@ class TestOperatorIdentity:
         lhs = rhs = 0.0
         for beta in subindices(alpha):
             sign = (-1.0) ** beta.order
-            inner = lambda pts, a=alpha: np.array(
-                [integrate_to(a, lambda p, aa=a: g.deriv(aa, p), xi, QUAD) for xi in pts]
-            )
+            inner = _pointwise(lambda xi: integrate_to(alpha, g.partial(alpha), xi, QUAD))
             lhs += sign * integrate_out(beta, inner, x, QUAD)
-            rhs += sign * integrate_out(beta, lambda p: g(p), x, QUAD)
+            rhs += sign * integrate_out(beta, g.partial(D("00")), x, QUAD)
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
 

@@ -280,3 +280,12 @@ class TestAcCurveInputs:
         with pytest.raises(ValidationError) as err:
             derivative_ac_curve(sample, eval_q, eval_v, eval_r, h)
         assert "empty Q-window" not in str(err.value)
+
+    @pytest.mark.parametrize("name", ["eval_q", "eval_v", "eval_r"])
+    def test_ragged_input_rejected(self, name):
+        # numpy raised its own "inhomogeneous shape" ValueError.
+        sample = generate(CobbDouglasConfig(n=50, seed=11))
+        args = {"eval_q": [1.0, 1.1], "eval_v": [1.0, 1.1], "eval_r": [1.0, 1.0]}
+        args[name] = [[1.0], [1.0, 1.1]]
+        with pytest.raises(ValidationError, match=rf"^{name} is not a rectangular array of numbers$"):
+            derivative_ac_curve(sample, h=0.3, **args)
