@@ -220,6 +220,10 @@ class Quadrature:
 
     nodes: int = 32
 
+    def __post_init__(self):
+        if isinstance(self.nodes, bool) or not isinstance(self.nodes, (int, np.integer)) or self.nodes < 1:
+            raise ValidationError(f"quadrature nodes must be an integer >= 1, got {self.nodes!r}")
+
     def line_rule(self, weight: Weight, x_i: float) -> tuple[np.ndarray, np.ndarray]:
         """Return (nodes, weights) realizing the univariate weighted integral."""
         x_i = min(max(x_i, 0.0), 1.0)
@@ -247,6 +251,8 @@ def weighted_integral(
     k = len(weights)
     if x.shape[0] != k:
         raise ValidationError(f"x has {x.shape[0]} coordinates, weights describe {k}")
+    if not np.isfinite(x).all():
+        raise ValidationError(f"evaluation point {x.tolist()} must be finite")
     axes = [
         (i, *quad.line_rule(wkind, float(x[i])))
         for i, wkind in enumerate(weights)
@@ -268,6 +274,34 @@ def _as_callable(b) -> Callable[[tuple[np.ndarray, ...]], np.ndarray]:
     return b if callable(b) else (lambda cols: np.asarray(float(b)))
 
 
+# (g, alpha, weights, x, quad) -> the weighted integral of g's alpha partial.
+# The residuals take one: the public functions pass _integral, and
+# identity_checks the table of its run.
+_Integral = Callable[[TestFunction, DerivIndex, Sequence[Weight], object, Quadrature], float]
+
+
+def _integral(g: TestFunction, alpha: DerivIndex, weights: Sequence[Weight], x, quad: Quadrature) -> float:
+    return weighted_integral(g.partial(alpha), weights, x, quad)
+
+
+def _integral_table() -> _Integral:
+    """An :data:`_Integral` that computes each distinct integral once, by
+    :func:`_integral`, and keeps its value for as long as it is alive.  The
+    key is the function object itself, not its label, with alpha, the
+    weights and the rule, and then the point as floats: the points of one
+    integrand share the first four, and so store them once."""
+    values: dict[tuple, dict[tuple[float, ...], float]] = {}
+
+    def integral(g, alpha, weights, x, quad):
+        at = values.setdefault((g, alpha, tuple(weights), quad), {})
+        point = tuple(np.atleast_1d(np.asarray(x, dtype=float)).tolist())
+        if point not in at:
+            at[point] = _integral(g, alpha, weights, x, quad)
+        return at[point]
+
+    return integral
+
+
 def reconstruction_integral(
     alpha: DerivIndex,
     b,
@@ -284,15 +318,19 @@ def reconstruction_integral(
     an integrand of k broadcastable coordinate columns, as in
     :func:`weighted_integral`.
     """
-    k = alpha.k
-    active = set(range(k)) if coords is None else set(coords)
+    return weighted_integral(_as_callable(b), _recon_weights(alpha, coords), x, quad)
+
+
+def _recon_weights(alpha: DerivIndex, coords: Iterable[int] | None) -> tuple[Weight, ...]:
+    """RECON on the support of ``alpha``, FLAT on the rest of ``coords``
+    (default: all k), LOCAL elsewhere."""
+    active = set(range(alpha.k)) if coords is None else set(coords)
     if not alpha.support <= active:
         raise ValidationError(f"alpha {alpha} differentiates outside the active coordinates")
-    weights = [
+    return tuple(
         (Weight.RECON if alpha.bits[i] else Weight.FLAT) if i in active else Weight.LOCAL
-        for i in range(k)
-    ]
-    return weighted_integral(_as_callable(b), weights, x, quad)
+        for i in range(alpha.k)
+    )
 
 
 def integrate_out(index: DerivIndex, b, x, quad: Quadrature) -> float:
@@ -303,8 +341,12 @@ def integrate_out(index: DerivIndex, b, x, quad: Quadrature) -> float:
     a constant or an integrand of k broadcastable coordinate columns, as in
     :func:`weighted_integral`.
     """
-    weights = [Weight.FLAT if bit else Weight.LOCAL for bit in index.bits]
-    return weighted_integral(_as_callable(b), weights, x, quad)
+    return weighted_integral(_as_callable(b), _avg_weights(index), x, quad)
+
+
+def _avg_weights(index: DerivIndex) -> tuple[Weight, ...]:
+    """FLAT on the flagged coordinates, LOCAL elsewhere."""
+    return tuple(Weight.FLAT if bit else Weight.LOCAL for bit in index.bits)
 
 
 def integrate_to(index: DerivIndex, b, x, quad: Quadrature) -> float:
@@ -365,13 +407,17 @@ def partial_decomposition_residual(g: TestFunction, p: int, x, quad: Quadrature)
     coordinates of each partial stay pinned at x.  p = k recovers
     :func:`decomposition_residual`.
     """
+    return _partial_decomposition_residual(g, p, x, quad, _integral)
+
+
+def _partial_decomposition_residual(g: TestFunction, p: int, x, quad: Quadrature, integral: _Integral) -> float:
     if not 1 <= p <= g.k:
         raise ValidationError(f"need 1 <= p <= k, got p={p}, k={g.k}")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     coords = range(p)
     total = 0.0
     for beta in subindices(DerivIndex.from_support(g.k, coords)):
-        total += reconstruction_integral(beta, g.partial(beta), x, quad, coords=coords)
+        total += integral(g, beta, _recon_weights(beta, coords), x, quad)
     return abs(float(g(x[None, :])[0]) - total)
 
 
@@ -510,17 +556,25 @@ def _check_plan(plan: TermPlan, p: int) -> None:
 
 def evaluate_plan(plan: TermPlan, g: TestFunction, x, quad: Quadrature) -> float:
     """Numeric value of the signed term sum; equals g(x) up to quadrature error."""
+    return _evaluate_plan(plan, g, x, quad, _integral)
+
+
+def plan_residual(plan: TermPlan, g: TestFunction, x, quad: Quadrature) -> float:
+    return _plan_residual(plan, g, x, quad, _integral)
+
+
+def _evaluate_plan(plan: TermPlan, g: TestFunction, x, quad: Quadrature, integral: _Integral) -> float:
     if g.k != plan.k:
         raise ValidationError(f"plan has k={plan.k}, function has k={g.k}")
     total = 0.0
     for t in plan.terms:
-        total += t.coef * weighted_integral(g.partial(t.deriv), t.weights, x, quad)
+        total += t.coef * integral(g, t.deriv, t.weights, x, quad)
     return total
 
 
-def plan_residual(plan: TermPlan, g: TestFunction, x, quad: Quadrature) -> float:
+def _plan_residual(plan: TermPlan, g: TestFunction, x, quad: Quadrature, integral: _Integral) -> float:
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    return abs(float(g(x[None, :])[0]) - evaluate_plan(plan, g, x, quad))
+    return abs(float(g(x[None, :])[0]) - _evaluate_plan(plan, g, x, quad, integral))
 
 
 # ---------------------------------------------------------------------------
@@ -628,16 +682,22 @@ def identity_checks(
 
     ``plan_mutator`` is a test hook applied to every term plan before
     evaluation, used to confirm that a corrupted plan is caught.
+
+    The checks share one set of test functions and one integral table, so
+    each distinct integral is computed once per call.
     """
     quad = Quadrature(nodes=quad_nodes)
+    integral = _integral_table()
+    polys = {k: polynomial_suite(k) for k in (1, 2, 3)}
+    analytic = {k: analytic_suite(k) for k in (1, 2, 3)}
     results: list[CheckResult] = []
 
     for k in (1, 2, 3):
         pts = _grid_points(k)
-        suite = [("poly", g, 1e-10) for g in polynomial_suite(k)]
-        suite += [("analytic", g, 1e-8) for g in analytic_suite(k)]
+        suite = [("poly", g, 1e-10) for g in polys[k]]
+        suite += [("analytic", g, 1e-8) for g in analytic[k]]
         worst = [
-            [max(partial_decomposition_residual(g, p, x, quad) for x in pts) for _, g, _ in suite]
+            [max(_partial_decomposition_residual(g, p, x, quad, integral) for x in pts) for _, g, _ in suite]
             for p in range(1, k + 1)
         ]
         # The full reconstruction is the partial one at p = k.
@@ -650,20 +710,21 @@ def identity_checks(
     # Term plans across every admissible (k, coords-prefix, ell).
     for k in (1, 2, 3):
         pts = _grid_points(k)
-        funcs = [polynomial_suite(k)[-1], analytic_suite(k)[0]]
+        funcs = [polys[k][-1], analytic[k][0]]
         for p in range(1, k + 1):
             for ell in range(0, p + 1):
                 plan = build_term_plan(k, range(p), ell)
                 if plan_mutator is not None:
                     plan = plan_mutator(plan)
                 for g in funcs:
-                    r = max(plan_residual(plan, g, x, quad) for x in pts)
+                    r = max(_plan_residual(plan, g, x, quad, integral) for x in pts)
                     results.append(CheckResult(f"plan/k={k}/p={p}/ell={ell}/{g.label}", r, 1e-8))
 
     # Operator inclusion-exclusion identity over every index at k <= 3:
     # sum_beta (-1)^|beta| Avg_beta Cum_alpha b^alpha == sum_beta (-1)^|beta| Avg_beta b.
     for k in (1, 2, 3):
-        g = analytic_suite(k)[0]
+        g = analytic[k][0]
+        zero = DerivIndex.zeros(k)
         pts = _grid_points(k)
         for alpha in subindices(DerivIndex.ones(k)):
             if alpha.order == 0:
@@ -681,17 +742,17 @@ def identity_checks(
                             weights.append(Weight.CUM)
                         else:
                             weights.append(Weight.LOCAL)
-                    lhs += sign * weighted_integral(g.partial(alpha), tuple(weights), x, quad)
-                    rhs += sign * integrate_out(beta, g.partial(DerivIndex.zeros(k)), x, quad)
+                    lhs += sign * integral(g, alpha, weights, x, quad)
+                    rhs += sign * integral(g, zero, _avg_weights(beta), x, quad)
                 worst = max(worst, abs(lhs - rhs))
             results.append(CheckResult(f"iex-operator/k={k}/alpha={alpha}", worst, 1e-10))
 
     # Corner-sum identity: full cumulative integral of the top partial.
     for k in (1, 2, 3):
-        g = polynomial_suite(k)[-1]
+        g = polys[k][-1]
         top = DerivIndex.ones(k)
         r = max(
-            abs(integrate_to(top, g.partial(top), x, quad) - corner_sum(g.partial(DerivIndex.zeros(k)), x))
+            abs(integral(g, top, (Weight.CUM,) * k, x, quad) - corner_sum(g.partial(DerivIndex.zeros(k)), x))
             for x in _grid_points(k)
         )
         results.append(CheckResult(f"corner-sum/k={k}", r, 1e-10))
@@ -707,15 +768,16 @@ def identity_checks(
     results.append(CheckResult("recon-weight-bound", max(worst, 0.0), 1e-12))
 
     # Composition of plain averages: Avg_a Avg_b == Avg_{a|b}.
-    g2 = analytic_suite(2)[0]
-    g2_val = g2.partial(DerivIndex.zeros(2))
+    g2 = analytic[2][0]
+    zero2 = DerivIndex.zeros(2)
     a, b = DerivIndex.from_string("10"), DerivIndex.from_string("01")
+
+    def avg_b(c):
+        # The outer integrand gets coordinate 1's nodes and x_2 (0-d); Avg_b runs at each node.
+        return np.array([integral(g2, zero2, _avg_weights(b), (u, c[1]), quad) for u in c[0]])
+
     comp = max(
-        abs(
-            # The outer integrand gets coordinate 1's nodes and x_2 (0-d); Avg_b runs at each node.
-            integrate_out(a, lambda c: np.array([integrate_out(b, g2_val, (u, c[1]), quad) for u in c[0]]), x, quad)
-            - integrate_out(a | b, g2_val, x, quad)
-        )
+        abs(integrate_out(a, avg_b, x, quad) - integral(g2, zero2, _avg_weights(a | b), x, quad))
         for x in _grid_points(2)
     )
     results.append(CheckResult("avg-compose", comp, 1e-10))
@@ -725,8 +787,8 @@ def identity_checks(
     alpha = DerivIndex.from_string("11")
     dense = max(
         abs(
-            reconstruction_integral(alpha, g2.partial(alpha), x, quad)
-            - reconstruction_integral(alpha, g2.partial(alpha), x, quad2)
+            integral(g2, alpha, _recon_weights(alpha, None), x, quad)
+            - integral(g2, alpha, _recon_weights(alpha, None), x, quad2)
         )
         for x in _grid_points(2)
     )

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from derivreg import core, functionals
 from derivreg import (
     DerivIndex,
     Quadrature,
@@ -81,6 +82,11 @@ class TestLineRules:
     def test_local_is_not_integrable(self):
         with pytest.raises(ValidationError, match="not integrable"):
             QUAD.line_rule(Weight.LOCAL, 0.5)
+
+    @pytest.mark.parametrize("nodes", [0, -1, 2.5])
+    def test_nodes_must_be_a_positive_integer(self, nodes):
+        with pytest.raises(ValidationError, match="quadrature nodes must be an integer >= 1"):
+            Quadrature(nodes)
 
 
 def _meshgrid_rule(x, axes):
@@ -225,6 +231,13 @@ class TestIntegrateOperators:
     def test_cumulative_zero_coordinate(self):
         g = analytic_suite(2)[0]
         assert integrate_to(D("11"), g.partial(D("00")), [0.0, 0.5], QUAD) == 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("op", [integrate_to, integrate_out, reconstruction_integral])
+    def test_non_finite_point_rejected(self, op, bad):
+        # A NaN would drop every panel and give 0.0, an infinity would be clamped to a face.
+        with pytest.raises(ValidationError, match="must be finite"):
+            op(D("1"), 1.0, [bad], QUAD)
 
 
 class TestDecompositions:
@@ -393,6 +406,44 @@ class TestIdentitySuite:
         checks = identity_checks()
         failed = [c.name for c in checks if not c.passed]
         assert not failed, failed
+
+    def test_each_integral_is_computed_once_per_run(self, monkeypatch):
+        made = {}  # integrand -> (function object, alpha)
+        partial = core.TestFunction.partial
+
+        def tagged_partial(self, alpha):
+            f = partial(self, alpha)
+            made[f] = (self, alpha)
+            return f
+
+        computed = []
+        integral = functionals.weighted_integral
+
+        def counted(f, weights, x, quad):
+            if f in made:
+                point = tuple(np.atleast_1d(np.asarray(x, dtype=float)).tolist())
+                computed.append((*made[f], tuple(weights), point, quad.nodes))
+            return integral(f, weights, x, quad)
+
+        monkeypatch.setattr(core.TestFunction, "partial", tagged_partial)
+        monkeypatch.setattr(functionals, "weighted_integral", counted)
+        identity_checks(quad_nodes=8)
+        first = list(computed)
+        assert first and len(set(first)) == len(first)
+        # The table lives for one run: the next run computes every integral again.
+        computed.clear()
+        identity_checks(quad_nodes=8)
+        assert len(computed) == len(first)
+
+    def test_table_keys_on_the_function_not_its_label(self):
+        table = functionals._integral_table()
+        plan = build_term_plan(2, [0, 1], 1)
+        x = np.array([0.3, 0.7])
+        f = poly_function(2, {(1, 1): 1.0}, "g")
+        g = poly_function(2, {(1, 1): 2.0}, "g")
+        got = [functionals._evaluate_plan(plan, h, x, QUAD, table) for h in (f, g, f)]
+        assert got == [evaluate_plan(plan, h, x, QUAD) for h in (f, g, f)]
+        assert got[0] == pytest.approx(0.21, abs=1e-12) and got[1] == pytest.approx(0.42, abs=1e-12)
 
     def test_mutated_plan_is_caught_and_named(self):
         def flip_first(plan: TermPlan) -> TermPlan:
