@@ -218,16 +218,9 @@ class ProductKernel:
         Returns ``(spec, rows)`` for each non-empty set of rows using the left
         edge, right edge or interior kernel: x < bandwidth selects the left
         kernel, x > 1 - bandwidth the right one, and both or neither the
-        interior one.  Each kernel's region is an interval, so when the
-        smallest and largest coordinates share one kernel, all of ``x`` does.
+        interior one.
         """
         x = np.asarray(x, dtype=float)
-        if x.size:
-            lo, hi = float(x.min()), float(x.max())
-            spec = self._kernel_at(lo, bandwidth)
-            # A NaN minimum says nothing of the other coordinates.
-            if not math.isnan(lo) and spec is self._kernel_at(hi, bandwidth):
-                return [(spec, np.arange(x.size))]
         near_lo = x < bandwidth
         near_hi = x > 1.0 - bandwidth
         left = near_lo & ~near_hi
@@ -235,13 +228,6 @@ class ProductKernel:
         interior = ~(left | right)
         pairs = ((self.left, left), (self.right, right), (self.interior, interior))
         return [(spec, np.flatnonzero(mask)) for spec, mask in pairs if mask.any()]
-
-    def _kernel_at(self, v: float, bandwidth: float) -> KernelSpec:
-        """The kernel of one coordinate ``v`` by the rule of :meth:`regions`."""
-        near_lo, near_hi = v < bandwidth, v > 1.0 - bandwidth
-        if near_lo != near_hi:
-            return self.left if near_lo else self.right
-        return self.interior
 
     def weights(
         self, x: np.ndarray, X: np.ndarray, bandwidth: float, work: Workspace | None = None
