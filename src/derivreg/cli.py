@@ -270,11 +270,7 @@ def run_estimate(args) -> int:
     )
 
     if grid["offset"] == "auto":
-        hs = [
-            plan.bandwidths.h(datasets[t.deriv].n, plan.d, t.free_dims)
-            for t in plan.plan.terms
-            if t.free_dims > 0
-        ]
+        hs = [h for h in map(plan.bandwidth, plan.plan.terms) if h is not None]
         offset = max(hs) if hs else 0.0
         if not offset < 0.5:
             raise ValidationError(

@@ -49,7 +49,8 @@ def loo_density(est: DensityEstimator, i: int, x) -> float:
     """Leave-one-out density estimate at x, dropping design row i.
 
     (n-1)^-1 sum_{j != i} H^-k L((X_j - x)/H) with per-coordinate edge
-    switching at x.  Depends on design points only, never on responses.
+    switching at x, which must be a finite point of the unit cube.  Depends
+    on design points only, never on responses.
     """
     n = est.data.n
     if not 0 <= i < n:
@@ -57,6 +58,8 @@ def loo_density(est: DensityEstimator, i: int, x) -> float:
     x = np.atleast_1d(as_float_array(x, "x"))
     if x.shape != (est.data.k,):
         raise ValidationError(f"x has shape {x.shape}, data has k={est.data.k}")
+    if not np.all(np.isfinite(x) & (x >= 0.0) & (x <= 1.0)):
+        raise ValidationError(f"x = {x} is not a finite point of the unit cube")
     w = product_kernel(est.d1).weights(x[None, :], est.data.X, est.H)[0]
     w[i] = 0.0
     return float(w.sum() / (n - 1))

@@ -30,7 +30,7 @@ import numpy as np
 
 from .core import DataSet, DerivIndex, ValidationError, as_float_array
 from .density import DensityEstimator, loo_at_rows
-from .functionals import Quadrature, Term, TermPlan, Weight, build_term_plan, gl_panels, tensor_rule, weight_shape
+from .functionals import Quadrature, Term, TermPlan, Weight, build_term_plan, gl_panels, tensor_rule, term_weights, weight_shape
 from .kernels import BandwidthPlan, Workspace, band_sweep, check_bandwidth, check_orders, default_orders, product_kernel
 
 __all__ = [
@@ -178,8 +178,7 @@ def nonlocal_estimate(
     if ds.deriv != alpha:
         raise ValidationError(f"dataset holds {ds.deriv}, requested {alpha}")
     pts, density = _check_one_point(ds, x, density)
-    term = Term(1, alpha, tuple(Weight.RECON if b else Weight.FLAT for b in alpha.bits))
-    return float(_term_column(term, ds, density, pts)[0][0])
+    return float(_term_column(Term(1, alpha, term_weights(alpha)), ds, density, pts)[0][0])
 
 
 def smoothed_nonlocal_estimate(
@@ -203,12 +202,9 @@ def smoothed_nonlocal_estimate(
         raise ValidationError(f"need 1 <= p < k for smoothing, got p={p}, k={ds.k}")
     if ds.deriv != beta:
         raise ValidationError(f"dataset holds {ds.deriv}, requested {beta}")
-    if not beta.support <= set(range(p)):
-        raise ValidationError(f"beta {beta} flags coordinates outside the first p={p}")
+    term = Term(1, beta, term_weights(beta, range(p)))
     pts, density = _check_one_point(ds, x, density)
     check_bandwidth(h, d, ds.k - p)
-    weights = tuple(Weight.RECON if b else Weight.FLAT for b in beta.bits[:p]) + (Weight.LOCAL,) * (ds.k - p)
-    term = Term(1, beta, weights)
     return float(_term_column(term, ds, density, pts, h, d)[0][0])
 
 
@@ -223,59 +219,56 @@ class EstimationPlan:
 
     ``density`` selects uniform-design weighting ("uniform", weights one) or
     floored leave-one-out weighting ("loo").  k, the derivative coordinates
-    and ell are those of ``plan``.
+    and ell are those of ``plan``.  A plan is checked when it is made: None
+    for ``d``, ``d1`` or ``bandwidths`` means the default, the orders must
+    pass :func:`derivreg.kernels.check_orders`, and ``datasets`` (copied)
+    must hold a k-variate dataset under each index the term plan requires.
     """
 
-    d: int
-    d1: int
     plan: TermPlan
     datasets: Mapping[DerivIndex, DataSet]
-    bandwidths: BandwidthPlan = BandwidthPlan()
+    d: int | None = None
+    d1: int | None = None
+    bandwidths: BandwidthPlan | None = None
     density: str = "uniform"
     floor: float = 0.05
 
-    @classmethod
-    def build(
-        cls,
-        k: int,
-        coords: Iterable[int],
-        ell: int,
-        datasets: Mapping[DerivIndex, DataSet],
-        d: int | None = None,
-        d1: int | None = None,
-        bandwidths: BandwidthPlan | None = None,
-        density: str = "uniform",
-        floor: float = 0.05,
-    ) -> "EstimationPlan":
-        plan = build_term_plan(k, coords, ell)
-        p = len(plan.coords)
-        d_def, d1_def = default_orders(k, p)
-        d = d_def if d is None else d
-        d1 = d1_def if d1 is None else d1
-        check_orders(d, d1, k, p)
-        if density not in ("uniform", "loo"):
-            raise ValidationError(f"density mode must be 'uniform' or 'loo', got {density!r}")
-        for idx in plan.required_indices:
-            if idx not in datasets:
+    def __post_init__(self):
+        k, p = self.plan.k, self.p
+        d, d1 = default_orders(k, p)
+        for name, default in (("d", d), ("d1", d1), ("bandwidths", BandwidthPlan())):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, default)
+        object.__setattr__(self, "datasets", dict(self.datasets))
+        check_orders(self.d, self.d1, k, p)
+        if self.density not in ("uniform", "loo"):
+            raise ValidationError(f"density mode must be 'uniform' or 'loo', got {self.density!r}")
+        for idx in self.plan.required_indices:
+            if idx not in self.datasets:
                 raise ValidationError(f"plan needs a dataset for derivative index {idx}")
-            ds = datasets[idx]
+            ds = self.datasets[idx]
             if ds.k != k:
                 raise ValidationError(f"dataset for {idx} has k={ds.k}, plan has k={k}")
             if ds.deriv != idx:
                 raise ValidationError(f"dataset registered under {idx} holds {ds.deriv}")
-        return cls(
-            d=d,
-            d1=d1,
-            plan=plan,
-            datasets=dict(datasets),
-            bandwidths=bandwidths if bandwidths is not None else BandwidthPlan(),
-            density=density,
-            floor=floor,
-        )
+
+    @classmethod
+    def build(
+        cls, k: int, coords: Iterable[int], ell: int, datasets: Mapping[DerivIndex, DataSet], **settings
+    ) -> "EstimationPlan":
+        """The plan of :func:`derivreg.functionals.build_term_plan` (k,
+        coords, ell) over ``datasets``; ``settings`` are the other fields."""
+        return cls(build_term_plan(k, coords, ell), datasets, **settings)
 
     @property
     def p(self) -> int:
         return len(self.plan.coords)
+
+    def bandwidth(self, term: Term) -> float | None:
+        """The smoothing bandwidth h of ``term``, None when it smooths no coordinate."""
+        if not term.free_dims:
+            return None
+        return self.bandwidths.h(self.datasets[term.deriv].n, self.d, term.free_dims)
 
 
 @dataclass(frozen=True)
@@ -319,15 +312,14 @@ def fit(plan: EstimationPlan, eval_points) -> FitResult:
     meta_terms = []
     for term in plan.plan.terms:
         ds = plan.datasets[term.deriv]
-        m_free = term.free_dims
-        h = plan.bandwidths.h(ds.n, plan.d, m_free) if m_free else None
+        h = plan.bandwidth(term)
         col, mass = _term_column(term, ds, density[term.deriv], pts, h, plan.d)
         if not mass.all():
             bad = pts[np.argmin(mass)]
             raise ValidationError(f"term {term.label}: no design points within h={h} of {bad}; increase h")
         contribs[term.label] = term.coef * col
         meta_terms.append(
-            {"term": term.label, "coef": term.coef, "n": ds.n, "bandwidth": h, "free_dims": m_free}
+            {"term": term.label, "coef": term.coef, "n": ds.n, "bandwidth": h, "free_dims": term.free_dims}
         )
 
     values = np.zeros(pts.shape[0])
@@ -444,16 +436,21 @@ def limit_covariance(
     """Covariance kernel of the limiting Gaussian fluctuation of the
     root-n estimator:  sigma^2 * int w_beta(u, x1) w_beta(u, x2) / f(u) du.
 
-    ``f`` is the design density (uniform when omitted).  Quadrature panels
+    ``f`` is the design density (uniform when omitted), and its values at
+    the nodes must be finite and positive.  x1 and x2 are finite points of
+    the unit cube and sigma^2 is finite and nonnegative.  Quadrature panels
     split at both x1 and x2 in every differentiated coordinate, making the
     rule exact for the piecewise-polynomial integrand.
     """
     quad = quad or Quadrature()
-    x1 = np.atleast_1d(np.asarray(x1, dtype=float))
-    x2 = np.atleast_1d(np.asarray(x2, dtype=float))
+    x1 = np.atleast_1d(as_float_array(x1, "x1"))
+    x2 = np.atleast_1d(as_float_array(x2, "x2"))
     k = beta.k
-    if x1.shape[0] != k or x2.shape[0] != k:
+    if x1.shape != (k,) or x2.shape != (k,):
         raise ValidationError("x1/x2 dimension mismatch with beta")
+    _check_points([x1, x2], k)
+    if not 0.0 <= sigma2 < np.inf:
+        raise ValidationError(f"sigma2 must be finite and nonnegative, got {sigma2}")
 
     axes = []
     for i in range(k):
@@ -466,7 +463,9 @@ def limit_covariance(
             axes.append((i, *gl_panels(quad.nodes, (0.0, 1.0))))
 
     pts, wprod = tensor_rule(x1, axes)
-    dens = np.ones(pts.shape[0]) if f is None else np.asarray(f(pts), dtype=float)
+    dens = np.ones(pts.shape[0]) if f is None else as_float_array(f(pts), "f values")
+    if not np.all(np.isfinite(dens) & (dens > 0.0)):
+        raise ValidationError("design density f must return finite positive values")
     return float(sigma2 * np.sum(wprod / dens))
 
 

@@ -145,6 +145,7 @@ def _solve_moment_system(powers_weight, d: int) -> tuple[float, ...]:
     return tuple(float(c) for c in q)
 
 
+@lru_cache(maxsize=64)
 def make_interior_kernel(d: int) -> KernelSpec:
     """Construct the order-d interior kernel q(t)(1 - t^2) on [-1, 1].
 
@@ -156,11 +157,7 @@ def make_interior_kernel(d: int) -> KernelSpec:
         raise ValidationError(f"interior kernel order must be >= 2, got {d}")
     if d % 2:
         raise ValidationError(f"interior kernel order must be even, got {d}")
-    return _interior_kernel(d)
 
-
-@lru_cache(maxsize=64)
-def _interior_kernel(d: int) -> KernelSpec:
     def moment(m: int) -> float:
         # integral_{-1}^{1} t^m (1 - t^2) dt
         if m % 2:
@@ -170,6 +167,7 @@ def _interior_kernel(d: int) -> KernelSpec:
     return KernelSpec("interior", d, (-1.0, 1.0), _solve_moment_system(moment, d))
 
 
+@lru_cache(maxsize=64)
 def make_edge_kernel(d: int, side: str) -> KernelSpec:
     """Construct the order-d boundary kernel for the given side.
 
@@ -181,11 +179,7 @@ def make_edge_kernel(d: int, side: str) -> KernelSpec:
         raise ValidationError(f"edge kernel order must be >= 1, got {d}")
     if side not in ("left", "right"):
         raise ValidationError(f"side must be 'left' or 'right', got {side!r}")
-    return _edge_kernel(d, side)
 
-
-@lru_cache(maxsize=64)
-def _edge_kernel(d: int, side: str) -> KernelSpec:
     def moment(m: int) -> float:
         # integral_0^1 t^m (t - t^2) dt
         return 1.0 / (m + 2) - 1.0 / (m + 3)

@@ -97,6 +97,14 @@ class TestSimulate:
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags, message", [(["--reps", 0], "--reps must be >= 1"), (["--ns", 1], "sample sizes must be >= 2")]
+    )
+    def test_bad_sizes_exit_one(self, tmp_path, capsys, flags, message):
+        assert run(["simulate", "--out-dir", tmp_path, *flags]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "benchmark.csv").exists()
+
     def test_low_reps_warns(self, tmp_path, capsys):
         assert run(["simulate", "--ns", 60, "--rhos", 0.0, "--reps", 2, "--out-dir", tmp_path]) == 0
         assert "noisy" in capsys.readouterr().err
@@ -243,11 +251,31 @@ class TestEstimate:
             (lambda t: t.replace("d = 2", "d = 2\nd1 = 5"), "kernel orders must be even, got d=2, d1=5"),
             (lambda t: t.replace("points = 4", "points = 100000"), "gives more than 10^6 grid points"),
             (lambda t: t.replace("d = 2", "d = 2\nh_const = 2"), "offset = auto is the largest bandwidth h, which must be below 0.5"),
+            (lambda t: t.replace("[plan]", "[plans]"), "config needs a [plan] section"),
+            (lambda t: t.replace("k = 2", "k = 0"), "[plan] k must be a positive integer"),
+            (lambda t: t.replace("coords = 1", "coords = a"), "coords must list 1-based derivative coordinates in 1..2, got 'a'"),
+            (lambda t: t + "\n[data 1]\npath = g1.csv\n", "[data 1] index has k=1, plan has k=2"),
+            (lambda t: t.replace("[data 10]\npath", "[data 10]\nfile"), "[data 10] needs a path"),
         ],
     )
     def test_bad_values_exit_one(self, tmp_path, example_config, capsys, edit, message):
         err = self._bad_config_exits_one(tmp_path, example_config, capsys, edit)
         assert message in err
+
+    def test_missing_config_exits_three(self, tmp_path, capsys):
+        cfg = tmp_path / "absent.ini"
+        assert run(["estimate", "--config", cfg, "--out-dir", tmp_path / "o"]) == 3
+        assert capsys.readouterr().err == f"I/O error: cannot read config file {cfg}\n"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("", "line 1: missing header row"), ("x1,y\n0.5,1.0\n", "line 1: expected 3 columns, found 2")],
+    )
+    def test_bad_csv_header_exits_one(self, tmp_path, example_config, capsys, text, message):
+        g00 = tmp_path / "g00.csv"
+        g00.write_text(text)
+        assert run(["estimate", "--config", example_config, "--out-dir", tmp_path / "o"]) == 1
+        assert capsys.readouterr().err == f"error: {g00}: {message}\n"
 
     def test_constant_coordinate_with_rescale_always_exits_one(self, tmp_path, example_config, capsys):
         # x2 = 0.5 lies in the unit cube, so only an explicit rescale fails.

@@ -41,6 +41,17 @@ class TestPointEvaluations:
         with pytest.raises(ValidationError, match="shape"):
             loo_density(est, 0, [0.5, 0.5])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.1, 1.1])
+    def test_point_outside_cube_rejected(self, bad):
+        est = DensityEstimator(_ds([[0.5, 0.5], [0.6, 0.6]]), d1=4, H=0.2)
+        with pytest.raises(ValidationError, match=r"^x = \[.*\] is not a finite point of the unit cube$"):
+            loo_density(est, 0, [bad, 0.5])
+
+    def test_faces_accepted(self):
+        est = DensityEstimator(_ds([[0.05, 0.95], [0.5, 0.5]]), d1=4, H=0.2)
+        near, far = loo_density(est, 1, [0.0, 1.0]), loo_density(est, 0, [1.0, 0.0])
+        assert np.isfinite(near) and near != 0.0 and far == 0.0
+
     def test_ragged_x_rejected(self):
         # numpy raised its own "inhomogeneous shape" ValueError.
         est = DensityEstimator(_ds([[0.5, 0.5], [0.6, 0.6]]), d1=4, H=0.2)

@@ -29,7 +29,7 @@ from derivreg import (
     split_stream,
 )
 from derivreg.estimators import _point_chunks, _term_column
-from derivreg.functionals import Term, Weight
+from derivreg.functionals import Term, Weight, build_term_plan
 
 D = DerivIndex.from_string
 QUAD = Quadrature(nodes=32)
@@ -99,6 +99,11 @@ class TestSmoothedEstimate:
         ds = DataSet(1, D("1"), np.array([[0.5]]), np.array([1.0]))
         with pytest.raises(ValidationError):
             smoothed_nonlocal_estimate(ds, D("1"), [0.5], p=1, h=0.1)
+
+    def test_beta_outside_first_p_rejected(self):
+        ds = DataSet(2, D("01"), np.array([[0.1, 0.5]]), np.array([1.0]))
+        with pytest.raises(ValidationError, match=r"^alpha 01 differentiates outside the active coordinates$"):
+            smoothed_nonlocal_estimate(ds, D("01"), [0.5, 0.5], p=1, h=0.2)
 
     @pytest.mark.parametrize("bad", [[0.5, 1.5], [np.nan, 0.5], [0.5], [[0.5, 0.5], [0.6, 0.5]]])
     def test_point_checked(self, bad):
@@ -239,6 +244,42 @@ class TestFit:
         datasets = {D("00"): _uniform_dataset(2, D("00"), 50, g, 0.0, 1, (0,))}
         with pytest.raises(ValidationError, match="10"):
             EstimationPlan.build(2, [0], 0, datasets, d=2)
+
+    def _k2_datasets(self):
+        g = poly_function(2, {(1, 1): 1.0})
+        return {idx: _uniform_dataset(2, idx, 50, g, 0.0, 1, (j,)) for j, idx in enumerate((D("00"), D("10")))}
+
+    def test_dataset_of_wrong_k_rejected(self):
+        datasets = self._k2_datasets()
+        datasets[D("10")] = DataSet(3, D("100"), np.full((4, 3), 0.5), np.ones(4))
+        with pytest.raises(ValidationError, match=r"^dataset for 10 has k=3, plan has k=2$"):
+            EstimationPlan.build(2, [0], 0, datasets, d=2)
+
+    def test_dataset_under_wrong_index_rejected(self):
+        datasets = self._k2_datasets()
+        datasets[D("10")] = datasets[D("00")]
+        with pytest.raises(ValidationError, match=r"^dataset registered under 10 holds 00$"):
+            EstimationPlan.build(2, [0], 0, datasets, d=2)
+
+    def test_constructor_checks_and_defaults(self):
+        # The plain constructor runs the same checks and fills the same defaults as build.
+        datasets = self._k2_datasets()
+        plan = EstimationPlan(build_term_plan(2, [0], 0), datasets)
+        assert plan == EstimationPlan.build(2, [0], 0, datasets)
+        assert (plan.d, plan.d1, plan.bandwidths) == (2, 4, BandwidthPlan())
+        assert plan.datasets is not datasets
+        with pytest.raises(ValidationError, match="density mode must be"):
+            EstimationPlan(build_term_plan(2, [0], 0), datasets, density="none")
+        with pytest.raises(ValidationError, match="kernel orders must be even"):
+            EstimationPlan(build_term_plan(2, [0], 0), datasets, d=3)
+        with pytest.raises(ValidationError, match="plan needs a dataset for derivative index 10"):
+            EstimationPlan(build_term_plan(2, [0], 0), {D("00"): datasets[D("00")]})
+
+    def test_bandwidth_per_term(self):
+        plan = EstimationPlan.build(2, [0], 0, self._k2_datasets(), bandwidths=BandwidthPlan(h_const=0.5))
+        hs = {t.label: plan.bandwidth(t) for t in plan.plan.terms}
+        assert hs == {"recon[10]": 0.5 * 50 ** (-1.0 / 5.0), "avg[10]": 0.5 * 50 ** (-1.0 / 5.0)}
+        assert plan.bandwidth(Term(1, D("10"), (Weight.RECON, Weight.FLAT))) is None
 
     @pytest.mark.parametrize("bad", [7.0, -0.5, np.nan, np.inf])
     def test_rejects_points_outside_unit_cube(self, bad):
@@ -746,6 +787,36 @@ class TestLimitCovariance:
         val = limit_covariance(D("0"), [0.5], [0.5], 1.0, f=f)
         # integral of 1/(0.5 + u) du = log(2) / ... = log(1.5/0.5)
         assert val == pytest.approx(np.log(3.0), abs=1e-10)
+
+    @pytest.mark.parametrize(
+        "x1, x2, message",
+        [
+            ([0.5], [0.5, 0.5], "x1/x2 dimension mismatch with beta"),
+            ([0.5, 0.5, 0.5], [0.5, 0.5], "x1/x2 dimension mismatch with beta"),
+            ([np.nan, 0.5], [0.5, 0.5], r"evaluation point \[nan 0.5\] is not a finite point of the unit cube"),
+            ([np.inf, 0.5], [0.5, 0.5], r"evaluation point \[inf 0.5\] is not a finite point of the unit cube"),
+            ([1.7, 0.5], [0.5, 0.5], r"evaluation point \[1.7 0.5\] is not a finite point of the unit cube"),
+            ([0.5, 0.5], [0.5, -0.1], r"evaluation point \[ 0.5 -0.1\] is not a finite point of the unit cube"),
+        ],
+    )
+    def test_bad_points_rejected(self, x1, x2, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            limit_covariance(D("11"), x1, x2, 1.0)
+
+    @pytest.mark.parametrize("sigma2", [-1.0, np.nan, np.inf])
+    def test_bad_sigma2_rejected(self, sigma2):
+        with pytest.raises(ValidationError, match=r"^sigma2 must be finite and nonnegative, got "):
+            limit_covariance(D("11"), [0.5, 0.5], [0.5, 0.5], sigma2)
+
+    @pytest.mark.parametrize("value", [-1.0, 0.0, np.nan, np.inf])
+    def test_bad_density_values_rejected(self, value):
+        f = lambda pts: np.full(pts.shape[0], value)
+        with pytest.raises(ValidationError, match=r"^design density f must return finite positive values$"):
+            limit_covariance(D("11"), [0.5, 0.5], [0.5, 0.5], 1.0, f=f)
+
+    def test_faces_and_zero_sigma2_accepted(self):
+        assert limit_covariance(D("1"), [0.0], [1.0], 0.0) == 0.0
+        assert limit_covariance(D("1"), [1.0], [1.0], 1.0) == pytest.approx(1.0 / 3.0, abs=1e-12)
 
 
 class TestGaussianLimit:

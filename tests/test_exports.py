@@ -38,3 +38,17 @@ def test_package_exports_are_in_their_modules_all():
     assert {module for module, _ in imports} <= set(_MODULES)
     stray = [f"{module}.{name}" for module, name in imports if name not in importlib.import_module(f"derivreg.{module}").__all__]
     assert not stray, f"re-exported but not in the module's __all__: {stray}"
+
+
+@pytest.mark.parametrize("module", _MODULES)
+def test_no_private_names_imported_across_modules(module):
+    # A rule that two modules share has a public owner.
+    tree = ast.parse((Path(derivreg.__file__).parent / f"{module}.py").read_text(encoding="utf-8"))
+    private = [
+        f"{node.module or '.'}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("derivreg"))
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")
+    ]
+    assert not private, f"derivreg.{module} imports private names {private}"

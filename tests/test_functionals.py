@@ -31,6 +31,7 @@ from derivreg.functionals import (
     polynomial_suite,
     subindices,
     tensor_rule,
+    term_weights,
     weighted_integral,
 )
 
@@ -62,6 +63,28 @@ class TestReconWeight:
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):
             recon_weight(D("10"), [[0.1]], [[0.2]])
+
+
+class TestTermWeights:
+    R, F, L = Weight.RECON, Weight.FLAT, Weight.LOCAL
+
+    def test_shapes(self):
+        assert term_weights(D("101")) == (self.R, self.F, self.R)
+        assert term_weights(D("100"), [0, 1]) == (self.R, self.F, self.L)
+        # A plain average is the zero index's term over its set.
+        assert term_weights(D("000"), D("010").support) == (self.L, self.F, self.L)
+        assert term_weights(D("00"), ()) == (self.L, self.L)
+
+    def test_derivative_outside_coords_rejected(self):
+        with pytest.raises(ValidationError, match=r"^alpha 001 differentiates outside the active coordinates$"):
+            term_weights(D("001"), [0, 1])
+
+    def test_plan_terms_are_term_weights(self):
+        for k in (1, 2, 3):
+            for ell in range(k + 1):
+                for t in build_term_plan(k, range(k), ell).terms:
+                    integrated = [i for i, w in enumerate(t.weights) if w is not Weight.LOCAL]
+                    assert t.weights == term_weights(t.deriv, integrated)
 
 
 class TestLineRules:
@@ -445,12 +468,14 @@ class TestIdentitySuite:
         assert got == [evaluate_plan(plan, h, x, QUAD) for h in (f, g, f)]
         assert got[0] == pytest.approx(0.21, abs=1e-12) and got[1] == pytest.approx(0.42, abs=1e-12)
 
-    def test_mutated_plan_is_caught_and_named(self):
-        def flip_first(plan: TermPlan) -> TermPlan:
+    def test_mutated_plan_is_caught_and_named(self, monkeypatch):
+        def flip_first(k, coords, ell) -> TermPlan:
+            plan = build_term_plan(k, coords, ell)
             first = plan.terms[0]
             bad = Term(-first.coef, first.deriv, first.weights)
             return TermPlan(plan.k, plan.coords, plan.ell, (bad,) + plan.terms[1:])
 
-        checks = identity_checks(quad_nodes=8, plan_mutator=flip_first)
+        monkeypatch.setattr(functionals, "build_term_plan", flip_first)
+        checks = identity_checks(quad_nodes=8)
         failing = [c.name for c in checks if not c.passed]
         assert failing and all(name.startswith("plan/") for name in failing)
