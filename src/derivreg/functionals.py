@@ -326,8 +326,12 @@ def term_weights(alpha: DerivIndex, coords: Iterable[int] | None = None) -> tupl
     """The weights of a term that integrates ``alpha``'s partial over
     ``coords`` (default: all k): RECON on the support of ``alpha``, FLAT on
     the rest of ``coords``, LOCAL elsewhere.  A plain average over a set S
-    is the term of the zero index over S."""
+    is the term of the zero index over S.  Raises on a coordinate outside
+    0..k-1."""
     active = set(range(alpha.k)) if coords is None else set(coords)
+    outside = active.difference(range(alpha.k))
+    if outside:
+        raise ValidationError(f"coordinate {min(outside)} is outside 0..{alpha.k - 1}")
     if not alpha.support <= active:
         raise ValidationError(f"alpha {alpha} differentiates outside the active coordinates")
     return tuple(

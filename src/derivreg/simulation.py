@@ -21,7 +21,7 @@ import numpy as np
 from .core import DataSet, DerivIndex, TestFunction, ValidationError, as_float_array, canonical_order, split_stream, product_function
 from .estimators import EstimationPlan, fit, make_grid, nadaraya_watson_grid
 from .functionals import build_term_plan
-from .kernels import BandwidthPlan, band_sweep
+from .kernels import BandwidthPlan, Workspace, band_sweep
 
 __all__ = [
     "CobbDouglasConfig",
@@ -53,14 +53,20 @@ class CobbDouglasConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.c1, self.c2, self.c) <= 0:
-            raise ValidationError("c1, c2, c must be positive")
+        if not all(0.0 < x < np.inf for x in (self.c1, self.c2, self.c)):
+            raise ValidationError(f"c1, c2, c must be finite and positive, got {self.c1}, {self.c2}, {self.c}")
         if not abs(self.rho) <= 1:
             raise ValidationError(f"|rho| <= 1 required, got {self.rho}")
         if not 0.0 <= self.sigma < np.inf:
             raise ValidationError(f"sigma must be finite and nonnegative, got {self.sigma}")
+        for name in ("n", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
         if self.n < 1:
             raise ValidationError("n >= 1 required")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def c_tilde(self) -> float:
@@ -185,8 +191,10 @@ def derivative_ac_curve(
     the data points, then both parts at the evaluation points) are
     sorted-band sweeps over them in Q (:func:`derivreg.kernels.band_sweep`,
     which gives their tiles, time and memory), each tile reading only the
-    rows within h/2 of it.  Sums run in canonical row order, so the result
-    is bitwise invariant under row permutations of the sample.
+    rows within h/2 of it.  Each pass keeps one
+    :class:`derivreg.kernels.Workspace` for all its tiles, so its slabs are
+    allocated once, not once per tile.  Sums run in canonical row order, so
+    the result is bitwise invariant under row permutations of the sample.
     """
     if not (math.isfinite(h) and h > 0):
         raise ValidationError(f"window width h must be finite and positive, got {h}")
@@ -209,13 +217,17 @@ def derivative_ac_curve(
         counts = np.empty(m, dtype=np.int64)
         cum_sums = np.empty(m)
         win_sums = [np.empty(m) for _ in vals_win]
+        work = Workspace()
         for idx, rows in tiles:
-            win = np.abs(q[None, rows] - pts_q[idx, None]) <= 0.5 * h
+            shape = (idx.size, rows.size)
+            slab = np.subtract(q[None, rows], pts_q[idx, None], out=work.take("slab", shape))
+            win = np.less_equal(np.abs(slab, out=slab), 0.5 * h, out=work.take("win", shape, bool))
             counts[idx] = win.sum(axis=1)
-            cum = win & (v[None, rows] <= pts_v[idx, None])
-            cum_sums[idx] = (cum * y_al[None, rows]).sum(axis=1)
+            cum = np.less_equal(v[None, rows], pts_v[idx, None], out=work.take("cum", shape, bool))
+            np.bitwise_and(win, cum, out=cum)
+            cum_sums[idx] = np.multiply(cum, y_al[None, rows], out=slab).sum(axis=1)
             for out, vals in zip(win_sums, vals_win):
-                out[idx] = (win * vals[None, rows]).sum(axis=1)
+                out[idx] = np.multiply(win, vals[None, rows], out=slab).sum(axis=1)
         return counts, cum_sums, *win_sums
 
     # part a at the data points themselves (needed for the part-b remainder)
@@ -281,38 +293,53 @@ class McResult:
             raise ValidationError("replication count must be >= 1")
 
 
-def _replication_mse(cfg: CobbDouglasConfig, rep: int, rules: BenchmarkRules) -> tuple[float, float]:
-    """(derivative-based MSE, baseline MSE) over trimmed in-sample points."""
-    sample = generate(cfg, path_prefix=(rep,))
+def _replication_mses(
+    cfg: CobbDouglasConfig, rhos: tuple[float, ...], rep: int, rules: BenchmarkRules
+) -> list[tuple[float, float]]:
+    """(derivative-based MSE, baseline MSE) over trimmed in-sample points,
+    one pair per rho, for replication ``rep`` of ``cfg``'s n.
+
+    The baseline smooths the cost data alone.  :func:`generate` draws the
+    same Q, w/r and cost errors for every rho, so the baseline is fitted once,
+    on the first rho's sample, and its MSE is shared by every rho.  Each later
+    rho's sample is drawn only when its AC curve needs it, after the first
+    sample and the baseline's arrays are freed, so one sample is alive at a
+    time, as when each rho was a replication of its own.
+    """
+    if not rhos:
+        return []
+    sample = generate(replace(cfg, rho=rhos[0]), path_prefix=(rep,))
     lo, hi = rules.trim
     keep = (sample.q >= lo) & (sample.q <= hi) & (sample.v >= lo) & (sample.v <= hi)
     if not np.any(keep):
-        return math.nan, math.nan
+        return [(math.nan, math.nan)] * len(rhos)
 
-    _, _, ac_hat = derivative_ac_curve(
-        sample, sample.q[keep], sample.v[keep], sample.r[keep], rules.h_deriv(cfg.n)
-    )
-    truth = sample.ac_true[keep]
-    mse_d = float(np.mean((ac_hat - truth) ** 2))
+    def mse_deriv(sample: SimSample) -> float:
+        _, _, ac_hat = derivative_ac_curve(
+            sample, sample.q[keep], sample.v[keep], sample.r[keep], rules.h_deriv(cfg.n)
+        )
+        return float(np.mean((ac_hat - sample.ac_true[keep]) ** 2))
 
+    mse_d = [mse_deriv(sample)]
     X = np.column_stack([sample.q - _LO, sample.v - _LO])
-    pts = X[keep]
     g_hat = nadaraya_watson_grid(
         X,
         sample.y_ac / sample.r,
-        pts,
+        X[keep],
         rules.h_base(cfg.n),
         d=rules.base_order,
         den_floor=rules.base_floor,
         widen_on_empty=True,
     )
-    mse_b = float(np.mean((sample.r[keep] * g_hat - truth) ** 2))
-    return mse_d, mse_b
+    mse_b = float(np.mean((sample.r[keep] * g_hat - sample.ac_true[keep]) ** 2))
+    del sample, X, g_hat
+    mse_d += [mse_deriv(generate(replace(cfg, rho=rho), path_prefix=(rep,))) for rho in rhos[1:]]
+    return [(d, mse_b) for d in mse_d]
 
 
-def _run_chunk(args) -> list[tuple[float, float]]:
-    cfg, rules, lo, hi = args
-    return [_replication_mse(cfg, rep, rules) for rep in range(lo, hi)]
+def _run_chunk(args) -> list[list[tuple[float, float]]]:
+    cfg, rhos, rules, lo, hi = args
+    return [_replication_mses(cfg, rhos, rep, rules) for rep in range(lo, hi)]
 
 
 def relative_mse_table(
@@ -326,41 +353,49 @@ def relative_mse_table(
 ) -> tuple[list[McResult], dict]:
     """Monte Carlo table of derivative-based vs baseline MSE ratios.
 
-    Returns the per-cell summaries and a details dict with the per-replication
-    MSE arrays.  Output is bit-identical for fixed (ns, rhos, reps, seed)
-    regardless of ``workers``: replication r of every cell uses streams
-    derived from (seed, r, equation), and results merge in replication order.
+    Returns the per-cell summaries, in (n, rho) order, and a details dict
+    with the per-replication MSE arrays.  Output is bit-identical for fixed
+    (ns, rhos, reps, seed) regardless of ``workers``: replication r of every
+    cell uses streams derived from (seed, r, equation), and results merge in
+    replication order.
+
+    One unit of work is an (n, replication) pair covering all rhos.  The
+    baseline never sees the labor equation, and the cost data of replication
+    r are the same at every rho, so the baseline is fitted once per
+    (n, replication) and every rho cell of that n shares its MSE.  One
+    (n, replication) costs one NW fit plus one AC curve per rho.  With
+    ``workers > 1`` one process pool serves the whole table; its chunks are
+    runs of replications of one n.
     """
     if reps < 1:
         raise ValidationError("reps >= 1 required")
     rules = rules or BenchmarkRules()
     base = cfg or CobbDouglasConfig(seed=seed)
+    rhos = tuple(float(rho) for rho in rhos)
+    ns = [int(n) for n in ns]
+    bounds = np.linspace(0, reps, max(workers, 1) + 1).astype(int)
+    spans = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+    chunks = [(replace(base, n=n, seed=seed), rhos, rules, a, b) for n in ns for a, b in spans]
+    if workers > 1:
+        # Imported here: only worker pools need them, and every other
+        # run would pay their import time.  Spawned workers, because forking
+        # a process that holds BLAS threads is unsafe.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+            parts = list(pool.map(_run_chunk, chunks))
+    else:
+        parts = [_run_chunk(chunk) for chunk in chunks]
     results: list[McResult] = []
     details: dict[tuple[int, float], dict[str, np.ndarray]] = {}
-    for n in ns:
-        for rho in rhos:
-            cell_cfg = replace(base, n=int(n), rho=float(rho), seed=seed)
-            pairs: list[tuple[float, float]] = []
-            if workers > 1:
-                # Imported here: only worker pools need it, and every other
-                # run would pay its import time.
-                from concurrent.futures import ProcessPoolExecutor
-
-                bounds = np.linspace(0, reps, workers + 1).astype(int)
-                chunks = [
-                    (cell_cfg, rules, int(a), int(b))
-                    for a, b in zip(bounds[:-1], bounds[1:])
-                    if b > a
-                ]
-                with ProcessPoolExecutor(max_workers=workers) as pool:
-                    for part in pool.map(_run_chunk, chunks):
-                        pairs.extend(part)
-            else:
-                pairs = _run_chunk((cell_cfg, rules, 0, reps))
-            a = np.array([p[0] for p in pairs])
-            b = np.array([p[1] for p in pairs])
-            results.append(_summarize_cell(int(n), float(rho), a, b))
-            details[(int(n), float(rho))] = {"mse_deriv": a, "mse_base": b}
+    for i, n in enumerate(ns):
+        per_rep = [pairs for part in parts[i * len(spans) : (i + 1) * len(spans)] for pairs in part]
+        for j, rho in enumerate(rhos):
+            a = np.array([pairs[j][0] for pairs in per_rep])
+            b = np.array([pairs[j][1] for pairs in per_rep])
+            results.append(_summarize_cell(n, rho, a, b))
+            details[(n, rho)] = {"mse_deriv": a, "mse_base": b}
     meta = {
         "seed": seed,
         "reps": reps,

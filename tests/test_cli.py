@@ -105,6 +105,14 @@ class TestSimulate:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "benchmark.csv").exists()
 
+    def test_negative_seed_exits_one_with_one_line(self, tmp_path, capsys):
+        # numpy's SeedSequence raised a ValueError traceback.
+        out = tmp_path / "never"
+        assert run(["simulate", "--ns", 60, "--reps", 2, "--seed", -1, "--out-dir", out]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: seed must be >= 0, got -1\n" and captured.out == ""
+        assert not out.exists()
+
     def test_low_reps_warns(self, tmp_path, capsys):
         assert run(["simulate", "--ns", 60, "--rhos", 0.0, "--reps", 2, "--out-dir", tmp_path]) == 0
         assert "noisy" in capsys.readouterr().err

@@ -79,6 +79,17 @@ class TestTermWeights:
         with pytest.raises(ValidationError, match=r"^alpha 001 differentiates outside the active coordinates$"):
             term_weights(D("001"), [0, 1])
 
+    @pytest.mark.parametrize("coords, bad", [([0, 5], 5), ([0, -1], -1), ([2], 2)])
+    def test_coordinate_outside_range_rejected(self, coords, bad):
+        # Such coordinates were dropped: [0, 5] gave (RECON, LOCAL).
+        with pytest.raises(ValidationError, match=rf"^coordinate {bad} is outside 0\.\.1$"):
+            term_weights(D("10"), coords)
+
+    def test_reconstruction_integral_rejects_coordinate_outside_range(self):
+        # coords=[0, 3] gave the value of coords=None.
+        with pytest.raises(ValidationError, match=r"^coordinate 3 is outside 0\.\.0$"):
+            reconstruction_integral(D("1"), 1.0, [0.5], Quadrature(), coords=[0, 3])
+
     def test_plan_terms_are_term_weights(self):
         for k in (1, 2, 3):
             for ell in range(k + 1):

@@ -18,7 +18,8 @@ from derivreg import (
     generate,
     relative_mse_table,
 )
-from derivreg.simulation import BenchmarkRules, _replication_mse
+from derivreg import simulation
+from derivreg.simulation import BenchmarkRules, _replication_mses
 
 
 class TestConfigAndOracle:
@@ -49,6 +50,32 @@ class TestConfigAndOracle:
         with pytest.raises(ValidationError, match="rho"):
             CobbDouglasConfig(rho=np.nan)
 
+    @pytest.mark.parametrize("name", ["c1", "c2", "c"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0])
+    def test_non_finite_or_nonpositive_constants_rejected(self, name, bad):
+        # A NaN constant made every y_ac NaN.
+        with pytest.raises(ValidationError, match="c1, c2, c must be finite and positive"):
+            CobbDouglasConfig(**{name: bad})
+
+    @pytest.mark.parametrize("bad", [True, 100.0, 2.5, "100"])
+    def test_non_integer_n_rejected(self, bad):
+        with pytest.raises(ValidationError, match="^n must be an integer"):
+            CobbDouglasConfig(n=bad)
+
+    @pytest.mark.parametrize("bad", [False, 1.0, "3"])
+    def test_non_integer_seed_rejected(self, bad):
+        with pytest.raises(ValidationError, match="^seed must be an integer"):
+            CobbDouglasConfig(seed=bad)
+
+    def test_negative_seed_rejected(self):
+        # numpy's SeedSequence raised its own ValueError inside generate.
+        with pytest.raises(ValidationError, match=r"^seed must be >= 0, got -1$"):
+            CobbDouglasConfig(seed=-1)
+
+    def test_numpy_integers_accepted(self):
+        cfg = CobbDouglasConfig(n=np.int64(30), seed=np.int32(4))
+        assert generate(cfg).q.shape == (30,)
+
 
 class TestGenerate:
     def test_independent_errors_when_rho_zero(self):
@@ -71,6 +98,9 @@ class TestGenerate:
         b = generate(CobbDouglasConfig(n=500, rho=0.9, seed=3), path_prefix=(4,))
         assert np.array_equal(a.q, b.q) and np.array_equal(a.v, b.v)
         assert np.array_equal(a.y_ac - a.ac_true, b.y_ac - b.ac_true)  # AC errors coupled
+        # The MC table fits the baseline once for all rhos on these two arrays.
+        assert a.y_ac.tobytes() == b.y_ac.tobytes()
+        assert a.ac_true.tobytes() == b.ac_true.tobytes()
         assert not np.array_equal(a.y_al - a.al_true, b.y_al - b.al_true)
 
     def test_datasets_are_unit_cube(self):
@@ -199,12 +229,53 @@ class TestWindowedSweep:
         assert peak < 64 * 2**20
 
 
+def _same_details(a, b):
+    """The two details dicts hold the same cells with bitwise-equal arrays."""
+    return list(a["cells"]) == list(b["cells"]) and all(
+        a["cells"][cell][name].tobytes() == b["cells"][cell][name].tobytes()
+        for cell in a["cells"]
+        for name in ("mse_deriv", "mse_base")
+    )
+
+
 class TestBenchmark:
     def test_deterministic_across_runs_and_workers(self):
-        a, _ = relative_mse_table(ns=(60,), rhos=(0.0,), reps=12, seed=11, workers=1)
-        b, _ = relative_mse_table(ns=(60,), rhos=(0.0,), reps=12, seed=11, workers=1)
-        c, _ = relative_mse_table(ns=(60,), rhos=(0.0,), reps=12, seed=11, workers=3)
+        args = dict(ns=(60, 80), rhos=(0.0, 0.9), reps=12, seed=11)
+        a, da = relative_mse_table(**args, workers=1)
+        b, db = relative_mse_table(**args, workers=1)
+        c, dc = relative_mse_table(**args, workers=3)
         assert a == b == c
+        assert _same_details(da, db) and _same_details(da, dc)
+
+    def test_rho_cells_share_the_baseline(self):
+        _, details = relative_mse_table(ns=(60, 80), rhos=(0.0, 0.4, 0.9), reps=4, seed=15)
+        for n in (60, 80):
+            base = details["cells"][(n, 0.0)]["mse_base"].tobytes()
+            assert all(details["cells"][(n, rho)]["mse_base"].tobytes() == base for rho in (0.4, 0.9))
+
+    def test_one_baseline_fit_per_n_and_replication(self, monkeypatch):
+        calls = {"nw": 0, "ac": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(simulation, "nadaraya_watson_grid", counted("nw", simulation.nadaraya_watson_grid))
+        monkeypatch.setattr(simulation, "derivative_ac_curve", counted("ac", simulation.derivative_ac_curve))
+        relative_mse_table(ns=(60, 80), rhos=(0.0, 0.4, 0.9), reps=3, seed=16)
+        assert calls == {"nw": 6, "ac": 18}
+
+    def test_multi_rho_table_equals_one_rho_tables(self):
+        rhos = (0.0, 0.4, 0.9)
+        joint, joint_details = relative_mse_table(ns=(60, 80), rhos=rhos, reps=3, seed=17)
+        single = [relative_mse_table(ns=(60, 80), rhos=(rho,), reps=3, seed=17) for rho in rhos]
+        # The joint table lists cells n-major: (60, rho...), (80, rho...).
+        assert joint == [single[j][0][i] for i in range(2) for j in range(3)]
+        cells = {(n, rho): single[j][1]["cells"][(n, rho)] for n in (60, 80) for j, rho in enumerate(rhos)}
+        assert _same_details(joint_details, {"cells": cells})
 
     def test_ratio_improves_with_sample_size(self):
         res, _ = relative_mse_table(ns=(100, 1000), rhos=(0.0,), reps=60, seed=12)
@@ -224,8 +295,8 @@ class TestBenchmark:
         noisy = np.zeros(2)
         noiseless = np.zeros(2)
         for rep in range(10):
-            noisy += _replication_mse(CobbDouglasConfig(n=500, seed=13), rep, rules)
-            noiseless += _replication_mse(CobbDouglasConfig(n=500, sigma=0.0, seed=13), rep, rules)
+            noisy += _replication_mses(CobbDouglasConfig(n=500, seed=13), (0.0,), rep, rules)[0]
+            noiseless += _replication_mses(CobbDouglasConfig(n=500, sigma=0.0, seed=13), (0.0,), rep, rules)[0]
         assert noisy[1] / noiseless[1] >= 10.0
         assert noiseless[0] < 0.6 * noisy[0]
 
