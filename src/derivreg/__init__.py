@@ -67,7 +67,6 @@ from .estimators import (
 )
 from .simulation import (
     CobbDouglasConfig,
-    CobbDouglasOracle,
     McResult,
     RateResult,
     SimSample,

@@ -103,13 +103,12 @@ def run_simulate(args) -> int:
         h_deriv_const=args.h_deriv_const,
         h_base_const=args.h_base_const,
     )
-    generator = CobbDouglasConfig(sigma=args.sigma, seed=args.seed)
     results, extra = relative_mse_table(
         ns=ns,
         rhos=rhos,
         reps=args.reps,
         seed=args.seed,
-        cfg=generator,
+        cfg=CobbDouglasConfig(sigma=args.sigma),
         rules=rules,
         workers=args.workers,
     )
@@ -182,9 +181,9 @@ def _load_estimate_config(path: Path):
         "ell": _option(parser, "plan", "ell", int, 0),
         "d": _option(parser, "plan", "d", int),
         "d1": _option(parser, "plan", "d1", int),
-        "density": _option(parser, "plan", "density", str, "uniform"),
-        "floor": _option(parser, "plan", "floor", float, 0.05),
-        "h_const": _option(parser, "plan", "h_const", float, 1.0),
+        "density": _option(parser, "plan", "density", str),
+        "floor": _option(parser, "plan", "floor", float),
+        "h_const": _option(parser, "plan", "h_const", float),
     }
     data_paths: dict[DerivIndex, Path] = {}
     for section in parser.sections():
@@ -257,17 +256,11 @@ def run_estimate(args) -> int:
             scale *= maps[j].scale
         datasets[idx] = DataSet(k=k, deriv=idx, X=X, Y=arr[:, k] * scale)
 
-    plan = EstimationPlan.build(
-        k,
-        plan_cfg["coords"],
-        plan_cfg["ell"],
-        datasets,
-        d=plan_cfg["d"],
-        d1=plan_cfg["d1"],
-        density=plan_cfg["density"],
-        floor=plan_cfg["floor"],
-        bandwidths=BandwidthPlan(h_const=plan_cfg["h_const"]),
-    )
+    # A key the config leaves out takes EstimationPlan's default.
+    settings = {key: plan_cfg[key] for key in ("d", "d1", "density", "floor") if plan_cfg[key] is not None}
+    if plan_cfg["h_const"] is not None:
+        settings["bandwidths"] = BandwidthPlan(h_const=plan_cfg["h_const"])
+    plan = EstimationPlan(term_plan, datasets, **settings)
 
     if grid["offset"] == "auto":
         hs = [h for h in map(plan.bandwidth, plan.plan.terms) if h is not None]
@@ -384,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ns", type=int, nargs="+", default=[100, 200, 500, 1000])
     p.add_argument("--rhos", type=float, nargs="+", default=[0.0, 0.4, 0.9])
     p.add_argument("--reps", type=int, default=1000)
-    p.add_argument("--sigma", type=float, default=0.35)
+    p.add_argument("--sigma", type=float, default=CobbDouglasConfig.sigma)
     p.add_argument("--h-deriv-const", type=float, default=BenchmarkRules.h_deriv_const)
     p.add_argument("--h-base-const", type=float, default=BenchmarkRules.h_base_const)
     p.add_argument("--dump-reps", action="store_true")

@@ -221,7 +221,8 @@ class EstimationPlan:
     floored leave-one-out weighting ("loo").  k, the derivative coordinates
     and ell are those of ``plan``.  A plan is checked when it is made: None
     for ``d``, ``d1`` or ``bandwidths`` means the default, the orders must
-    pass :func:`derivreg.kernels.check_orders`, and ``datasets`` (copied)
+    pass :func:`derivreg.kernels.check_orders`, ``floor`` must be finite and
+    positive whatever the density mode, and ``datasets`` (copied)
     must hold a k-variate dataset under each index the term plan requires.
     """
 
@@ -243,6 +244,9 @@ class EstimationPlan:
         check_orders(self.d, self.d1, k, p)
         if self.density not in ("uniform", "loo"):
             raise ValidationError(f"density mode must be 'uniform' or 'loo', got {self.density!r}")
+        # Checked in every mode, as fit_metadata.json records it in every mode.
+        if not 0.0 < self.floor < np.inf:
+            raise ValidationError(f"density floor must be finite and positive, got {self.floor}")
         for idx in self.plan.required_indices:
             if idx not in self.datasets:
                 raise ValidationError(f"plan needs a dataset for derivative index {idx}")

@@ -201,7 +201,6 @@ class ProductKernel:
     it.
     """
 
-    order: int
     interior: KernelSpec
     left: KernelSpec
     right: KernelSpec
@@ -257,7 +256,6 @@ def product_kernel(d: int) -> ProductKernel:
     """Build (and cache) the order-d product kernel family."""
     interior = make_interior_kernel(d)
     return ProductKernel(
-        order=interior.order,
         interior=interior,
         left=make_edge_kernel(interior.order, "left"),
         right=make_edge_kernel(interior.order, "right"),

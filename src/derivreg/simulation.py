@@ -25,7 +25,6 @@ from .kernels import BandwidthPlan, Workspace, band_sweep
 
 __all__ = [
     "CobbDouglasConfig",
-    "CobbDouglasOracle",
     "SimSample",
     "generate",
     "derivative_ac_curve",
@@ -42,7 +41,8 @@ _LO, _HI = 0.5, 1.5  # support of Q and w/r
 
 @dataclass(frozen=True)
 class CobbDouglasConfig:
-    """Parameters of the cost/labor data generator."""
+    """The cost/labor technology of the data generator: its constants, the
+    sampling settings, and the noise-free functions ``g``, ``ac`` and ``al``."""
 
     c1: float = 0.8
     c2: float = 0.7
@@ -82,30 +82,21 @@ class CobbDouglasConfig:
     def v_exponent(self) -> float:
         return self.c2 / (self.c1 + self.c2)
 
-
-@dataclass(frozen=True)
-class CobbDouglasOracle:
-    """Noise-free cost and labor functions implied by a config."""
-
-    cfg: CobbDouglasConfig
-
     def g(self, q, v):
         """Average cost per unit of capital price: AC = r * g(Q, w/r)."""
-        c = self.cfg
-        return c.c_tilde * np.asarray(q, dtype=float) ** c.q_exponent * np.asarray(
+        return self.c_tilde * np.asarray(q, dtype=float) ** self.q_exponent * np.asarray(
             v, dtype=float
-        ) ** c.v_exponent
+        ) ** self.v_exponent
 
     def ac(self, q, v, r=1.0):
         return np.asarray(r, dtype=float) * self.g(q, v)
 
     def al(self, q, v):
-        c = self.cfg
         return (
-            c.v_exponent
-            * c.c_tilde
-            * np.asarray(q, dtype=float) ** c.q_exponent
-            * np.asarray(v, dtype=float) ** (c.v_exponent - 1.0)
+            self.v_exponent
+            * self.c_tilde
+            * np.asarray(q, dtype=float) ** self.q_exponent
+            * np.asarray(v, dtype=float) ** (self.v_exponent - 1.0)
         )
 
 
@@ -118,7 +109,6 @@ class SimSample:
     [0.5, 1.5]^2 has unit width, so the map is a pure shift).
     """
 
-    cfg: CobbDouglasConfig
     q: np.ndarray
     v: np.ndarray
     r: np.ndarray
@@ -126,7 +116,6 @@ class SimSample:
     y_al: np.ndarray
     ac_true: np.ndarray
     al_true: np.ndarray
-    oracle: CobbDouglasOracle
 
     @property
     def ds_ac(self) -> DataSet:
@@ -147,19 +136,10 @@ def generate(cfg: CobbDouglasConfig, path_prefix: tuple[int, ...] = ()) -> SimSa
     r = np.ones(cfg.n)
     eps_ac = cfg.sigma * z[:, 0]
     eps_al = cfg.sigma * (cfg.rho * z[:, 0] + math.sqrt(1.0 - cfg.rho**2) * z[:, 1])
-    oracle = CobbDouglasOracle(cfg)
-    ac_true = oracle.ac(q, v, r)
-    al_true = oracle.al(q, v)
+    ac_true = cfg.ac(q, v, r)
+    al_true = cfg.al(q, v)
     return SimSample(
-        cfg=cfg,
-        q=q,
-        v=v,
-        r=r,
-        y_ac=ac_true + eps_ac,
-        y_al=al_true + eps_al,
-        ac_true=ac_true,
-        al_true=al_true,
-        oracle=oracle,
+        q=q, v=v, r=r, y_ac=ac_true + eps_ac, y_al=al_true + eps_al, ac_true=ac_true, al_true=al_true
     )
 
 
@@ -304,7 +284,9 @@ def _replication_mses(
     on the first rho's sample, and its MSE is shared by every rho.  Each later
     rho's sample is drawn only when its AC curve needs it, after the first
     sample and the baseline's arrays are freed, so one sample is alive at a
-    time, as when each rho was a replication of its own.
+    time, as when each rho was a replication of its own.  The capital price
+    r is one in every row, so the curve is evaluated at r = 1 and the baseline
+    smooths the cost data as drawn.
     """
     if not rhos:
         return []
@@ -315,23 +297,21 @@ def _replication_mses(
         return [(math.nan, math.nan)] * len(rhos)
 
     def mse_deriv(sample: SimSample) -> float:
-        _, _, ac_hat = derivative_ac_curve(
-            sample, sample.q[keep], sample.v[keep], sample.r[keep], rules.h_deriv(cfg.n)
-        )
+        _, _, ac_hat = derivative_ac_curve(sample, sample.q[keep], sample.v[keep], 1.0, rules.h_deriv(cfg.n))
         return float(np.mean((ac_hat - sample.ac_true[keep]) ** 2))
 
     mse_d = [mse_deriv(sample)]
     X = np.column_stack([sample.q - _LO, sample.v - _LO])
     g_hat = nadaraya_watson_grid(
         X,
-        sample.y_ac / sample.r,
+        sample.y_ac,
         X[keep],
         rules.h_base(cfg.n),
         d=rules.base_order,
         den_floor=rules.base_floor,
         widen_on_empty=True,
     )
-    mse_b = float(np.mean((sample.r[keep] * g_hat - sample.ac_true[keep]) ** 2))
+    mse_b = float(np.mean((g_hat - sample.ac_true[keep]) ** 2))
     del sample, X, g_hat
     mse_d += [mse_deriv(generate(replace(cfg, rho=rho), path_prefix=(rep,))) for rho in rhos[1:]]
     return [(d, mse_b) for d in mse_d]
@@ -357,7 +337,8 @@ def relative_mse_table(
     with the per-replication MSE arrays.  Output is bit-identical for fixed
     (ns, rhos, reps, seed) regardless of ``workers``: replication r of every
     cell uses streams derived from (seed, r, equation), and results merge in
-    replication order.
+    replication order.  ``cfg`` (default ``CobbDouglasConfig()``)
+    supplies c1, c2, c and sigma; n, rho and seed are set for each cell.
 
     One unit of work is an (n, replication) pair covering all rhos.  The
     baseline never sees the labor equation, and the cost data of replication
@@ -370,7 +351,7 @@ def relative_mse_table(
     if reps < 1:
         raise ValidationError("reps >= 1 required")
     rules = rules or BenchmarkRules()
-    base = cfg or CobbDouglasConfig(seed=seed)
+    base = cfg or CobbDouglasConfig()
     rhos = tuple(float(rho) for rho in rhos)
     ns = [int(n) for n in ns]
     bounds = np.linspace(0, reps, max(workers, 1) + 1).astype(int)
@@ -459,23 +440,16 @@ def _rate_rep_mse(
         eps = split_stream(seed, (rep, 1)).standard_normal(n)
         Y = g(X) + sigma * eps
         h = 0.7 * float(n) ** (-1.0 / (2 * d + k))
-        vals = nadaraya_watson_grid(X, Y, pts, h, d=d, den_floor=0.05, widen_on_empty=True)
+        vals = nadaraya_watson_grid(X, Y, pts, h, d=d, widen_on_empty=True)
         return float(np.mean((vals - g(pts)) ** 2))
 
+    term_plan = build_term_plan(k, range(p), 0)
     datasets = {}
-    for j, idx in enumerate(build_term_plan(k, range(p), 0).required_indices):
+    for j, idx in enumerate(term_plan.required_indices):
         X = split_stream(seed, (rep, 2 * j)).uniform((n, k))
         eps = split_stream(seed, (rep, 2 * j + 1)).standard_normal(n)
         datasets[idx] = DataSet(k=k, deriv=idx, X=X, Y=g.deriv(idx, X) + sigma * eps)
-    plan = EstimationPlan.build(
-        k,
-        range(p),
-        0,
-        datasets,
-        d=d if p < k else None,
-        density="uniform",
-        bandwidths=BandwidthPlan(h_const=0.8),
-    )
+    plan = EstimationPlan(term_plan, datasets, d=d if p < k else None, bandwidths=BandwidthPlan(h_const=0.8))
     res = fit(plan, pts)
     return float(np.mean((res.values - g(pts)) ** 2))
 
@@ -507,7 +481,7 @@ def convergence_rate_experiment(
     logn = np.log(np.asarray(ns, dtype=float))
     logm = np.log(np.asarray(mses))
     A = np.column_stack([np.ones_like(logn), logn])
-    coef, res_ss, *_ = np.linalg.lstsq(A, logm, rcond=None)
+    coef, *_ = np.linalg.lstsq(A, logm, rcond=None)
     dof = len(ns) - 2
     resid = logm - A @ coef
     s2 = float(resid @ resid) / dof if dof > 0 else math.nan

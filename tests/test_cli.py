@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import itertools
+import json
 import tempfile
 import warnings
 from pathlib import Path
@@ -270,6 +271,38 @@ class TestEstimate:
         err = self._bad_config_exits_one(tmp_path, example_config, capsys, edit)
         assert message in err
 
+    @pytest.mark.parametrize("density", ["uniform", "loo"])
+    @pytest.mark.parametrize("floor", ["nan", "inf", "-1"])
+    def test_bad_floor_exits_one_in_every_density_mode(self, tmp_path, example_config, capsys, density, floor):
+        # With density = uniform these exited 0 and wrote NaN or Infinity into fit_metadata.json.
+        edit = lambda t: t.replace("d = 2", f"d = 2\ndensity = {density}\nfloor = {floor}")
+        err = self._bad_config_exits_one(tmp_path, example_config, capsys, edit)
+        assert err == f"error: density floor must be finite and positive, got {float(floor)}\n"
+
+    @pytest.mark.parametrize("density", ["uniform", "loo"])
+    def test_keys_left_out_take_the_plan_defaults(self, tmp_path, example_config, density):
+        text = example_config.read_text()
+        stated = tmp_path / "stated.ini"
+        stated.write_text(text.replace("d = 2", f"d = 2\ndensity = {density}\nfloor = 0.05\nh_const = 1.0"))
+        left_out = tmp_path / "left_out.ini"
+        left_out.write_text(text.replace("d = 2", "d = 2\ndensity = loo") if density == "loo" else text)
+        for cfg, sub in ((stated, "a"), (left_out, "b")):
+            assert run(["estimate", "--config", cfg, "--out-dir", tmp_path / sub]) == 0
+        for name in ("fit.csv", "fit_metadata.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_one_term_plan_per_run(self, tmp_path, example_config, monkeypatch):
+        import derivreg.cli
+        import derivreg.estimators
+
+        calls = []
+        for module in (derivreg.cli, derivreg.estimators):
+            original = module.build_term_plan
+            counted = lambda *args, _original=original, **kwargs: calls.append(args) or _original(*args, **kwargs)
+            monkeypatch.setattr(module, "build_term_plan", counted)
+        assert run(["estimate", "--config", example_config, "--out-dir", tmp_path / "o"]) == 0
+        assert len(calls) == 1
+
     def test_missing_config_exits_three(self, tmp_path, capsys):
         cfg = tmp_path / "absent.ini"
         assert run(["estimate", "--config", cfg, "--out-dir", tmp_path / "o"]) == 3
@@ -410,27 +443,33 @@ class TestGoldenPayloads:
             "3a423955555074086f6cdf4e9ecccd2ce84ee50f1e4096cc2e00404adc797fcc"
         )
 
-    def test_loo_density_fit(self, tmp_path):
-        # A non-uniform design, so every density weight differs from one.
+    @staticmethod
+    def _loo_config(root):
+        """The LOO fit's config and CSVs: a non-uniform design, so every
+        density weight differs from one."""
         n = 500
         X0 = split_stream(23, [0]).uniform((n, 2)) ** 1.5
         X1 = split_stream(23, [1]).uniform((n, 2)) ** 1.5
-        _write_csv(tmp_path / "g00.csv", X0, X0[:, 0] * X0[:, 1] + np.sin(3 * X0[:, 1]))
-        _write_csv(tmp_path / "g10.csv", X1, X1[:, 1])
-        cfg = tmp_path / "plan.ini"
+        _write_csv(root / "g00.csv", X0, X0[:, 0] * X0[:, 1] + np.sin(3 * X0[:, 1]))
+        _write_csv(root / "g10.csv", X1, X1[:, 1])
+        cfg = root / "plan.ini"
         cfg.write_text(
             "[plan]\nk = 2\ncoords = 1\nell = 0\nd = 2\nd1 = 4\ndensity = loo\n\n"
-            f"[data 00]\npath = {tmp_path / 'g00.csv'}\n\n[data 10]\npath = {tmp_path / 'g10.csv'}\n\n"
+            f"[data 00]\npath = {root / 'g00.csv'}\n\n[data 10]\npath = {root / 'g10.csv'}\n\n"
             "[grid]\npoints = 5\noffset = auto\n"
         )
-        assert run(["estimate", "--config", cfg, "--out-dir", tmp_path / "out"]) == 0
+        return cfg
+
+    _SIMULATE = ["simulate", "--ns", 200, 1000, "--rhos", 0, 0.9, "--reps", 4, "--dump-reps", "--seed", 5]
+
+    def test_loo_density_fit(self, tmp_path):
+        assert run(["estimate", "--config", self._loo_config(tmp_path), "--out-dir", tmp_path / "out"]) == 0
         assert self._digest(tmp_path / "out" / "fit.csv") == (
             "9f4f1678bd74ef887edd81d5391b64bb7c80b9252e4881586390232abc3d645b"
         )
 
     def test_simulate_tables(self, tmp_path):
-        argv = ["simulate", "--ns", 200, 1000, "--rhos", 0, 0.9, "--reps", 4, "--dump-reps", "--seed", 5]
-        assert run(argv + ["--out-dir", tmp_path]) == 0
+        assert run(self._SIMULATE + ["--out-dir", tmp_path]) == 0
         assert self._digest(tmp_path / "benchmark.csv") == (
             "b362ca6c746fa98c501fafd70023af033461768ba64a425db512070ad188b0eb"
         )
@@ -451,6 +490,22 @@ class TestGoldenPayloads:
         assert self._digest(tmp_path / "verify_report.csv") == (
             "741d28b4473b477f854357e7133c7b58dac2fe4cccebc79ed5eeedede0406f1d"
         )
+
+    def test_every_sidecar_is_strict_json(self, tmp_path):
+        # Python's json writes NaN and Infinity, which strict parsers reject.
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        runs = {
+            "verify": ["verify", "--quad-nodes", 16],
+            "kernels": ["kernels"],
+            "simulate": self._SIMULATE,
+            "estimate": ["estimate", "--config", self._loo_config(tmp_path)],
+        }
+        for name, argv in runs.items():
+            assert run(argv + ["--out-dir", tmp_path / name]) == 0
+            (sidecar,) = (tmp_path / name).glob("*_metadata.json")
+            json.loads(sidecar.read_text(), parse_constant=reject)
 
 
 class TestKernelsCommand:

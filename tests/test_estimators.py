@@ -275,6 +275,14 @@ class TestFit:
         with pytest.raises(ValidationError, match="plan needs a dataset for derivative index 10"):
             EstimationPlan(build_term_plan(2, [0], 0), {D("00"): datasets[D("00")]})
 
+    @pytest.mark.parametrize("density", ["uniform", "loo"])
+    @pytest.mark.parametrize("floor", [np.nan, np.inf, 0.0, -1.0])
+    def test_bad_floor_rejected_in_every_density_mode(self, density, floor):
+        # fit_metadata.json records the floor in every mode; NaN and Infinity are not JSON.
+        message = f"^density floor must be finite and positive, got {floor}$"
+        with pytest.raises(ValidationError, match=message):
+            EstimationPlan(build_term_plan(2, [0], 0), self._k2_datasets(), density=density, floor=floor)
+
     def test_bandwidth_per_term(self):
         plan = EstimationPlan.build(2, [0], 0, self._k2_datasets(), bandwidths=BandwidthPlan(h_const=0.5))
         hs = {t.label: plan.bandwidth(t) for t in plan.plan.terms}

@@ -10,7 +10,6 @@ import reference
 
 from derivreg import (
     CobbDouglasConfig,
-    CobbDouglasOracle,
     ValidationError,
     convergence_rate_experiment,
     derivative_ac_curve,
@@ -18,7 +17,7 @@ from derivreg import (
     generate,
     relative_mse_table,
 )
-from derivreg import simulation
+from derivreg import nadaraya_watson_grid, simulation
 from derivreg.simulation import BenchmarkRules, _replication_mses
 
 
@@ -32,12 +31,11 @@ class TestConfigAndOracle:
 
     def test_labor_is_price_derivative_of_cost(self):
         cfg = CobbDouglasConfig()
-        oracle = CobbDouglasOracle(cfg)
         q, v, r, dw = 1.1, 0.9, 1.3, 1e-6
         # AC as a function of (w, r) with v = w/r; AL = dAC/dw
-        ac = lambda w: oracle.ac(q, w / r, r)
+        ac = lambda w: cfg.ac(q, w / r, r)
         fd = (ac(v * r + dw) - ac(v * r - dw)) / (2 * dw)
-        assert fd == pytest.approx(float(oracle.al(q, v)), rel=1e-6)
+        assert fd == pytest.approx(float(cfg.al(q, v)), rel=1e-6)
 
     def test_validation(self):
         with pytest.raises(ValidationError):
@@ -103,6 +101,12 @@ class TestGenerate:
         assert a.ac_true.tobytes() == b.ac_true.tobytes()
         assert not np.array_equal(a.y_al - a.al_true, b.y_al - b.al_true)
 
+    def test_truth_is_the_config_functions(self):
+        cfg = CobbDouglasConfig(n=200, rho=0.4, seed=6)
+        sample = generate(cfg, path_prefix=(3,))
+        assert sample.ac_true.tobytes() == cfg.ac(sample.q, sample.v).tobytes()
+        assert sample.al_true.tobytes() == cfg.al(sample.q, sample.v).tobytes()
+
     def test_datasets_are_unit_cube(self):
         sample = generate(CobbDouglasConfig(n=20, seed=5))
         assert sample.ds_ac.X.min() >= 0.0 and sample.ds_ac.X.max() <= 1.0
@@ -136,7 +140,7 @@ class TestDerivativeAcEstimator:
         cfg = CobbDouglasConfig(n=40_000, sigma=0.05, seed=10)
         sample = generate(cfg)
         est = derivative_ac_curve(sample, [1.0], [1.0], 1.0, h=0.05)[2][0]
-        truth = float(sample.oracle.ac(1.0, 1.0))
+        truth = float(cfg.ac(1.0, 1.0))
         assert est == pytest.approx(truth, abs=0.02)
 
 
@@ -276,6 +280,35 @@ class TestBenchmark:
         assert joint == [single[j][0][i] for i in range(2) for j in range(3)]
         cells = {(n, rho): single[j][1]["cells"][(n, rho)] for n in (60, 80) for j, rho in enumerate(rhos)}
         assert _same_details(joint_details, {"cells": cells})
+
+    def test_replication_mses_equal_the_r_weighted_expressions(self):
+        # r is one in every row: the driver's r-free expressions give the bits
+        # of evaluating the curve at r[keep], smoothing y_ac / r and scoring
+        # r[keep] * g_hat.
+        cfg, rhos, rep, rules = CobbDouglasConfig(n=300, seed=21), (0.0, 0.9), 2, BenchmarkRules()
+        lo, hi = rules.trim
+        want_d, want_b = [], None
+        for rho in rhos:
+            s = generate(replace(cfg, rho=rho), path_prefix=(rep,))
+            keep = (s.q >= lo) & (s.q <= hi) & (s.v >= lo) & (s.v <= hi)
+            _, _, ac_hat = derivative_ac_curve(s, s.q[keep], s.v[keep], s.r[keep], rules.h_deriv(cfg.n))
+            want_d.append(float(np.mean((ac_hat - s.ac_true[keep]) ** 2)))
+            if want_b is None:
+                X = np.column_stack([s.q - 0.5, s.v - 0.5])
+                g_hat = nadaraya_watson_grid(
+                    X, s.y_ac / s.r, X[keep], rules.h_base(cfg.n),
+                    d=rules.base_order, den_floor=rules.base_floor, widen_on_empty=True,
+                )
+                want_b = float(np.mean((s.r[keep] * g_hat - s.ac_true[keep]) ** 2))
+        got = _replication_mses(cfg, rhos, rep, rules)
+        assert np.array(got).tobytes() == np.array([(d, want_b) for d in want_d]).tobytes()
+
+    def test_cfg_supplies_only_the_technology(self):
+        # n, rho and seed of the given cfg are overridden for every cell.
+        args = dict(ns=(60,), rhos=(0.0, 0.9), reps=3, seed=9)
+        a, da = relative_mse_table(**args)
+        b, db = relative_mse_table(**args, cfg=CobbDouglasConfig(n=7, rho=0.5, seed=999))
+        assert a == b and _same_details(da, db) and da["metadata"] == db["metadata"]
 
     def test_ratio_improves_with_sample_size(self):
         res, _ = relative_mse_table(ns=(100, 1000), rhos=(0.0,), reps=60, seed=12)
