@@ -90,25 +90,16 @@ def run_verify(args) -> int:
 
 
 def run_simulate(args) -> int:
-    if args.reps < 1:
-        raise ValidationError("--reps must be >= 1")
-    rhos = [float(r) for r in args.rhos]
-    for r in rhos:
-        if not abs(r) <= 1:
-            raise ValidationError(f"|rho| <= 1 required, got {r}")
-    ns = [int(n) for n in args.ns]
-    if any(n < 2 for n in ns):
-        raise ValidationError("sample sizes must be >= 2")
     rules = BenchmarkRules(
         h_deriv_const=args.h_deriv_const,
         h_base_const=args.h_base_const,
     )
     results, extra = relative_mse_table(
-        ns=ns,
-        rhos=rhos,
+        ns=args.ns,
+        rhos=args.rhos,
         reps=args.reps,
         seed=args.seed,
-        cfg=CobbDouglasConfig(sigma=args.sigma),
+        sigma=args.sigma,
         rules=rules,
         workers=args.workers,
     )

@@ -15,7 +15,11 @@ import numpy as np
 from .core import DataSet, ValidationError, as_float_array
 from .kernels import Workspace, band_sweep, check_bandwidth, product_kernel
 
-__all__ = ["DensityEstimator", "loo_density", "loo_at_rows"]
+__all__ = ["DENSITY_FLOOR", "DensityEstimator", "loo_density", "loo_at_rows"]
+
+# The default floor of every density normalizer: LOO weights, plans and NW.
+DENSITY_FLOOR = 0.05
+
 
 @dataclass(frozen=True)
 class DensityEstimator:
@@ -29,7 +33,7 @@ class DensityEstimator:
     data: DataSet
     d1: int
     H: float
-    floor: float = 0.05
+    floor: float = DENSITY_FLOOR
 
     def __post_init__(self):
         if self.data.n < 2:

@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from .core import DataSet, DerivIndex, ValidationError, as_float_array
-from .density import DensityEstimator, loo_at_rows
+from .density import DENSITY_FLOOR, DensityEstimator, loo_at_rows
 from .functionals import Quadrature, Term, TermPlan, Weight, build_term_plan, gl_panels, tensor_rule, term_weights, weight_shape
 from .kernels import BandwidthPlan, Workspace, band_sweep, check_bandwidth, check_orders, default_orders, product_kernel
 
@@ -232,7 +232,7 @@ class EstimationPlan:
     d1: int | None = None
     bandwidths: BandwidthPlan | None = None
     density: str = "uniform"
-    floor: float = 0.05
+    floor: float = DENSITY_FLOOR
 
     def __post_init__(self):
         k, p = self.plan.k, self.p
@@ -372,7 +372,7 @@ def nadaraya_watson_grid(
     pts: np.ndarray,
     h: float,
     d: int = 2,
-    den_floor: float = 0.05,
+    den_floor: float = DENSITY_FLOOR,
     widen_on_empty: bool = False,
 ) -> np.ndarray:
     """Locally weighted average over all k coordinates (the no-derivative

@@ -14,11 +14,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import repeat
 from typing import ClassVar
 
 import numpy as np
 
 from .core import DataSet, DerivIndex, TestFunction, ValidationError, as_float_array, canonical_order, split_stream, product_function
+from .density import DENSITY_FLOOR
 from .estimators import EstimationPlan, fit, make_grid, nadaraya_watson_grid
 from .functionals import build_term_plan
 from .kernels import BandwidthPlan, Workspace, band_sweep
@@ -243,7 +245,7 @@ class BenchmarkRules:
     h_base_expo: ClassVar[float] = 1.0 / 4.0
     trim: ClassVar[tuple[float, float]] = (0.6, 1.4)
     base_order: ClassVar[int] = 2
-    base_floor: ClassVar[float] = 0.05
+    base_floor: ClassVar[float] = DENSITY_FLOOR
 
     def __post_init__(self):
         if not (0.0 < self.h_deriv_const < np.inf and 0.0 < self.h_base_const < np.inf):
@@ -268,10 +270,6 @@ class McResult:
     reps: int
     se_ratio: float
 
-    def __post_init__(self):
-        if self.reps < 1:
-            raise ValidationError("replication count must be >= 1")
-
 
 def _replication_mses(
     cfg: CobbDouglasConfig, rhos: tuple[float, ...], rep: int, rules: BenchmarkRules
@@ -288,8 +286,6 @@ def _replication_mses(
     r is one in every row, so the curve is evaluated at r = 1 and the baseline
     smooths the cost data as drawn.
     """
-    if not rhos:
-        return []
     sample = generate(replace(cfg, rho=rhos[0]), path_prefix=(rep,))
     lo, hi = rules.trim
     keep = (sample.q >= lo) & (sample.q <= hi) & (sample.v >= lo) & (sample.v <= hi)
@@ -317,17 +313,12 @@ def _replication_mses(
     return [(d, mse_b) for d in mse_d]
 
 
-def _run_chunk(args) -> list[list[tuple[float, float]]]:
-    cfg, rhos, rules, lo, hi = args
-    return [_replication_mses(cfg, rhos, rep, rules) for rep in range(lo, hi)]
-
-
 def relative_mse_table(
     ns=(100, 200, 500, 1000),
     rhos=(0.0, 0.4, 0.9),
     reps: int = 1000,
     seed: int = 42,
-    cfg: CobbDouglasConfig | None = None,
+    sigma: float = CobbDouglasConfig.sigma,
     rules: BenchmarkRules | None = None,
     workers: int = 1,
 ) -> tuple[list[McResult], dict]:
@@ -337,26 +328,36 @@ def relative_mse_table(
     with the per-replication MSE arrays.  Output is bit-identical for fixed
     (ns, rhos, reps, seed) regardless of ``workers``: replication r of every
     cell uses streams derived from (seed, r, equation), and results merge in
-    replication order.  ``cfg`` (default ``CobbDouglasConfig()``)
-    supplies c1, c2, c and sigma; n, rho and seed are set for each cell.
+    replication order.  The data come from ``CobbDouglasConfig(sigma=sigma,
+    seed=seed)`` with each cell's n and rho.
 
-    One unit of work is an (n, replication) pair covering all rhos.  The
+    Every input is checked before any work: ``reps`` and ``workers`` must be
+    at least 1, every n at least 2, every rho in [-1, 1] (the config's rule),
+    and ``ns`` and ``rhos`` must each list one or more distinct values (0.0
+    and -0.0 are one rho), since each (n, rho) is one cell.
+
+    One task is an (n, replication) pair covering all rhos; the task list
+    runs n-major, so the i-th n owns tasks [i * reps, (i + 1) * reps).  The
     baseline never sees the labor equation, and the cost data of replication
-    r are the same at every rho, so the baseline is fitted once per
-    (n, replication) and every rho cell of that n shares its MSE.  One
-    (n, replication) costs one NW fit plus one AC curve per rho.  With
-    ``workers > 1`` one process pool serves the whole table; its chunks are
-    runs of replications of one n.
+    r are the same at every rho, so the baseline is fitted once per task and
+    every rho cell of that n shares its MSE.  One task costs one NW fit plus
+    one AC curve per rho.  With ``workers > 1`` one process pool serves the
+    whole list in chunks of ceil(reps / workers) consecutive tasks.
     """
     if reps < 1:
-        raise ValidationError("reps >= 1 required")
-    rules = rules or BenchmarkRules()
-    base = cfg or CobbDouglasConfig()
-    rhos = tuple(float(rho) for rho in rhos)
+        raise ValidationError("--reps must be >= 1")
+    if workers < 1:
+        raise ValidationError(f"workers must be >= 1, got {workers}")
     ns = [int(n) for n in ns]
-    bounds = np.linspace(0, reps, max(workers, 1) + 1).astype(int)
-    spans = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-    chunks = [(replace(base, n=n, seed=seed), rhos, rules, a, b) for n in ns for a, b in spans]
+    if not ns or min(ns) < 2:
+        raise ValidationError("sample sizes must be >= 2")
+    rules = rules or BenchmarkRules()
+    base = CobbDouglasConfig(sigma=sigma, seed=seed)
+    rhos = tuple(replace(base, rho=float(rho)).rho for rho in rhos)
+    if not rhos or len(set(ns)) < len(ns) or len(set(rhos)) < len(rhos):
+        raise ValidationError(f"ns and rhos must each list one or more distinct values, got {ns} and {list(rhos)}")
+    cfgs = [replace(base, n=n) for n in ns for _ in range(reps)]
+    tasks = (cfgs, repeat(rhos), list(range(reps)) * len(ns), repeat(rules))
     if workers > 1:
         # Imported here: only worker pools need them, and every other
         # run would pay their import time.  Spawned workers, because forking
@@ -365,13 +366,13 @@ def relative_mse_table(
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("spawn")) as pool:
-            parts = list(pool.map(_run_chunk, chunks))
+            per_task = list(pool.map(_replication_mses, *tasks, chunksize=math.ceil(reps / workers)))
     else:
-        parts = [_run_chunk(chunk) for chunk in chunks]
+        per_task = list(map(_replication_mses, *tasks))
     results: list[McResult] = []
     details: dict[tuple[int, float], dict[str, np.ndarray]] = {}
     for i, n in enumerate(ns):
-        per_rep = [pairs for part in parts[i * len(spans) : (i + 1) * len(spans)] for pairs in part]
+        per_rep = per_task[i * reps : (i + 1) * reps]
         for j, rho in enumerate(rhos):
             a = np.array([pairs[j][0] for pairs in per_rep])
             b = np.array([pairs[j][1] for pairs in per_rep])
@@ -401,8 +402,9 @@ def relative_mse_table(
 def _summarize_cell(n: int, rho: float, a: np.ndarray, b: np.ndarray) -> McResult:
     m = a.shape[0]
     abar, bbar = float(a.mean()), float(b.mean())
-    ratio = abar / bbar
-    if m > 1:
+    # A tiny noiseless sample can be fitted exactly: a zero mean MSE gives NaN.
+    ratio = abar / bbar if bbar else math.nan
+    if m > 1 and abar and bbar:
         va = float(a.var(ddof=1)) / m
         vb = float(b.var(ddof=1)) / m
         cab = float(np.cov(a, b, ddof=1)[0, 1]) / m
@@ -439,7 +441,7 @@ def _rate_rep_mse(
         X = split_stream(seed, (rep, 0)).uniform((n, k))
         eps = split_stream(seed, (rep, 1)).standard_normal(n)
         Y = g(X) + sigma * eps
-        h = 0.7 * float(n) ** (-1.0 / (2 * d + k))
+        h = BandwidthPlan(h_const=0.7).h(n, d, k)
         vals = nadaraya_watson_grid(X, Y, pts, h, d=d, widen_on_empty=True)
         return float(np.mean((vals - g(pts)) ** 2))
 

@@ -106,6 +106,21 @@ class TestSimulate:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "benchmark.csv").exists()
 
+    @pytest.mark.parametrize(
+        "cells, got",
+        [
+            (["--ns", 60, 60, "--rhos", 0, 0], "[60, 60] and [0.0, 0.0]"),
+            (["--ns", 60, "--rhos", 0, "-0.0"], "[60] and [0.0, -0.0]"),
+        ],
+    )
+    def test_repeated_cells_exit_one(self, tmp_path, capsys, cells, got):
+        # Each (n, rho) names one cell; a repeat wrote duplicate table rows
+        # and one cell's replications.
+        out = tmp_path / "never"
+        assert run(["simulate", *cells, "--reps", 2, "--dump-reps", "--seed", 3, "--out-dir", out]) == 1
+        assert capsys.readouterr().err == f"error: ns and rhos must each list one or more distinct values, got {got}\n"
+        assert not out.exists()
+
     def test_negative_seed_exits_one_with_one_line(self, tmp_path, capsys):
         # numpy's SeedSequence raised a ValueError traceback.
         out = tmp_path / "never"
@@ -426,6 +441,64 @@ class TestEstimateFuzz:
                 assert text.endswith("\n") and text.count("\n") == 1, text
 
 
+_SIMULATE_FLAGS = st.fixed_dictionaries(
+    {
+        "--ns": st.lists(st.sampled_from([0, 1, 2, 3, 60]), min_size=1, max_size=2),
+        "--rhos": st.lists(
+            st.sampled_from([0.0, -0.0, 0.5, 1.0, -1.0, 1.5, float("nan"), float("inf")]), min_size=1, max_size=2
+        ),
+        "--reps": st.sampled_from([0, 1, 2]),
+        "--sigma": st.sampled_from([0.0, 0.35, -1.0, float("nan")]),
+        "--h-deriv-const": st.sampled_from([0.35, 1e-9, -1.0, float("inf")]),
+        "--h-base-const": st.sampled_from([0.35, 1e-9, -1.0, float("inf")]),
+        "--seed": st.sampled_from([0, 5, -1]),
+    }
+)
+_SIMULATE_BASE = {
+    "--ns": [60],
+    "--rhos": [0.0],
+    "--reps": 2,
+    "--sigma": 0.35,
+    "--h-deriv-const": 0.35,
+    "--h-base-const": 0.35,
+    "--seed": 0,
+}
+
+
+class TestSimulateFuzz:
+    """Generated ``simulate`` flags through ``main``: each run exits 0 with
+    only the low-reps warning on stderr, or exits 1 with one ``error:`` line
+    and writes no output directory.  Payloads may hold NaN by design (the
+    standard error at reps = 1, a tiny n with no trimmed point)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(_SIMULATE_FLAGS)
+    @example({**_SIMULATE_BASE, "--ns": [60, 60]})
+    @example({**_SIMULATE_BASE, "--rhos": [0.0, -0.0]})
+    @example({**_SIMULATE_BASE, "--ns": [2, 3], "--reps": 1})
+    @example({**_SIMULATE_BASE, "--ns": [2], "--sigma": 0.0, "--rhos": [1.0, -1.0]})  # a zero MSE
+    @example({**_SIMULATE_BASE, "--ns": [3], "--sigma": 0.0, "--reps": 1, "--seed": 5})
+    def test_one_line_or_success(self, flags):
+        argv = ["simulate", "--workers", "1"]
+        for flag, value in flags.items():
+            argv += [flag, *map(str, value if isinstance(value, list) else [value])]
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out"
+            err = io.StringIO()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # a warning would print to stderr
+                with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                    code = main(argv + ["--out-dir", str(out)])
+            text = err.getvalue()
+            if code == 0:
+                assert text == f"warning: reps={flags['--reps']} gives a noisy MC standard error\n"
+                assert (out / "benchmark.csv").exists()
+            else:
+                assert code == 1
+                assert text.startswith("error: ") and text.count("\n") == 1, text
+                assert not out.exists()
+
+
 class TestGoldenPayloads:
     """sha256 digests of payloads.  The kernel samples and the LOO fit were
     recorded before the kernel evaluator moved to in-place workspace buffers,
@@ -468,8 +541,9 @@ class TestGoldenPayloads:
             "9f4f1678bd74ef887edd81d5391b64bb7c80b9252e4881586390232abc3d645b"
         )
 
-    def test_simulate_tables(self, tmp_path):
-        assert run(self._SIMULATE + ["--out-dir", tmp_path]) == 0
+    @pytest.mark.parametrize("extra", [[], ["--workers", 2]], ids=["serial", "workers2"])
+    def test_simulate_tables(self, tmp_path, extra):
+        assert run(self._SIMULATE + extra + ["--out-dir", tmp_path]) == 0
         assert self._digest(tmp_path / "benchmark.csv") == (
             "b362ca6c746fa98c501fafd70023af033461768ba64a425db512070ad188b0eb"
         )

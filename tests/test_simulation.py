@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -303,12 +304,18 @@ class TestBenchmark:
         got = _replication_mses(cfg, rhos, rep, rules)
         assert np.array(got).tobytes() == np.array([(d, want_b) for d in want_d]).tobytes()
 
-    def test_cfg_supplies_only_the_technology(self):
-        # n, rho and seed of the given cfg are overridden for every cell.
-        args = dict(ns=(60,), rhos=(0.0, 0.9), reps=3, seed=9)
-        a, da = relative_mse_table(**args)
-        b, db = relative_mse_table(**args, cfg=CobbDouglasConfig(n=7, rho=0.5, seed=999))
-        assert a == b and _same_details(da, db) and da["metadata"] == db["metadata"]
+    def test_sigma_sets_the_generators_noise(self):
+        # The table draws from CobbDouglasConfig(sigma=sigma, seed=seed) at
+        # each cell's n and rho.
+        rules = BenchmarkRules()
+        _, details = relative_mse_table(ns=(60,), rhos=(0.0, 0.9), reps=2, seed=9, sigma=0.1)
+        cfg = CobbDouglasConfig(n=60, sigma=0.1, seed=9)
+        want = np.array([_replication_mses(cfg, (0.0, 0.9), rep, rules) for rep in range(2)])
+        for j, rho in enumerate((0.0, 0.9)):
+            cell = details["cells"][(60, rho)]
+            assert cell["mse_deriv"].tobytes() == want[:, j, 0].tobytes()
+            assert cell["mse_base"].tobytes() == want[:, j, 1].tobytes()
+        assert details["metadata"]["config"] == {"c1": 0.8, "c2": 0.7, "c": 1.0, "sigma": 0.1}
 
     def test_ratio_improves_with_sample_size(self):
         res, _ = relative_mse_table(ns=(100, 1000), rhos=(0.0,), reps=60, seed=12)
@@ -333,9 +340,41 @@ class TestBenchmark:
         assert noisy[1] / noiseless[1] >= 10.0
         assert noiseless[0] < 0.6 * noisy[0]
 
+    def test_zero_mse_cell_reports_nan(self):
+        # Without noise an n = 2 or 3 sample can be fitted exactly; the ratio
+        # and its delta-method error then divided by zero.
+        deriv_zero, _ = relative_mse_table(ns=(2,), rhos=(1.0,), reps=2, seed=42, sigma=0.0)
+        assert deriv_zero[0].mse_deriv == 0.0 and deriv_zero[0].ratio == 0.0
+        assert np.isnan(deriv_zero[0].se_ratio)
+        base_zero, _ = relative_mse_table(ns=(3,), rhos=(1.0,), reps=1, seed=5, sigma=0.0)
+        assert base_zero[0].mse_base == 0.0 and np.isnan(base_zero[0].ratio)
+
     def test_reps_validated(self):
         with pytest.raises(ValidationError):
             relative_mse_table(reps=0)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ({"ns": (60, 60)}, "ns and rhos must each list one or more distinct values"),
+            ({"ns": (1,)}, "sample sizes must be >= 2"),
+            ({"ns": ()}, "sample sizes must be >= 2"),
+            ({"rhos": (0.0, -0.0)}, "ns and rhos must each list one or more distinct values"),
+            ({"rhos": ()}, "ns and rhos must each list one or more distinct values"),
+            ({"rhos": (1.5,)}, "|rho| <= 1 required"),
+            ({"rhos": (float("nan"),)}, "|rho| <= 1 required"),
+            ({"reps": 0}, "--reps must be >= 1"),
+            ({"workers": 0}, "workers must be >= 1, got 0"),
+            ({"workers": -1}, "workers must be >= 1, got -1"),
+        ],
+    )
+    def test_inputs_rejected_before_any_replication(self, monkeypatch, bad, message):
+        calls = []
+        monkeypatch.setattr(simulation, "_replication_mses", lambda *args: calls.append(args))
+        args = {"ns": (60,), "rhos": (0.0,), "reps": 2, "seed": 3, **bad}
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            relative_mse_table(**args)
+        assert calls == []
 
 
 class TestRates:
