@@ -16,7 +16,6 @@ from .core import (
     DerivIndex,
     DerivRegError,
     ParseError,
-    RngStream,
     TestFunction,
     ToleranceError,
     ValidationError,
@@ -41,17 +40,10 @@ from .functionals import (
     TermPlan,
     Weight,
     build_term_plan,
-    decomposition_residual,
-    evaluate_plan,
     identity_checks,
-    integrate_out,
-    integrate_to,
     kernel_moment,
     nonparametric_dimension,
-    partial_decomposition_residual,
-    plan_residual,
     recon_weight,
-    reconstruction_integral,
     weighted_integral,
 )
 from .density import DensityEstimator, loo_at_rows, loo_density

@@ -348,14 +348,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_out_dir(p):
+        p.add_argument("--out-dir", type=Path, default=Path("derivreg-out"))
+
     def add_common(p):
         p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--out-dir", type=Path, default=Path("derivreg-out"))
+        add_out_dir(p)
         p.add_argument(
             "--workers",
             type=int,
             default=1,
-            help="processes for simulate's replications; other subcommands accept and ignore it",
+            help="processes for simulate's replications; verify and estimate accept and ignore it",
         )
 
     p = sub.add_parser("verify", help="run the exact-identity and kernel-moment suite")
@@ -380,8 +383,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plan-report", action="store_true", help="print the plan and exit")
     p.set_defaults(func=run_estimate)
 
+    # kernels draws nothing at random and runs in one process.
     p = sub.add_parser("kernels", help="emit kernel samples and a moment report")
-    add_common(p)
+    add_out_dir(p)
     p.add_argument("--interior", type=int, nargs="+", default=[2, 4, 6])
     p.add_argument("--edge", type=int, nargs="+", default=[1, 2, 3, 4, 5])
     p.add_argument("--samples", type=int, default=201)
@@ -393,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if args.workers < 1:
+        if getattr(args, "workers", 1) < 1:
             raise ValidationError(f"--workers must be >= 1, got {args.workers}")
         return args.func(args)
     except ValidationError as exc:

@@ -29,7 +29,6 @@ __all__ = [
     "canonical_order",
     "read_csv",
     "write_csv",
-    "RngStream",
     "split_stream",
     "TestFunction",
     "poly_function",
@@ -326,32 +325,16 @@ def write_csv(path, header: list[str], rows) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class RngStream:
-    """A seeded, path-addressed random stream.
+def split_stream(seed: int, ids: Sequence[int]) -> np.random.Generator:
+    """The generator addressed by ``ids`` (e.g. (replication, equation)).
 
-    Identical ``(seed, path)`` pairs produce identical draws regardless of
-    process or thread scheduling, because the underlying generator state is
-    derived statelessly from the pair.  Streams with distinct paths are
+    Identical ``(seed, ids)`` pairs produce identical draws regardless of
+    process or thread scheduling, because the generator state is derived
+    statelessly from the pair.  Generators with distinct ids are
     statistically independent.
     """
-
-    seed: int
-    path: tuple[int, ...]
-    gen: np.random.Generator
-
-    def uniform(self, size=None, low: float = 0.0, high: float = 1.0):
-        return self.gen.uniform(low, high, size=size)
-
-    def standard_normal(self, size=None):
-        return self.gen.standard_normal(size=size)
-
-
-def split_stream(seed: int, ids: Sequence[int]) -> RngStream:
-    """Derive the stream addressed by ``ids`` (e.g. (replication, equation))."""
-    path = tuple(int(i) for i in ids)
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=path)
-    return RngStream(seed=int(seed), path=path, gen=np.random.Generator(np.random.PCG64(ss)))
+    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(i) for i in ids))
+    return np.random.Generator(np.random.PCG64(ss))
 
 
 # ---------------------------------------------------------------------------

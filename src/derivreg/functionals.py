@@ -24,6 +24,11 @@ rewrites g as
     |beta| >= p - ell + 1,
 
 which is exactly the structure the dimension-reduced estimators consume.
+
+Every integral is one call of :func:`weighted_integral`, with the weights of
+:func:`term_weights` or an explicit tuple of :class:`Weight`.
+:func:`identity_checks` (``derivreg verify``) checks the decompositions and
+the term plans by summing such integrals against g itself.
 """
 
 from __future__ import annotations
@@ -56,18 +61,11 @@ __all__ = [
     "tensor_rule",
     "Quadrature",
     "weighted_integral",
-    "reconstruction_integral",
     "term_weights",
-    "integrate_out",
-    "integrate_to",
     "corner_sum",
-    "decomposition_residual",
-    "partial_decomposition_residual",
     "Term",
     "TermPlan",
     "build_term_plan",
-    "evaluate_plan",
-    "plan_residual",
     "nonparametric_dimension",
     "subindices",
     "CheckResult",
@@ -267,59 +265,27 @@ def weighted_integral(
 
 
 # ---------------------------------------------------------------------------
-# The basic operators
+# Term weights and the integral table
 # ---------------------------------------------------------------------------
 
 
-def _as_callable(b) -> Callable[[tuple[np.ndarray, ...]], np.ndarray]:
-    return b if callable(b) else (lambda cols: np.asarray(float(b)))
-
-
-# (g, alpha, weights, x, quad) -> the weighted integral of g's alpha partial.
-# The residuals take one: the public functions pass _integral, and
-# identity_checks the table of its run.
-_Integral = Callable[[TestFunction, DerivIndex, Sequence[Weight], object, Quadrature], float]
-
-
-def _integral(g: TestFunction, alpha: DerivIndex, weights: Sequence[Weight], x, quad: Quadrature) -> float:
-    return weighted_integral(g.partial(alpha), weights, x, quad)
-
-
-def _integral_table() -> _Integral:
-    """An :data:`_Integral` that computes each distinct integral once, by
-    :func:`_integral`, and keeps its value for as long as it is alive.  The
-    key is the function object itself, not its label, with alpha, the
-    weights and the rule, and then the point as floats: the points of one
-    integrand share the first four, and so store them once."""
+def _integral_table() -> Callable[..., float]:
+    """An ``integral(g, alpha, weights, x, quad)``: the weighted integral of
+    g's alpha partial, computed once by :func:`weighted_integral` and kept
+    for as long as the table is alive.  The key is the function object
+    itself, not its label, with alpha, the weights and the rule, and then
+    the point as floats: the points of one integrand share the first four,
+    and so store them once."""
     values: dict[tuple, dict[tuple[float, ...], float]] = {}
 
     def integral(g, alpha, weights, x, quad):
         at = values.setdefault((g, alpha, tuple(weights), quad), {})
         point = tuple(np.atleast_1d(np.asarray(x, dtype=float)).tolist())
         if point not in at:
-            at[point] = _integral(g, alpha, weights, x, quad)
+            at[point] = weighted_integral(g.partial(alpha), weights, x, quad)
         return at[point]
 
     return integral
-
-
-def reconstruction_integral(
-    alpha: DerivIndex,
-    b,
-    x,
-    quad: Quadrature,
-    coords: Iterable[int] | None = None,
-) -> float:
-    """Integral of b against the reconstruction weight of ``alpha``.
-
-    Integrates over the coordinates in ``coords`` (default: all k), with the
-    RECON weight on the support of ``alpha`` and FLAT weight elsewhere; the
-    remaining coordinates of b stay pinned at ``x``.  RECON coordinates split
-    quadrature panels at x_i, where the weight jumps.  ``b`` is a constant or
-    an integrand of k broadcastable coordinate columns, as in
-    :func:`weighted_integral`.
-    """
-    return weighted_integral(_as_callable(b), term_weights(alpha, coords), x, quad)
 
 
 def term_weights(alpha: DerivIndex, coords: Iterable[int] | None = None) -> tuple[Weight, ...]:
@@ -340,42 +306,20 @@ def term_weights(alpha: DerivIndex, coords: Iterable[int] | None = None) -> tupl
     )
 
 
-def integrate_out(index: DerivIndex, b, x, quad: Quadrature) -> float:
-    """Integrate b over the flagged coordinates over [0, 1], others fixed at x.
+def corner_sum(f: Callable[[tuple[np.ndarray, ...]], np.ndarray], x) -> float:
+    """Signed corner sum  sum_gamma (-1)^{|gamma|} f(x with gamma-coords zeroed).
 
-    The all-zero index is the identity operator; composing two of these
-    operators equals a single one over the union of their supports.  ``b`` is
-    a constant or an integrand of k broadcastable coordinate columns, as in
-    :func:`weighted_integral`.
-    """
-    return weighted_integral(_as_callable(b), term_weights(DerivIndex.zeros(index.k), index.support), x, quad)
-
-
-def integrate_to(index: DerivIndex, b, x, quad: Quadrature) -> float:
-    """Integrate b over the flagged coordinates from 0 to x_i, others fixed.
-
-    ``b`` is a constant or an integrand of k broadcastable coordinate
-    columns, as in :func:`weighted_integral`.
-    """
-    weights = [Weight.CUM if bit else Weight.LOCAL for bit in index.bits]
-    return weighted_integral(_as_callable(b), weights, x, quad)
-
-
-def corner_sum(b, x) -> float:
-    """Signed corner sum  sum_gamma (-1)^{|gamma|} b(x with gamma-coords zeroed).
-
-    Equals the full cumulative integral of the top mixed partial of b; used as
-    an independent oracle for :func:`integrate_to`.  ``b`` is a constant or
-    an integrand of k coordinate columns, here each a 0-d array, as in
-    :func:`weighted_integral`.
+    Equals the full cumulative integral of f's top mixed partial, the
+    :func:`weighted_integral` with CUM on every coordinate; ``derivreg
+    verify`` checks the two against each other.  ``f`` is an integrand of k
+    coordinate columns, here each a 0-d array, as in :func:`weighted_integral`.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     k = x.shape[0]
     total = 0.0
-    fn = _as_callable(b)
     for gamma in itertools.product((0, 1), repeat=k):
         pt = np.where(np.asarray(gamma, dtype=bool), 0.0, x)
-        total += (-1) ** sum(gamma) * float(fn(tuple(np.asarray(v) for v in pt)))
+        total += (-1) ** sum(gamma) * float(f(tuple(np.asarray(v) for v in pt)))
     return total
 
 
@@ -387,40 +331,6 @@ def subindices(alpha: DerivIndex) -> list[DerivIndex]:
         for combo in itertools.combinations(sup, r):
             out.append(DerivIndex.from_support(alpha.k, combo))
     return out
-
-
-# ---------------------------------------------------------------------------
-# Exact decomposition residuals
-# ---------------------------------------------------------------------------
-
-
-def decomposition_residual(g: TestFunction, x, quad: Quadrature) -> float:
-    """|g(x) - sum over all 2^k indices of the reconstruction integrals|.
-
-    Zero (up to quadrature error) for any g with bounded mixed first partials.
-    """
-    return partial_decomposition_residual(g, g.k, x, quad)
-
-
-def partial_decomposition_residual(g: TestFunction, p: int, x, quad: Quadrature) -> float:
-    """Residual of the decomposition over the first p coordinates only.
-
-    The 2^p terms integrate only coordinates 1..p; the trailing k - p
-    coordinates of each partial stay pinned at x.  p = k recovers
-    :func:`decomposition_residual`.
-    """
-    return _partial_decomposition_residual(g, p, x, quad, _integral)
-
-
-def _partial_decomposition_residual(g: TestFunction, p: int, x, quad: Quadrature, integral: _Integral) -> float:
-    if not 1 <= p <= g.k:
-        raise ValidationError(f"need 1 <= p <= k, got p={p}, k={g.k}")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    coords = range(p)
-    total = 0.0
-    for beta in subindices(DerivIndex.from_support(g.k, coords)):
-        total += integral(g, beta, term_weights(beta, coords), x, quad)
-    return abs(float(g(x[None, :])[0]) - total)
 
 
 # ---------------------------------------------------------------------------
@@ -546,27 +456,15 @@ def _check_plan(plan: TermPlan, p: int) -> None:
             assert len(integrated) >= p - plan.ell + 1, "residual average over too few coordinates"
 
 
-def evaluate_plan(plan: TermPlan, g: TestFunction, x, quad: Quadrature) -> float:
-    """Numeric value of the signed term sum; equals g(x) up to quadrature error."""
-    return _evaluate_plan(plan, g, x, quad, _integral)
-
-
-def plan_residual(plan: TermPlan, g: TestFunction, x, quad: Quadrature) -> float:
-    return _plan_residual(plan, g, x, quad, _integral)
-
-
-def _evaluate_plan(plan: TermPlan, g: TestFunction, x, quad: Quadrature, integral: _Integral) -> float:
-    if g.k != plan.k:
-        raise ValidationError(f"plan has k={plan.k}, function has k={g.k}")
-    total = 0.0
-    for t in plan.terms:
-        total += t.coef * integral(g, t.deriv, t.weights, x, quad)
-    return total
-
-
-def _plan_residual(plan: TermPlan, g: TestFunction, x, quad: Quadrature, integral: _Integral) -> float:
+def _residual(g: TestFunction, terms: Iterable[Term], x, quad: Quadrature, integral: Callable[..., float]) -> float:
+    """|g(x) - sum of t.coef * integral(g, t.deriv, t.weights, x, quad)|, the
+    sum taken in term order: zero up to quadrature error when ``terms``
+    rewrite g exactly, as a plan's terms or the 2^p decomposition terms do."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    return abs(float(g(x[None, :])[0]) - _evaluate_plan(plan, g, x, quad, integral))
+    total = 0.0
+    for t in terms:
+        total += t.coef * integral(g, t.deriv, t.weights, x, quad)
+    return abs(float(g(x[None, :])[0]) - total)
 
 
 # ---------------------------------------------------------------------------
@@ -682,9 +580,15 @@ def identity_checks(quad_nodes: int = 32) -> list[CheckResult]:
         pts = _grid_points(k)
         suite = [("poly", g, 1e-10) for g in polys[k]]
         suite += [("analytic", g, 1e-8) for g in analytic[k]]
-        worst = [
-            [max(_partial_decomposition_residual(g, p, x, quad, integral) for x in pts) for _, g, _ in suite]
+        # The 2^p terms of the decomposition over coordinates 1..p; the
+        # trailing k - p coordinates of each partial stay pinned at x.
+        decompositions = [
+            [Term(1, beta, term_weights(beta, range(p))) for beta in subindices(DerivIndex.from_support(k, range(p)))]
             for p in range(1, k + 1)
+        ]
+        worst = [
+            [max(_residual(g, terms, x, quad, integral) for x in pts) for _, g, _ in suite]
+            for terms in decompositions
         ]
         # The full reconstruction is the partial one at p = k.
         for (kind, g, tol), r in zip(suite, worst[-1]):
@@ -701,7 +605,7 @@ def identity_checks(quad_nodes: int = 32) -> list[CheckResult]:
             for ell in range(0, p + 1):
                 plan = build_term_plan(k, range(p), ell)
                 for g in funcs:
-                    r = max(_plan_residual(plan, g, x, quad, integral) for x in pts)
+                    r = max(_residual(g, plan.terms, x, quad, integral) for x in pts)
                     results.append(CheckResult(f"plan/k={k}/p={p}/ell={ell}/{g.label}", r, 1e-8))
 
     # Operator inclusion-exclusion identity over every index at k <= 3:
@@ -761,7 +665,10 @@ def identity_checks(quad_nodes: int = 32) -> list[CheckResult]:
         return np.array([integral(g2, zero2, term_weights(zero2, b.support), (u, c[1]), quad) for u in c[0]])
 
     comp = max(
-        abs(integrate_out(a, avg_b, x, quad) - integral(g2, zero2, term_weights(zero2, (a | b).support), x, quad))
+        abs(
+            weighted_integral(avg_b, term_weights(zero2, a.support), x, quad)
+            - integral(g2, zero2, term_weights(zero2, (a | b).support), x, quad)
+        )
         for x in _grid_points(2)
     )
     results.append(CheckResult("avg-compose", comp, 1e-10))

@@ -132,8 +132,8 @@ def generate(cfg: CobbDouglasConfig, path_prefix: tuple[int, ...] = ()) -> SimSa
     With a fixed prefix, changing rho changes only the error mixing, not the
     covariate draws, which couples Monte Carlo cells across correlations.
     """
-    q = split_stream(cfg.seed, (*path_prefix, 0)).uniform(cfg.n, _LO, _HI)
-    v = split_stream(cfg.seed, (*path_prefix, 1)).uniform(cfg.n, _LO, _HI)
+    q = split_stream(cfg.seed, (*path_prefix, 0)).uniform(_LO, _HI, cfg.n)
+    v = split_stream(cfg.seed, (*path_prefix, 1)).uniform(_LO, _HI, cfg.n)
     z = split_stream(cfg.seed, (*path_prefix, 2)).standard_normal((cfg.n, 2))
     r = np.ones(cfg.n)
     eps_ac = cfg.sigma * z[:, 0]
@@ -438,7 +438,7 @@ def _rate_rep_mse(
     k: int, p: int, d: int, n: int, rep: int, seed: int, g: TestFunction, pts: np.ndarray, sigma: float
 ) -> float:
     if p == 0:
-        X = split_stream(seed, (rep, 0)).uniform((n, k))
+        X = split_stream(seed, (rep, 0)).uniform(size=(n, k))
         eps = split_stream(seed, (rep, 1)).standard_normal(n)
         Y = g(X) + sigma * eps
         h = BandwidthPlan(h_const=0.7).h(n, d, k)
@@ -448,7 +448,7 @@ def _rate_rep_mse(
     term_plan = build_term_plan(k, range(p), 0)
     datasets = {}
     for j, idx in enumerate(term_plan.required_indices):
-        X = split_stream(seed, (rep, 2 * j)).uniform((n, k))
+        X = split_stream(seed, (rep, 2 * j)).uniform(size=(n, k))
         eps = split_stream(seed, (rep, 2 * j + 1)).standard_normal(n)
         datasets[idx] = DataSet(k=k, deriv=idx, X=X, Y=g.deriv(idx, X) + sigma * eps)
     plan = EstimationPlan(term_plan, datasets, d=d if p < k else None, bandwidths=BandwidthPlan(h_const=0.8))

@@ -182,7 +182,7 @@ def test_criterion_8_statistical_invariants():
     xs = (0.1, 0.3, 0.5, 0.7, 0.9)
     estimates = np.empty((reps, len(xs)))
     for r in range(reps):
-        X = dr.split_stream(2718, (r, 0)).uniform((n, 1))
+        X = dr.split_stream(2718, (r, 0)).uniform(size=(n, 1))
         Y = g.deriv(one, X) + sigma * dr.split_stream(2718, (r, 1)).standard_normal(n)
         ds = dr.DataSet(1, one, X, Y)
         for j, x in enumerate(xs):
@@ -194,7 +194,7 @@ def test_criterion_8_statistical_invariants():
     # (b) interior leave-one-out density mean under a uniform design
     vals = np.empty(10_000)
     for r in range(vals.shape[0]):
-        X = dr.split_stream(99, (r,)).uniform((40, 1))
+        X = dr.split_stream(99, (r,)).uniform(size=(40, 1))
         est = dr.DensityEstimator(dr.DataSet(1, dr.DerivIndex.zeros(1), X, np.zeros(40)), d1=2, H=0.3)
         vals[r] = dr.loo_density(est, 0, [0.5])
     se = vals.std(ddof=1) / np.sqrt(vals.shape[0])
@@ -232,7 +232,7 @@ def test_criterion_9_determinism(tmp_path):
     sim_ok = sim_ok and payload == (tmp_path / "s3" / "benchmark.csv").read_bytes()
 
     n = 60
-    X = dr.split_stream(4, [0]).uniform((n, 1))
+    X = dr.split_stream(4, [0]).uniform(size=(n, 1))
     with open(tmp_path / "f.csv", "w") as fh:
         fh.write("x1,y\n")
         for xi in X[:, 0]:

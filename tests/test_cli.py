@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import hashlib
 import io
 import itertools
@@ -146,8 +147,8 @@ def _write_csv(path, X, Y):
 def example_config(tmp_path):
     """Derivative data in the first coordinate only (k = 2)."""
     n = 400
-    X0 = split_stream(17, [0]).uniform((n, 2))
-    X1 = split_stream(17, [1]).uniform((n, 2))
+    X0 = split_stream(17, [0]).uniform(size=(n, 2))
+    X1 = split_stream(17, [1]).uniform(size=(n, 2))
     g = lambda X: X[:, 0] * X[:, 1] + 0.5 * X[:, 1]
     g10 = lambda X: X[:, 1]
     _write_csv(tmp_path / "g00.csv", X0, g(X0))
@@ -403,6 +404,17 @@ def _fuzz_inputs(root: Path, case: dict) -> Path:
     return config
 
 
+def _run_quietly(argv: list[str]) -> tuple[int, str]:
+    """Exit code and stderr of ``main(argv)``, with every warning raised, since
+    a warning would print to stderr."""
+    err = io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+    return code, err.getvalue()
+
+
 class TestEstimateFuzz:
     """Generated configs and CSVs through ``main``: each run exits 0 with an
     empty stderr, or exits 1, 2 or 3 with exactly one stderr line."""
@@ -427,12 +439,7 @@ class TestEstimateFuzz:
     def test_one_line_or_success(self, case):
         with tempfile.TemporaryDirectory() as tmp:
             config = _fuzz_inputs(Path(tmp), case)
-            err = io.StringIO()
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")  # a warning would print to stderr
-                with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-                    code = main(["estimate", "--config", str(config), "--out-dir", str(Path(tmp) / "out")])
-            text = err.getvalue()
+            code, text = _run_quietly(["estimate", "--config", str(config), "--out-dir", str(Path(tmp) / "out")])
             if code == 0:
                 assert text == ""
                 assert (Path(tmp) / "out" / "fit.csv").exists()
@@ -484,12 +491,7 @@ class TestSimulateFuzz:
             argv += [flag, *map(str, value if isinstance(value, list) else [value])]
         with tempfile.TemporaryDirectory() as tmp:
             out = Path(tmp) / "out"
-            err = io.StringIO()
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")  # a warning would print to stderr
-                with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-                    code = main(argv + ["--out-dir", str(out)])
-            text = err.getvalue()
+            code, text = _run_quietly(argv + ["--out-dir", str(out)])
             if code == 0:
                 assert text == f"warning: reps={flags['--reps']} gives a noisy MC standard error\n"
                 assert (out / "benchmark.csv").exists()
@@ -497,6 +499,73 @@ class TestSimulateFuzz:
                 assert code == 1
                 assert text.startswith("error: ") and text.count("\n") == 1, text
                 assert not out.exists()
+
+
+def _assert_finite_csvs(out: Path) -> None:
+    """Every cell of every CSV in ``out`` that reads as a number is finite."""
+    paths = list(out.glob("*.csv"))
+    assert paths
+    for path in paths:
+        with open(path, newline="") as fh:
+            for row in list(csv.reader(fh))[1:]:
+                for cell in row:
+                    try:
+                        value = float(cell)
+                    except ValueError:
+                        continue  # a name
+                    assert np.isfinite(value), (path.name, row)
+
+
+class TestVerifyKernelsFuzz:
+    """Generated ``verify`` and ``kernels`` flags through ``main``: each run
+    exits 0 with an empty stderr and finite CSVs, or exits 1 (or 2 from
+    ``kernels``) with exactly one stderr line, or, from ``verify``, exits 2
+    with one ``FAILED:`` line per failed report row.  Left out: ``--workers``;
+    ``--quad-nodes 64``, at about 3 s a run; and kernel orders above 40, since
+    the kernels take time quadratic in the order to build."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([-1, 0, 1, 2, 3, 8, 65]))
+    def test_verify(self, nodes):
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out"
+            code, text = _run_quietly(["verify", "--quad-nodes", str(nodes), "--out-dir", str(out)])
+            if code == 0:
+                assert text == ""
+                _assert_finite_csvs(out)
+            elif code == 2:
+                with open(out / "verify_report.csv", newline="") as fh:
+                    failed = [row["name"] for row in csv.DictReader(fh) if row["passed"] == "0"]
+                lines = text.splitlines()
+                assert failed and len(lines) == len(failed) and text.endswith("\n")
+                assert all(line.startswith(f"FAILED: {name} ") for line, name in zip(lines, failed))
+            else:
+                assert code == 1
+                assert text.startswith("error: ") and text.count("\n") == 1, text
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.fixed_dictionaries(
+            {
+                "--interior": st.lists(st.sampled_from([0, 1, 2, 3, 4, 22, 40]), min_size=1, max_size=2),
+                "--edge": st.lists(st.sampled_from([0, 1, 5, 8, 9]), min_size=1, max_size=2),
+                "--samples": st.sampled_from([-1, 0, 1, 2, 201]),
+            }
+        )
+    )
+    def test_kernels(self, flags):
+        argv = ["kernels"]
+        for flag, value in flags.items():
+            argv += [flag, *map(str, value if isinstance(value, list) else [value])]
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out"
+            code, text = _run_quietly(argv + ["--out-dir", str(out)])
+            if code == 0:
+                assert text == ""
+                _assert_finite_csvs(out)
+            else:
+                assert code in (1, 2)
+                assert text.endswith("\n") and text.count("\n") == 1, text
 
 
 class TestGoldenPayloads:
@@ -521,8 +590,8 @@ class TestGoldenPayloads:
         """The LOO fit's config and CSVs: a non-uniform design, so every
         density weight differs from one."""
         n = 500
-        X0 = split_stream(23, [0]).uniform((n, 2)) ** 1.5
-        X1 = split_stream(23, [1]).uniform((n, 2)) ** 1.5
+        X0 = split_stream(23, [0]).uniform(size=(n, 2)) ** 1.5
+        X1 = split_stream(23, [1]).uniform(size=(n, 2)) ** 1.5
         _write_csv(root / "g00.csv", X0, X0[:, 0] * X0[:, 1] + np.sin(3 * X0[:, 1]))
         _write_csv(root / "g10.csv", X1, X1[:, 1])
         cfg = root / "plan.ini"
@@ -661,6 +730,9 @@ class TestExitCodes:
             (["simulate", "--quad-nodes", "16"], "unrecognized arguments: --quad-nodes 16"),
             (["estimate", "--config", "plan.ini", "--quad-nodes", "16"], "unrecognized arguments: --quad-nodes 16"),
             (["kernels", "--quad-nodes", "16"], "unrecognized arguments: --quad-nodes 16"),
+            # kernels draws nothing at random and runs in one process.
+            (["kernels", "--seed", "1"], "unrecognized arguments: --seed 1"),
+            (["kernels", "--workers", "2"], "unrecognized arguments: --workers 2"),
         ],
     )
     def test_usage_errors_exit_one_with_one_line(self, capsys, argv, message):

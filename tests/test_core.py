@@ -214,20 +214,20 @@ class TestDataSet:
 
 class TestRngStreams:
     def test_reproducible(self):
-        a = split_stream(42, [0]).uniform(10)
-        b = split_stream(42, [0]).uniform(10)
+        a = split_stream(42, [0]).uniform(size=10)
+        b = split_stream(42, [0]).uniform(size=10)
         assert np.array_equal(a, b)
 
     def test_distinct_paths_differ(self):
-        a = split_stream(42, [0]).uniform(10)
-        b = split_stream(42, [1]).uniform(10)
+        a = split_stream(42, [0]).uniform(size=10)
+        b = split_stream(42, [1]).uniform(size=10)
         assert not np.array_equal(a, b)
 
     def test_thread_schedule_independence(self):
-        serial = split_stream(42, [3, 7]).uniform(64)
+        serial = split_stream(42, [3, 7]).uniform(size=64)
 
         def draw(_):
-            return split_stream(42, [3, 7]).uniform(64)
+            return split_stream(42, [3, 7]).uniform(size=64)
 
         with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
             results = list(pool.map(draw, range(8)))

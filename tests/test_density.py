@@ -70,7 +70,7 @@ class TestFloor:
         assert floored[0] == raw[0]
 
     def test_rows_match_per_call(self):
-        X = split_stream(8, [0]).uniform((40, 2))
+        X = split_stream(8, [0]).uniform(size=(40, 2))
         est = DensityEstimator(_ds(X), d1=4, H=0.3, floor=0.05)
         rows = loo_at_rows(est, floored=True)
         for i in (0, 7, 39):
@@ -81,7 +81,7 @@ class TestStatisticalBehaviour:
     def _mc_mean(self, x, nres=3000, n=40, H=0.3, d1=2, k=1):
         vals = np.empty(nres)
         for r in range(nres):
-            X = split_stream(77, [r]).uniform((n, k))
+            X = split_stream(77, [r]).uniform(size=(n, k))
             est = DensityEstimator(_ds(X), d1=d1, H=H)
             vals[r] = loo_density(est, 0, np.full(k, x) if np.isscalar(x) else x)
         return vals.mean(), vals.std(ddof=1) / np.sqrt(nres)
@@ -95,7 +95,7 @@ class TestStatisticalBehaviour:
         assert abs(mean - 1.0) <= 3 * se
 
     def test_independent_of_responses(self):
-        X = split_stream(5, [0]).uniform((30, 2))
+        X = split_stream(5, [0]).uniform(size=(30, 2))
         a = DensityEstimator(DataSet(2, Z2, X, np.zeros(30)), d1=4, H=0.3)
         b = DensityEstimator(DataSet(2, Z2, X, np.arange(30.0)), d1=4, H=0.3)
         assert loo_density(a, 3, X[3]) == loo_density(b, 3, X[3])
@@ -108,7 +108,7 @@ class TestStatisticalBehaviour:
         for n in ns:
             vals = np.empty(nres)
             for r in range(nres):
-                X = split_stream(123, [n, r]).uniform((n, 1))
+                X = split_stream(123, [n, r]).uniform(size=(n, 1))
                 est = DensityEstimator(_ds(X), d1=2, H=H)
                 vals[r] = loo_density(est, 0, [0.5])
             variances.append(vals.var(ddof=1))
@@ -196,7 +196,7 @@ class TestWindowedSweep:
         assert np.all(np.abs(got - self._naive(X, H)) <= 1e-12)
 
     def test_many_blocks_match_naive_oracle(self):
-        X = split_stream(31, [0]).uniform((300, 2)) ** 1.5
+        X = split_stream(31, [0]).uniform(size=(300, 2)) ** 1.5
         est = DensityEstimator(_ds(X), d1=4, H=0.12)
         got = loo_at_rows(est, floored=False)
         assert np.max(np.abs(got - self._naive(X, 0.12))) <= 1e-12
@@ -212,8 +212,8 @@ class TestWindowedSweep:
 
     def test_duplicate_run_across_blocks_permutes_bitwise(self):
         # 150 copies of one row span three blocks of the sweep.
-        X = np.vstack([np.full((150, 2), 0.3), split_stream(4, [0]).uniform((50, 2))])
-        perm = split_stream(4, [1]).gen.permutation(200)
+        X = np.vstack([np.full((150, 2), 0.3), split_stream(4, [0]).uniform(size=(50, 2))])
+        perm = split_stream(4, [1]).permutation(200)
         a = loo_at_rows(DensityEstimator(_ds(X), d1=4, H=0.2))
         b = loo_at_rows(DensityEstimator(_ds(X[perm]), d1=4, H=0.2))
         assert np.array_equal(a[perm], b)
@@ -232,10 +232,10 @@ class TestWindowedSweep:
 
     def test_memory_stays_bounded_at_large_n(self):
         # A dense n x n kernel matrix would need 3.2 GB per temporary here.
-        assert self._peak_bytes(split_stream(3, [0]).uniform((20_000, 2))) < 64 * 2**20
+        assert self._peak_bytes(split_stream(3, [0]).uniform(size=(20_000, 2))) < 64 * 2**20
 
     def test_memory_stays_bounded_when_rows_share_coordinate_2(self):
         # Every tile's rows are then its whole coordinate-1 window.
-        X = split_stream(3, [0]).uniform((20_000, 2))
+        X = split_stream(3, [0]).uniform(size=(20_000, 2))
         X[:, 1] = 0.5
         assert self._peak_bytes(X) < 64 * 2**20

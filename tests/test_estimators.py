@@ -24,19 +24,18 @@ from derivreg import (
     nadaraya_watson_grid,
     nonlocal_estimate,
     poly_function,
-    reconstruction_integral,
     smoothed_nonlocal_estimate,
     split_stream,
 )
 from derivreg.estimators import _point_chunks, _term_column
-from derivreg.functionals import Term, Weight, build_term_plan
+from derivreg.functionals import Term, Weight, build_term_plan, term_weights, weighted_integral
 
 D = DerivIndex.from_string
 QUAD = Quadrature(nodes=32)
 
 
 def _uniform_dataset(k, deriv, n, g, sigma, seed, path):
-    X = split_stream(seed, (*path, 0)).uniform((n, k))
+    X = split_stream(seed, (*path, 0)).uniform(size=(n, k))
     noise = sigma * split_stream(seed, (*path, 1)).standard_normal(n) if sigma else 0.0
     return DataSet(k=k, deriv=deriv, X=X, Y=g.deriv(deriv, X) + noise)
 
@@ -90,7 +89,7 @@ class TestSmoothedEstimate:
         n, h = 20_000, 0.12
         ds = _uniform_dataset(2, beta, n, g, 0.0, 21, (0,))
         x = [0.5, 0.5]
-        target = reconstruction_integral(beta, g.partial(beta), x, QUAD, coords=[0])
+        target = weighted_integral(g.partial(beta), term_weights(beta, [0]), x, QUAD)
         est = smoothed_nonlocal_estimate(ds, beta, x, p=1, h=h)
         # tolerance: 3x the (bias + MC sd) scale recorded when the test was frozen
         assert abs(est - target) <= 3 * (h**2 + 1.0 / np.sqrt(n * h))
@@ -181,7 +180,7 @@ class TestFit:
         idx0, idx1 = D("00"), D("10")
         ds0 = _uniform_dataset(2, idx0, 200, g, 0.3, 5, (0,))
         ds1 = _uniform_dataset(2, idx1, 150, g, 0.3, 5, (1,))
-        perm = split_stream(6, [0]).gen.permutation(200)
+        perm = split_stream(6, [0]).permutation(200)
         ds0p = DataSet(2, idx0, ds0.X[perm], ds0.Y[perm])
         plan_a = EstimationPlan.build(2, [0], 0, {idx0: ds0, idx1: ds1}, d=2)
         plan_b = EstimationPlan.build(2, [0], 0, {idx0: ds0p, idx1: ds1}, d=2)
@@ -198,7 +197,7 @@ class TestFit:
         X1 = ds1.X.copy()
         X1[200:] = X1[:50]
         ds1 = DataSet(2, idx1, X1, g.deriv(idx1, X1))
-        perms = [split_stream(9, [j]).gen.permutation(ds.n) for j, ds in enumerate((ds0, ds1))]
+        perms = [split_stream(9, [j]).permutation(ds.n) for j, ds in enumerate((ds0, ds1))]
         permuted = [DataSet(2, ds.deriv, ds.X[p], ds.Y[p]) for ds, p in zip((ds0, ds1), perms)]
         plans = [
             EstimationPlan.build(2, [0], 0, {idx0: a, idx1: b}, d=2, density="loo")
@@ -319,7 +318,7 @@ class TestFit:
 
 class TestBaselineSmoother:
     def test_constant_responses(self):
-        X = split_stream(2, [0]).uniform((60, 2))
+        X = split_stream(2, [0]).uniform(size=(60, 2))
         ds = DataSet(2, D("00"), X, np.full(60, 3.25))
         for x in ([0.5, 0.5], [0.2, 0.8]):
             assert nadaraya_watson_grid(ds.X, ds.Y, [x], h=0.3)[0] == pytest.approx(3.25, rel=1e-12)
@@ -340,7 +339,7 @@ class TestBaselineSmoother:
     )
     def test_bad_bandwidth_rejected_before_any_kernel(self, h, message):
         # A kernel evaluated at such an h warns (RuntimeWarning is an error here).
-        X = split_stream(2, [0]).uniform((40, 2))
+        X = split_stream(2, [0]).uniform(size=(40, 2))
         with pytest.raises(ValidationError, match=message):
             nadaraya_watson_grid(X, X[:, 0], np.array([[0.5, 0.5]]), h, widen_on_empty=True)
 
@@ -380,7 +379,7 @@ class TestBaselineSmoother:
 
     @pytest.mark.parametrize("bad", [[7.0, 0.5], [0.5, -0.01], [np.nan, 0.5], [0.5, np.inf]])
     def test_rejects_points_outside_unit_cube(self, bad):
-        X = split_stream(2, [0]).uniform((40, 2))
+        X = split_stream(2, [0]).uniform(size=(40, 2))
         with pytest.raises(ValidationError, match="unit cube"):
             nadaraya_watson_grid(X, X[:, 0], np.array([[0.5, 0.5], bad]), 0.2, widen_on_empty=True)
         with pytest.raises(ValidationError, match="unit cube"):
@@ -435,13 +434,13 @@ class TestBaselineSmoother:
 
     @pytest.mark.parametrize("den_floor", [0.0, -1.0, np.nan, np.inf])
     def test_den_floor_must_be_finite_and_positive(self, den_floor):
-        X = split_stream(2, [0]).uniform((40, 2))
+        X = split_stream(2, [0]).uniform(size=(40, 2))
         message = f"den_floor must be finite and positive, got {den_floor}"
         with pytest.raises(ValidationError, match=message):
             nadaraya_watson_grid(X, X[:, 0], np.array([[0.5, 0.5]]), 0.3, den_floor=den_floor)
 
     def test_leaves_the_callers_arrays_writable(self):
-        X = split_stream(2, [0]).uniform((40, 2))
+        X = split_stream(2, [0]).uniform(size=(40, 2))
         Y = X[:, 0].copy()
         nadaraya_watson_grid(X, Y, np.array([[0.5, 0.5]]), 0.3)
         assert X.flags.writeable and Y.flags.writeable
@@ -517,9 +516,9 @@ class TestWindowedBaseline:
     def test_many_blocks_match_naive_oracle(self, h):
         import reference
 
-        X = split_stream(32, [0]).uniform((300, 2)) ** 1.5
+        X = split_stream(32, [0]).uniform(size=(300, 2)) ** 1.5
         Y = split_stream(32, [1]).standard_normal(300)
-        pts = np.vstack([split_stream(32, [2]).uniform((150, 2)), [[0.0, 1.0], [1.0, 0.5]]])
+        pts = np.vstack([split_stream(32, [2]).uniform(size=(150, 2)), [[0.0, 1.0], [1.0, 0.5]]])
         got = nadaraya_watson_grid(X, Y, pts, h, d=4)
         want = np.array([reference.nadaraya_watson(X.tolist(), Y.tolist(), x.tolist(), h, 4, 0.05) for x in pts])
         assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
@@ -564,11 +563,11 @@ class TestWindowedBaseline:
         assert a == b if isinstance(a, str) else np.array_equal(a, b)
 
     def test_row_permutation_invariance_bitwise_at_k3(self):
-        X = split_stream(33, [0]).uniform((600, 3)) ** 1.5
+        X = split_stream(33, [0]).uniform(size=(600, 3)) ** 1.5
         X[300:400] = X[:100]  # repeated design rows, in the same tiles or not
         Y = split_stream(33, [1]).standard_normal(600)
-        pts = np.vstack([split_stream(33, [2]).uniform((150, 3)), X[:20], [[0.0, 1.0, 0.5]]])
-        perm = split_stream(33, [3]).gen.permutation(600)
+        pts = np.vstack([split_stream(33, [2]).uniform(size=(150, 3)), X[:20], [[0.0, 1.0, 0.5]]])
+        perm = split_stream(33, [3]).permutation(600)
         for h in (0.08, 0.3, 0.7):
             a = nadaraya_watson_grid(X, Y, pts, h, d=4, widen_on_empty=True)
             b = nadaraya_watson_grid(X[perm], Y[perm], pts, h, d=4, widen_on_empty=True)
@@ -587,11 +586,11 @@ class TestWindowedBaseline:
 
     def test_memory_stays_bounded_at_large_n(self):
         # The dense m x n weight block would need 320 MB per temporary here.
-        assert self._peak_bytes(split_stream(5, [0]).uniform((20_000, 2))) < 64 * 2**20
+        assert self._peak_bytes(split_stream(5, [0]).uniform(size=(20_000, 2))) < 64 * 2**20
 
     def test_memory_stays_bounded_when_rows_share_coordinate_2(self):
         # Every tile's rows are then its whole coordinate-1 window.
-        X = split_stream(5, [0]).uniform((20_000, 2))
+        X = split_stream(5, [0]).uniform(size=(20_000, 2))
         X[:, 1] = 0.5
         assert self._peak_bytes(X) < 64 * 2**20
 
@@ -600,9 +599,9 @@ class TestConcurrentSweeps:
     def test_two_threads_match_serial_bitwise(self):
         # LOO density and NW share the cached order-4 product kernel; each
         # sweep must keep its scratch buffers to itself.
-        X = split_stream(41, [0]).uniform((3000, 2)) ** 1.5
+        X = split_stream(41, [0]).uniform(size=(3000, 2)) ** 1.5
         Y = split_stream(41, [1]).standard_normal(3000)
-        pts = split_stream(41, [2]).uniform((1500, 2))
+        pts = split_stream(41, [2]).uniform(size=(1500, 2))
         est = DensityEstimator(DataSet(2, D("00"), X, Y), d1=4, H=0.1)
         loo = lambda: loo_at_rows(est, floored=False).tobytes()
         nw = lambda: nadaraya_watson_grid(X, Y, pts, 0.08, d=4).tobytes()
@@ -681,9 +680,9 @@ class TestOrthantSums:
     def test_scattered_points_take_several_chunks(self):
         import reference
 
-        X = split_stream(41, [0]).uniform((50, 3))
+        X = split_stream(41, [0]).uniform(size=(50, 3))
         Y = split_stream(41, [1]).standard_normal(50)
-        pts = np.vstack([split_stream(41, [2]).uniform((200, 3)), X[:5], [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]])
+        pts = np.vstack([split_stream(41, [2]).uniform(size=(200, 3)), X[:5], [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]])
         keys = np.unique(pts, axis=0)
         assert len(_point_chunks(keys, 8 * keys.shape[0])) > 1
         for kinds in ((Weight.RECON,) * 3, (Weight.CUM, Weight.RAMP, Weight.RECON)):
@@ -739,10 +738,10 @@ class TestOrthantSums:
             datasets[D(bits)] = DataSet(2, D(bits), X, ds.Y)
         permuted = {}
         for j, (idx, ds) in enumerate(datasets.items()):
-            perm = split_stream(14, [j]).gen.permutation(ds.n)
+            perm = split_stream(14, [j]).permutation(ds.n)
             permuted[idx] = DataSet(2, idx, ds.X[perm], ds.Y[perm])
-        pts = np.vstack([split_stream(15, [0]).uniform((40, 2)), make_grid(2, 5)])
-        pperm = split_stream(15, [1]).gen.permutation(pts.shape[0])
+        pts = np.vstack([split_stream(15, [0]).uniform(size=(40, 2)), make_grid(2, 5)])
+        pperm = split_stream(15, [1]).permutation(pts.shape[0])
         plans = [EstimationPlan.build(2, coords, 0, dsets, density=density) for dsets in (datasets, permuted)]
         ra, rb = fit(plans[0], pts), fit(plans[1], pts[pperm])
         assert np.array_equal(ra.values[pperm], rb.values)
@@ -751,9 +750,9 @@ class TestOrthantSums:
 
     def test_memory_stays_bounded_with_scattered_points(self):
         # A dense m x n weight block would take 320 MB here.
-        X = split_stream(16, [0]).uniform((20_000, 3))
+        X = split_stream(16, [0]).uniform(size=(20_000, 3))
         Y = split_stream(16, [1]).standard_normal(20_000)
-        pts = split_stream(16, [2]).uniform((2_000, 3))
+        pts = split_stream(16, [2]).uniform(size=(2_000, 3))
         for kinds, h in (((Weight.RECON,) * 3, None), ((Weight.RECON, Weight.RECON, Weight.LOCAL), 0.1)):
             term = Term(1, D("110") if h else D("111"), kinds)
             ds = DataSet(3, term.deriv, X, Y)

@@ -9,17 +9,10 @@ from derivreg import (
     Quadrature,
     ValidationError,
     build_term_plan,
-    decomposition_residual,
-    evaluate_plan,
-    integrate_out,
-    integrate_to,
     nonparametric_dimension,
-    partial_decomposition_residual,
-    plan_residual,
     poly_function,
     product_function,
     recon_weight,
-    reconstruction_integral,
 )
 from derivreg.functionals import (
     Term,
@@ -37,6 +30,38 @@ from derivreg.functionals import (
 
 QUAD = Quadrature(nodes=32)
 D = DerivIndex.from_string
+
+
+def _const(c):
+    """The integrand that is ``c`` everywhere."""
+    return lambda cols: np.asarray(c)
+
+
+def _avg(index: DerivIndex) -> tuple[Weight, ...]:
+    """FLAT on the coordinates that ``index`` flags, LOCAL elsewhere."""
+    return term_weights(DerivIndex.zeros(index.k), index.support)
+
+
+def _cum(index: DerivIndex) -> tuple[Weight, ...]:
+    """CUM on the coordinates that ``index`` flags, LOCAL elsewhere."""
+    return tuple(Weight.CUM if bit else Weight.LOCAL for bit in index.bits)
+
+
+def _terms_value(g, terms, x):
+    """The signed sum of coef times the weighted integral of g's partial,
+    over ``terms`` in order."""
+    return sum(t.coef * weighted_integral(g.partial(t.deriv), t.weights, x, QUAD) for t in terms)
+
+
+def _residual(g, terms, x) -> float:
+    x = np.asarray(x, dtype=float)
+    return abs(float(g(x[None, :])[0]) - _terms_value(g, terms, x))
+
+
+def _decomposition(k: int, p: int) -> list[Term]:
+    """The 2^p terms that rewrite g over coordinates 1..p; the others stay
+    pinned at the evaluation point."""
+    return [Term(1, beta, term_weights(beta, range(p))) for beta in subindices(DerivIndex.from_support(k, range(p)))]
 
 
 class TestReconWeight:
@@ -84,11 +109,6 @@ class TestTermWeights:
         # Such coordinates were dropped: [0, 5] gave (RECON, LOCAL).
         with pytest.raises(ValidationError, match=rf"^coordinate {bad} is outside 0\.\.1$"):
             term_weights(D("10"), coords)
-
-    def test_reconstruction_integral_rejects_coordinate_outside_range(self):
-        # coords=[0, 3] gave the value of coords=None.
-        with pytest.raises(ValidationError, match=r"^coordinate 3 is outside 0\.\.0$"):
-            reconstruction_integral(D("1"), 1.0, [0.5], Quadrature(), coords=[0, 3])
 
     def test_plan_terms_are_term_weights(self):
         for k in (1, 2, 3):
@@ -187,21 +207,21 @@ class TestWeightedIntegral:
         # The integrand gets k coordinate columns, not an (m, k) point array.
         g = polynomial_suite(k)[0]
         with pytest.raises(ValidationError, match="pts"):
-            integrate_out(DerivIndex.ones(k), lambda pts: g(pts), [0.5] * k, QUAD)
+            weighted_integral(lambda pts: g(pts), _avg(DerivIndex.ones(k)), [0.5] * k, QUAD)
 
 
 class TestReconstructionIntegral:
     def test_constant_integrand(self):
         # integral of (u - 1 + 1{u<=x}) du = x - 1/2
         for x in (0.5, 0.3, 0.9):
-            val = reconstruction_integral(D("1"), 1.0, [x], QUAD)
+            val = weighted_integral(_const(1.0), term_weights(D("1")), [x], QUAD)
             assert val == pytest.approx(x - 0.5, abs=1e-13)
 
     def test_univariate_square(self):
         # the two terms of the exact rewrite of x^2 at x = 0.5: 1/3 and -1/12
         g = poly_function(1, {(2,): 1.0})
-        t0 = reconstruction_integral(D("0"), g.partial(D("0")), [0.5], QUAD)
-        t1 = reconstruction_integral(D("1"), g.partial(D("1")), [0.5], QUAD)
+        t0 = weighted_integral(g.partial(D("0")), term_weights(D("0")), [0.5], QUAD)
+        t1 = weighted_integral(g.partial(D("1")), term_weights(D("1")), [0.5], QUAD)
         assert t0 == pytest.approx(1.0 / 3.0, abs=1e-13)
         assert t1 == pytest.approx(2.0 / 3.0 - 1.0 + 0.25, abs=1e-13)
         assert t0 + t1 == pytest.approx(0.25, abs=1e-12)
@@ -210,8 +230,8 @@ class TestReconstructionIntegral:
         g = poly_function(2, {(3, 0): 1.0, (1, 2): 2.0, (0, 1): -1.0})
         dense = Quadrature(nodes=64)
         for x in ([0.3, 0.8], [0.5, 0.5], [0.9, 0.1]):
-            a = reconstruction_integral(D("11"), g.partial(D("11")), x, QUAD)
-            b = reconstruction_integral(D("11"), g.partial(D("11")), x, dense)
+            a = weighted_integral(g.partial(D("11")), term_weights(D("11")), x, QUAD)
+            b = weighted_integral(g.partial(D("11")), term_weights(D("11")), x, dense)
             assert a == pytest.approx(b, abs=1e-12)
 
 
@@ -231,83 +251,73 @@ class TestIntegrateOperators:
     def test_zero_index_is_identity(self):
         g = analytic_suite(2)[0]
         x = np.array([0.4, 0.7])
-        assert integrate_out(D("00"), g.partial(D("00")), x, QUAD) == pytest.approx(
+        assert weighted_integral(g.partial(D("00")), _avg(D("00")), x, QUAD) == pytest.approx(
             float(g(x[None, :])[0]), abs=1e-14
         )
 
     def test_full_average_of_constant(self):
-        assert integrate_out(D("11"), 3.5, [0.2, 0.9], QUAD) == pytest.approx(3.5, abs=1e-13)
+        assert weighted_integral(_const(3.5), _avg(D("11")), [0.2, 0.9], QUAD) == pytest.approx(3.5, abs=1e-13)
 
     def test_partial_average_analytic(self):
         g = poly_function(2, {(1, 1): 1.0})
-        val = integrate_out(D("10"), g.partial(D("00")), [0.0, 0.4], QUAD)
+        val = weighted_integral(g.partial(D("00")), _avg(D("10")), [0.0, 0.4], QUAD)
         assert val == pytest.approx(0.2, abs=1e-13)
 
     def test_composition_equals_union(self):
         g = analytic_suite(2)[0]
         x = np.array([0.35, 0.65])
-        inner = _pointwise(lambda xi: integrate_out(D("01"), g.partial(D("00")), xi, QUAD))
-        composed = integrate_out(D("10"), inner, x, QUAD)
-        direct = integrate_out(D("11"), g.partial(D("00")), x, QUAD)
+        inner = _pointwise(lambda xi: weighted_integral(g.partial(D("00")), _avg(D("01")), xi, QUAD))
+        composed = weighted_integral(inner, _avg(D("10")), x, QUAD)
+        direct = weighted_integral(g.partial(D("00")), _avg(D("11")), x, QUAD)
         assert composed == pytest.approx(direct, abs=1e-10)
 
     def test_cumulative_constant(self):
-        assert integrate_to(D("1"), 1.0, [0.7], QUAD) == pytest.approx(0.7, abs=1e-14)
+        assert weighted_integral(_const(1.0), _cum(D("1")), [0.7], QUAD) == pytest.approx(0.7, abs=1e-14)
 
     def test_cumulative_inclusion_exclusion(self):
         g = poly_function(2, {(2, 1): 1.0})  # u1^2 u2 with top partial 2 u1
         top = D("11")
         for x in ([0.3, 0.8], [1.0, 1.0], [0.6, 0.2]):
-            val = integrate_to(top, g.partial(top), x, QUAD)
+            val = weighted_integral(g.partial(top), _cum(top), x, QUAD)
             assert val == pytest.approx(x[0] ** 2 * x[1], abs=1e-12)
             assert val == pytest.approx(corner_sum(g.partial(D("00")), x), abs=1e-12)
 
     def test_cumulative_zero_coordinate(self):
         g = analytic_suite(2)[0]
-        assert integrate_to(D("11"), g.partial(D("00")), [0.0, 0.5], QUAD) == 0.0
+        assert weighted_integral(g.partial(D("00")), _cum(D("11")), [0.0, 0.5], QUAD) == 0.0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("op", [integrate_to, integrate_out, reconstruction_integral])
-    def test_non_finite_point_rejected(self, op, bad):
+    @pytest.mark.parametrize("weights", [(Weight.CUM,), (Weight.FLAT,), (Weight.RECON,)], ids=["cum", "flat", "recon"])
+    def test_non_finite_point_rejected(self, weights, bad):
         # A NaN would drop every panel and give 0.0, an infinity would be clamped to a face.
         with pytest.raises(ValidationError, match="must be finite"):
-            op(D("1"), 1.0, [bad], QUAD)
+            weighted_integral(_const(1.0), weights, [bad], QUAD)
 
 
 class TestDecompositions:
     def test_bilinear(self):
         g = poly_function(2, {(1, 1): 1.0})
-        assert decomposition_residual(g, [0.3, 0.8], QUAD) <= 1e-10
+        assert _residual(g, _decomposition(2, 2), [0.3, 0.8]) <= 1e-10
 
     def test_constant_function(self):
         g = poly_function(2, {(0, 0): 4.2})
-        assert decomposition_residual(g, [0.5, 0.5], QUAD) <= 1e-12
+        assert _residual(g, _decomposition(2, 2), [0.5, 0.5]) <= 1e-12
         # only the order-zero term survives
-        assert reconstruction_integral(D("00"), g.partial(D("00")), [0.5, 0.5], QUAD) == pytest.approx(4.2, abs=1e-12)
+        assert weighted_integral(g.partial(D("00")), term_weights(D("00")), [0.5, 0.5], QUAD) == pytest.approx(
+            4.2, abs=1e-12
+        )
 
     def test_exponential_k3(self):
         g = product_function([(np.exp, np.exp)] * 3)
-        assert decomposition_residual(g, [0.2, 0.5, 0.9], QUAD) <= 1e-8
+        assert _residual(g, _decomposition(3, 3), [0.2, 0.5, 0.9]) <= 1e-8
 
     def test_partial_simple(self):
         g = poly_function(2, {(2, 0): 1.0, (0, 1): 1.0})
-        assert partial_decomposition_residual(g, 1, [0.4, 0.9], QUAD) <= 1e-10
-
-    def test_partial_with_p_equal_k_matches_full(self):
-        g = polynomial_suite(2)[-1]
-        for x in ([0.3, 0.8], [0.5, 0.5]):
-            full = decomposition_residual(g, x, QUAD)
-            part = partial_decomposition_residual(g, 2, x, QUAD)
-            assert abs(full - part) <= 1e-14
+        assert _residual(g, _decomposition(2, 1), [0.4, 0.9]) <= 1e-10
 
     def test_partial_trig_k3(self):
         g = analytic_suite(3)[1]
-        assert partial_decomposition_residual(g, 2, [0.3, 0.6, 0.8], QUAD) <= 1e-8
-
-    def test_invalid_p(self):
-        g = polynomial_suite(2)[0]
-        with pytest.raises(ValidationError):
-            partial_decomposition_residual(g, 3, [0.5, 0.5], QUAD)
+        assert _residual(g, _decomposition(3, 2), [0.3, 0.6, 0.8]) <= 1e-8
 
 
 class TestTermPlans:
@@ -368,18 +378,13 @@ class TestTermPlans:
                 for ell in range(0, p + 1):
                     plan = build_term_plan(k, range(p), ell)
                     x = np.full(k, 0.37)
-                    assert plan_residual(plan, g, x, QUAD) <= 1e-8, (k, p, ell)
-
-    def test_empty_plan_evaluates_to_zero(self):
-        empty = TermPlan(k=2, coords=(0, 1), ell=0, terms=())
-        g = polynomial_suite(2)[0]
-        assert evaluate_plan(empty, g, [0.5, 0.5], QUAD) == 0.0
+                    assert _residual(g, plan.terms, x) <= 1e-8, (k, p, ell)
 
     def test_nonprefix_coordinate_subset(self):
         # derivative data on the second coordinate only
         plan = build_term_plan(2, (1,), 0)
         g = poly_function(2, {(2, 1): 1.0, (1, 0): 0.5})
-        assert plan_residual(plan, g, [0.4, 0.8], QUAD) <= 1e-10
+        assert _residual(g, plan.terms, [0.4, 0.8]) <= 1e-10
 
 
 class TestOperatorIdentity:
@@ -391,9 +396,9 @@ class TestOperatorIdentity:
         lhs = rhs = 0.0
         for beta in subindices(alpha):
             sign = (-1.0) ** beta.order
-            inner = _pointwise(lambda xi: integrate_to(alpha, g.partial(alpha), xi, QUAD))
-            lhs += sign * integrate_out(beta, inner, x, QUAD)
-            rhs += sign * integrate_out(beta, g.partial(D("00")), x, QUAD)
+            inner = _pointwise(lambda xi: weighted_integral(g.partial(alpha), _cum(alpha), xi, QUAD))
+            lhs += sign * weighted_integral(inner, _avg(beta), x, QUAD)
+            rhs += sign * weighted_integral(g.partial(D("00")), _avg(beta), x, QUAD)
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
@@ -475,8 +480,8 @@ class TestIdentitySuite:
         x = np.array([0.3, 0.7])
         f = poly_function(2, {(1, 1): 1.0}, "g")
         g = poly_function(2, {(1, 1): 2.0}, "g")
-        got = [functionals._evaluate_plan(plan, h, x, QUAD, table) for h in (f, g, f)]
-        assert got == [evaluate_plan(plan, h, x, QUAD) for h in (f, g, f)]
+        got = [sum(t.coef * table(h, t.deriv, t.weights, x, QUAD) for t in plan.terms) for h in (f, g, f)]
+        assert got == [_terms_value(h, plan.terms, x) for h in (f, g, f)]
         assert got[0] == pytest.approx(0.21, abs=1e-12) and got[1] == pytest.approx(0.42, abs=1e-12)
 
     def test_mutated_plan_is_caught_and_named(self, monkeypatch):
