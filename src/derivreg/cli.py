@@ -3,7 +3,7 @@
 All outputs are CSV files plus a JSON metadata sidecar; payload bytes are
 identical across reruns with the same flags and across worker counts.
 Exit codes: 0 success, 1 validation failure, 2 numerical-tolerance failure,
-3 I/O failure.
+3 I/O or memory failure.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .core import (
 )
 from .estimators import EstimationPlan, fit, make_grid
 from .functionals import (
+    REPORT_ORDERS,
     build_term_plan,
     identity_checks,
     kernel_checks,
@@ -386,8 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
     # kernels draws nothing at random and runs in one process.
     p = sub.add_parser("kernels", help="emit kernel samples and a moment report")
     add_out_dir(p)
-    p.add_argument("--interior", type=int, nargs="+", default=[2, 4, 6])
-    p.add_argument("--edge", type=int, nargs="+", default=[1, 2, 3, 4, 5])
+    for family, orders in REPORT_ORDERS.items():
+        p.add_argument(f"--{family}", type=int, nargs="+", default=list(orders))
     p.add_argument("--samples", type=int, default=201)
     p.set_defaults(func=run_kernels)
 
@@ -408,6 +409,10 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:  # numpy's _ArrayMemoryError included
+        text = " ".join(str(exc).split())
+        print(f"out of memory: {text}" if text else "out of memory", file=sys.stderr)
         return 3
 
 

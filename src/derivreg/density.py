@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DataSet, ValidationError, as_float_array
-from .kernels import Workspace, band_sweep, check_bandwidth, product_kernel
+from .kernels import Workspace, band_sweep, check_bandwidth, check_cap, check_orders, product_kernel
 
 __all__ = ["DENSITY_FLOOR", "DensityEstimator", "loo_density", "loo_at_rows"]
 
@@ -25,7 +25,9 @@ DENSITY_FLOOR = 0.05
 class DensityEstimator:
     """Leave-one-out product-kernel density estimator of the design density.
 
-    The kernel order ``d1`` must exceed the dimension k; edge kernels take
+    The kernel order ``d1`` must pass the order rule and its cap
+    (:func:`derivreg.kernels.check_orders`, :func:`derivreg.kernels.check_cap`):
+    even, above the dimension k and at most 6.  Edge kernels take
     over in any coordinate within H of a face of the cube, which removes
     boundary bias for the estimator as a whole.
     """
@@ -42,10 +44,8 @@ class DensityEstimator:
             raise ValidationError(f"bandwidth H must lie in (0, 1), got {self.H}")
         if not 0.0 < self.floor < np.inf:
             raise ValidationError(f"density floor must be finite and positive, got {self.floor}")
-        if not self.d1 > self.data.k:
-            raise ValidationError(
-                f"density kernel order d1={self.d1} must exceed k={self.data.k}"
-            )
+        check_orders(None, self.d1, self.data.k, 0)
+        check_cap("density kernel order d1", self.d1)
         check_bandwidth(self.H, self.d1, self.data.k, "H")
 
 

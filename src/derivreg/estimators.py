@@ -31,7 +31,7 @@ import numpy as np
 from .core import DataSet, DerivIndex, ValidationError, as_float_array
 from .density import DENSITY_FLOOR, DensityEstimator, loo_at_rows
 from .functionals import Quadrature, Term, TermPlan, Weight, build_term_plan, gl_panels, tensor_rule, term_weights, weight_shape
-from .kernels import BandwidthPlan, Workspace, band_sweep, check_bandwidth, check_orders, default_orders, product_kernel
+from .kernels import BandwidthPlan, Workspace, band_sweep, check_bandwidth, check_cap, check_orders, default_orders, product_kernel
 
 __all__ = [
     "EstimationPlan",
@@ -221,8 +221,10 @@ class EstimationPlan:
     floored leave-one-out weighting ("loo").  k, the derivative coordinates
     and ell are those of ``plan``.  A plan is checked when it is made: None
     for ``d``, ``d1`` or ``bandwidths`` means the default, the orders must
-    pass :func:`derivreg.kernels.check_orders`, ``floor`` must be finite and
-    positive whatever the density mode, and ``datasets`` (copied)
+    pass :func:`derivreg.kernels.check_orders`, d when some term smooths and
+    d1 when ``density`` is "loo" must pass :func:`derivreg.kernels.check_cap`,
+    ``floor`` must be finite and positive whatever the density mode, and
+    ``datasets`` (copied)
     must hold a k-variate dataset under each index the term plan requires.
     """
 
@@ -244,6 +246,11 @@ class EstimationPlan:
         check_orders(self.d, self.d1, k, p)
         if self.density not in ("uniform", "loo"):
             raise ValidationError(f"density mode must be 'uniform' or 'loo', got {self.density!r}")
+        # An order no term or density uses is not capped.
+        if any(t.free_dims for t in self.plan.terms):
+            check_cap("kernel order d", self.d)
+        if self.density == "loo":
+            check_cap("density kernel order d1", self.d1)
         # Checked in every mode, as fit_metadata.json records it in every mode.
         if not 0.0 < self.floor < np.inf:
             raise ValidationError(f"density floor must be finite and positive, got {self.floor}")

@@ -43,10 +43,13 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .core import DerivIndex, TestFunction, ValidationError, poly_function, product_function
-from .kernels import KernelSpec, make_edge_kernel, make_interior_kernel
+from .kernels import MAX_EDGE_ORDER, MAX_INTERIOR_ORDER, KernelSpec, check_cap, make_edge_kernel, make_interior_kernel
 
 # Largest accepted deviation of a kernel moment j < order from delta_{j0}.
 MOMENT_TOL = 1e-10
+# The kernel orders that ``derivreg verify`` checks and ``derivreg kernels``
+# reports by default, by family.
+REPORT_ORDERS = {"interior": (2, 4, 6), "edge": (1, 2, 3, 4, 5)}
 
 __all__ = [
     "Weight",
@@ -146,9 +149,14 @@ def gl_panels(nodes: int, breaks) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(ts), np.concatenate(ws)
 
 
-def named_kernels(interior=(2, 4, 6), edge=range(1, 6)) -> list[tuple[str, KernelSpec]]:
+def named_kernels(interior=REPORT_ORDERS["interior"], edge=REPORT_ORDERS["edge"]) -> list[tuple[str, KernelSpec]]:
     """Interior kernels, then left and right edge kernels, of the given orders,
-    under the names that ``derivreg verify`` and ``derivreg kernels`` report."""
+    under the names that ``derivreg verify`` and ``derivreg kernels`` report.
+    Every order is checked against its family's cap before any is built."""
+    for d in interior:
+        check_cap("interior kernel order", d, MAX_INTERIOR_ORDER)
+    for d in edge:
+        check_cap("edge kernel order", d, MAX_EDGE_ORDER)
     specs = [(f"interior-d{d}", make_interior_kernel(d)) for d in interior]
     return specs + [(f"{side}-d{d}", make_edge_kernel(d, side)) for d in edge for side in ("left", "right")]
 

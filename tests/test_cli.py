@@ -16,6 +16,11 @@ from hypothesis import strategies as st
 from derivreg.cli import main
 from derivreg import split_stream
 
+try:
+    from numpy._core._exceptions import _ArrayMemoryError
+except ImportError:  # numpy < 2
+    from numpy.core._exceptions import _ArrayMemoryError
+
 
 def run(args):
     return main([str(a) for a in args])
@@ -287,6 +292,37 @@ class TestEstimate:
         err = self._bad_config_exits_one(tmp_path, example_config, capsys, edit)
         assert message in err
 
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ("d = 8", "kernel order d = 8 is above 6"),
+            ("d = 2\nd1 = 8\ndensity = loo", "density kernel order d1 = 8 is above 6"),
+        ],
+        ids=["d", "d1-loo"],
+    )
+    def test_orders_above_the_cap_exit_one(self, tmp_path, example_config, capsys, monkeypatch, setting, message):
+        import derivreg.estimators
+
+        # Rejected when the plan is made, before any density or term.
+        monkeypatch.setattr(derivreg.estimators, "loo_at_rows", None)
+        monkeypatch.setattr(derivreg.estimators, "_term_column", None)
+        err = self._bad_config_exits_one(tmp_path, example_config, capsys, lambda t: t.replace("d = 2", setting))
+        assert err == f"error: {message}, the largest order whose kernels pass the 1e-10 moment check\n"
+
+    def test_unused_orders_are_not_capped(self, tmp_path, example_config):
+        # d1 under a uniform density, and d in a plan of root-n terms alone.
+        uniform = tmp_path / "uniform.ini"
+        uniform.write_text(example_config.read_text().replace("d = 2", "d = 2\nd1 = 8"))
+        assert run(["estimate", "--config", uniform, "--out-dir", tmp_path / "a"]) == 0
+        assert run(["estimate", "--config", example_config, "--out-dir", tmp_path / "b"]) == 0
+        assert (tmp_path / "a" / "fit.csv").read_bytes() == (tmp_path / "b" / "fit.csv").read_bytes()
+        rootn = tmp_path / "rootn.ini"
+        rootn.write_text(
+            example_config.read_text().replace("coords = 1", "coords = 1 2").replace("d = 2", "d = 8")
+            + f"\n[data 01]\npath = {tmp_path / 'g10.csv'}\n\n[data 11]\npath = {tmp_path / 'g10.csv'}\n"
+        )
+        assert run(["estimate", "--config", rootn, "--out-dir", tmp_path / "c"]) == 0
+
     @pytest.mark.parametrize("density", ["uniform", "loo"])
     @pytest.mark.parametrize("floor", ["nan", "inf", "-1"])
     def test_bad_floor_exits_one_in_every_density_mode(self, tmp_path, example_config, capsys, density, floor):
@@ -357,8 +393,8 @@ def _fuzz_case(draw) -> dict:
         # 1-based; 0 and k + 1 are out of range
         "coords": draw(st.lists(st.integers(0, k + 1), min_size=1, max_size=3) if draw(rare(False, True)) else valid),
         "ell": draw(rare(0, 1, 2, 3)),
-        "d": draw(rare(None, 1, 2, 3, 4, 6)),
-        "d1": draw(rare(None, 1, 2, 3, 4, 5, 6)),
+        "d": draw(rare(None, 1, 2, 3, 4, 6, 8)),
+        "d1": draw(rare(None, 1, 2, 3, 4, 5, 6, 8)),
         "density": draw(st.sampled_from(["uniform", "loo", "uniform", "loo", "LOO"])),
         "h_const": draw(rare(None, "0.5", "1e-6", "3", "nan")),
         "points": draw(st.sampled_from([1, 2, 3, 4, 100000])),
@@ -423,6 +459,10 @@ class TestEstimateFuzz:
     @given(_fuzz_case())
     @example({**_FUZZ_BASE, "d": 3})
     @example({**_FUZZ_BASE, "d1": 2})  # d1 <= k
+    @example({**_FUZZ_BASE, "d": 6})  # the largest product-kernel order
+    @example({**_FUZZ_BASE, "d": 8})
+    @example({**_FUZZ_BASE, "d1": 6, "density": "loo"})
+    @example({**_FUZZ_BASE, "d1": 8, "density": "loo"})
     @example({**_FUZZ_BASE, "n": 1, "density": "loo"})
     @example({**_FUZZ_BASE, "h_const": "1e-6"})
     @example({**_FUZZ_BASE, "h_const": "1e-200"})  # kernel values would overflow
@@ -501,6 +541,68 @@ class TestSimulateFuzz:
                 assert not out.exists()
 
 
+class TestInvariances:
+    """Two properties through ``main``: ``estimate`` does not depend on the
+    order of the rows in its CSVs, and ``simulate`` not on ``--workers``.
+    Each workers example starts one pool of two processes."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.fixed_dictionaries(
+            {
+                "k": st.sampled_from([2, 3]),
+                "coords": st.sampled_from([[1], [2], [1, 2]]),
+                "density": st.sampled_from(["uniform", "loo"]),
+                "span": st.sampled_from([1.0, 10.0]),
+                "ties": st.booleans(),
+                "seed": st.integers(0, 3),
+            }
+        ),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_shuffled_rows_give_identical_fit(self, drawn, shuffle_seed):
+        # h_const = 0.5 keeps every bandwidth below 1/2 at n = 150, so the fit runs.
+        case = {**_FUZZ_BASE, **drawn, "h_const": "0.5", "n": 150}
+        rng = np.random.default_rng(shuffle_seed)
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            config = _fuzz_inputs(root, case)
+            (root / "shuffled").mkdir()
+            for path in root.glob("g*.csv"):
+                header, *rows = path.read_text().splitlines(keepends=True)
+                (root / "shuffled" / path.name).write_text(header + "".join(rows[i] for i in rng.permutation(len(rows))))
+            shuffled = root / "shuffled" / "plan.ini"
+            shuffled.write_text(config.read_text().replace(str(root / "g"), str(root / "shuffled" / "g")))
+            for cfg, out in ((config, "a"), (shuffled, "b")):
+                assert _run_quietly(["estimate", "--config", str(cfg), "--out-dir", str(root / out)]) == (0, "")
+            for name in ("fit.csv", "fit_metadata.json"):
+                assert (root / "a" / name).read_bytes() == (root / "b" / name).read_bytes(), name
+
+    @settings(max_examples=5, deadline=None)
+    @given(
+        st.fixed_dictionaries(
+            {
+                "--ns": st.lists(st.sampled_from([5, 40, 120]), min_size=1, max_size=2, unique=True),
+                "--rhos": st.lists(st.sampled_from([0.0, 0.5, -0.9]), min_size=1, max_size=2, unique=True),
+                "--reps": st.integers(1, 3),
+                "--seed": st.integers(0, 2**31),
+            }
+        )
+    )
+    def test_workers_give_identical_files(self, flags):
+        argv = ["simulate", "--dump-reps"]
+        for flag, value in flags.items():
+            argv += [flag, *map(str, value if isinstance(value, list) else [value])]
+        with tempfile.TemporaryDirectory() as tmp:
+            outs = [Path(tmp) / str(workers) for workers in (1, 2)]
+            for workers, out in zip((1, 2), outs):
+                assert _run_quietly(argv + ["--workers", str(workers), "--out-dir", str(out)])[0] == 0
+            names = sorted(path.name for path in outs[0].iterdir())
+            assert names == sorted(path.name for path in outs[1].iterdir()) and len(names) == 3
+            for name in names:
+                assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
 def _assert_finite_csvs(out: Path) -> None:
     """Every cell of every CSV in ``out`` that reads as a number is finite."""
     paths = list(out.glob("*.csv"))
@@ -520,9 +622,10 @@ class TestVerifyKernelsFuzz:
     """Generated ``verify`` and ``kernels`` flags through ``main``: each run
     exits 0 with an empty stderr and finite CSVs, or exits 1 (or 2 from
     ``kernels``) with exactly one stderr line, or, from ``verify``, exits 2
-    with one ``FAILED:`` line per failed report row.  Left out: ``--workers``;
-    ``--quad-nodes 64``, at about 3 s a run; and kernel orders above 40, since
-    the kernels take time quadratic in the order to build."""
+    with one ``FAILED:`` line per failed report row.  Left out: ``--workers``
+    and ``--quad-nodes 64``, at about 3 s a run.  Kernel orders at and just
+    above the caps are drawn, and 1000, which is rejected before any kernel
+    is built."""
 
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from([-1, 0, 1, 2, 3, 8, 65]))
@@ -547,8 +650,8 @@ class TestVerifyKernelsFuzz:
     @given(
         st.fixed_dictionaries(
             {
-                "--interior": st.lists(st.sampled_from([0, 1, 2, 3, 4, 22, 40]), min_size=1, max_size=2),
-                "--edge": st.lists(st.sampled_from([0, 1, 5, 8, 9]), min_size=1, max_size=2),
+                "--interior": st.lists(st.sampled_from([0, 1, 2, 3, 4, 20, 22, 40, 1000]), min_size=1, max_size=2),
+                "--edge": st.lists(st.sampled_from([0, 1, 5, 7, 8, 9, 1000]), min_size=1, max_size=2),
                 "--samples": st.sampled_from([-1, 0, 1, 2, 201]),
             }
         )
@@ -572,7 +675,9 @@ class TestGoldenPayloads:
     """sha256 digests of payloads.  The kernel samples and the LOO fit were
     recorded before the kernel evaluator moved to in-place workspace buffers,
     the simulate and verify payloads before the NW baseline took DataSet's
-    row checks and one den_floor mode; neither change moved a bit.  A change
+    row checks and one den_floor mode, and the kernel moments, the kernels
+    up to the order caps and the fit and simulate sidecars before the moment
+    matrix was filled from its 2d - 1 distinct moments; no change moved a bit.  A change
     meant to alter these bytes updates the digest and says why."""
 
     @staticmethod
@@ -583,6 +688,24 @@ class TestGoldenPayloads:
         assert run(["kernels", "--out-dir", tmp_path]) == 0
         assert self._digest(tmp_path / "kernel_samples.csv") == (
             "3a423955555074086f6cdf4e9ecccd2ce84ee50f1e4096cc2e00404adc797fcc"
+        )
+
+    def test_default_kernel_moments(self, tmp_path):
+        assert run(["kernels", "--out-dir", tmp_path]) == 0
+        assert self._digest(tmp_path / "kernel_moments.csv") == (
+            "dd6d3dba009999f93121caad9045247d9225a8be80faf00f2376b1fc8e03f102"
+        )
+
+    def test_kernels_up_to_the_caps(self, tmp_path):
+        # Every coefficient of every order that kernels accepts, so the gate
+        # of the moment solve.
+        argv = ["kernels", "--interior", *range(2, 21, 2), "--edge", *range(1, 8), "--samples", 11]
+        assert run(argv + ["--out-dir", tmp_path]) == 0
+        assert self._digest(tmp_path / "kernel_samples.csv") == (
+            "df6e6cb2cd4df001721d34d5e0a6ba67f20ce51f260c6319af687b5dd541ef15"
+        )
+        assert self._digest(tmp_path / "kernel_moments.csv") == (
+            "d1163ec37e2ac04810a194044b36c47105947127934bb053a3fca2f6554f85fa"
         )
 
     @staticmethod
@@ -609,6 +732,9 @@ class TestGoldenPayloads:
         assert self._digest(tmp_path / "out" / "fit.csv") == (
             "9f4f1678bd74ef887edd81d5391b64bb7c80b9252e4881586390232abc3d645b"
         )
+        assert self._digest(tmp_path / "out" / "fit_metadata.json") == (
+            "9413a6ba63b7afc89331a105bcfaf8f84bdf00db016ffb2b3fc2cfb49ce34424"
+        )
 
     @pytest.mark.parametrize("extra", [[], ["--workers", 2]], ids=["serial", "workers2"])
     def test_simulate_tables(self, tmp_path, extra):
@@ -618,6 +744,9 @@ class TestGoldenPayloads:
         )
         assert self._digest(tmp_path / "benchmark_replications.csv") == (
             "8561baeb865b2b477bd28c54e8eee5e374428e3e7d5d0dc25c69e4005c4cabe9"
+        )
+        assert self._digest(tmp_path / "benchmark_metadata.json") == (
+            "cb4cd1fe8003989e68c53971de41a91ab8e5e2cba13afc653d1f3bc3d4210a93"
         )
 
     def test_verify_report(self, tmp_path):
@@ -663,16 +792,27 @@ class TestKernelsCommand:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["--edge", 8], "-d8 moment j="),
-            (["--interior", 40], "interior-d40 moment j="),
+            (["--edge", 8], "edge kernel order = 8 is above 7"),
+            (["--interior", 22], "interior kernel order = 22 is above 20"),
+            (["--interior", 2, 40], "interior kernel order = 40 is above 20"),
         ],
+        ids=["edge-8", "interior-22", "interior-40"],
     )
-    def test_moment_deviation_above_tolerance_exits_two(self, tmp_path, capsys, argv, message):
-        # Both reports are written before the check, as verify writes its own.
-        assert run(["kernels", "--out-dir", tmp_path] + argv) == 2
+    def test_orders_above_the_caps_exit_one(self, tmp_path, capsys, argv, message):
+        # Rejected before any kernel is built or any report written.
+        out = tmp_path / "never"
+        assert run(["kernels", "--out-dir", out] + argv) == 1
         err = capsys.readouterr().err
-        assert err.startswith("tolerance failure: ") and message in err and err.endswith("above 1e-10\n")
-        assert err.count("\n") == 1
+        assert err == f"error: {message}, the largest order whose kernels pass the 1e-10 moment check\n"
+        assert not out.exists()
+
+    def test_moment_deviation_above_tolerance_exits_two(self, tmp_path, capsys, monkeypatch):
+        # Up to the caps every kernel passes at 1e-10; left-d5 deviates by 7.0e-13.
+        monkeypatch.setattr("derivreg.functionals.MOMENT_TOL", 1e-13)
+        # Both reports are written before the check, as verify writes its own.
+        assert run(["kernels", "--out-dir", tmp_path, "--edge", 5]) == 2
+        err = capsys.readouterr().err
+        assert err == "tolerance failure: left-d5 moment j=0 deviates by 7.0e-13, above 1e-13\n"
         assert (tmp_path / "kernel_moments.csv").exists() and (tmp_path / "kernel_samples.csv").exists()
 
     def test_reports_the_deviations_of_verify(self, tmp_path):
@@ -699,6 +839,34 @@ class TestExitCodes:
         blocker.write_text("x")
         code = run(["kernels", "--out-dir", blocker / "sub"])
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "target, argv",
+        [("identity_checks", ["verify"]), ("relative_mse_table", ["simulate", "--ns", 10, "--reps", 1])],
+        ids=["verify", "simulate"],
+    )
+    @pytest.mark.parametrize(
+        "exc, line",
+        [
+            (MemoryError(), "out of memory"),
+            (MemoryError("cannot\nallocate"), "out of memory: cannot allocate"),
+            (
+                _ArrayMemoryError((2**31, 2**31), np.dtype(float)),
+                "out of memory: Unable to allocate 32.0 EiB for an array with shape (2147483648, 2147483648) "
+                "and data type float64",
+            ),
+        ],
+        ids=["bare", "multiline", "numpy"],
+    )
+    def test_memory_error_exits_three_with_one_line(self, tmp_path, capsys, monkeypatch, target, argv, exc, line):
+        def raise_it(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(f"derivreg.cli.{target}", raise_it)
+        out = tmp_path / "never"
+        assert run(argv + ["--out-dir", out]) == 3
+        assert capsys.readouterr().err == line + "\n"
+        assert not out.exists()
 
     def test_bad_workers_validated(self, tmp_path):
         assert run(["verify", "--workers", 0, "--out-dir", tmp_path]) == 1

@@ -131,6 +131,11 @@ class TestValidation:
         with pytest.raises(ValidationError, match="d1"):
             DensityEstimator(_ds([[0.4, 0.4], [0.6, 0.6]]), d1=2, H=0.2)
 
+    def test_order_cap(self):
+        DensityEstimator(_ds([[0.4], [0.6]]), d1=6, H=0.2)
+        with pytest.raises(ValidationError, match="density kernel order d1 = 8 is above 6"):
+            DensityEstimator(_ds([[0.4], [0.6]]), d1=8, H=0.2)
+
     def test_floor_positive(self):
         with pytest.raises(ValidationError):
             DensityEstimator(_ds([[0.4], [0.6]]), d1=2, H=0.2, floor=0.0)

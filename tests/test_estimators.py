@@ -274,6 +274,28 @@ class TestFit:
         with pytest.raises(ValidationError, match="plan needs a dataset for derivative index 10"):
             EstimationPlan(build_term_plan(2, [0], 0), {D("00"): datasets[D("00")]})
 
+    def test_order_caps_apply_to_used_orders(self):
+        datasets = self._k2_datasets()
+        terms = build_term_plan(2, [0], 0)
+        with pytest.raises(ValidationError, match="^kernel order d = 8 is above 6, "):
+            EstimationPlan(terms, datasets, d=8)
+        with pytest.raises(ValidationError, match="^density kernel order d1 = 8 is above 6, "):
+            EstimationPlan(terms, datasets, d1=8, density="loo")
+        # Unused orders: d1 under a uniform density, d when every term is root-n.
+        EstimationPlan(terms, datasets, d1=8)
+        rootn = {idx: DataSet(2, idx, np.full((4, 2), 0.5), np.ones(4)) for idx in map(D, ("00", "10", "01", "11"))}
+        EstimationPlan.build(2, [0, 1], 0, rootn, d=8)
+        # Default orders: d = 8 once k + p >= 12, d1 = 8 once k >= 6.
+        def wide(k):
+            indices = map(D, ("0" * k, "1" + "0" * (k - 1)))
+            return {idx: DataSet(k, idx, np.full((4, k), 0.5), np.ones(4)) for idx in indices}
+
+        with pytest.raises(ValidationError, match="^kernel order d = 8 is above 6, "):
+            EstimationPlan.build(11, [0], 0, wide(11))
+        with pytest.raises(ValidationError, match="^density kernel order d1 = 8 is above 6, "):
+            EstimationPlan.build(6, [0], 0, wide(6), density="loo")
+        assert EstimationPlan.build(6, [0], 0, wide(6)).d1 == 8
+
     @pytest.mark.parametrize("density", ["uniform", "loo"])
     @pytest.mark.parametrize("floor", [np.nan, np.inf, 0.0, -1.0])
     def test_bad_floor_rejected_in_every_density_mode(self, density, floor):

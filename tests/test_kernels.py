@@ -8,7 +8,17 @@ from hypothesis import strategies as st
 
 from derivreg import ValidationError, check_orders, kernel_moment, make_edge_kernel, make_interior_kernel, product_kernel
 from derivreg.core import canonical_order
-from derivreg.kernels import BandwidthPlan, Workspace, band_sweep, default_orders
+from derivreg.functionals import kernel_moments, moment_check
+from derivreg.kernels import (
+    MAX_EDGE_ORDER,
+    MAX_INTERIOR_ORDER,
+    BandwidthPlan,
+    Workspace,
+    _solve_moment_system,
+    band_sweep,
+    check_cap,
+    default_orders,
+)
 
 import reference
 
@@ -335,11 +345,62 @@ class TestOrderGate:
         check_orders(d=4, d1=4, k=2, p=2)
 
     def test_defaults_pass_gate(self):
-        for k in (1, 2, 3):
-            for p in range(1, k + 1):
+        # The smallest passing orders: two less fails.
+        for k in range(1, 30):
+            for p in range(30):
                 d, d1 = default_orders(k, p)
                 check_orders(d, d1, k, p)
                 assert d % 2 == 0 and d1 % 2 == 0
+                with pytest.raises(ValidationError, match="d > "):
+                    check_orders(d - 2, d1, k, p)
+                with pytest.raises(ValidationError, match="d1"):
+                    check_orders(d, d1 - 2, k, p)
+
+    def test_density_orders_alone(self):
+        check_orders(None, 4, 3, 0)
+        with pytest.raises(ValidationError, match="density kernel order d1=2 violates d1 > k = 2"):
+            check_orders(None, 2, 2, 0)
+        with pytest.raises(ValidationError, match="kernel orders must be even, got d1=3$"):
+            check_orders(None, 3, 2, 0)
+
+
+class TestOrderCaps:
+    @pytest.mark.parametrize(
+        "build, cap, step",
+        [
+            (lambda d: [make_interior_kernel(d)], MAX_INTERIOR_ORDER, 2),
+            (lambda d: [make_edge_kernel(d, "left"), make_edge_kernel(d, "right")], MAX_EDGE_ORDER, 1),
+        ],
+        ids=["interior", "edge"],
+    )
+    def test_each_cap_is_the_last_order_to_pass_the_moment_check(self, build, cap, step):
+        passed = lambda d: all(moment_check("", kernel_moments(spec)).passed for spec in build(d))
+        assert passed(cap) and not passed(cap + step)
+
+    def test_product_cap_is_six(self):
+        # A product kernel of order d uses the edge kernels of order d.
+        check_cap("d", 6)
+        with pytest.raises(ValidationError, match="^d = 8 is above 6, the largest order"):
+            check_cap("d", 8)
+
+    @pytest.mark.parametrize("d", [1, 2, 7, 20])
+    @pytest.mark.parametrize(
+        "moment",
+        [lambda m: 1.0 / (m + 2) - 1.0 / (m + 3), lambda m: 0.0 if m % 2 else 2.0 / (m + 1) - 2.0 / (m + 3)],
+        ids=["edge", "interior"],
+    )
+    def test_moment_solve_takes_each_moment_once(self, moment, d):
+        calls = []
+        q = _solve_moment_system(lambda m: calls.append(m) or moment(m), d)
+        assert calls == list(range(2 * d - 1))
+        # The d x d loop reference: the same matrix entries, so the same bits.
+        A = np.empty((d, d))
+        for j in range(d):
+            for m in range(d):
+                A[j, m] = moment(j + m)
+        rhs = np.zeros(d)
+        rhs[0] = 1.0
+        assert np.array(q).tobytes() == np.linalg.solve(A, rhs).tobytes()
 
 
 class TestBandwidthPlan:
