@@ -255,12 +255,7 @@ def run_estimate(args) -> int:
     plan = EstimationPlan(term_plan, datasets, **settings)
 
     if grid["offset"] == "auto":
-        hs = [h for h in map(plan.bandwidth, plan.plan.terms) if h is not None]
-        offset = max(hs) if hs else 0.0
-        if not offset < 0.5:
-            raise ValidationError(
-                f"[grid] offset = auto is the largest bandwidth h, which must be below 0.5, got h = {offset:.6g}"
-            )
+        offset = max((h for h in map(plan.bandwidth, plan.plan.terms) if h is not None), default=0.0)
     else:
         offset = grid["offset"]
     pts = make_grid(k, grid["points"], offset=offset)

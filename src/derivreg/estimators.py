@@ -223,9 +223,10 @@ class EstimationPlan:
     for ``d``, ``d1`` or ``bandwidths`` means the default, the orders must
     pass :func:`derivreg.kernels.check_orders`, d when some term smooths and
     d1 when ``density`` is "loo" must pass :func:`derivreg.kernels.check_cap`,
-    ``floor`` must be finite and positive whatever the density mode, and
-    ``datasets`` (copied)
-    must hold a k-variate dataset under each index the term plan requires.
+    ``floor`` must be finite and positive whatever the density mode,
+    ``datasets`` (copied) must hold a k-variate dataset under each index the
+    term plan requires, and every smoothing term's :meth:`bandwidth` must
+    lie below 1/2, so a rejected plan computes nothing.
     """
 
     plan: TermPlan
@@ -262,6 +263,8 @@ class EstimationPlan:
                 raise ValidationError(f"dataset for {idx} has k={ds.k}, plan has k={k}")
             if ds.deriv != idx:
                 raise ValidationError(f"dataset registered under {idx} holds {ds.deriv}")
+        for term in self.plan.terms:
+            self.bandwidth(term)
 
     @classmethod
     def build(
@@ -276,10 +279,16 @@ class EstimationPlan:
         return len(self.plan.coords)
 
     def bandwidth(self, term: Term) -> float | None:
-        """The smoothing bandwidth h of ``term``, None when it smooths no coordinate."""
+        """The smoothing bandwidth h of ``term``, None when it smooths no
+        coordinate; a :class:`ValidationError` unless h < 1/2."""
         if not term.free_dims:
             return None
-        return self.bandwidths.h(self.datasets[term.deriv].n, self.d, term.free_dims)
+        h = self.bandwidths.h(self.datasets[term.deriv].n, self.d, term.free_dims)
+        # Term sums are not self-normalized, so h stays below 1/2: above it, points within
+        # h of both faces take the interior kernel, whose mass leaves the cube.
+        if not h < 0.5:
+            raise ValidationError(f"term {term.label}: bandwidth h = {h:.6g} must be below 0.5")
+        return h
 
 
 @dataclass(frozen=True)

@@ -421,8 +421,6 @@ def build_term_plan(k: int, coords: Iterable[int], ell: int) -> TermPlan:
     for size in range(0, p - ell + 1):
         for beta in [b for b in list(resid) if len(b) == size]:
             coef = resid.pop(beta)
-            if coef == 0:
-                continue
             comp = cs - beta
             if not comp:
                 # Full average over P: already an order-0 RECON-type term.
@@ -633,7 +631,7 @@ def identity_checks(quad_nodes: int = 32) -> list[CheckResult]:
                     weights = []
                     for i in range(k):
                         if beta.bits[i]:
-                            weights.append(Weight.RAMP if alpha.bits[i] else Weight.FLAT)
+                            weights.append(Weight.RAMP)
                         elif alpha.bits[i]:
                             weights.append(Weight.CUM)
                         else:

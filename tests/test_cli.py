@@ -80,6 +80,11 @@ class TestSimulate:
         lines = (tmp_path / "benchmark_replications.csv").read_text().splitlines()
         assert len(lines) == 4  # header + 3 replications
 
+    def test_no_trimmed_point_writes_nan_cells(self, tmp_path):
+        assert run(["simulate", "--ns", 2, "--reps", 1, "--seed", 19, "--rhos", 0, 0.9, "--out-dir", tmp_path]) == 0
+        rows = (tmp_path / "benchmark.csv").read_text().splitlines()
+        assert rows[1:] == ["2,0.0,nan,nan,nan,nan,1", "2,0.9,nan,nan,nan,nan,1"]
+
     def test_invalid_rho_fails_before_writing(self, tmp_path):
         out = tmp_path / "never"
         code = run(["simulate", "--rhos", 2.0, "--reps", 2, "--out-dir", out])
@@ -280,7 +285,7 @@ class TestEstimate:
             (lambda t: t.replace("d = 2", "d = 3"), "kernel orders must be even, got d=3"),
             (lambda t: t.replace("d = 2", "d = 2\nd1 = 5"), "kernel orders must be even, got d=2, d1=5"),
             (lambda t: t.replace("points = 4", "points = 100000"), "gives more than 10^6 grid points"),
-            (lambda t: t.replace("d = 2", "d = 2\nh_const = 2"), "offset = auto is the largest bandwidth h, which must be below 0.5"),
+            (lambda t: t.replace("d = 2", "d = 2\nh_const = 2"), "h = 0.603418 must be below 0.5"),
             (lambda t: t.replace("[plan]", "[plans]"), "config needs a [plan] section"),
             (lambda t: t.replace("k = 2", "k = 0"), "[plan] k must be a positive integer"),
             (lambda t: t.replace("coords = 1", "coords = a"), "coords must list 1-based derivative coordinates in 1..2, got 'a'"),
@@ -291,6 +296,25 @@ class TestEstimate:
     def test_bad_values_exit_one(self, tmp_path, example_config, capsys, edit, message):
         err = self._bad_config_exits_one(tmp_path, example_config, capsys, edit)
         assert message in err
+
+    def test_bandwidth_from_one_half_on_exits_one_before_any_work(self, tmp_path, capsys, monkeypatch):
+        # g = exp(0.8 x1 - 0.5 x2), n = 2000: h_const = 5 gives h = 1.09, where
+        # the fit, unchecked, returns median ghat/g 0.64 on this grid.
+        lines = ["[plan]", "k = 2", "coords = 1", "h_const = 5", "", "[grid]", "points = 5", "offset = 0.2"]
+        for j, (bits, slope) in enumerate((("00", 1.0), ("10", 0.8))):
+            X = split_stream(31, [j]).uniform(size=(2000, 2))
+            _write_csv(tmp_path / f"g{bits}.csv", X, slope * np.exp(0.8 * X[:, 0] - 0.5 * X[:, 1]))
+            lines += ["", f"[data {bits}]", f"path = {tmp_path / f'g{bits}.csv'}"]
+        (tmp_path / "plan.ini").write_text("\n".join(lines) + "\n")
+
+        def computed(*args, **kwargs):
+            raise AssertionError("a rejected plan computed a density or a term")
+
+        monkeypatch.setattr("derivreg.estimators.loo_at_rows", computed)
+        monkeypatch.setattr("derivreg.estimators._term_column", computed)
+        assert run(["estimate", "--config", tmp_path / "plan.ini", "--out-dir", tmp_path / "out"]) == 1
+        assert capsys.readouterr().err == "error: term avg[10]: bandwidth h = 1.09336 must be below 0.5\n"
+        assert not (tmp_path / "out" / "fit.csv").exists()
 
     @pytest.mark.parametrize(
         "setting, message",
@@ -396,7 +420,8 @@ def _fuzz_case(draw) -> dict:
         "d": draw(rare(None, 1, 2, 3, 4, 6, 8)),
         "d1": draw(rare(None, 1, 2, 3, 4, 5, 6, 8)),
         "density": draw(st.sampled_from(["uniform", "loo", "uniform", "loo", "LOO"])),
-        "h_const": draw(rare(None, "0.5", "1e-6", "3", "nan")),
+        # 1.045 and 1.046 put h just below and just above 1/2 at k = 2, p = 1, n = 40.
+        "h_const": draw(rare(None, "0.5", "1e-6", "3", "nan", "1.045", "1.046")),
         "points": draw(st.sampled_from([1, 2, 3, 4, 100000])),
         "offset": draw(st.sampled_from(["auto", "auto", "0", "0.2", "nan", "0.7", "-0.1"])),
         "rescale": draw(st.sampled_from([None, "always", "never"])),
@@ -466,6 +491,8 @@ class TestEstimateFuzz:
     @example({**_FUZZ_BASE, "n": 1, "density": "loo"})
     @example({**_FUZZ_BASE, "h_const": "1e-6"})
     @example({**_FUZZ_BASE, "h_const": "1e-200"})  # kernel values would overflow
+    @example({**_FUZZ_BASE, "h_const": "1.045", "offset": "0.2"})  # h = 0.49969
+    @example({**_FUZZ_BASE, "h_const": "1.046", "offset": "0.2"})  # h = 0.50017
     @example({**_FUZZ_BASE, "offset": "nan"})
     @example({**_FUZZ_BASE, "offset": "0.7"})
     @example({**_FUZZ_BASE, "offset": "-0.1"})
@@ -677,8 +704,10 @@ class TestGoldenPayloads:
     the simulate and verify payloads before the NW baseline took DataSet's
     row checks and one den_floor mode, and the kernel moments, the kernels
     up to the order caps and the fit and simulate sidecars before the moment
-    matrix was filled from its 2d - 1 distinct moments; no change moved a bit.  A change
-    meant to alter these bytes updates the digest and says why."""
+    matrix was filled from its 2d - 1 distinct moments, and the k = 3 fits and
+    the verify and kernels sidecars before EstimationPlan took the
+    term-bandwidth bound; no change moved a bit.  A change meant to alter
+    these bytes updates the digest and says why."""
 
     @staticmethod
     def _digest(path):
@@ -707,6 +736,9 @@ class TestGoldenPayloads:
         assert self._digest(tmp_path / "kernel_moments.csv") == (
             "d1163ec37e2ac04810a194044b36c47105947127934bb053a3fca2f6554f85fa"
         )
+        assert self._digest(tmp_path / "kernels_metadata.json") == (
+            "7e1db8d8f01e43ca34e1bb7dc5e20f19f9f44f7f2ddb0a051062b1a03f206016"
+        )
 
     @staticmethod
     def _loo_config(root):
@@ -725,6 +757,24 @@ class TestGoldenPayloads:
         )
         return cfg
 
+    @staticmethod
+    def _k3_config(root, coords, n, plan, grid):
+        """A k = 3 fit of g = exp(0.8 x1 - 0.5 x2 + 0.3 x3) with noise: config
+        and CSVs, one dataset per subset of ``coords`` (1-based)."""
+        slopes = np.array([0.8, -0.5, 0.3])
+        lines = ["[plan]", "k = 3", "coords = " + " ".join(map(str, coords)), *plan, "", "[grid]", *grid]
+        for r in range(len(coords) + 1):
+            for support in itertools.combinations(coords, r):
+                bits = "".join("1" if j + 1 in support else "0" for j in range(3))
+                X = split_stream(29, [int(bits, 2), 0]).uniform(size=(n, 3))
+                noise = 0.1 * split_stream(29, [int(bits, 2), 1]).standard_normal(n)
+                scale = np.prod([slopes[j - 1] for j in support])
+                _write_csv(root / f"g{bits}.csv", X, scale * np.exp(X @ slopes) + noise)
+                lines += ["", f"[data {bits}]", f"path = {root / f'g{bits}.csv'}"]
+        cfg = root / "plan.ini"
+        cfg.write_text("\n".join(lines) + "\n")
+        return cfg
+
     _SIMULATE = ["simulate", "--ns", 200, 1000, "--rhos", 0, 0.9, "--reps", 4, "--dump-reps", "--seed", 5]
 
     def test_loo_density_fit(self, tmp_path):
@@ -734,6 +784,29 @@ class TestGoldenPayloads:
         )
         assert self._digest(tmp_path / "out" / "fit_metadata.json") == (
             "9413a6ba63b7afc89331a105bcfaf8f84bdf00db016ffb2b3fc2cfb49ce34424"
+        )
+
+    def test_rootn_fit(self, tmp_path):
+        # fit_rootn's shape: every coordinate observed, so every term is root-n
+        # and offset = auto is 0.
+        cfg = self._k3_config(tmp_path, (1, 2, 3), 200, ["density = uniform"], ["points = 5"])
+        assert run(["estimate", "--config", cfg, "--out-dir", tmp_path / "out"]) == 0
+        assert self._digest(tmp_path / "out" / "fit.csv") == (
+            "3053cd0c713bdff1f23c948922ac626f310d040421effeabc7661481d731f2c9"
+        )
+        assert self._digest(tmp_path / "out" / "fit_metadata.json") == (
+            "78ab8da3f48777f416c35b4fa8f204a50914d8cacbbd61782149bb53cb890d7c"
+        )
+
+    def test_k3_loo_fit_just_below_the_bandwidth_bound(self, tmp_path):
+        # Two smoothed coordinates at h = 0.86 * 300^(-1/10) = 0.486.
+        cfg = self._k3_config(tmp_path, (1,), 300, ["density = loo", "h_const = 0.86"], ["points = 3", "offset = 0.1"])
+        assert run(["estimate", "--config", cfg, "--out-dir", tmp_path / "out"]) == 0
+        assert self._digest(tmp_path / "out" / "fit.csv") == (
+            "678c81807ae43f51ed86e6d01a59be464c7c91e14e6e1556d30ba98804fd26df"
+        )
+        assert self._digest(tmp_path / "out" / "fit_metadata.json") == (
+            "2943443eeeca83b7e2786d194995c9e6cbdd1f0150af5915f76684a3d704a19f"
         )
 
     @pytest.mark.parametrize("extra", [[], ["--workers", 2]], ids=["serial", "workers2"])
@@ -753,6 +826,9 @@ class TestGoldenPayloads:
         assert run(["verify", "--quad-nodes", 16, "--out-dir", tmp_path]) == 0
         assert self._digest(tmp_path / "verify_report.csv") == (
             "e6f9d0fff427a222b939cfe40c174aad17dde4b9164d93ea5edadc069401f599"
+        )
+        assert self._digest(tmp_path / "verify_metadata.json") == (
+            "57c4625bdfec96899c83df3c8fbeb7f3c3f5ec22c3361fc5ae53eff6e31a8828"
         )
 
     def test_verify_report_default_nodes(self, tmp_path):

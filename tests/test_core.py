@@ -113,6 +113,11 @@ class TestRescale:
         assert np.allclose(scaled[:, 0], [0.0, 0.5, 1.0])
         assert maps[0].offset == 2.0 and maps[0].scale == 4.0
 
+    def test_one_dimensional_input_is_one_column(self):
+        scaled, maps = rescale_to_unit([2.0, 4.0, 6.0])
+        assert scaled.shape == (3, 1) and np.array_equal(scaled[:, 0], [0.0, 0.5, 1.0])
+        assert (maps[0].offset, maps[0].scale) == (2.0, 4.0)
+
     def test_spanning_unit_column_is_identity(self):
         scaled, maps = rescale_to_unit(np.array([[0.0], [0.5], [1.0]]))
         assert maps[0].offset == 0.0 and maps[0].scale == 1.0

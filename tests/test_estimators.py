@@ -232,7 +232,8 @@ class TestFit:
             idx_top: _uniform_dataset(2, idx_top, 100, g, 0.1, 9, (0,)),
             idx_zero: _uniform_dataset(2, idx_zero, 100, g, 0.1, 9, (1,)),
         }
-        plan = EstimationPlan.build(2, [0, 1], 2, datasets, d=4)
+        # h = 0.8 * 100^(-1/9) = 0.48, below the term-bandwidth bound 1/2.
+        plan = EstimationPlan.build(2, [0, 1], 2, datasets, d=4, bandwidths=BandwidthPlan(h_const=0.8))
         res = fit(plan, make_grid(2, 3, offset=0.2))
         assert set(res.contributions) == {"recon[11]", "avg[10]", "avg[01]", "avg[11]"}
         # every remainder term smooths at most one coordinate
@@ -294,7 +295,8 @@ class TestFit:
             EstimationPlan.build(11, [0], 0, wide(11))
         with pytest.raises(ValidationError, match="^density kernel order d1 = 8 is above 6, "):
             EstimationPlan.build(6, [0], 0, wide(6), density="loo")
-        assert EstimationPlan.build(6, [0], 0, wide(6)).d1 == 8
+        # h = 0.5 * 4^(-1/13) = 0.45, below the term-bandwidth bound 1/2.
+        assert EstimationPlan.build(6, [0], 0, wide(6), bandwidths=BandwidthPlan(h_const=0.5)).d1 == 8
 
     @pytest.mark.parametrize("density", ["uniform", "loo"])
     @pytest.mark.parametrize("floor", [np.nan, np.inf, 0.0, -1.0])
@@ -309,6 +311,27 @@ class TestFit:
         hs = {t.label: plan.bandwidth(t) for t in plan.plan.terms}
         assert hs == {"recon[10]": 0.5 * 50 ** (-1.0 / 5.0), "avg[10]": 0.5 * 50 ** (-1.0 / 5.0)}
         assert plan.bandwidth(Term(1, D("10"), (Weight.RECON, Weight.FLAT))) is None
+
+    def test_bandwidth_from_one_half_on_rejected_before_any_work(self, monkeypatch):
+        # With d = 2 and one smoothed coordinate h = h_const n^(-1/5), exactly 1/2 at n = 32.
+        g = poly_function(2, {(1, 1): 1.0})
+
+        def datasets(n):
+            return {idx: _uniform_dataset(2, idx, n, g, 0.0, 1, (j,)) for j, idx in enumerate((D("00"), D("10")))}
+
+        below = EstimationPlan.build(2, [0], 0, datasets(33), density="loo")
+        assert [below.bandwidth(t) for t in below.plan.terms] == [33.0 ** -0.2] * 2 and 33.0 ** -0.2 < 0.5
+
+        def computed(*args, **kwargs):
+            raise AssertionError("a rejected plan computed a density or a term")
+
+        monkeypatch.setattr("derivreg.estimators.loo_at_rows", computed)
+        monkeypatch.setattr("derivreg.estimators._term_column", computed)
+        for n, h_const, h in ((32, 1.0, "0.5"), (100, 5.0, "1.99054")):
+            message = rf"^term avg\[10\]: bandwidth h = {h} must be below 0\.5$"
+            with pytest.raises(ValidationError, match=message):
+                plan = EstimationPlan.build(2, [0], 0, datasets(n), density="loo", bandwidths=BandwidthPlan(h_const))
+                fit(plan, [[0.5, 0.5]])
 
     @pytest.mark.parametrize("bad", [7.0, -0.5, np.nan, np.inf])
     def test_rejects_points_outside_unit_cube(self, bad):
@@ -369,6 +392,11 @@ class TestBaselineSmoother:
         ds = DataSet(1, D("0"), np.array([[0.9]]), np.array([1.0]))
         with pytest.raises(ValidationError, match="increase h"):
             nadaraya_watson_grid(ds.X, ds.Y, [[0.2]], h=0.05)
+
+    def test_widening_gives_up_after_six_doublings(self):
+        # 64 h = 0.064 still leaves the point 0.1 outside the window of the one row at 0.9.
+        with pytest.raises(ValidationError, match=r"^no design points near \[0\.1\] even after widening$"):
+            nadaraya_watson_grid([[0.9]], [1.0], [[0.1]], h=0.001, widen_on_empty=True)
 
     def test_matches_naive_reference(self):
         import reference

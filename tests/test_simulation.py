@@ -282,6 +282,11 @@ class TestBenchmark:
         cells = {(n, rho): single[j][1]["cells"][(n, rho)] for n in (60, 80) for j, rho in enumerate(rhos)}
         assert _same_details(joint_details, {"cells": cells})
 
+    def test_replication_with_no_trimmed_point_gives_nan(self):
+        # Neither row of this n = 2 sample lies in the trimmed square, so no rho has an MSE.
+        got = _replication_mses(CobbDouglasConfig(n=2, seed=19), (0.0, 0.9), 0, BenchmarkRules())
+        assert len(got) == 2 and all(np.isnan(a) and np.isnan(b) for a, b in got)
+
     def test_replication_mses_equal_the_r_weighted_expressions(self):
         # r is one in every row: the driver's r-free expressions give the bits
         # of evaluating the curve at r[keep], smoothing y_ac / r and scoring
