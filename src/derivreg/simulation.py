@@ -165,18 +165,31 @@ def derivative_ac_curve(
     the boxcar-average form: the price ratio is uniform on a unit-width
     interval, so the estimand is unchanged while the normalizer stops
     injecting window-count noise proportional to the level of the target.
-    Returns (part_a, part_b, part_a + part_b).  Raises on evaluation inputs
-    of unequal length or not finite, and if any Q-window is empty.
+    Returns (part_a, part_b, part_a + part_b), each of the evaluation
+    points' shape.  ``sample.y_al`` may also be (n, R), R labor columns that
+    share the rest of the sample (simulate's rhos); then each is (R, m), and
+    row j is bit for bit the curve of a sample with ``y_al[:, j]`` alone.
+    Raises, before any work, on a sample whose q, v, r and y_ac are not 1-D
+    of one length n >= 1, whose y_al is not (n,) or (n, R), or with a value
+    that is not finite; on evaluation inputs of unequal length or not
+    finite; and if any evaluation point's Q-window is empty.
 
-    The rows are sorted once, in the canonical order of (q, v, r, y_al,
-    y_ac) (:func:`derivreg.core.canonical_order`).  Both passes (part a at
-    the data points, then both parts at the evaluation points) are
-    sorted-band sweeps over them in Q (:func:`derivreg.kernels.band_sweep`,
-    which gives their tiles, time and memory), each tile reading only the
-    rows within h/2 of it.  Each pass keeps one
-    :class:`derivreg.kernels.Workspace` for all its tiles, so its slabs are
-    allocated once, not once per tile.  Sums run in canonical row order, so
-    the result is bitwise invariant under row permutations of the sample.
+    Column j's rows are summed in the canonical order of (q, v, r,
+    y_al[:, j], y_ac) (:func:`derivreg.core.canonical_order`).  The columns'
+    orders differ only among rows tied in (q, v, r), which fall in the same
+    windows and masks, so one sweep serves every column.  Each point's window
+    is the exact row range [lo, hi) in Q (:func:`_windows`), which gives its
+    count.  Part a depends on the point alone, so it is evaluated once per
+    distinct point of the rows and the evaluation points together, in one
+    sorted-band sweep in Q (:func:`derivreg.kernels.band_sweep` cuts the
+    tiles).  Each tile builds its window and cumulative masks once, over
+    the union of its windows, with one multiply-sum per column, all in one
+    :class:`derivreg.kernels.Workspace`.  Part b takes the window sums of the
+    remainder from prefix sums that restart on each evaluation tile's rows,
+    so cancellation stays within a tile.  Time is the points times the rows
+    in a tile's window; memory is O(n R + m R) plus one tile's slabs.  Every
+    sum runs in canonical row order, so the result is bitwise invariant under
+    row permutations of the sample.
     """
     if not (math.isfinite(h) and h > 0):
         raise ValidationError(f"window width h must be finite and positive, got {h}")
@@ -188,39 +201,114 @@ def derivative_ac_curve(
     eval_r = np.broadcast_to(eval_r, eval_q.shape)
     if not all(np.isfinite(a).all() for a in (eval_q, eval_v, eval_r)):
         raise ValidationError("evaluation values must be finite")
-    keys = (sample.q, sample.v, sample.r, sample.y_al, sample.y_ac)
-    order = canonical_order(keys)
-    q, v, r, y_al, y_ac = (key[order] for key in keys)
-
-    def windowed_sums(tiles, pts_q, pts_v, *vals_win):
-        """Per point: window count, cum-masked y_al sum, and the window sum of
-        each array in ``vals_win``."""
-        m = pts_q.shape[0]
-        counts = np.empty(m, dtype=np.int64)
-        cum_sums = np.empty(m)
-        win_sums = [np.empty(m) for _ in vals_win]
-        work = Workspace()
-        for idx, rows in tiles:
-            shape = (idx.size, rows.size)
-            slab = np.subtract(q[None, rows], pts_q[idx, None], out=work.take("slab", shape))
-            win = np.less_equal(np.abs(slab, out=slab), 0.5 * h, out=work.take("win", shape, bool))
-            counts[idx] = win.sum(axis=1)
-            cum = np.less_equal(v[None, rows], pts_v[idx, None], out=work.take("cum", shape, bool))
-            np.bitwise_and(win, cum, out=cum)
-            cum_sums[idx] = np.multiply(cum, y_al[None, rows], out=slab).sum(axis=1)
-            for out, vals in zip(win_sums, vals_win):
-                out[idx] = np.multiply(win, vals[None, rows], out=slab).sum(axis=1)
-        return counts, cum_sums, *win_sums
-
-    # part a at the data points themselves (needed for the part-b remainder)
-    counts_d, cum_d = windowed_sums(band_sweep(q, 0.5 * h), q, v)
-    resid = (y_ac - r * cum_d / counts_d) / r
-    counts, cum_sums, win_sums = windowed_sums(band_sweep(q, 0.5 * h, eval_q), eval_q, eval_v, resid)
-    if not np.all(counts > 0):
+    q, v, r, y_ac, y_al = _canonical_rows(sample)
+    pts_q, pts_v, at_rows, at_eval = _distinct_points(q, v, eval_q, eval_v)
+    lo, hi = _windows(q, pts_q, h)
+    counts = hi - lo
+    if not np.all(counts[at_eval] > 0):
         raise ValidationError(f"empty Q-window at width h={h}; increase h")
-    ga = eval_r * cum_sums / counts
+    work = Workspace()
+    cum_sums = np.empty((len(y_al), pts_q.size))
+    for idx, _ in band_sweep(q, 0.5 * h, pts_q):
+        a, b = lo[idx].min(), hi[idx].max()  # the tile's windows, exactly
+        shape = (idx.size, b - a)
+        slab = np.subtract(q[None, a:b], pts_q[idx, None], out=work.take("slab", shape))
+        win = np.less_equal(np.abs(slab, out=slab), 0.5 * h, out=work.take("win", shape, bool))
+        cum = np.less_equal(v[None, a:b], pts_v[idx, None], out=work.take("cum", shape, bool))
+        mask = np.logical_and(win, cum, out=work.take("mask", shape))  # as 0.0 / 1.0, cast once for all columns
+        for out, col in zip(cum_sums, y_al):
+            out[idx] = np.multiply(mask, col[None, a:b], out=slab).sum(axis=1)
+
+    # part b: window sums of the remainder at the evaluation points
+    resid = [(ya - r * cs[at_rows] / counts[at_rows]) / r for ya, cs in zip(y_ac, cum_sums)]
+    win_sums = np.empty((len(y_al), eval_q.size))
+    for idx, _ in band_sweep(q, 0.5 * h, eval_q):
+        first, stop = lo[at_eval[idx]], hi[at_eval[idx]]
+        a, b = first.min(), stop.max()
+        prefix = work.take("prefix", (b - a + 1,))
+        prefix[0] = 0.0
+        for out, res in zip(win_sums, resid):
+            np.cumsum(res[a:b], out=prefix[1:])
+            out[idx] = prefix[stop - a] - prefix[first - a]
+    counts = counts[at_eval]
+    ga = eval_r * cum_sums[:, at_eval] / counts
     gb = eval_r * win_sums / counts
+    if np.ndim(sample.y_al) == 1:
+        ga, gb = ga[0], gb[0]
     return ga, gb, ga + gb
+
+
+def _distinct_points(q, v, eval_q, eval_v) -> tuple[np.ndarray, ...]:
+    """The distinct points of the rows (q, v) and the evaluation points,
+    sorted by (q, v), and the index of each row's and each evaluation
+    point's own among them."""
+    all_q, all_v = np.concatenate([q, eval_q]), np.concatenate([v, eval_v])
+    by_point = np.lexsort((all_v, all_q))
+    sq, sv = all_q[by_point], all_v[by_point]
+    new = np.concatenate([[True], (sq[1:] != sq[:-1]) | (sv[1:] != sv[:-1])])
+    point_of = np.empty(by_point.size, dtype=np.intp)
+    point_of[by_point] = np.cumsum(new) - 1
+    return sq[new], sv[new], point_of[: q.size], point_of[q.size :]
+
+
+def _windows(q: np.ndarray, q0: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per point q0, the bounds [lo, hi) of the rows of ascending ``q`` with
+    abs(q - q0) <= h/2, the window predicate itself.
+
+    ``searchsorted`` on the rounded q0 -+ h/2 finds each bound up to the rows
+    on the window's edges.  The rounded difference q - q0 is monotone in q,
+    so lo is the first row with q - q0 >= -h/2 and hi the first with
+    q - q0 > h/2; a bound that this contradicts steps over the whole run of
+    rows tied in q, until it agrees.
+    """
+    c = 0.5 * h
+    n = q.size
+    bounds = []
+    for bound, past in (
+        (np.searchsorted(q, q0 - c, "left"), lambda d: d >= -c),
+        (np.searchsorted(q, q0 + c, "right"), lambda d: d > c),
+    ):
+        while True:
+            before, at = q[bound - 1], q[np.minimum(bound, n - 1)]  # q[-1] only where bound = 0
+            back = (bound > 0) & past(before - q0)
+            ahead = (bound < n) & ~past(at - q0)
+            if not (back.any() or ahead.any()):
+                break
+            bound = np.where(back, np.searchsorted(q, before, "left"), bound)
+            bound = np.where(ahead, np.searchsorted(q, at, "right"), bound)
+        bounds.append(bound)
+    return bounds[0], bounds[1]
+
+
+def _canonical_rows(sample: SimSample) -> tuple:
+    """(q, v, r, y_ac, y_al) of ``sample``, checked and sorted: q, v and r as
+    arrays, y_ac and y_al as lists with one array per labor column, each in
+    its column's canonical order of (q, v, r, y_al[:, j], y_ac).  The
+    orders differ only among rows tied in (q, v, r), so q, v and r are alike
+    in every one.
+
+    Raises a one-line :class:`ValidationError` unless q, v, r and y_ac are
+    1-D of one length n >= 1, y_al is (n,) or (n, R) with R >= 1, and every
+    value is finite.
+    """
+    names = ("q", "v", "r", "y_ac", "y_al")
+    q, v, r, y_ac, y_al = (as_float_array(getattr(sample, name), f"sample.{name}") for name in names)
+    n = q.shape[0] if q.ndim == 1 else 0
+    if n < 1 or any(a.shape != (n,) for a in (v, r, y_ac)):
+        raise ValidationError("sample.q, v, r and y_ac must be 1-D arrays of one length n >= 1")
+    if y_al.ndim == 1:
+        y_al = y_al[:, None]
+    if y_al.ndim != 2 or y_al.shape[0] != n or y_al.shape[1] < 1:
+        shape = np.shape(sample.y_al)
+        raise ValidationError(f"sample.y_al must be (n,) or (n, R) with R >= 1, got shape {shape} at n = {n}")
+    if not all(np.isfinite(a).all() for a in (q, v, r, y_ac, y_al)):
+        raise ValidationError("sample values must be finite")
+    orders = [canonical_order((q, v, r, col, y_ac)) for col in y_al.T]
+    return (
+        *(a[orders[0]] for a in (q, v, r)),
+        [y_ac[order] for order in orders],
+        [col[order] for col, order in zip(y_al.T, orders)],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -277,26 +365,25 @@ def _replication_mses(
     """(derivative-based MSE, baseline MSE) over trimmed in-sample points,
     one pair per rho, for replication ``rep`` of ``cfg``'s n.
 
-    The baseline smooths the cost data alone.  :func:`generate` draws the
-    same Q, w/r and cost errors for every rho, so the baseline is fitted once,
-    on the first rho's sample, and its MSE is shared by every rho.  Each later
-    rho's sample is drawn only when its AC curve needs it, after the first
-    sample and the baseline's arrays are freed, so one sample is alive at a
-    time, as when each rho was a replication of its own.  The capital price
-    r is one in every row, so the curve is evaluated at r = 1 and the baseline
-    smooths the cost data as drawn.
+    :func:`generate` draws the same Q, w/r, r and cost data for every rho;
+    only the labor responses change.  So the replication holds one sample
+    whose ``y_al`` has one column per rho (R labor columns alive at once),
+    and one :func:`derivative_ac_curve` call gives every rho's curve, each
+    bit for bit the curve of that rho's own sample.  The baseline smooths
+    the cost data alone, so it is fitted once and its MSE is shared by
+    every rho.  The capital price r is one in every row, so the curve is
+    evaluated at r = 1 and the baseline smooths the cost data as drawn.
     """
     sample = generate(replace(cfg, rho=rhos[0]), path_prefix=(rep,))
+    labor = [sample.y_al] + [generate(replace(cfg, rho=rho), path_prefix=(rep,)).y_al for rho in rhos[1:]]
+    sample = replace(sample, y_al=np.column_stack(labor))
+    del labor
     lo, hi = rules.trim
     keep = (sample.q >= lo) & (sample.q <= hi) & (sample.v >= lo) & (sample.v <= hi)
     if not np.any(keep):
         return [(math.nan, math.nan)] * len(rhos)
-
-    def mse_deriv(sample: SimSample) -> float:
-        _, _, ac_hat = derivative_ac_curve(sample, sample.q[keep], sample.v[keep], 1.0, rules.h_deriv(cfg.n))
-        return float(np.mean((ac_hat - sample.ac_true[keep]) ** 2))
-
-    mse_d = [mse_deriv(sample)]
+    truth = sample.ac_true[keep]
+    _, _, ac_hat = derivative_ac_curve(sample, sample.q[keep], sample.v[keep], 1.0, rules.h_deriv(cfg.n))
     X = np.column_stack([sample.q - _LO, sample.v - _LO])
     g_hat = nadaraya_watson_grid(
         X,
@@ -307,10 +394,8 @@ def _replication_mses(
         den_floor=rules.base_floor,
         widen_on_empty=True,
     )
-    mse_b = float(np.mean((g_hat - sample.ac_true[keep]) ** 2))
-    del sample, X, g_hat
-    mse_d += [mse_deriv(generate(replace(cfg, rho=rho), path_prefix=(rep,))) for rho in rhos[1:]]
-    return [(d, mse_b) for d in mse_d]
+    mse_b = float(np.mean((g_hat - truth) ** 2))
+    return [(float(np.mean((curve - truth) ** 2)), mse_b) for curve in ac_hat]
 
 
 def relative_mse_table(
@@ -341,8 +426,9 @@ def relative_mse_table(
     baseline never sees the labor equation, and the cost data of replication
     r are the same at every rho, so the baseline is fitted once per task and
     every rho cell of that n shares its MSE.  One task costs one NW fit plus
-    one AC curve per rho.  With ``workers > 1`` one process pool serves the
-    whole list in chunks of ceil(reps / workers) consecutive tasks.
+    one AC curve call, whose one sweep serves every rho's labor column.
+    With ``workers > 1`` one process pool serves the whole list in chunks of
+    ceil(reps / workers) consecutive tasks.
     """
     if reps < 1:
         raise ValidationError("--reps must be >= 1")

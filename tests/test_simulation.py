@@ -19,7 +19,7 @@ from derivreg import (
     relative_mse_table,
 )
 from derivreg import nadaraya_watson_grid, simulation
-from derivreg.simulation import BenchmarkRules, _replication_mses
+from derivreg.simulation import BenchmarkRules, _replication_mses, _windows
 
 
 class TestConfigAndOracle:
@@ -160,6 +160,7 @@ def _naive_ac(s, eq, ev, er, h):
 # Dyadic values put data exactly on window edges q0 +- h/2; free floats fill in.
 _dyadic = st.sampled_from([0.5 + j / 8 for j in range(9)])
 _q = st.one_of(_dyadic, st.floats(0.5, 1.5))
+_y = st.one_of(st.sampled_from([-1.0, 0.5, 2.0]), st.floats(-3.0, 3.0))
 
 
 @st.composite
@@ -168,8 +169,7 @@ def _ac_problems(draw, max_n, max_m):
     (q, v, r, y_al, y_ac) with another row, up to an exact repeat."""
     n = draw(st.one_of(st.integers(1, 20), st.integers(65, max_n)))  # one block or several
     r = st.one_of(st.sampled_from([0.75, 1.0]), st.floats(0.5, 1.5))
-    y = st.one_of(st.sampled_from([-1.0, 0.5, 2.0]), st.floats(-3.0, 3.0))
-    cols = [draw(st.lists(c, min_size=n, max_size=n)) for c in (_q, _q, r, y, y)]
+    cols = [draw(st.lists(c, min_size=n, max_size=n)) for c in (_q, _q, r, _y, _y)]
     rows = [list(t) for t in zip(*cols)]
     pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(1, 5))
     for src, dst, width in draw(st.lists(pairs, max_size=n // 2)):
@@ -234,6 +234,77 @@ class TestWindowedSweep:
         assert peak < 64 * 2**20
 
 
+@st.composite
+def _multi_column_problems(draw, max_n, max_m):
+    """An _ac_problems problem whose y_al has R = 2 or 3 columns.  Some rows
+    tie with another in (q, v, r) and in the first column; the later columns
+    are drawn apart, so they order such rows differently."""
+    s, eq, ev, er, h = draw(_ac_problems(max_n, max_m))
+    n = len(s.q)
+    keys = [s.q.copy(), s.v.copy(), s.r.copy(), s.y_al.copy()]
+    for src, dst in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n // 2)):
+        for key in keys:
+            key[dst] = key[src]
+    later = [draw(st.lists(_y, min_size=n, max_size=n)) for _ in range(draw(st.integers(1, 2)))]
+    return _sample(*keys[:3], s.y_ac, np.column_stack([keys[3], *later])), eq, ev, er, h
+
+
+class TestSharedSweep:
+    """One call with R labor columns: every column's curve in one sweep."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(_multi_column_problems(max_n=120, max_m=80))
+    def test_r_columns_equal_r_one_column_calls_bitwise(self, problem):
+        s, eq, ev, er, h = problem
+        try:
+            joint = derivative_ac_curve(s, eq, ev, er, h)
+        except ValidationError:
+            with pytest.raises(ValidationError, match="empty Q-window"):
+                derivative_ac_curve(replace(s, y_al=s.y_al[:, 0]), eq, ev, er, h)
+            return
+        assert all(part.shape == (s.y_al.shape[1], len(eq)) for part in joint)
+        for j in range(s.y_al.shape[1]):
+            alone = derivative_ac_curve(replace(s, y_al=s.y_al[:, j]), eq, ev, er, h)
+            assert all(a[j].tobytes() == b.tobytes() for a, b in zip(joint, alone))
+
+    @settings(max_examples=40, deadline=None)
+    @given(_multi_column_problems(max_n=120, max_m=80), st.randoms(use_true_random=False))
+    def test_row_permutation_invariance_with_ties_broken_by_later_columns(self, problem, rnd):
+        s, eq, ev, er, h = problem
+        perm = np.array(rnd.sample(range(len(s.q)), len(s.q)))
+        shuffled = _sample(s.q[perm], s.v[perm], s.r[perm], s.y_ac[perm], s.y_al[perm])
+        try:
+            a = derivative_ac_curve(s, eq, ev, er, h)
+        except ValidationError:
+            with pytest.raises(ValidationError):
+                derivative_ac_curve(shuffled, eq, ev, er, h)
+            return
+        b = derivative_ac_curve(shuffled, eq, ev, er, h)
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(_q, min_size=1, max_size=5),
+        st.one_of(st.sampled_from([0.125, 0.25, 0.5, 1.0]), st.floats(1e-6, 1.2)),
+        st.lists(st.tuples(st.integers(0, 4), st.booleans(), st.integers(-3, 3)), min_size=1, max_size=30),
+        st.lists(st.floats(0.0, 2.0), max_size=10),
+    )
+    def test_window_bounds_equal_the_predicate_on_float_edges(self, q0, h, near, free):
+        # Rows on q0 +- h/2 and up to three floats either side of each edge,
+        # some of them repeated, among free rows.
+        q0 = np.array(q0)
+        q = list(free)
+        for point, upper, steps in near:
+            x = q0[point % q0.size] + (0.5 * h if upper else -0.5 * h)
+            for _ in range(abs(steps)):
+                x = np.nextafter(x, np.sign(steps) * np.inf)
+            q += [x, x][: 1 + (steps % 2)]
+        q = np.sort(np.array(q))
+        lo, hi = _windows(q, q0, h)
+        for x, a, b in zip(q0, lo, hi):
+            assert np.array_equal(np.flatnonzero(np.abs(q - x) <= 0.5 * h), np.arange(a, b))
+
+
 def _same_details(a, b):
     """The two details dicts hold the same cells with bitwise-equal arrays."""
     return list(a["cells"]) == list(b["cells"]) and all(
@@ -271,7 +342,8 @@ class TestBenchmark:
         monkeypatch.setattr(simulation, "nadaraya_watson_grid", counted("nw", simulation.nadaraya_watson_grid))
         monkeypatch.setattr(simulation, "derivative_ac_curve", counted("ac", simulation.derivative_ac_curve))
         relative_mse_table(ns=(60, 80), rhos=(0.0, 0.4, 0.9), reps=3, seed=16)
-        assert calls == {"nw": 6, "ac": 18}
+        # One AC curve call per (n, replication) sweeps all three rhos.
+        assert calls == {"nw": 6, "ac": 6}
 
     def test_multi_rho_table_equals_one_rho_tables(self):
         rhos = (0.0, 0.4, 0.9)
@@ -428,6 +500,37 @@ class TestAcCurveInputs:
         with pytest.raises(ValidationError) as err:
             derivative_ac_curve(sample, eval_q, eval_v, eval_r, h)
         assert "empty Q-window" not in str(err.value)
+
+    _FINITE = "sample values must be finite"
+    _ROWS = "sample.q, v, r and y_ac must be 1-D arrays of one length n >= 1"
+    _LABOR = "sample.y_al must be (n,) or (n, R) with R >= 1"
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            # Outside every window this NaN gave a finite curve.
+            (lambda s: replace(s, y_ac=np.where(s.q > 1.45, np.nan, s.y_ac)), _FINITE),
+            (lambda s: replace(s, q=np.where(s.q == s.q.max(), np.inf, s.q)), _FINITE),
+            (lambda s: replace(s, r=np.full(s.r.shape, -np.inf)), _FINITE),
+            (lambda s: replace(s, y_al=np.column_stack([s.y_al, np.full(s.y_al.shape, np.nan)])), _FINITE),
+            (lambda s: replace(s, v=s.v[:-1]), _ROWS),
+            (lambda s: replace(s, y_ac=s.y_ac[:, None]), _ROWS),
+            (lambda s: replace(s, q=s.q[:0], v=s.v[:0], r=s.r[:0], y_ac=s.y_ac[:0], y_al=s.y_al[:0]), _ROWS),
+            (lambda s: replace(s, y_al=s.y_al[:-1]), _LABOR),
+            (lambda s: replace(s, y_al=s.y_al[:, None][:, :0]), _LABOR),
+            (lambda s: replace(s, y_al=np.stack([s.y_al, s.y_al])), _LABOR),
+            (lambda s: replace(s, y_al=s.y_al[:, None, None]), _LABOR),
+            (lambda s: replace(s, y_al=[[1.0], [1.0, 2.0]] * 25), "sample.y_al is not a rectangular array of numbers"),
+        ],
+    )
+    def test_bad_samples_rejected_before_any_work(self, monkeypatch, change, message):
+        # A short v raised an IndexError, a 2 x n y_al numpy's broadcast
+        # error, and q = inf a NaN curve with RuntimeWarnings.
+        sample = change(generate(CobbDouglasConfig(n=50, seed=11)))
+        monkeypatch.setattr(simulation, "canonical_order", lambda keys: pytest.fail("work started"))
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}") as err:
+            derivative_ac_curve(sample, [1.0], [1.0], 1.0, 0.3)
+        assert "\n" not in str(err.value)
 
     @pytest.mark.parametrize("name", ["eval_q", "eval_v", "eval_r"])
     def test_ragged_input_rejected(self, name):
