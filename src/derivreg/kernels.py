@@ -35,11 +35,16 @@ import numpy as np
 
 from .core import ValidationError
 
-# Evaluation points per tile of a sorted-band sweep (:func:`band_sweep`), by
-# its number of window columns.  Tiles of 16 keep the LOO density's slabs
-# small enough to stay in cache; on a 2-core x86 host the fit_loo benchmark
-# ran 2.3 ops/s with them against 1.9 with tiles of 32.
-_TILE = {1: 64, 2: 16}
+# Coordinate-1 window entries per tile of a sorted-band sweep
+# (:func:`query_tiles`): a tile holds this many over the mean coordinate-1
+# window of one query, within 16 to 64 queries.  Scanned over 2^14, 2^15 and
+# 2^16 on a 2-core x86 host (perfbench, seed 321, 15 s of CPU each): mc_table
+# ran 111, 116 and 113 ops/s (86 with fixed tiles of 16 queries), and
+# fit_loo's peak RSS was 43.2, 44.5 and 45.7 MB (43.2 with tiles of 16), as
+# its LOO tiles grew from 16 to 25 and 50 queries.  2^14 is the largest that
+# keeps fit_loo's memory level; it gives the NW baseline at mc_table's
+# n = 4000 tiles of 54 queries.
+_TILE_ENTRIES = 16384
 # Widening of each tile's window in each column, relative to the data's
 # scale.  It is far above the rounding error of the kernel arguments, so no row
 # a window predicate could accept is missed; a row inside the pad but outside
@@ -66,6 +71,7 @@ __all__ = [
     "ProductKernel",
     "product_kernel",
     "band_sweep",
+    "query_tiles",
     "check_bandwidth",
     "check_cap",
     "check_orders",
@@ -115,20 +121,27 @@ class KernelSpec:
     def eval_inplace(self, u: np.ndarray, work: Workspace) -> np.ndarray:
         """Kernel values at the float array ``u``, in a buffer of ``work``.
 
-        ``u`` is overwritten.  The operations and their order are those of
+        ``u`` is overwritten.  The values are bit for bit those of
         ``np.where(inside, P.polyval(u, q) * weight(u), 0.0)``: Horner's rule
-        from q's leading coefficient, then the weight (1 - u)(1 + u), u(1 - u)
-        or (-u)(1 + u), then zero outside the closed support, NaN included.
+        from q's highest nonzero coefficient, then the weight (1 - u)(1 + u),
+        u(1 - u) or (-u)(1 + u), then zero outside the closed support, NaN
+        included.
         """
         lo, hi = self.support
         outside = np.greater_equal(u, lo, out=work.take("outside", u.shape, bool))
         outside &= np.less_equal(u, hi, out=work.take("below", u.shape, bool))
         np.logical_not(outside, out=outside)
-        q = np.multiply(u, 0.0, out=work.take("kappa", u.shape))
-        q += self.q_coeffs[-1]
-        for c in self.q_coeffs[-2::-1]:
+        # Horner from the highest nonzero coefficient: polyval's start,
+        # c + u * 0.0, is c for every u in the support, and adding an inner
+        # zero changes no value that a later nonzero term is added to.
+        coeffs = self.q_coeffs
+        top = max((i for i, c in enumerate(coeffs) if c), default=0)
+        q = work.take("kappa", u.shape)
+        q.fill(coeffs[top])
+        for i in range(top - 1, -1, -1):
             q *= u
-            q += c
+            if coeffs[i] or i == 0:
+                q += coeffs[i]
         wt = work.take("weight", u.shape)
         if self.kind == "right":
             np.negative(u, out=wt)
@@ -228,16 +241,21 @@ class ProductKernel:
         Returns ``(spec, rows)`` for each non-empty set of rows using the left
         edge, right edge or interior kernel: x < bandwidth selects the left
         kernel, x > 1 - bandwidth the right one, and both or neither the
-        interior one.
+        interior one (:func:`_kernel_masks`).  Along x the rule runs left,
+        interior, right for every bandwidth, so when the smallest and the
+        largest coordinate take one kernel, every coordinate does, and the
+        rule runs on those two alone.
         """
         x = np.asarray(x, dtype=float)
-        near_lo = x < bandwidth
-        near_hi = x > 1.0 - bandwidth
-        left = near_lo & ~near_hi
-        right = near_hi & ~near_lo
-        interior = ~(left | right)
-        pairs = ((self.left, left), (self.right, right), (self.interior, interior))
-        return [(spec, np.flatnonzero(mask)) for spec, mask in pairs if mask.any()]
+        specs = (self.left, self.right, self.interior)
+        if x.size:
+            lo, hi = float(x.min()), float(x.max())
+            if lo <= hi:  # no NaN
+                ends = _kernel_masks(lo, bandwidth), _kernel_masks(hi, bandwidth)
+                if ends[0] == ends[1]:
+                    return [(specs[ends[0].index(True)], np.arange(x.size))]
+        masks = _kernel_masks(x, bandwidth)
+        return [(spec, np.flatnonzero(mask)) for spec, mask in zip(specs, masks) if mask.any()]
 
     def weights(
         self, x: np.ndarray, X: np.ndarray, bandwidth: float, work: Workspace | None = None
@@ -249,23 +267,40 @@ class ProductKernel:
         :meth:`regions`.  The array and every temporary live in ``work`` (a
         fresh :class:`Workspace` when omitted); a sweep passes one workspace
         to all its tiles, and each tile's result is valid until the next call.
+        With no coordinates the product is empty, all ones; otherwise the
+        first coordinate's factors are written into it, since 1.0 times a
+        factor is the factor.
         """
         work = Workspace() if work is None else work
         m, n = x.shape[0], X.shape[0]
         w = work.take("product", (m, n))
-        w.fill(1.0)
+        if not x.shape[1]:
+            w.fill(1.0)
         for i in range(x.shape[1]):
             col, xi = X[:, i], x[:, i]
             for spec, rows in self.regions(xi, bandwidth):
                 u = np.subtract(col[None, :], xi[rows, None], out=work.take("u", (rows.size, n)))
                 u /= bandwidth
                 factor = spec.eval_inplace(u, work)
+                if i == 0 and rows.size == m:
+                    np.divide(factor, bandwidth, out=w)
+                    continue
                 factor /= bandwidth
-                if rows.size == m:
+                if i == 0:  # the regions split the points, so each row is set once
+                    w[rows] = factor
+                elif rows.size == m:
                     w *= factor
                 else:
                     w[rows] *= factor
         return w
+
+
+def _kernel_masks(x, bandwidth: float):
+    """The kernel rule of :class:`ProductKernel` at ``x``, a float or an
+    array: (left, right, interior), with x < bandwidth near the lower face
+    and x > 1 - bandwidth near the upper one."""
+    near_lo, near_hi = x < bandwidth, x > 1.0 - bandwidth
+    return near_lo > near_hi, near_hi > near_lo, near_lo == near_hi
 
 
 @lru_cache(maxsize=64)
@@ -277,6 +312,54 @@ def product_kernel(d: int) -> ProductKernel:
         left=make_edge_kernel(interior.order, "left"),
         right=make_edge_kernel(interior.order, "right"),
     )
+
+
+def _window_columns(keys, queries):
+    """The window columns of a sweep: (cols, qs), the first c = min(k, 2)
+    columns of the data rows as contiguous arrays and the evaluation points'
+    (m, c) array, the rows themselves when ``queries`` is ``None``."""
+    keys = np.asarray(keys, dtype=float)
+    k = 1 if keys.ndim == 1 else keys.shape[1]
+    keys = keys.reshape(-1, k)[:, : min(k, 2)]
+    qs = keys if queries is None else np.asarray(queries, dtype=float).reshape(-1, k)[:, : keys.shape[1]]
+    return [np.ascontiguousarray(col) for col in keys.T], qs  # searchsorted and take copy strided input
+
+
+def query_tiles(keys, radius: float, queries=None) -> list[np.ndarray]:
+    """The query tiles of a sorted-band sweep, without their rows: a list of
+    index arrays into ``queries`` (the rows when ``None``) that holds every
+    query once.  :func:`band_sweep` pairs each with its rows; a caller that
+    finds its own windows (the AC curve's exact ranges) takes them alone.
+
+    With c window columns and m queries, a tile holds t queries,
+    t = clamp(``_TILE_ENTRIES`` / w, 16, 64), where w is the mean number of
+    rows within ``radius`` of a query in coordinate 1.  With s =
+    ceil((m / t)^(1/c)), for j = 1, ..., c in turn the queries are sorted
+    stably by coordinate j within each slab of t * s^(c + 1 - j) consecutive
+    queries of the previous order (at j = 1 one slab holds them all).
+    Consecutive runs of t are the tiles, so a tile is compact in every window
+    column.
+    """
+    cols, qs = _window_columns(keys, queries)
+    return _cut(cols[0], qs, radius)
+
+
+def _cut(first: np.ndarray, qs: np.ndarray, radius: float) -> list[np.ndarray]:
+    """:func:`query_tiles` on the data's ascending coordinate 1, ``first``,
+    and the queries' window columns ``qs``."""
+    m, c = qs.shape
+    if not m:
+        return []
+    w = np.mean(np.searchsorted(first, qs[:, 0] + radius, "right") - np.searchsorted(first, qs[:, 0] - radius, "left"))
+    tile = min(64, max(16, int(_TILE_ENTRIES / max(w, 1.0))))
+    s = max(1, math.ceil((m / tile) ** (1 / c)))
+    order = np.arange(m)
+    for j in range(c):
+        slab = tile * s ** (c - j)
+        for a in range(0, m, slab):
+            run = order[a : a + slab]
+            order[a : a + slab] = run[np.argsort(qs[run, j], kind="stable")]
+    return np.split(order, range(tile, m, tile))
 
 
 def band_sweep(keys, radius: float, queries=None):
@@ -293,42 +376,23 @@ def band_sweep(keys, radius: float, queries=None):
     within ``radius`` of one of them in every window column; every query is
     in one tile.
 
-    The m queries are cut by one rule.  With tiles of t = ``_TILE[c]`` (64
-    for one window column, 16 for two) and s = ceil((m / t)^(1/c)), for
-    j = 1, ..., c in turn the queries are sorted stably by coordinate j
-    within each slab of t * s^(c + 1 - j) consecutive queries of the
-    previous order (at j = 1 one slab holds them all).  Consecutive runs of
-    t are the tiles, so a tile is compact in every window column.  A tile's
-    rows are its coordinate-1 window (a binary search), less the rows
-    outside its range in each later window column, each range widened by
-    ``radius`` and a pad of 1e-9 times the data's scale.  A caller evaluates
-    (queries) x (rows in its tile's window) kernel values, so time is
-    m x (rows in a tile's window); tiles are made one at a time, so the
-    sweep holds only the current tile's rows.  With a :class:`Workspace`
-    kept for all tiles, memory is a few buffers of the largest tile's slab,
-    t x window.
+    The tiles are those of :func:`query_tiles`, whose rule sizes them by
+    their coordinate-1 windows.  A tile's rows are its coordinate-1 window
+    (a binary search), less the rows outside its range in each later window
+    column, each range widened by ``radius`` and a pad of 1e-9 times the
+    data's scale.  A caller evaluates (queries) x (rows in its tile's
+    window) kernel values, so time is m x (rows in a tile's window); tiles
+    are made one at a time, so the sweep holds only the current tile's rows.
+    With a :class:`Workspace` kept for all tiles, memory is a few buffers of
+    the largest tile's slab, t x window.
     """
-    keys = np.asarray(keys, dtype=float)
-    k = 1 if keys.ndim == 1 else keys.shape[1]
-    c = min(k, 2)
-    keys = keys.reshape(-1, k)[:, :c]
-    qs = keys if queries is None else np.asarray(queries, dtype=float).reshape(-1, k)[:, :c]
-    cols = [np.ascontiguousarray(keys[:, j]) for j in range(c)]  # searchsorted and take copy strided input
-    pad = _PAD * max(1.0, float(np.abs(keys).max(initial=0.0)))
-    m, tile = qs.shape[0], _TILE[c]
-    s = max(1, math.ceil((m / tile) ** (1 / c)))
-    order = np.arange(m)
-    for j in range(c):
-        slab = tile * s ** (c - j)
-        for a in range(0, m, slab):
-            run = order[a : a + slab]
-            order[a : a + slab] = run[np.argsort(qs[run, j], kind="stable")]
-    for a in range(0, m, tile):
-        idx = order[a : a + tile]
+    cols, qs = _window_columns(keys, queries)
+    pad = _PAD * max(1.0, *(float(np.abs(col).max(initial=0.0)) for col in cols))
+    for idx in _cut(cols[0], qs, radius):
         q = qs[idx]
         lo, hi = q.min(axis=0) - radius - pad, q.max(axis=0) + radius + pad
         rows = np.arange(np.searchsorted(cols[0], lo[0], "left"), np.searchsorted(cols[0], hi[0], "right"))
-        for j in range(1, c):
+        for j in range(1, len(cols)):
             col = cols[j][rows]
             rows = rows[(col >= lo[j]) & (col <= hi[j])]
         yield idx, rows

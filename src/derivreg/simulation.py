@@ -23,7 +23,7 @@ from .core import DataSet, DerivIndex, TestFunction, ValidationError, as_float_a
 from .density import DENSITY_FLOOR
 from .estimators import EstimationPlan, fit, make_grid, nadaraya_watson_grid
 from .functionals import build_term_plan
-from .kernels import BandwidthPlan, Workspace, band_sweep
+from .kernels import BandwidthPlan, Workspace, query_tiles
 
 __all__ = [
     "CobbDouglasConfig",
@@ -132,17 +132,25 @@ def generate(cfg: CobbDouglasConfig, path_prefix: tuple[int, ...] = ()) -> SimSa
     With a fixed prefix, changing rho changes only the error mixing, not the
     covariate draws, which couples Monte Carlo cells across correlations.
     """
+    sample = _generate(cfg, path_prefix, (cfg.rho,))
+    return replace(sample, y_al=sample.y_al[:, 0])
+
+
+def _generate(cfg: CobbDouglasConfig, path_prefix: tuple[int, ...], rhos: tuple[float, ...]) -> SimSample:
+    """:func:`generate`'s draws, once, with one labor column per rho in
+    ``rhos``: y_al is (n, R), and column j is bit for bit the y_al of
+    ``generate(replace(cfg, rho=rhos[j]), path_prefix)``."""
     q = split_stream(cfg.seed, (*path_prefix, 0)).uniform(_LO, _HI, cfg.n)
     v = split_stream(cfg.seed, (*path_prefix, 1)).uniform(_LO, _HI, cfg.n)
     z = split_stream(cfg.seed, (*path_prefix, 2)).standard_normal((cfg.n, 2))
     r = np.ones(cfg.n)
     eps_ac = cfg.sigma * z[:, 0]
-    eps_al = cfg.sigma * (cfg.rho * z[:, 0] + math.sqrt(1.0 - cfg.rho**2) * z[:, 1])
     ac_true = cfg.ac(q, v, r)
     al_true = cfg.al(q, v)
-    return SimSample(
-        q=q, v=v, r=r, y_ac=ac_true + eps_ac, y_al=al_true + eps_al, ac_true=ac_true, al_true=al_true
+    y_al = np.column_stack(
+        [al_true + cfg.sigma * (rho * z[:, 0] + math.sqrt(1.0 - rho**2) * z[:, 1]) for rho in rhos]
     )
+    return SimSample(q=q, v=v, r=r, y_ac=ac_true + eps_ac, y_al=y_al, ac_true=ac_true, al_true=al_true)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +180,8 @@ def derivative_ac_curve(
     Raises, before any work, on a sample whose q, v, r and y_ac are not 1-D
     of one length n >= 1, whose y_al is not (n,) or (n, R), or with a value
     that is not finite; on evaluation inputs of unequal length or not
-    finite; and if any evaluation point's Q-window is empty.
+    finite; on a capital price r <= 0 in the sample or in ``eval_r``; and
+    if any evaluation point's Q-window is empty.
 
     Column j's rows are summed in the canonical order of (q, v, r,
     y_al[:, j], y_ac) (:func:`derivreg.core.canonical_order`).  The columns'
@@ -181,9 +190,10 @@ def derivative_ac_curve(
     is the exact row range [lo, hi) in Q (:func:`_windows`), which gives its
     count.  Part a depends on the point alone, so it is evaluated once per
     distinct point of the rows and the evaluation points together, in one
-    sorted-band sweep in Q (:func:`derivreg.kernels.band_sweep` cuts the
-    tiles).  Each tile builds its window and cumulative masks once, over
-    the union of its windows, with one multiply-sum per column, all in one
+    sorted-band sweep in Q (:func:`derivreg.kernels.query_tiles` cuts the
+    tiles, and the exact windows give their rows, so no row search runs).
+    Each tile builds its window and cumulative masks once, over the union
+    of its windows, with one multiply-sum per column, all in one
     :class:`derivreg.kernels.Workspace`.  Part b takes the window sums of the
     remainder from prefix sums that restart on each evaluation tile's rows,
     so cancellation stays within a tile.  Time is the points times the rows
@@ -201,6 +211,8 @@ def derivative_ac_curve(
     eval_r = np.broadcast_to(eval_r, eval_q.shape)
     if not all(np.isfinite(a).all() for a in (eval_q, eval_v, eval_r)):
         raise ValidationError("evaluation values must be finite")
+    if not np.all(eval_r > 0.0):
+        raise ValidationError("eval_r must be positive: it is a capital price")
     q, v, r, y_ac, y_al = _canonical_rows(sample)
     pts_q, pts_v, at_rows, at_eval = _distinct_points(q, v, eval_q, eval_v)
     lo, hi = _windows(q, pts_q, h)
@@ -209,7 +221,7 @@ def derivative_ac_curve(
         raise ValidationError(f"empty Q-window at width h={h}; increase h")
     work = Workspace()
     cum_sums = np.empty((len(y_al), pts_q.size))
-    for idx, _ in band_sweep(q, 0.5 * h, pts_q):
+    for idx in query_tiles(q, 0.5 * h, pts_q):
         a, b = lo[idx].min(), hi[idx].max()  # the tile's windows, exactly
         shape = (idx.size, b - a)
         slab = np.subtract(q[None, a:b], pts_q[idx, None], out=work.take("slab", shape))
@@ -222,7 +234,7 @@ def derivative_ac_curve(
     # part b: window sums of the remainder at the evaluation points
     resid = [(ya - r * cs[at_rows] / counts[at_rows]) / r for ya, cs in zip(y_ac, cum_sums)]
     win_sums = np.empty((len(y_al), eval_q.size))
-    for idx, _ in band_sweep(q, 0.5 * h, eval_q):
+    for idx in query_tiles(q, 0.5 * h, eval_q):
         first, stop = lo[at_eval[idx]], hi[at_eval[idx]]
         a, b = first.min(), stop.max()
         prefix = work.take("prefix", (b - a + 1,))
@@ -288,8 +300,8 @@ def _canonical_rows(sample: SimSample) -> tuple:
     in every one.
 
     Raises a one-line :class:`ValidationError` unless q, v, r and y_ac are
-    1-D of one length n >= 1, y_al is (n,) or (n, R) with R >= 1, and every
-    value is finite.
+    1-D of one length n >= 1, y_al is (n,) or (n, R) with R >= 1, every
+    value is finite and every r is positive.
     """
     names = ("q", "v", "r", "y_ac", "y_al")
     q, v, r, y_ac, y_al = (as_float_array(getattr(sample, name), f"sample.{name}") for name in names)
@@ -303,6 +315,8 @@ def _canonical_rows(sample: SimSample) -> tuple:
         raise ValidationError(f"sample.y_al must be (n,) or (n, R) with R >= 1, got shape {shape} at n = {n}")
     if not all(np.isfinite(a).all() for a in (q, v, r, y_ac, y_al)):
         raise ValidationError("sample values must be finite")
+    if not np.all(r > 0.0):
+        raise ValidationError("sample.r must be positive: it is a capital price")
     orders = [canonical_order((q, v, r, col, y_ac)) for col in y_al.T]
     return (
         *(a[orders[0]] for a in (q, v, r)),
@@ -366,18 +380,16 @@ def _replication_mses(
     one pair per rho, for replication ``rep`` of ``cfg``'s n.
 
     :func:`generate` draws the same Q, w/r, r and cost data for every rho;
-    only the labor responses change.  So the replication holds one sample
-    whose ``y_al`` has one column per rho (R labor columns alive at once),
-    and one :func:`derivative_ac_curve` call gives every rho's curve, each
-    bit for bit the curve of that rho's own sample.  The baseline smooths
-    the cost data alone, so it is fitted once and its MSE is shared by
-    every rho.  The capital price r is one in every row, so the curve is
+    only the labor responses change.  So the replication draws once and
+    holds one sample whose ``y_al`` has one column per rho (R labor columns
+    alive at once), each bit for bit that rho's own :func:`generate`
+    column, and one :func:`derivative_ac_curve` call gives every rho's
+    curve, each bit for bit the curve of that rho's own sample.  The
+    baseline smooths the cost data alone, so it is fitted once and its MSE
+    is shared by every rho.  The capital price r is one in every row, so the curve is
     evaluated at r = 1 and the baseline smooths the cost data as drawn.
     """
-    sample = generate(replace(cfg, rho=rhos[0]), path_prefix=(rep,))
-    labor = [sample.y_al] + [generate(replace(cfg, rho=rho), path_prefix=(rep,)).y_al for rho in rhos[1:]]
-    sample = replace(sample, y_al=np.column_stack(labor))
-    del labor
+    sample = _generate(cfg, (rep,), rhos)
     lo, hi = rules.trim
     keep = (sample.q >= lo) & (sample.q <= hi) & (sample.v >= lo) & (sample.v <= hi)
     if not np.any(keep):

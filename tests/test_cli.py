@@ -778,9 +778,12 @@ class TestGoldenPayloads:
     _SIMULATE = ["simulate", "--ns", 200, 1000, "--rhos", 0, 0.9, "--reps", 4, "--dump-reps", "--seed", 5]
 
     def test_loo_density_fit(self, tmp_path):
+        # Re-recorded when band_sweep's tiles were sized by their windows
+        # (n = 500 gives LOO tiles of 64 queries, not 16): no value moved by
+        # more than 8.9e-16, 1.2e-14 relative.
         assert run(["estimate", "--config", self._loo_config(tmp_path), "--out-dir", tmp_path / "out"]) == 0
         assert self._digest(tmp_path / "out" / "fit.csv") == (
-            "9f4f1678bd74ef887edd81d5391b64bb7c80b9252e4881586390232abc3d645b"
+            "d5b27df6e644c44942e031463ddc141e7fe88d8b26f972a8db5311c2e1928b1f"
         )
         assert self._digest(tmp_path / "out" / "fit_metadata.json") == (
             "9413a6ba63b7afc89331a105bcfaf8f84bdf00db016ffb2b3fc2cfb49ce34424"
@@ -800,10 +803,12 @@ class TestGoldenPayloads:
 
     def test_k3_loo_fit_just_below_the_bandwidth_bound(self, tmp_path):
         # Two smoothed coordinates at h = 0.86 * 300^(-1/10) = 0.486.
+        # Re-recorded when band_sweep's tiles were sized by their windows: no
+        # value moved by more than 1.4e-14, 6.8e-14 relative.
         cfg = self._k3_config(tmp_path, (1,), 300, ["density = loo", "h_const = 0.86"], ["points = 3", "offset = 0.1"])
         assert run(["estimate", "--config", cfg, "--out-dir", tmp_path / "out"]) == 0
         assert self._digest(tmp_path / "out" / "fit.csv") == (
-            "678c81807ae43f51ed86e6d01a59be464c7c91e14e6e1556d30ba98804fd26df"
+            "5db8e75c2f40d45049805ab31987f4c941f6418afaa14d67b0970d690cc34c3c"
         )
         assert self._digest(tmp_path / "out" / "fit_metadata.json") == (
             "2943443eeeca83b7e2786d194995c9e6cbdd1f0150af5915f76684a3d704a19f"
@@ -813,13 +818,16 @@ class TestGoldenPayloads:
     def test_simulate_tables(self, tmp_path, extra):
         # The two CSVs were re-recorded when the AC curve moved to one sweep
         # for every rho, with exact windows and tile-local prefix sums for
-        # part b; no cell moved by more than 2e-14 relative.
+        # part b, with no cell moving by more than 2e-14 relative; and again
+        # when band_sweep's tiles were sized by their windows (the NW
+        # baseline's and the AC curve's), with no value moving by more than
+        # 4.6e-16 relative.
         assert run(self._SIMULATE + extra + ["--out-dir", tmp_path]) == 0
         assert self._digest(tmp_path / "benchmark.csv") == (
-            "1eac75fec5947c4d05ae9d01513effceb861be4d4b4226e388309f071a1850a6"
+            "667cfa9e9d930f3817a35db6d035bf13226e6cf105ff80878f67982196255a9d"
         )
         assert self._digest(tmp_path / "benchmark_replications.csv") == (
-            "42ccd434c6129dacd235cf6ca70c9e87e474df4932b104d6df89d804eb424c77"
+            "bc131be653ad4ee0bda201a5801624d46d6850e9217bfd0fd3515c708910a037"
         )
         assert self._digest(tmp_path / "benchmark_metadata.json") == (
             "cb4cd1fe8003989e68c53971de41a91ab8e5e2cba13afc653d1f3bc3d4210a93"

@@ -6,7 +6,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from derivreg import ValidationError, check_orders, kernel_moment, make_edge_kernel, make_interior_kernel, product_kernel
+from derivreg import (
+    CobbDouglasConfig,
+    DataSet,
+    DensityEstimator,
+    DerivIndex,
+    ValidationError,
+    check_orders,
+    generate,
+    kernel_moment,
+    loo_at_rows,
+    make_edge_kernel,
+    make_interior_kernel,
+    nadaraya_watson_grid,
+    product_kernel,
+)
+from derivreg import density, estimators, kernels
 from derivreg.core import canonical_order
 from derivreg.functionals import kernel_moments, moment_check
 from derivreg.kernels import (
@@ -14,11 +29,14 @@ from derivreg.kernels import (
     MAX_INTERIOR_ORDER,
     BandwidthPlan,
     Workspace,
+    _TILE_ENTRIES,
     _solve_moment_system,
     band_sweep,
     check_cap,
     default_orders,
+    query_tiles,
 )
+from derivreg.simulation import BenchmarkRules
 
 import reference
 
@@ -108,6 +126,25 @@ class TestProductKernel:
             mass = 0.05 * np.sum(w * fam.weights(np.array([[x]]), rows[:, None], 0.1)[0])
             assert mass == pytest.approx(1.0, abs=1e-10)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from([0.05, 0.2, 0.45, 0.5, 0.6, 0.95]), st.integers(0, 2**32 - 1))
+    def test_regions_follow_the_rule_point_by_point(self, h, seed):
+        # Points at h, 1 - h, both faces and their neighbours (near both faces
+        # when h > 1/2); a set of one kernel's points takes the whole-set
+        # shortcut, and a mixed set the rule per point.
+        rng = np.random.default_rng(seed)
+        fam = product_kernel(4)
+        edges = [0.0, 1.0, h, 1.0 - h]
+        values = np.concatenate([edges, [np.nextafter(e, side) for e in edges for side in (0.0, 1.0)], rng.uniform(size=4)])
+        x = rng.choice(values, size=rng.integers(1, 30))
+        kinds = np.array([reference._select(v, h, 4).kind for v in x])
+        for sub in [x] + [x[kinds == kind] for kind in set(kinds)]:
+            got = fam.regions(sub, h)
+            assert np.array_equal(np.sort(np.concatenate([rows for _, rows in got])), np.arange(sub.size))
+            for spec, rows in got:
+                assert rows.size and np.all(np.diff(rows) > 0)
+                assert all(reference._select(v, h, 4) is spec for v in sub[rows])
+
     def test_product_equals_univariate_product(self):
         fam = product_kernel(4)
         rng = np.random.default_rng(5)
@@ -124,13 +161,16 @@ class TestProductKernel:
                     assert got[a, b] == pytest.approx(want, rel=1e-14, abs=1e-300)
 
 
-_SPECS = [make_interior_kernel(d) for d in range(2, 13, 2)] + [
-    make_edge_kernel(d, side) for d in range(2, 13) for side in ("left", "right")
+# Every kernel up to the order caps (interior kernels have zero odd
+# coefficients, edge kernels none), and edge kernels past their cap.
+_SPECS = [make_interior_kernel(d) for d in range(2, MAX_INTERIOR_ORDER + 1, 2)] + [
+    make_edge_kernel(d, side) for d in range(1, 13) for side in ("left", "right")
 ]
-# Every support endpoint and its neighbours, signed zeros, points outside
-# every support, and non-finite values.
+# Every support endpoint and its neighbours, signed zeros, subnormals, points
+# outside every support, and non-finite values.
 _SPECIAL_U = [v for e in (-1.0, 0.0, 1.0) for v in (e, np.nextafter(e, -np.inf), np.nextafter(e, np.inf))]
 _SPECIAL_U += [-0.0, -1.5, 1.5, -np.inf, np.inf, np.nan]
+_SPECIAL_U += [s * v for s in (1.0, -1.0) for v in (5e-324, 2.2250738585072009e-308, 1e-310)]
 
 
 class TestInPlaceEvaluator:
@@ -153,17 +193,24 @@ class TestInPlaceEvaluator:
             assert spec.eval(us[0]).tobytes() == reference.kernel_eval(spec, us[0]).tobytes()
         assert u.tobytes() == given_bytes  # eval leaves its argument alone
 
+    def test_every_kernel_at_every_special_value(self):
+        u = np.array(_SPECIAL_U)
+        with np.errstate(invalid="ignore"):
+            for spec in _SPECS:
+                assert spec.eval(u).tobytes() == reference.kernel_eval(spec, u).tobytes(), spec
+
     @settings(max_examples=100, deadline=None)
     @given(
         st.sampled_from([2, 4, 6, 8]),
         st.sampled_from([0.05, 0.2, 0.45, 0.5, 0.6, 0.95]),
-        st.integers(1, 3),
+        st.integers(0, 3),
         st.integers(0, 2**32 - 1),
     )
     def test_weights_match_frozen_loop(self, d, h, k, seed):
         # Points on and beside the faces and at h and 1 - h, so a tile's rows
         # split across the left, right and interior kernels (near both faces
         # when h > 1/2); data rows at exactly one bandwidth from a point.
+        # With k = 0 (a term with no smoothed coordinate) the product is empty.
         rng = np.random.default_rng(seed)
         fam = product_kernel(d)
         values = np.concatenate([[0.0, 1.0, h, 1.0 - h, np.nextafter(h, 0.0), np.nextafter(1.0 - h, 1.0)], rng.uniform(size=6)])
@@ -178,15 +225,24 @@ class TestInPlaceEvaluator:
             assert fam.weights(x, X, h).tobytes() == want  # a fresh workspace
 
 
+def _tile_size(first, queries, radius):
+    """Queries per tile as specified: _TILE_ENTRIES over the mean number of
+    rows in [q - radius, q + radius] in coordinate 1, within 16 to 64."""
+    counts = [np.count_nonzero((first >= q - radius) & (first <= q + radius)) for q in queries]
+    return min(64, max(16, int(_TILE_ENTRIES / max(sum(counts) / len(counts), 1.0))))
+
+
 def _one_column_sweep(first, radius, queries=None):
     """The one-column sweep as specified: queries in stable ascending order,
-    blocks of 64, each paired with its padded coordinate-1 window."""
+    blocks of the tile size, each paired with its padded coordinate-1
+    window."""
     qorder = np.arange(first.size) if queries is None else np.argsort(queries, kind="stable")
     qs = first[qorder] if queries is None else queries[qorder]
+    t = _tile_size(first, qs, radius)
     pad = 1e-9 * max(1.0, float(np.abs(first).max(initial=0.0)))
     out = []
-    for a in range(0, qs.size, 64):
-        b = min(a + 64, qs.size)
+    for a in range(0, qs.size, t):
+        b = min(a + t, qs.size)
         lo = int(np.searchsorted(first, qs[a] - radius - pad, side="left"))
         hi = int(np.searchsorted(first, qs[b - 1] + radius + pad, side="right"))
         out.append((qorder[a:b], slice(lo, hi)))
@@ -194,21 +250,22 @@ def _one_column_sweep(first, radius, queries=None):
 
 
 def _two_column_sweep(keys, radius, queries=None):
-    """The two-column sweep as specified: queries in stable coordinate-1
-    order, cut into strips of 16 * ceil(sqrt(m / 16)); each strip in stable
-    coordinate-2 order, cut into tiles of 16; each tile paired with the rows
-    inside its padded range in both coordinates."""
+    """The two-column sweep as specified: with t the tile size, queries in
+    stable coordinate-1 order, cut into strips of t * ceil(sqrt(m / t)); each
+    strip in stable coordinate-2 order, cut into tiles of t; each tile paired
+    with the rows inside its padded range in both coordinates."""
     qs = keys if queries is None else queries
     m = qs.shape[0]
-    strip = 16 * max(1, math.ceil(math.sqrt(m / 16)))
+    t = _tile_size(keys[:, 0], qs[:, 0], radius)
+    strip = t * max(1, math.ceil(math.sqrt(m / t)))
     pad = 1e-9 * max(1.0, float(np.abs(keys).max(initial=0.0)))
     qorder = np.argsort(qs[:, 0], kind="stable")
     out = []
     for a in range(0, m, strip):
         run = qorder[a : a + strip]
         run = run[np.argsort(qs[run, 1], kind="stable")]
-        for b in range(0, run.size, 16):
-            idx = run[b : b + 16]
+        for b in range(0, run.size, t):
+            idx = run[b : b + t]
             lo = qs[idx].min(axis=0) - radius - pad
             hi = qs[idx].max(axis=0) + radius + pad
             out.append((idx, np.flatnonzero(np.all((keys >= lo) & (keys <= hi), axis=1))))
@@ -281,7 +338,7 @@ class TestBandSweep:
     @settings(max_examples=80, deadline=None)
     @given(
         st.sampled_from([1, 2]),
-        st.integers(1, 400),
+        st.one_of(st.integers(1, 400), st.integers(1030, 1200)),  # wide windows of 1030+ rows give the floor of 16
         st.one_of(st.none(), st.integers(1, 300)),
         _radii,
         st.integers(0, 2**32 - 1),
@@ -296,16 +353,18 @@ class TestBandSweep:
         else:
             want = _two_column_sweep(keys, radius, qs)
         got = _index_rows(band_sweep(keys, radius, qs), n)
-        assert len(got) == len(want)
-        for (a, ra), (b, rb) in zip(got, want):
-            assert np.array_equal(a, b) and np.array_equal(ra, rb)
+        tiles = query_tiles(keys, radius, qs)
+        assert len(got) == len(want) == len(tiles)
+        for (a, ra), (b, rb), idx in zip(got, want, tiles):
+            assert np.array_equal(a, b) and np.array_equal(ra, rb) and np.array_equal(idx, a)
 
     @pytest.mark.parametrize("queries", [False, True])
     def test_columns_past_the_second_are_not_windowed(self, queries):
+        # Enough queries for 8 tiles of 64.
         rng = np.random.default_rng(3)
-        keys = rng.integers(0, 41, size=(300, 3)) / 40.0
+        keys = rng.integers(0, 41, size=(2000, 3)) / 40.0
         keys = keys[canonical_order(tuple(keys.T))]
-        qs = rng.integers(0, 41, size=(120, 3)) / 40.0 if queries else None
+        qs = rng.integers(0, 41, size=(600, 3)) / 40.0 if queries else None
         got = list(band_sweep(keys, 0.1, qs))
         want = list(band_sweep(keys[:, :2], 0.1, None if qs is None else qs[:, :2]))
         assert len(got) == len(want) >= 8  # several tiles
@@ -325,6 +384,48 @@ class TestBandSweep:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
+
+
+class TestSweepWork:
+    """Work counts of the sweeps that the benchmark's workloads run, with no
+    timing: tiles, and entries of each tile's slab."""
+
+    @staticmethod
+    def _counted(monkeypatch, module):
+        tiles, sweep = [], kernels.band_sweep
+
+        def counted(*args):
+            for idx, rows in sweep(*args):
+                tiles.append((idx.size, rows.size))
+                yield idx, rows
+
+        monkeypatch.setattr(module, "band_sweep", counted)
+        return tiles
+
+    def test_nw_baseline_at_the_mc_tables_largest_n(self, monkeypatch):
+        # Fixed tiles of 16 queries made 163 tiles here.
+        tiles = self._counted(monkeypatch, estimators)
+        n, rules = 4000, BenchmarkRules()
+        s = generate(CobbDouglasConfig(n=n, seed=0), path_prefix=(0,))
+        lo, hi = rules.trim
+        keep = (s.q >= lo) & (s.q <= hi) & (s.v >= lo) & (s.v <= hi)
+        X = np.column_stack([s.q - 0.5, s.v - 0.5])
+        nadaraya_watson_grid(
+            X, s.y_ac, X[keep], rules.h_base(n), d=rules.base_order, den_floor=rules.base_floor, widen_on_empty=True
+        )
+        assert len(tiles) <= 64
+
+    def test_loo_slabs_on_the_fit_loo_shape(self, monkeypatch):
+        # fit_loo's density: n = 4000 rows of U^1.5, d1 = 4, H = 4000^(-0.21).
+        # Its windows put the tiles at the rule's floor of 16 queries, so a
+        # slab is 16 times a tile's rows: 16 320 to 19 008 entries over
+        # design seeds 1 to 7, about 2^14.  Tiles of 25 queries reach 28 750.
+        tiles = self._counted(monkeypatch, density)
+        X = np.random.default_rng([1, 2, 1]).uniform(size=(4000, 2)) ** 1.5
+        est = DensityEstimator(DataSet(2, DerivIndex.zeros(2), X, np.zeros(4000)), 4, BandwidthPlan().H(4000, 4, 2, 1))
+        loo_at_rows(est)
+        assert {size for size, _ in tiles} == {16}
+        assert max(size * rows for size, rows in tiles) <= 1.25 * 2**14
 
 
 class TestOrderGate:

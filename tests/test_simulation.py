@@ -354,6 +354,22 @@ class TestBenchmark:
         cells = {(n, rho): single[j][1]["cells"][(n, rho)] for n in (60, 80) for j, rho in enumerate(rhos)}
         assert _same_details(joint_details, {"cells": cells})
 
+    def test_one_draw_serves_every_rho(self, monkeypatch):
+        # Q, w/r and the error pair are drawn once per replication, and each
+        # labor column is bit for bit that rho's own generate call.
+        cfg, rhos, rep = CobbDouglasConfig(n=300, seed=21), (0.0, 0.4, 0.9), 2
+        draws, samples = [], []
+        split_stream, curve = simulation.split_stream, simulation.derivative_ac_curve
+        monkeypatch.setattr(simulation, "split_stream", lambda *a: draws.append(a) or split_stream(*a))
+        monkeypatch.setattr(simulation, "derivative_ac_curve", lambda s, *a: samples.append(s) or curve(s, *a))
+        _replication_mses(cfg, rhos, rep, BenchmarkRules())
+        monkeypatch.undo()
+        assert len(draws) == 3 and len(samples) == 1
+        for j, rho in enumerate(rhos):
+            own = generate(replace(cfg, rho=rho), path_prefix=(rep,))
+            assert samples[0].y_al[:, j].tobytes() == own.y_al.tobytes()
+            assert samples[0].y_ac.tobytes() == own.y_ac.tobytes()
+
     def test_replication_with_no_trimmed_point_gives_nan(self):
         # Neither row of this n = 2 sample lies in the trimmed square, so no rho has an MSE.
         got = _replication_mses(CobbDouglasConfig(n=2, seed=19), (0.0, 0.9), 0, BenchmarkRules())
@@ -501,7 +517,16 @@ class TestAcCurveInputs:
             derivative_ac_curve(sample, eval_q, eval_v, eval_r, h)
         assert "empty Q-window" not in str(err.value)
 
+    @pytest.mark.parametrize("eval_r", [0.0, -1.0, [1.0, -0.0]])
+    def test_nonpositive_capital_price_rejected_before_any_work(self, monkeypatch, eval_r):
+        # r = 0 gave inf with a RuntimeWarning, and r = -1 a negative cost.
+        sample = generate(CobbDouglasConfig(n=50, seed=11))
+        monkeypatch.setattr(simulation, "canonical_order", lambda keys: pytest.fail("work started"))
+        with pytest.raises(ValidationError, match=r"^eval_r must be positive: it is a capital price$"):
+            derivative_ac_curve(sample, [1.0, 1.1], [1.0, 1.1], eval_r, 0.3)
+
     _FINITE = "sample values must be finite"
+    _PRICE = "sample.r must be positive: it is a capital price"
     _ROWS = "sample.q, v, r and y_ac must be 1-D arrays of one length n >= 1"
     _LABOR = "sample.y_al must be (n,) or (n, R) with R >= 1"
 
@@ -512,6 +537,8 @@ class TestAcCurveInputs:
             (lambda s: replace(s, y_ac=np.where(s.q > 1.45, np.nan, s.y_ac)), _FINITE),
             (lambda s: replace(s, q=np.where(s.q == s.q.max(), np.inf, s.q)), _FINITE),
             (lambda s: replace(s, r=np.full(s.r.shape, -np.inf)), _FINITE),
+            (lambda s: replace(s, r=np.where(s.q == s.q.max(), 0.0, s.r)), _PRICE),
+            (lambda s: replace(s, r=-s.r), _PRICE),
             (lambda s: replace(s, y_al=np.column_stack([s.y_al, np.full(s.y_al.shape, np.nan)])), _FINITE),
             (lambda s: replace(s, v=s.v[:-1]), _ROWS),
             (lambda s: replace(s, y_ac=s.y_ac[:, None]), _ROWS),
