@@ -1,16 +1,20 @@
 """Command-line interface: verify / simulate / estimate / kernels.
 
 All outputs are CSV files plus a JSON metadata sidecar; payload bytes are
-identical across reruns with the same flags and across worker counts.
-Exit codes: 0 success, 1 validation failure, 2 numerical-tolerance failure,
-3 I/O or memory failure.
+identical across reruns with the same flags and across worker counts.  A run
+moves all its files into the out-dir or none, so a run that fails leaves the
+out-dir as it was.  Exit codes: 0 success, 1 validation failure, 2
+numerical-tolerance failure, 3 I/O or memory failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
+import errno
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -53,6 +57,43 @@ def _write_metadata(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
+@contextlib.contextmanager
+def _run_outputs(out_dir: Path):
+    """The files of one run, all moved into ``out_dir`` or none.
+
+    Yields ``stage(name)``, which gives the temporary path in ``out_dir``
+    (made on first use) that the file ``name`` is written to.  When the block
+    ends and no target is a directory, every staged file moves into place
+    with ``os.replace``.  On an exception every temporary is removed, and so
+    is ``out_dir`` if this run made it, so a run that fails before the moves
+    leaves the out-dir as it was.
+    """
+    staged: dict[Path, Path] = {}
+    made = False
+
+    def stage(name: str) -> Path:
+        nonlocal made
+        made = made or not out_dir.exists()
+        out_dir.mkdir(parents=True, exist_ok=True)
+        staged[out_dir / name] = out_dir / f".{name}.{os.getpid()}.tmp"
+        return staged[out_dir / name]
+
+    try:
+        yield stage
+        for target in staged:
+            if target.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
+        for target, tmp in staged.items():
+            os.replace(tmp, target)
+    except BaseException:
+        for tmp in staged.values():
+            tmp.unlink(missing_ok=True)
+        if made:
+            with contextlib.suppress(OSError):
+                out_dir.rmdir()
+        raise
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -63,15 +104,13 @@ def run_verify(args) -> int:
     if not 2 <= args.quad_nodes <= 64:
         raise ValidationError(f"--quad-nodes must lie in 2..64, got {args.quad_nodes}")
     checks = identity_checks(quad_nodes=args.quad_nodes) + kernel_checks()
-    write_csv(
-        args.out_dir / "verify_report.csv",
-        ["name", "residual", "tol", "passed"],
-        [(c.name, c.residual, c.tol, int(c.passed)) for c in checks],
-    )
-    _write_metadata(
-        args.out_dir / "verify_metadata.json",
-        {"quad_nodes": args.quad_nodes, "checks": len(checks)},
-    )
+    with _run_outputs(args.out_dir) as stage:
+        write_csv(
+            stage("verify_report.csv"),
+            ["name", "residual", "tol", "passed"],
+            [(c.name, c.residual, c.tol, int(c.passed)) for c in checks],
+        )
+        _write_metadata(stage("verify_metadata.json"), {"quad_nodes": args.quad_nodes, "checks": len(checks)})
     failed = [c for c in checks if not c.passed]
     width = max(len(c.name) for c in checks)
     for c in checks:
@@ -104,22 +143,23 @@ def run_simulate(args) -> int:
         rules=rules,
         workers=args.workers,
     )
-    write_csv(
-        args.out_dir / "benchmark.csv",
-        ["n", "rho", "mse_deriv", "mse_base", "ratio", "se_ratio", "reps"],
-        [(r.n, r.rho, r.mse_deriv, r.mse_base, r.ratio, r.se_ratio, r.reps) for r in results],
-    )
-    if args.dump_reps:
-        rows = []
-        for (n, rho), arrs in extra["cells"].items():
-            for rep, (a, b) in enumerate(zip(arrs["mse_deriv"], arrs["mse_base"])):
-                rows.append((n, rho, rep, a, b))
+    with _run_outputs(args.out_dir) as stage:
         write_csv(
-            args.out_dir / "benchmark_replications.csv",
-            ["n", "rho", "rep", "mse_deriv", "mse_base"],
-            rows,
+            stage("benchmark.csv"),
+            ["n", "rho", "mse_deriv", "mse_base", "ratio", "se_ratio", "reps"],
+            [(r.n, r.rho, r.mse_deriv, r.mse_base, r.ratio, r.se_ratio, r.reps) for r in results],
         )
-    _write_metadata(args.out_dir / "benchmark_metadata.json", extra["metadata"])
+        if args.dump_reps:
+            rows = []
+            for (n, rho), arrs in extra["cells"].items():
+                for rep, (a, b) in enumerate(zip(arrs["mse_deriv"], arrs["mse_base"])):
+                    rows.append((n, rho, rep, a, b))
+            write_csv(
+                stage("benchmark_replications.csv"),
+                ["n", "rho", "rep", "mse_deriv", "mse_base"],
+                rows,
+            )
+        _write_metadata(stage("benchmark_metadata.json"), extra["metadata"])
     for r in results:
         print(
             f"n={r.n:5d} rho={r.rho:.1f}  ratio={r.ratio:.3f} (se {r.se_ratio:.3f})  "
@@ -266,8 +306,6 @@ def run_estimate(args) -> int:
     columns = [maps[j].invert(pts[:, j]) for j in range(k)] + [result.values]
     columns += [result.contributions[lab] for lab in labels]
     header = [f"x{j + 1}" for j in range(k)] + ["ghat"] + [f"term_{lab}" for lab in labels]
-    write_csv(args.out_dir / "fit.csv", header, zip(*columns))
-
     meta = dict(result.metadata)
     meta.update(
         {
@@ -277,7 +315,9 @@ def run_estimate(args) -> int:
             "seed": args.seed,
         }
     )
-    _write_metadata(args.out_dir / "fit_metadata.json", meta)
+    with _run_outputs(args.out_dir) as stage:
+        write_csv(stage("fit.csv"), header, zip(*columns))
+        _write_metadata(stage("fit_metadata.json"), meta)
     print(f"wrote {pts.shape[0]} fitted values to {args.out_dir / 'fit.csv'}")
     return 0
 
@@ -297,7 +337,6 @@ def run_kernels(args) -> int:
         ts = np.linspace(spec.support[0], spec.support[1], args.samples)
         for t, v in zip(ts, spec.eval(ts)):
             sample_rows.append((name, t, v))
-    write_csv(args.out_dir / "kernel_samples.csv", ["kernel", "t", "value"], sample_rows)
 
     moment_rows, failed = [], []
     for name, spec in specs:
@@ -307,15 +346,13 @@ def run_kernels(args) -> int:
         check = moment_check(f"{name} moment j={j}", moments)
         if not check.passed:
             failed.append(check)
-    write_csv(
-        args.out_dir / "kernel_moments.csv",
-        ["kernel", "j", "moment", "deviation"],
-        moment_rows,
-    )
-    _write_metadata(
-        args.out_dir / "kernels_metadata.json",
-        {"interior": list(args.interior), "edge": list(args.edge), "samples": args.samples},
-    )
+    with _run_outputs(args.out_dir) as stage:
+        write_csv(stage("kernel_samples.csv"), ["kernel", "t", "value"], sample_rows)
+        write_csv(stage("kernel_moments.csv"), ["kernel", "j", "moment", "deviation"], moment_rows)
+        _write_metadata(
+            stage("kernels_metadata.json"),
+            {"interior": list(args.interior), "edge": list(args.edge), "samples": args.samples},
+        )
     print(f"wrote {len(specs)} kernels to {args.out_dir}")
     if failed:
         # The monomial moment system grows ill-conditioned with the order.

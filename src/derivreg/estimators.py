@@ -401,7 +401,8 @@ def nadaraya_watson_grid(
     ``den_floor`` (finite and positive) bounds the normalizing density
     estimate away from zero; higher-order edge kernels can otherwise give
     near-zero or negative total weight.  With ``widen_on_empty`` the points
-    with no in-window data are re-run at doubled h (at most six times)
+    at which every row's product-kernel weight is exactly zero are re-run
+    at doubled h (at most six times)
     instead of raising; Monte Carlo harnesses use this so one starved window
     cannot abort a replication.
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -124,24 +124,25 @@ class KernelSpec:
         ``u`` is overwritten.  The values are bit for bit those of
         ``np.where(inside, P.polyval(u, q) * weight(u), 0.0)``: Horner's rule
         from q's highest nonzero coefficient, then the weight (1 - u)(1 + u),
-        u(1 - u) or (-u)(1 + u), then zero outside the closed support, NaN
-        included.
+        u(1 - u) or (-u)(1 + u), then +0.0 outside the closed support, NaN
+        included.  The support mask is ``~(weight >= 0)``: each weight is a
+        product of two factors that are both >= 0 exactly on the closed
+        support, and outside it one factor is negative and the other at
+        least 1 in magnitude, so the product is negative (-inf at +-inf)
+        and NaN at NaN.
         """
-        lo, hi = self.support
-        outside = np.greater_equal(u, lo, out=work.take("outside", u.shape, bool))
-        outside &= np.less_equal(u, hi, out=work.take("below", u.shape, bool))
-        np.logical_not(outside, out=outside)
         # Horner from the highest nonzero coefficient: polyval's start,
         # c + u * 0.0, is c for every u in the support, and adding an inner
         # zero changes no value that a later nonzero term is added to.
-        coeffs = self.q_coeffs
-        top = max((i for i, c in enumerate(coeffs) if c), default=0)
+        coeffs, top = self.q_coeffs, self._top
         q = work.take("kappa", u.shape)
-        q.fill(coeffs[top])
-        for i in range(top - 1, -1, -1):
-            q *= u
-            if coeffs[i] or i == 0:
-                q += coeffs[i]
+        if top:
+            np.multiply(u, coeffs[top], out=q)
+            for i in range(top - 1, 0, -1):
+                if coeffs[i]:
+                    q += coeffs[i]
+                q *= u
+            q += coeffs[0]
         wt = work.take("weight", u.shape)
         if self.kind == "right":
             np.negative(u, out=wt)
@@ -150,9 +151,19 @@ class KernelSpec:
         if self.kind != "left":
             u += 1.0  # u now holds 1 + u
         wt *= u
-        q *= wt
+        if top:
+            q *= wt
+        else:
+            np.multiply(wt, coeffs[0], out=q)
+        outside = np.greater_equal(wt, 0.0, out=work.take("outside", u.shape, bool))
+        np.logical_not(outside, out=outside)
         np.putmask(q, outside, 0.0)
         return q
+
+    @cached_property
+    def _top(self) -> int:
+        """Index of q's highest nonzero coefficient (0 when q is zero)."""
+        return max((i for i, c in enumerate(self.q_coeffs) if c), default=0)
 
     def __repr__(self):
         return f"KernelSpec({self.kind}, order={self.order}, support={self.support})"
@@ -341,15 +352,17 @@ def query_tiles(keys, radius: float, queries=None) -> list[np.ndarray]:
     column.
     """
     cols, qs = _window_columns(keys, queries)
-    return _cut(cols[0], qs, radius)
+    order, tile = _cut(cols[0], qs, radius)
+    return [order[a : a + tile] for a in range(0, order.size, tile)]
 
 
-def _cut(first: np.ndarray, qs: np.ndarray, radius: float) -> list[np.ndarray]:
+def _cut(first: np.ndarray, qs: np.ndarray, radius: float) -> tuple[np.ndarray, int]:
     """:func:`query_tiles` on the data's ascending coordinate 1, ``first``,
-    and the queries' window columns ``qs``."""
+    and the queries' window columns ``qs``, as the queries' tile order and
+    the tile size t: the tiles are the consecutive runs of t."""
     m, c = qs.shape
     if not m:
-        return []
+        return np.arange(0), 16
     w = np.mean(np.searchsorted(first, qs[:, 0] + radius, "right") - np.searchsorted(first, qs[:, 0] - radius, "left"))
     tile = min(64, max(16, int(_TILE_ENTRIES / max(w, 1.0))))
     s = max(1, math.ceil((m / tile) ** (1 / c)))
@@ -359,7 +372,7 @@ def _cut(first: np.ndarray, qs: np.ndarray, radius: float) -> list[np.ndarray]:
         for a in range(0, m, slab):
             run = order[a : a + slab]
             order[a : a + slab] = run[np.argsort(qs[run, j], kind="stable")]
-    return np.split(order, range(tile, m, tile))
+    return order, tile
 
 
 def band_sweep(keys, radius: float, queries=None):
@@ -377,25 +390,37 @@ def band_sweep(keys, radius: float, queries=None):
     in one tile.
 
     The tiles are those of :func:`query_tiles`, whose rule sizes them by
-    their coordinate-1 windows.  A tile's rows are its coordinate-1 window
-    (a binary search), less the rows outside its range in each later window
-    column, each range widened by ``radius`` and a pad of 1e-9 times the
-    data's scale.  A caller evaluates (queries) x (rows in its tile's
-    window) kernel values, so time is m x (rows in a tile's window); tiles
-    are made one at a time, so the sweep holds only the current tile's rows.
-    With a :class:`Workspace` kept for all tiles, memory is a few buffers of
-    the largest tile's slab, t x window.
+    their coordinate-1 windows.  Each tile's range in every window column is
+    its queries' least and greatest value there, widened by ``radius`` and a
+    pad of 1e-9 times the data's scale; the ranges of all tiles are found at
+    once, by one min and one max ``reduceat`` per column over the tile
+    order, and their coordinate-1 row ranges by two binary searches.  A
+    tile's rows are its coordinate-1 row range less the rows outside its
+    range in each later window column.  A caller evaluates (queries) x
+    (rows in its tile's window) kernel values, so time is m x (rows in a
+    tile's window); tiles are made one at a time, so the sweep holds only
+    the current tile's rows.  With a :class:`Workspace` kept for all tiles,
+    memory is a few buffers of the largest tile's slab, t x window.
     """
     cols, qs = _window_columns(keys, queries)
     pad = _PAD * max(1.0, *(float(np.abs(col).max(initial=0.0)) for col in cols))
-    for idx in _cut(cols[0], qs, radius):
-        q = qs[idx]
-        lo, hi = q.min(axis=0) - radius - pad, q.max(axis=0) + radius + pad
-        rows = np.arange(np.searchsorted(cols[0], lo[0], "left"), np.searchsorted(cols[0], hi[0], "right"))
+    order, tile = _cut(cols[0], qs, radius)
+    if not order.size:
+        return
+    starts = np.arange(0, order.size, tile)
+    tiled = qs[order]
+    lo = np.minimum.reduceat(tiled, starts) - radius - pad
+    hi = np.maximum.reduceat(tiled, starts) + radius + pad
+    first = np.searchsorted(cols[0], lo[:, 0], "left")
+    last = np.searchsorted(cols[0], hi[:, 0], "right")
+    for t, a in enumerate(starts):
+        b, e = first[t], last[t]
+        keep = None
         for j in range(1, len(cols)):
-            col = cols[j][rows]
-            rows = rows[(col >= lo[j]) & (col <= hi[j])]
-        yield idx, rows
+            col = cols[j][b:e]
+            inside = (col >= lo[t, j]) & (col <= hi[t, j])
+            keep = inside if keep is None else keep & inside
+        yield order[a : a + tile], np.arange(b, e) if keep is None else b + np.flatnonzero(keep)
 
 
 def check_bandwidth(h: float, d: int, k: int, name: str = "h") -> None:

@@ -14,7 +14,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from derivreg.cli import main
-from derivreg import split_stream
+from derivreg import DataSet, EstimationPlan, build_term_plan, fit, split_stream
+from derivreg.simulation import convergence_rate_experiment
 
 try:
     from numpy._core._exceptions import _ArrayMemoryError
@@ -706,7 +707,10 @@ class TestGoldenPayloads:
     up to the order caps and the fit and simulate sidecars before the moment
     matrix was filled from its 2d - 1 distinct moments, and the k = 3 fits and
     the verify and kernels sidecars before EstimationPlan took the
-    term-bandwidth bound; no change moved a bit.  A change meant to alter
+    term-bandwidth bound, and the n = 4000 simulate tables, the
+    scattered-LOCAL and shared-design fits and the convergence-rate results
+    before the kernel evaluator took its support mask from the weight's sign
+    and band_sweep found every tile's range at once; no change moved a bit.  A change meant to alter
     these bytes updates the digest and says why."""
 
     @staticmethod
@@ -833,6 +837,79 @@ class TestGoldenPayloads:
             "cb4cd1fe8003989e68c53971de41a91ab8e5e2cba13afc653d1f3bc3d4210a93"
         )
 
+    def test_simulate_tables_where_the_nw_sweep_makes_many_tiles(self, tmp_path):
+        # n = 4000: the NW baseline's sweep cuts dozens of tiles and each AC
+        # window holds hundreds of rows.
+        argv = ["simulate", "--ns", 4000, "--rhos", 0, 0.9, "--reps", 2, "--dump-reps", "--seed", 11]
+        assert run(argv + ["--out-dir", tmp_path]) == 0
+        assert self._digest(tmp_path / "benchmark.csv") == (
+            "9d89b252d9de6b666dea7d2513027c1429bb1fd3d0789e38b9e419ed257462b4"
+        )
+        assert self._digest(tmp_path / "benchmark_replications.csv") == (
+            "4ed06cd04c195dcab76578f1ac46ec03e1723ad90d9ece784d4a0c04fc33e01b"
+        )
+
+    def test_scattered_local_fit(self):
+        # A library fit, as the CLI fits tensor grids only.  Both terms,
+        # (FLAT, LOCAL) and (RECON, LOCAL), group the scattered points by
+        # coordinate 2, which a third of them share with another point; LOO
+        # density on a non-uniform design.
+        n = 400
+        term_plan = build_term_plan(2, [0], 0)
+        datasets = {}
+        for j, idx in enumerate(term_plan.required_indices):
+            X = split_stream(37, [j, 0]).uniform(size=(n, 2)) ** 1.5
+            Y = np.cos(2 * X[:, 0]) * X[:, 1] + 0.1 * split_stream(37, [j, 1]).standard_normal(n)
+            datasets[idx] = DataSet(2, idx, X, Y)
+        pts = split_stream(37, [9]).uniform(0.05, 0.95, size=(90, 2))
+        pts[60:, 1] = pts[:30, 1]
+        res = fit(EstimationPlan(term_plan, datasets, density="loo"), pts)
+        payload = res.values.tobytes() + b"".join(res.contributions[lab].tobytes() for lab in sorted(res.contributions))
+        assert hashlib.sha256(payload).hexdigest() == "d024e8dc8d6a1592fdc6a55a18c5795d62f48b3470e435025202fc0e3ac1a0c0"
+
+    def test_fit_on_a_design_shared_by_two_datasets(self, tmp_path):
+        # Both datasets hold the same rows, a fifth of them tied to another
+        # row, so both LOO densities are one density.
+        n = 400
+        X = split_stream(43, [0]).uniform(size=(n, 2)) ** 1.5
+        X[::5] = X[1::5]
+        _write_csv(tmp_path / "g00.csv", X, X[:, 0] * X[:, 1] + np.sin(3 * X[:, 1]))
+        _write_csv(tmp_path / "g10.csv", X, X[:, 1] + 0.1 * split_stream(43, [1]).standard_normal(n))
+        cfg = tmp_path / "plan.ini"
+        cfg.write_text(
+            "[plan]\nk = 2\ncoords = 1\nell = 0\nd = 2\nd1 = 4\ndensity = loo\n\n"
+            f"[data 00]\npath = {tmp_path / 'g00.csv'}\n\n[data 10]\npath = {tmp_path / 'g10.csv'}\n\n"
+            "[grid]\npoints = 5\noffset = auto\n"
+        )
+        assert run(["estimate", "--config", cfg, "--out-dir", tmp_path / "out"]) == 0
+        assert self._digest(tmp_path / "out" / "fit.csv") == (
+            "24d413d1dcdf85de980b9060e93d28edb713efa89275cb5ad5813b483b644ba3"
+        )
+        assert self._digest(tmp_path / "out" / "fit_metadata.json") == (
+            "9728b5660cb4951b8682c4cb11a00d199c608ead3480b4e617b84ad8283dd122"
+        )
+
+    @pytest.mark.parametrize(
+        "p, want",
+        [
+            (
+                1,
+                "-0x1.df6d1b4cc76bdp+0 0x1.85e5961a87d0fp-2 0x1.707f13a165f36p-1 "
+                "0x1.0018de0b07d37p-2 0x1.766933e95371ep-6 0x1.a4c94a4c8c55fp-7",
+            ),
+            (
+                0,
+                "-0x1.252cd47dfd8bbp+2 0x1.f84ae7ae270fdp-3 0x1.283e6fd68efe6p+9 "
+                "0x1.66e1ac7adfa70p+3 0x1.b9416576234ebp-1 0x1.9903d70fb0994p-7",
+            ),
+        ],
+        ids=["partially-smoothed", "nw-baseline"],
+    )
+    def test_convergence_rate_result(self, p, want):
+        res = convergence_rate_experiment(2, p, 2, ns=(40, 80, 160, 400), reps=2, seed=7)
+        assert res.ns == (40, 80, 160, 400)
+        assert [v.hex() for v in (res.slope, res.se, *res.mse)] == want.split()
+
     def test_verify_report(self, tmp_path):
         assert run(["verify", "--quad-nodes", 16, "--out-dir", tmp_path]) == 0
         assert self._digest(tmp_path / "verify_report.csv") == (
@@ -954,6 +1031,68 @@ class TestExitCodes:
         assert run(argv + ["--out-dir", out]) == 3
         assert capsys.readouterr().err == line + "\n"
         assert not out.exists()
+
+    @staticmethod
+    def _snapshot(out):
+        """Every file of ``out`` with its bytes, or None when ``out`` is absent."""
+        return {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else None
+
+    @pytest.mark.parametrize("earlier", ["absent", "empty", "earlier-run"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--ns", 50, "--reps", 2, "--rhos", 0, "--dump-reps"],
+            ["simulate", "--ns", 50, "--reps", 2, "--rhos", 0],
+            ["kernels", "--samples", 5],
+            ["verify", "--quad-nodes", 16],
+            ["estimate"],
+        ],
+        ids=["simulate-dump", "simulate", "kernels", "verify", "estimate"],
+    )
+    def test_failed_second_write_leaves_the_out_dir_as_it_was(
+        self, tmp_path, capsys, monkeypatch, example_config, argv, earlier
+    ):
+        import derivreg.cli
+
+        if argv == ["estimate"]:
+            argv = ["estimate", "--config", example_config]
+        out = tmp_path / "out"
+        if earlier != "absent":
+            out.mkdir()
+        if earlier == "earlier-run":
+            assert run(argv + ["--out-dir", out]) == 0
+            assert not [p.name for p in out.iterdir() if p.name.startswith(".")]  # no temporary left
+            for p in out.iterdir():  # marked, so a file moved over it shows
+                p.write_text(f"earlier {p.name}\n")
+        capsys.readouterr()
+        before = self._snapshot(out)
+
+        writes = []
+
+        def failing(writer):
+            def write(path, *args):
+                writes.append(path)
+                if len(writes) == 2:
+                    raise OSError("disk full")
+                writer(path, *args)
+
+            return write
+
+        monkeypatch.setattr(derivreg.cli, "write_csv", failing(derivreg.cli.write_csv))
+        monkeypatch.setattr(derivreg.cli, "_write_metadata", failing(derivreg.cli._write_metadata))
+        assert run(argv + ["--out-dir", out]) == 3
+        assert capsys.readouterr().err == "I/O error: disk full\n"
+        assert len(writes) == 2
+        assert self._snapshot(out) == before
+
+    def test_sidecar_path_taken_by_a_directory(self, tmp_path, capsys):
+        # The payloads are written, but none is moved beside a missing sidecar.
+        out = tmp_path / "out"
+        (out / "benchmark_metadata.json").mkdir(parents=True)
+        assert run(["simulate", "--ns", 50, "--reps", 2, "--rhos", 0, "--out-dir", out]) == 3
+        assert capsys.readouterr().err == f"I/O error: [Errno 21] Is a directory: '{out / 'benchmark_metadata.json'}'\n"
+        assert [p.name for p in out.iterdir()] == ["benchmark_metadata.json"]
+        assert not list((out / "benchmark_metadata.json").iterdir())
 
     def test_bad_workers_validated(self, tmp_path):
         assert run(["verify", "--workers", 0, "--out-dir", tmp_path]) == 1

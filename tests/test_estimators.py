@@ -1,4 +1,5 @@
 import itertools
+import math
 import sys
 import threading
 import tracemalloc
@@ -6,7 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from derivreg import (
@@ -532,13 +533,16 @@ def _nw_problems(draw, max_n, max_m):
 
 
 def _naive_widened_nw(X, Y, x, h, d, den_floor):
-    """The oracle at the first of h, 2h, ..., 64h that puts kernel mass at x."""
+    """The oracle at the first of h, 2h, ..., 64h that puts kernel mass at x:
+    some row's product-kernel weight, formed as production forms it (each
+    factor divided by the bandwidth, then multiplied in coordinate order),
+    is nonzero."""
     import reference
 
     for t in range(7):
         hj = h * 2.0**t
         if any(
-            np.prod([reference._kernel_value(reference._select(x[c], hj, d), (row[c] - x[c]) / hj) for c in range(len(x))])
+            math.prod(reference._kernel_value(reference._select(x[c], hj, d), (row[c] - x[c]) / hj) / hj for c in range(len(x)))
             != 0.0
             for row in X
         ):
@@ -551,6 +555,10 @@ class TestWindowedBaseline:
 
     @settings(max_examples=40, deadline=None)
     @given(_nw_problems(max_n=100, max_m=100))
+    # Rows whose weight products underflow near the subnormal range: the
+    # oracle's product must round as production's does (each factor over h).
+    @example((np.array([[1e-161, 0.9, 1e-169], [0.95, 0.05, 0.95]]), np.array([1.0, 2.0]), np.array([[0.0, 0.99, 0.0]]), 1 / 3, 4))
+    @example((np.array([[0.0, 0.0, 0.0], [0.75, 2.0**-24, 5e-324]]), np.array([-1.0, -1.0]), np.array([[0.75, 0.0, 0.0]]), 0.05, 2))
     def test_matches_naive_oracle_with_widening(self, problem):
         X, Y, pts, h, d = problem
         want = [_naive_widened_nw(X, Y, x, h, d, 0.05) for x in pts]

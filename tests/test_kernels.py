@@ -225,6 +225,41 @@ class TestInPlaceEvaluator:
             assert fam.weights(x, X, h).tobytes() == want  # a fresh workspace
 
 
+def _weight(spec, u):
+    """The weight of ``spec`` at ``u`` in the evaluator's association."""
+    if spec.kind == "interior":
+        return (1.0 - u) * (1.0 + u)
+    if spec.kind == "left":
+        return u * (1.0 - u)
+    return -u * (1.0 + u)
+
+
+class TestSupportMask:
+    """The evaluator zeroes ``~(weight >= 0)``, so it relies on one fact:
+    the weight is negative or NaN exactly outside the closed support."""
+
+    @staticmethod
+    def _check(spec, u):
+        lo, hi = spec.support
+        with np.errstate(all="ignore"):
+            w = _weight(spec, u)
+        outside = ~((u >= lo) & (u <= hi))
+        assert np.array_equal((w < 0.0) | np.isnan(w), outside), spec
+        assert np.array_equal(~(w >= 0.0), outside), spec
+
+    def test_at_every_special_value(self):
+        for spec in _SPECS:
+            self._check(spec, np.array(_SPECIAL_U))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from(_SPECS),
+        st.lists(st.one_of(st.sampled_from(_SPECIAL_U), st.floats(-1.5, 1.5), st.floats()), min_size=1, max_size=40),
+    )
+    def test_on_any_float(self, spec, us):
+        self._check(spec, np.array(us))
+
+
 def _tile_size(first, queries, radius):
     """Queries per tile as specified: _TILE_ENTRIES over the mean number of
     rows in [q - radius, q + radius] in coordinate 1, within 16 to 64."""
