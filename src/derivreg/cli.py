@@ -100,7 +100,6 @@ def _run_outputs(out_dir: Path):
 
 
 def run_verify(args) -> int:
-    # The k = 3 tensor grids hold up to (2 nodes)^3 points.
     if not 2 <= args.quad_nodes <= 64:
         raise ValidationError(f"--quad-nodes must lie in 2..64, got {args.quad_nodes}")
     checks = identity_checks(quad_nodes=args.quad_nodes) + kernel_checks()

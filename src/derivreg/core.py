@@ -345,18 +345,26 @@ def split_stream(seed: int, ids: Sequence[int]) -> np.random.Generator:
 class TestFunction:
     """A k-variate function together with all its mixed first-order partials.
 
-    ``deriv(alpha, pts)`` returns the partial in which each coordinate flagged
-    by ``alpha`` is differentiated exactly once, at every row of an (m, k)
-    point array; the all-zero index returns the function itself, as does
-    calling it.  ``partial(alpha)`` is the same partial as an integrand over
-    coordinate columns: it takes k arrays that broadcast against each other
-    and returns the values in their broadcast shape.  ``deriv_fn(alpha,
-    cols)`` computes both.
+    Every partial is a sum of separable terms.  ``terms(alpha)`` lists them as
+    ``(coef, factors)`` pairs, one univariate callable per coordinate, or
+    ``None`` where that coordinate's factor is 1; the partial flags each
+    coordinate of ``alpha`` as differentiated exactly once.  A term's value
+    is ``coef`` times its factors, multiplied in coordinate order, and the
+    partial is its terms summed in order (no terms: +0.0).  The constructor
+    takes ``terms``, a callable from a :class:`DerivIndex` to such a list;
+    :func:`poly_function` and :func:`product_function` build it.
+
+    Every value comes from those terms.  ``deriv(alpha, pts)`` returns the
+    partial at every row of an (m, k) point array; the all-zero index
+    returns the function itself, as does calling it.  ``partial(alpha)`` is
+    the same partial as an integrand over coordinate columns: it takes k
+    arrays that broadcast against each other and returns the values in
+    their broadcast shape.
     """
 
-    def __init__(self, k: int, deriv_fn: Callable, label: str = ""):
+    def __init__(self, k: int, terms: Callable, label: str = ""):
         self.k = k
-        self._deriv = deriv_fn
+        self._terms = terms
         self.label = label
 
     def __call__(self, pts) -> np.ndarray:
@@ -366,38 +374,59 @@ class TestFunction:
         pts = np.atleast_2d(as_float_array(pts, "pts"))
         if pts.ndim != 2 or pts.shape[1] != self.k:
             raise ValidationError(f"pts must be (m, {self.k}), got shape {pts.shape}")
-        return np.asarray(self.partial(alpha)(tuple(pts.T)), dtype=float)
+        return self.partial(alpha)(tuple(pts.T))
+
+    def terms(self, alpha: DerivIndex) -> list[tuple[float, tuple[Callable | None, ...]]]:
+        """The ``(coef, factors)`` terms of the ``alpha`` partial."""
+        if alpha.k != self.k:
+            raise ValidationError(f"alpha has k={alpha.k}, function has k={self.k}")
+        terms = self._terms(alpha)
+        if any(len(factors) != self.k for _, factors in terms):
+            raise ValidationError(f"every term of a k={self.k} function needs {self.k} factors")
+        return terms
 
     def partial(self, alpha: DerivIndex) -> Callable:
         """The ``alpha`` partial as a function of k broadcastable coordinate
         columns."""
-        if alpha.k != self.k:
-            raise ValidationError(f"alpha has k={alpha.k}, function has k={self.k}")
-        return lambda cols: self._deriv(alpha, cols)
+        terms = self.terms(alpha)
+
+        def values(cols):
+            out = None
+            for coef, factors in terms:
+                mono = np.float64(coef)
+                for col, f in zip(cols, factors):
+                    if f is not None:
+                        mono = mono * f(col)
+                out = mono if out is None else out + mono
+            out = np.asarray(0.0 if out is None else out, dtype=float)
+            shape = np.broadcast_shapes(*(np.shape(c) for c in cols))
+            return out if out.shape == shape else np.broadcast_to(out, shape).copy()
+
+        return values
 
     def __repr__(self):
         return f"TestFunction(k={self.k}, {self.label!r})"
 
 
+def _power(e: int) -> Callable | None:
+    """The factor t**e, or ``None`` (the factor 1) at e = 0."""
+    return (lambda t: t**e) if e else None
+
+
 def poly_function(k: int, terms: dict[tuple[int, ...], float], label: str = "") -> TestFunction:
-    """Polynomial test function from {exponent tuple: coefficient} terms."""
+    """Polynomial test function from {exponent tuple: coefficient} terms.
+
+    A partial differentiates every monomial and merges those that land on
+    the same exponents, in the order of ``terms``.  Its terms are the zero
+    constant and then each merged monomial, so its sum starts from +0.0.
+    """
     for exps in terms:
         if len(exps) != k:
             raise ValidationError(f"exponent tuple {exps} does not have length {k}")
 
-    def _eval_terms(tms, cols):
-        out = np.zeros(np.broadcast_shapes(*(np.shape(c) for c in cols)))
-        for exps, coef in tms.items():
-            mono = np.float64(coef)
-            for col, e in zip(cols, exps):
-                if e:
-                    mono = mono * col**e
-            out += mono
-        return out
-
-    def _diff(tms, alpha):
+    def _diff(alpha):
         out: dict[tuple[int, ...], float] = {}
-        for exps, coef in tms.items():
+        for exps, coef in terms.items():
             e = list(exps)
             c = coef
             dead = False
@@ -410,24 +439,19 @@ def poly_function(k: int, terms: dict[tuple[int, ...], float], label: str = "") 
             if not dead:
                 key = tuple(e)
                 out[key] = out.get(key, 0.0) + c
-        return out
+        return [(0.0, (None,) * k)] + [(c, tuple(_power(e) for e in exps)) for exps, c in out.items()]
 
-    return TestFunction(
-        k, lambda alpha, cols: _eval_terms(_diff(terms, alpha), cols), label=label or f"poly{terms}"
-    )
+    return TestFunction(k, _diff, label=label or f"poly{terms}")
 
 
 def product_function(factors: Sequence[tuple[Callable, Callable]], label: str = "") -> TestFunction:
     """Separable product  g(x) = f_1(x_1) ... f_k(x_k)  from (f, f') pairs.
 
-    Each factor runs on its own coordinate column only, and the product is
-    taken in coordinate order, ((1 * f_1) * f_2) * f_3.
+    Each partial is one term with coefficient 1: f_i or f_i' on coordinate
+    i, multiplied in coordinate order, ((1 * f_1) * f_2) * f_3.
     """
-
-    def _deriv(alpha, cols):
-        out = np.ones(())
-        for bit, col, (f, df) in zip(alpha.bits, cols, factors):
-            out = out * (df(col) if bit else f(col))
-        return out
-
-    return TestFunction(len(factors), _deriv, label=label or "product")
+    return TestFunction(
+        len(factors),
+        lambda alpha: [(1.0, tuple(df if bit else f for bit, (f, df) in zip(alpha.bits, factors)))],
+        label=label or "product",
+    )

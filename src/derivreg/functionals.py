@@ -25,10 +25,14 @@ rewrites g as
 
 which is exactly the structure the dimension-reduced estimators consume.
 
-Every integral is one call of :func:`weighted_integral`, with the weights of
-:func:`term_weights` or an explicit tuple of :class:`Weight`.
-:func:`identity_checks` (``derivreg verify``) checks the decompositions and
-the term plans by summing such integrals against g itself.
+Every integral applies one panel-split tensor Gauss-Legendre rule, with the
+weights of :func:`term_weights` or an explicit tuple of :class:`Weight`.
+:func:`weighted_integral` applies it to any integrand of coordinate columns.
+A :class:`TestFunction` lists each partial as separable terms, so
+:func:`separable_integral` takes the same rule term by term, as products of
+one-dimensional sums, and forms no grid.  :func:`identity_checks`
+(``derivreg verify``) checks the decompositions and the term plans by
+summing such integrals against g itself.
 """
 
 from __future__ import annotations
@@ -64,6 +68,7 @@ __all__ = [
     "tensor_rule",
     "Quadrature",
     "weighted_integral",
+    "separable_integral",
     "term_weights",
     "corner_sum",
     "Term",
@@ -239,6 +244,16 @@ class Quadrature:
         return t, w * weight_shape(weight, t, x_i)
 
 
+def _check_point(x, weights: Sequence[Weight]) -> np.ndarray:
+    """``x`` as a 1-D float array with one finite coordinate per weight."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.shape[0] != len(weights):
+        raise ValidationError(f"x has {x.shape[0]} coordinates, weights describe {len(weights)}")
+    if not np.isfinite(x).all():
+        raise ValidationError(f"evaluation point {x.tolist()} must be finite")
+    return x
+
+
 def weighted_integral(
     f: Callable[[tuple[np.ndarray, ...]], np.ndarray],
     weights: Sequence[Weight],
@@ -252,14 +267,11 @@ def weighted_integral(
     :func:`open_rule`, arrays that broadcast against each other (a LOCAL
     coordinate is a 0-d array), and returns values that broadcast to their
     grid; :meth:`TestFunction.partial` is such an integrand.  Memory is the
-    grid's weights and products: no (m, k) point array is formed.
+    grid's weights and products: no (m, k) point array is formed.  A
+    :class:`TestFunction`'s partial needs no grid: see
+    :func:`separable_integral`.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    k = len(weights)
-    if x.shape[0] != k:
-        raise ValidationError(f"x has {x.shape[0]} coordinates, weights describe {k}")
-    if not np.isfinite(x).all():
-        raise ValidationError(f"evaluation point {x.tolist()} must be finite")
+    x = _check_point(x, weights)
     axes = [
         (i, *quad.line_rule(wkind, float(x[i])))
         for i, wkind in enumerate(weights)
@@ -272,6 +284,50 @@ def weighted_integral(
     return float(np.sum((vals * wprod).ravel()))
 
 
+def separable_integral(
+    g: TestFunction,
+    alpha: DerivIndex,
+    weights: Sequence[Weight],
+    x,
+    quad: Quadrature,
+    rules: dict | None = None,
+) -> float:
+    """The :func:`weighted_integral` of g's ``alpha`` partial, taken term by
+    term with one-dimensional sums.
+
+    The tensor rule of a product of univariate factors is the product of
+    their line sums.  So each term of :meth:`TestFunction.terms` contributes
+    its coefficient times, in coordinate order, sum(w * phi(t)) over the
+    line rule of each integrated coordinate and phi(x_i) for each LOCAL one
+    (a factor of ``None`` is 1); the terms are summed in order.  The value
+    equals the tensor rule's up to rounding, and no grid is formed.
+    ``rules`` caches the line rules by (weight, x_i, quad); the integral
+    table passes its own.
+    """
+    x = _check_point(x, weights)
+    rules = {} if rules is None else rules
+    lines = []
+    for wkind, x_i in zip(weights, x.tolist()):
+        if wkind is Weight.LOCAL:
+            lines.append(None)
+            continue
+        key = (wkind, x_i, quad)
+        if key not in rules:
+            rules[key] = quad.line_rule(wkind, x_i)
+        lines.append(rules[key])
+    total = 0.0
+    for coef, factors in g.terms(alpha):
+        value = coef
+        for x_i, line, phi in zip(x, lines, factors):
+            if line is None:
+                value *= 1.0 if phi is None else float(phi(x_i))
+            else:
+                t, w = line
+                value *= float(np.sum(w if phi is None else w * phi(t)))
+        total += value
+    return total
+
+
 # ---------------------------------------------------------------------------
 # Term weights and the integral table
 # ---------------------------------------------------------------------------
@@ -279,18 +335,19 @@ def weighted_integral(
 
 def _integral_table() -> Callable[..., float]:
     """An ``integral(g, alpha, weights, x, quad)``: the weighted integral of
-    g's alpha partial, computed once by :func:`weighted_integral` and kept
-    for as long as the table is alive.  The key is the function object
-    itself, not its label, with alpha, the weights and the rule, and then
-    the point as floats: the points of one integrand share the first four,
-    and so store them once."""
+    g's alpha partial, computed once by :func:`separable_integral` and kept
+    for as long as the table is alive, as are the line rules it uses.  The
+    key is the function object itself, not its label, with alpha, the
+    weights and the rule, and then the point as floats: the points of one
+    integrand share the first four, and so store them once."""
     values: dict[tuple, dict[tuple[float, ...], float]] = {}
+    rules: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
     def integral(g, alpha, weights, x, quad):
         at = values.setdefault((g, alpha, tuple(weights), quad), {})
         point = tuple(np.atleast_1d(np.asarray(x, dtype=float)).tolist())
         if point not in at:
-            at[point] = weighted_integral(g.partial(alpha), weights, x, quad)
+            at[point] = separable_integral(g, alpha, weights, x, quad, rules)
         return at[point]
 
     return integral

@@ -913,18 +913,19 @@ class TestGoldenPayloads:
     def test_verify_report(self, tmp_path):
         assert run(["verify", "--quad-nodes", 16, "--out-dir", tmp_path]) == 0
         assert self._digest(tmp_path / "verify_report.csv") == (
-            "e6f9d0fff427a222b939cfe40c174aad17dde4b9164d93ea5edadc069401f599"
+            "04d1f01e8f615ac5d883870c710608bab668a42d3f5c052227e4ee7d42145890"
         )
         assert self._digest(tmp_path / "verify_metadata.json") == (
             "57c4625bdfec96899c83df3c8fbeb7f3c3f5ec22c3361fc5ae53eff6e31a8828"
         )
 
     def test_verify_report_default_nodes(self, tmp_path):
-        # 32 nodes, the default; recorded before integrands moved from the
-        # materialized tensor points to the open grid, which moved no bit.
+        # 32 nodes, the default.  Test functions are integrated term by term
+        # with one-dimensional sums, so each residual differs from the tensor
+        # grid's in rounding only (at most 3.4e-16 here).
         assert run(["verify", "--quad-nodes", 32, "--out-dir", tmp_path]) == 0
         assert self._digest(tmp_path / "verify_report.csv") == (
-            "741d28b4473b477f854357e7133c7b58dac2fe4cccebc79ed5eeedede0406f1d"
+            "d7554cd4dce6fa5f22edfcebc5f7132a4a3d35acd14f4001be73f99d7cf143b3"
         )
 
     def test_every_sidecar_is_strict_json(self, tmp_path):

@@ -18,6 +18,7 @@ from derivreg import (
     split_stream,
     write_csv,
 )
+from derivreg import core
 from derivreg.core import _parse_rows, canonical_order, read_csv
 
 
@@ -306,6 +307,42 @@ class TestTestFunctions:
             grid = g.partial(alpha)((pts[:, 0][:, None], pts[:, 1][None, :]))
             assert grid.shape == (50, 50)
             assert grid[np.arange(50), np.arange(50)].tobytes() == want.tobytes()
+
+    def test_polynomial_terms(self):
+        # d/dx1 of x1^2 x2 + 2 x2^3 + 3 x1 x2: 2 x1 x2 + 3 x2, after the zero constant.
+        g = poly_function(2, {(2, 1): 1.0, (0, 3): 2.0, (1, 1): 3.0})
+        terms = g.terms(DerivIndex((1, 0)))
+        assert [c for c, _ in terms] == [0.0, 2.0, 3.0]
+        assert [[f is None for f in fs] for _, fs in terms] == [[True, True], [False, False], [True, False]]
+        t = np.array([0.5, 2.0])
+        assert [float(f(t)[1]) for f in terms[1][1]] == [2.0, 2.0]
+
+    def test_product_terms(self):
+        g = product_function([(np.exp, np.exp), (np.sin, np.cos)])
+        ((coef, factors),) = g.terms(DerivIndex((0, 1)))
+        assert coef == 1.0 and factors == (np.exp, np.cos)
+
+    def test_built_from_terms(self):
+        # g = 2 x1 + 3 x2^2, given as separable terms; its "11" partial has none.
+        def terms(alpha):
+            return {
+                (0, 0): [(2.0, (lambda t: t, None)), (3.0, (None, lambda t: t**2))],
+                (1, 0): [(2.0, (None, None))],
+                (0, 1): [(6.0, (None, lambda t: t))],
+                (1, 1): [],
+            }[alpha.bits]
+
+        g = core.TestFunction(2, terms, "g")
+        pts = split_stream(9, [1]).uniform(size=(5, 2))
+        assert np.array_equal(g(pts), 2.0 * pts[:, 0] + 3.0 * pts[:, 1] ** 2)
+        assert np.array_equal(g.deriv(DerivIndex((1, 0)), pts), np.full(5, 2.0))
+        assert np.array_equal(g.deriv(DerivIndex((1, 1)), pts), np.zeros(5))
+        assert g.partial(DerivIndex((1, 1)))((pts[:, :1], pts[None, :, 1])).shape == (5, 5)
+
+    def test_term_of_the_wrong_width_rejected(self):
+        g = core.TestFunction(2, lambda alpha: [(1.0, (np.exp,))])
+        with pytest.raises(ValidationError, match="every term of a k=2 function needs 2 factors"):
+            g(np.full((3, 2), 0.5))
 
     def test_partial_rejects_an_index_of_another_k(self):
         with pytest.raises(ValidationError, match="alpha has k=1"):

@@ -1,9 +1,12 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from derivreg import core, functionals
+from derivreg import functionals
 from derivreg import (
     DerivIndex,
     Quadrature,
@@ -22,6 +25,7 @@ from derivreg.functionals import (
     corner_sum,
     identity_checks,
     polynomial_suite,
+    separable_integral,
     subindices,
     tensor_rule,
     term_weights,
@@ -208,6 +212,77 @@ class TestWeightedIntegral:
         g = polynomial_suite(k)[0]
         with pytest.raises(ValidationError, match="pts"):
             weighted_integral(lambda pts: g(pts), _avg(DerivIndex.ones(k)), [0.5] * k, QUAD)
+
+
+_KINDS = [Weight.RECON, Weight.CUM, Weight.LOCAL, Weight.FLAT, Weight.RAMP]
+# The univariate (f, f') pairs that analytic_suite multiplies.
+_ANALYTIC_FACTORS = [
+    (np.exp, np.exp),
+    (lambda t: np.sin(t + 0.3), lambda t: np.cos(t + 0.3)),
+    (lambda t: np.cos(0.7 * t), lambda t: -0.7 * np.sin(0.7 * t)),
+]
+
+
+def _assert_separable_matches_tensor_rule(g, alpha, weights, x, quad):
+    want = weighted_integral(g.partial(alpha), weights, x, quad)
+    got = separable_integral(g, alpha, weights, x, quad)
+    assert abs(got - want) <= 1e-14 * max(1.0, abs(want)), (g, alpha, weights, x, got, want)
+
+
+@st.composite
+def _separable_problems(draw):
+    k = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        exps = st.tuples(*[st.integers(0, 3)] * k)
+        coefs = st.floats(-2.0, 2.0, allow_nan=False)
+        g = poly_function(k, draw(st.dictionaries(exps, coefs, min_size=1, max_size=5)))
+    else:
+        g = product_function([draw(st.sampled_from(_ANALYTIC_FACTORS)) for _ in range(k)])
+    alpha = DerivIndex(tuple(draw(st.integers(0, 1)) for _ in range(k)))
+    weights = [Weight.RECON if bit else draw(st.sampled_from(_KINDS[1:])) for bit in alpha.bits]
+    x = np.array([draw(st.floats(0.0, 1.0)) for _ in range(k)])
+    return g, alpha, weights, x, Quadrature(draw(st.sampled_from([1, 4, 16])))
+
+
+class TestSeparableIntegral:
+    """separable_integral takes weighted_integral's tensor rule of a test
+    function's partial as a sum of products of line sums."""
+
+    @pytest.mark.parametrize("nodes", [4, 16, 32])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matches_the_tensor_rule(self, k, nodes):
+        quad = Quadrature(nodes)
+        # An interior point and every corner: the faces x_i = 0 and 1 empty
+        # a CUM panel and leave RECON one panel.
+        points = [np.array([0.3, 0.7, 0.45][:k])] + [np.array(c, dtype=float) for c in itertools.product((0, 1), repeat=k)]
+        for g in polynomial_suite(k) + analytic_suite(k):
+            for x in points:
+                for shift in range(len(_KINDS)):
+                    weights = [_KINDS[(i + shift) % len(_KINDS)] for i in range(k)]
+                    for alpha in subindices(DerivIndex.ones(k)):
+                        _assert_separable_matches_tensor_rule(g, alpha, weights, x, quad)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_separable_problems())
+    def test_matches_the_tensor_rule_on_random_functions(self, problem):
+        _assert_separable_matches_tensor_rule(*problem)
+
+    def test_rejects_a_point_of_another_width_or_not_finite(self):
+        g = polynomial_suite(2)[0]
+        with pytest.raises(ValidationError, match="x has 1 coordinates, weights describe 2"):
+            separable_integral(g, D("11"), term_weights(D("11")), [0.5], QUAD)
+        with pytest.raises(ValidationError, match="must be finite"):
+            separable_integral(g, D("11"), term_weights(D("11")), [0.5, np.nan], QUAD)
+
+    def test_identity_suite_memory_stays_small(self):
+        # The weights alone of one (2 * 32)^3-node tensor grid take 2 MB.
+        tracemalloc.start()
+        try:
+            identity_checks(quad_nodes=32)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 class TestReconstructionIntegral:
@@ -447,25 +522,15 @@ class TestIdentitySuite:
         assert not failed, failed
 
     def test_each_integral_is_computed_once_per_run(self, monkeypatch):
-        made = {}  # integrand -> (function object, alpha)
-        partial = core.TestFunction.partial
-
-        def tagged_partial(self, alpha):
-            f = partial(self, alpha)
-            made[f] = (self, alpha)
-            return f
-
         computed = []
-        integral = functionals.weighted_integral
+        integral = functionals.separable_integral
 
-        def counted(f, weights, x, quad):
-            if f in made:
-                point = tuple(np.atleast_1d(np.asarray(x, dtype=float)).tolist())
-                computed.append((*made[f], tuple(weights), point, quad.nodes))
-            return integral(f, weights, x, quad)
+        def counted(g, alpha, weights, x, quad, rules=None):
+            point = tuple(np.atleast_1d(np.asarray(x, dtype=float)).tolist())
+            computed.append((g, alpha, tuple(weights), point, quad.nodes))
+            return integral(g, alpha, weights, x, quad, rules)
 
-        monkeypatch.setattr(core.TestFunction, "partial", tagged_partial)
-        monkeypatch.setattr(functionals, "weighted_integral", counted)
+        monkeypatch.setattr(functionals, "separable_integral", counted)
         identity_checks(quad_nodes=8)
         first = list(computed)
         assert first and len(set(first)) == len(first)
@@ -481,7 +546,11 @@ class TestIdentitySuite:
         f = poly_function(2, {(1, 1): 1.0}, "g")
         g = poly_function(2, {(1, 1): 2.0}, "g")
         got = [sum(t.coef * table(h, t.deriv, t.weights, x, QUAD) for t in plan.terms) for h in (f, g, f)]
-        assert got == [_terms_value(h, plan.terms, x) for h in (f, g, f)]
+        want = [
+            sum(t.coef * functionals.separable_integral(h, t.deriv, t.weights, x, QUAD) for t in plan.terms)
+            for h in (f, g, f)
+        ]
+        assert got == want
         assert got[0] == pytest.approx(0.21, abs=1e-12) and got[1] == pytest.approx(0.42, abs=1e-12)
 
     def test_mutated_plan_is_caught_and_named(self, monkeypatch):
