@@ -100,6 +100,7 @@ def _run_outputs(out_dir: Path):
 
 
 def run_verify(args) -> int:
+    # The refinement check doubles the nodes: 64 takes leggauss(128), past numpy's tested 100.
     if not 2 <= args.quad_nodes <= 64:
         raise ValidationError(f"--quad-nodes must lie in 2..64, got {args.quad_nodes}")
     checks = identity_checks(quad_nodes=args.quad_nodes) + kernel_checks()
@@ -395,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the exact-identity and kernel-moment suite")
     add_common(p)
-    p.add_argument("--quad-nodes", type=int, default=32, help="Gauss-Legendre nodes per panel, 2..64")
+    p.add_argument("--quad-nodes", type=int, default=32, help="Gauss-Legendre nodes per panel, 2..64 (the refinement check doubles them)")
     p.set_defaults(func=run_verify)
 
     p = sub.add_parser("simulate", help="run the relative-MSE benchmark")

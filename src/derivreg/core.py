@@ -2,7 +2,8 @@
 
 All estimation routines operate on the unit cube [0, 1]^k.  Raw data in other
 units is mapped in with :func:`rescale_to_unit` and mapped back with the
-returned affine maps.
+returned affine maps.  Sums over rows run in :func:`canonical_order`, and
+each evaluator evaluates each distinct point of :func:`distinct_rows` once.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ __all__ = [
     "DataSet",
     "as_float_array",
     "canonical_order",
+    "distinct_rows",
     "read_csv",
     "write_csv",
     "split_stream",
@@ -251,6 +253,21 @@ def canonical_order(keys) -> np.ndarray:
     if np.any(first[1:] == first[:-1]):
         order = np.lexsort(keys[::-1])
     return order
+
+
+def distinct_rows(a) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of an (m, c) array ``a``, c >= 0, as (first, inverse):
+    ``a[first]`` are the distinct rows in the :func:`canonical_order` of the
+    columns, each its first copy in ``a``, and ``a[first][inverse]`` is ``a``.
+    0.0 and -0.0 are one value, and with c = 0 all rows are one.  On finite
+    input ``a[first]`` equals ``np.unique(a, axis=0)``."""
+    order = canonical_order(a.T) if a.shape[1] else np.arange(a.shape[0])
+    rows = a[order]
+    new = np.ones(order.size, dtype=bool)
+    new[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+    inverse = np.empty(order.size, dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
 
 
 def _header(fh, path, k: int) -> None:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DataSet, ValidationError, as_float_array
+from .core import DataSet, ValidationError, as_float_array, distinct_rows
 from .kernels import Workspace, band_sweep, check_bandwidth, check_cap, check_orders, product_kernel
 
 __all__ = ["DENSITY_FLOOR", "DensityEstimator", "loo_density", "loo_at_rows"]
@@ -75,6 +75,8 @@ def loo_at_rows(est: DensityEstimator, floored: bool = True) -> np.ndarray:
     Precomputed once per dataset by the regression estimators; equal to
     calling :func:`loo_density` at every (i, X_i), up to the order of
     summation, and floored at ``est.floor`` unless ``floored`` is false.
+    Copies of a row are one query (:func:`derivreg.core.distinct_rows`)
+    that leaves out their first copy in canonical order.
 
     An exact sorted-band sweep (:func:`derivreg.kernels.band_sweep`, which
     gives its tiling, time and memory) over the rows in the dataset's
@@ -85,23 +87,18 @@ def loo_at_rows(est: DensityEstimator, floored: bool = True) -> np.ndarray:
     Each row is summed over its window in canonical row order, so a
     permutation of the rows permutes the result bit for bit.
     """
-    order = est.data.order
+    order, n = est.data.order, est.data.n
     Xs = est.data.X[order]
-    n = Xs.shape[0]
-    sums = np.empty(n)
+    first, copy_of = distinct_rows(Xs)
+    sums = np.empty(first.size)
     family = product_kernel(est.d1)
     work = Workspace()
-    for idx, rows in band_sweep(Xs, est.H):
-        w = family.weights(Xs[idx], Xs[rows], est.H, work)
-        w[np.arange(idx.size), np.searchsorted(rows, idx)] = 0.0
+    for idx, rows in band_sweep(Xs, est.H, Xs[first]):
+        w = family.weights(Xs[first[idx]], Xs[rows], est.H, work)
+        w[np.arange(idx.size), np.searchsorted(rows, first[idx])] = 0.0
         sums[idx] = w.sum(axis=1)
-    # Identical rows are adjacent in canonical order but may fall in tiles
-    # with different windows; all copies take the sum of the first one.
-    new_run = np.ones(n, dtype=bool)
-    new_run[1:] = np.any(Xs[1:] != Xs[:-1], axis=1)
-    sums = sums[np.maximum.accumulate(np.where(new_run, np.arange(n), 0))]
     vals = np.empty(n)
-    vals[order] = sums / (n - 1)
+    vals[order] = sums[copy_of] / (n - 1)
     if floored:
         vals = np.maximum(vals, est.floor)
     return vals

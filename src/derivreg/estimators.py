@@ -28,10 +28,10 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .core import DataSet, DerivIndex, ValidationError, as_float_array
+from .core import DataSet, DerivIndex, ValidationError, as_float_array, distinct_rows
 from .density import DENSITY_FLOOR, DensityEstimator, loo_at_rows
 from .functionals import Quadrature, Term, TermPlan, Weight, build_term_plan, gl_panels, tensor_rule, term_weights, weight_shape
-from .kernels import BandwidthPlan, Workspace, band_sweep, check_bandwidth, check_cap, check_orders, default_orders, product_kernel
+from .kernels import BandwidthPlan, band_sweep, check_bandwidth, check_cap, check_orders, default_orders, product_kernel
 
 __all__ = [
     "EstimationPlan",
@@ -88,8 +88,9 @@ def _term_column(
     split shape (CUM, RECON) is a(u) - 1{u > x}, with a = 1 or u, so the
     product over the p split coordinates is a signed sum over subsets T of
     them of orthant sums: rows with u_j > x_j on T, weighted by
-    v K prod_{j not in T} a_j.  The distinct points (in the split
-    coordinates) are taken in canonical order, in runs whose cell grid stays
+    v K prod_{j not in T} a_j.  The distinct points in the split
+    coordinates, and the groups, are :func:`derivreg.core.distinct_rows`'s;
+    the points run in canonical order, in runs whose cell grid stays
     within 2^p max(n, m) cells, so a tensor grid is one run.  Rows and points
     take cells among the run's distinct point coordinates, counted from the
     top (u > x iff the row's cell is at most the point's); per T and group,
@@ -111,11 +112,12 @@ def _term_column(
     p = len(split)
     subsets = [tuple(a for a in range(p) if t[a]) for t in itertools.product((False, True), repeat=p)]
     vb = [math.prod((base[a] for a in range(p) if a not in T), start=v) for T in subsets]  # v a(u) off T
-    keys, key_of = np.unique(pts[:, split], axis=0, return_inverse=True)
+    first, key_of = distinct_rows(pts[:, split])
+    keys = pts[first][:, split]
     runs = _point_chunks(keys, 2**p * max(ds.n, keys.shape[0]))
     # With no LOCAL coordinate all points form one group, with kernel row 1.
-    centres, group = np.unique(pts[:, local], axis=0, return_inverse=True)
-    key_of, group = key_of.reshape(-1), group.reshape(-1)
+    first, group = distinct_rows(pts[:, local])
+    centres = pts[first][:, local]
     run_of = np.searchsorted([lo for lo, _ in runs], key_of, side="right") - 1
     order = np.lexsort((group, run_of))  # one stable sort: by run, then by group
     col = np.empty(pts.shape[0])
@@ -195,8 +197,9 @@ def smoothed_nonlocal_estimate(
 
     (n h^(k-p))^-1 sum_i Y_i w_beta(X_i, x) K((X_i^last - x^last)/h) / f_i,
     with K the edge-switching product kernel and f_i the floored
-    leave-one-out density (ones when ``density`` is omitted); 0.0 when no
-    design row lies in the kernel window.
+    leave-one-out density (ones when ``density`` is omitted); 0.0 when every
+    row's product-kernel weight is exactly zero (on the support's edge, or
+    underflowing).
     """
     if not 1 <= p < ds.k:
         raise ValidationError(f"need 1 <= p < k for smoothing, got p={p}, k={ds.k}")
@@ -307,9 +310,10 @@ def fit(plan: EstimationPlan, eval_points) -> FitResult:
     The fitted value at each point is exactly the sum of the per-term
     contribution columns.  Each term is one call of :func:`_term_column`:
     O(groups (n 2^p + cells 2^p)) time and O(2^p n + cells) memory, and a
-    :class:`ValidationError` at the first point whose kernel window holds no
-    design row.  Deterministic for fixed inputs and bitwise invariant under
-    permutations of the data rows and of the points.
+    :class:`ValidationError` at the first point where every row's
+    product-kernel weight is exactly zero (rows on the support's edge and
+    products that underflow weigh zero).  Deterministic for fixed inputs
+    and bitwise invariant under permutations of the data rows and points.
     """
     k = plan.plan.k
     pts = _check_points(eval_points, k)
@@ -365,23 +369,6 @@ def fit(plan: EstimationPlan, eval_points) -> FitResult:
 # ---------------------------------------------------------------------------
 
 
-def _nw_pass(Xs, Ys, pts, h, family, den_floor):
-    """One windowed NW pass over rows ``Xs``, ``Ys`` in canonical order:
-    (values, mass) at ``pts``, where ``mass`` flags the points at which some
-    design row carries kernel weight."""
-    num, den = np.empty(pts.shape[0]), np.empty(pts.shape[0])
-    mass = np.empty(pts.shape[0], dtype=bool)
-    work = Workspace()
-    for idx, rows in band_sweep(Xs, h, pts):
-        w = family.weights(pts[idx], Xs[rows], h, work)
-        den[idx] = w.sum(axis=1)
-        mass[idx] = (w != 0.0).any(axis=1)
-        w *= Ys[None, rows]
-        num[idx] = w.sum(axis=1)
-    # den / n estimates the design density at the point; floor it there.
-    return num / np.maximum(den, den_floor * Xs.shape[0]), mass
-
-
 def nadaraya_watson_grid(
     X: np.ndarray,
     Y: np.ndarray,
@@ -402,16 +389,18 @@ def nadaraya_watson_grid(
     estimate away from zero; higher-order edge kernels can otherwise give
     near-zero or negative total weight.  With ``widen_on_empty`` the points
     at which every row's product-kernel weight is exactly zero are re-run
-    at doubled h (at most six times)
-    instead of raising; Monte Carlo harnesses use this so one starved window
-    cannot abort a replication.
+    at doubled h (at most six times) instead of raising; Monte Carlo
+    harnesses use this so one starved window cannot abort a replication.
+    Errors name the first such point in the caller's order.
 
     Data rows are sorted once, in the dataset's canonical order
     (:attr:`derivreg.core.DataSet.order`), and every pass is a sorted-band
     sweep over them (:func:`derivreg.kernels.band_sweep`, which gives its
-    tiling, time and memory) with one :class:`derivreg.kernels.Workspace`
-    for all its tiles.  Sums run in canonical row order, so the result is
-    bitwise invariant under row permutations of (X, Y).
+    tiling, time and memory) at the distinct points
+    (:func:`derivreg.core.distinct_rows`), so each point is evaluated once,
+    widening included, in canonical order.  The result is bitwise invariant
+    under row permutations of (X, Y) and under permutations and repeats of
+    the evaluation points.
     """
     X = as_float_array(X, "X")
     if X.ndim != 2:
@@ -424,21 +413,28 @@ def nadaraya_watson_grid(
         raise ValidationError(f"den_floor must be finite and positive, got {den_floor}")
     family = product_kernel(d)
     X, Y = ds.X[ds.order], ds.Y[ds.order]
-    out, mass = _nw_pass(X, Y, pts, h, family, den_floor)
-    left = np.flatnonzero(~mass)
-    if left.size and not widen_on_empty:
-        raise ValidationError(f"no design points within h={h} of {pts[left[0]]} ({left.size} points); increase h")
-    hj = h
-    for _ in range(6):
+    first, copy_of = distinct_rows(pts)
+    out, left, hj = np.empty(first.size), np.arange(first.size), h
+    for _ in range(7):  # h, then at most six doublings
+        at = pts[first[left]]
+        num, den, mass = np.empty(left.size), np.empty(left.size), np.empty(left.size, dtype=bool)
+        for idx, rows in band_sweep(X, hj, at):
+            w = family.weights(at[idx], X[rows], hj)
+            den[idx] = w.sum(axis=1)
+            mass[idx] = (w != 0.0).any(axis=1)
+            w *= Y[None, rows]
+            num[idx] = w.sum(axis=1)
+        # den / n estimates the design density at the point; floor it there.
+        out[left[mass]] = (num / np.maximum(den, den_floor * ds.n))[mass]
+        left, hj = left[~mass], 2.0 * hj
         if not left.size:
+            return out[copy_of]
+        if not widen_on_empty:
             break
-        hj *= 2.0
-        vals, mass = _nw_pass(X, Y, pts[left], hj, family, den_floor)
-        out[left[mass]] = vals[mass]
-        left = left[~mass]
-    if left.size:
-        raise ValidationError(f"no design points near {pts[left[0]]} even after widening")
-    return out
+    starved = np.isin(copy_of, left)  # the caller's points still without data
+    if not widen_on_empty:
+        raise ValidationError(f"no design points within h={h} of {pts[np.argmax(starved)]} ({np.count_nonzero(starved)} points); increase h")
+    raise ValidationError(f"no design points near {pts[np.argmax(starved)]} even after widening")
 
 
 # ---------------------------------------------------------------------------

@@ -19,11 +19,11 @@ from typing import ClassVar
 
 import numpy as np
 
-from .core import DataSet, DerivIndex, TestFunction, ValidationError, as_float_array, canonical_order, split_stream, product_function
+from .core import DataSet, DerivIndex, TestFunction, ValidationError, as_float_array, canonical_order, distinct_rows, split_stream, product_function
 from .density import DENSITY_FLOOR
 from .estimators import EstimationPlan, fit, make_grid, nadaraya_watson_grid
 from .functionals import build_term_plan
-from .kernels import BandwidthPlan, Workspace, query_tiles
+from .kernels import BandwidthPlan, query_tiles
 
 __all__ = [
     "CobbDouglasConfig",
@@ -189,17 +189,18 @@ def derivative_ac_curve(
     windows and masks, so one sweep serves every column.  Each point's window
     is the exact row range [lo, hi) in Q (:func:`_windows`), which gives its
     count.  Part a depends on the point alone, so it is evaluated once per
-    distinct point of the rows and the evaluation points together, in one
-    sorted-band sweep in Q (:func:`derivreg.kernels.query_tiles` cuts the
-    tiles, and the exact windows give their rows, so no row search runs).
-    Each tile builds its window and cumulative masks once, over the union
-    of its windows, with one multiply-sum per column, all in one
-    :class:`derivreg.kernels.Workspace`.  Part b takes the window sums of the
-    remainder from prefix sums that restart on each evaluation tile's rows,
-    so cancellation stays within a tile.  Time is the points times the rows
-    in a tile's window; memory is O(n R + m R) plus one tile's slabs.  Every
-    sum runs in canonical row order, so the result is bitwise invariant under
-    row permutations of the sample.
+    distinct point (:func:`derivreg.core.distinct_rows`) of the rows and the
+    evaluation points together, in one sorted-band sweep in Q
+    (:func:`derivreg.kernels.query_tiles` cuts the tiles, and the exact
+    windows give their rows, so no row search runs).  Each tile builds its
+    window and cumulative masks once, over the union of its windows, as one
+    0/1 float mask with one multiply-sum per column.  Part b takes the
+    window sums of the remainder at each distinct evaluation point from
+    prefix sums that restart on each of their tiles' rows, so cancellation
+    stays within a tile.  Time is the points times the rows in a tile's
+    window; memory is O(n R + m R) plus one tile's slabs.  Rows and points
+    run in canonical order, so the result is bitwise invariant under row
+    permutations and under permutations and repeats of the points.
     """
     if not (math.isfinite(h) and h > 0):
         raise ValidationError(f"window width h must be finite and positive, got {h}")
@@ -214,53 +215,39 @@ def derivative_ac_curve(
     if not np.all(eval_r > 0.0):
         raise ValidationError("eval_r must be positive: it is a capital price")
     q, v, r, y_ac, y_al = _canonical_rows(sample)
-    pts_q, pts_v, at_rows, at_eval = _distinct_points(q, v, eval_q, eval_v)
+    points = np.column_stack([np.concatenate([q, eval_q]), np.concatenate([v, eval_v])])
+    first, point_of = distinct_rows(points)
+    pts_q, pts_v = points[first].T
+    at_rows, at_eval = point_of[: q.size], point_of[q.size :]
     lo, hi = _windows(q, pts_q, h)
     counts = hi - lo
     if not np.all(counts[at_eval] > 0):
         raise ValidationError(f"empty Q-window at width h={h}; increase h")
-    work = Workspace()
     cum_sums = np.empty((len(y_al), pts_q.size))
     for idx in query_tiles(q, 0.5 * h, pts_q):
         a, b = lo[idx].min(), hi[idx].max()  # the tile's windows, exactly
-        shape = (idx.size, b - a)
-        slab = np.subtract(q[None, a:b], pts_q[idx, None], out=work.take("slab", shape))
-        win = np.less_equal(np.abs(slab, out=slab), 0.5 * h, out=work.take("win", shape, bool))
-        cum = np.less_equal(v[None, a:b], pts_v[idx, None], out=work.take("cum", shape, bool))
-        mask = np.logical_and(win, cum, out=work.take("mask", shape))  # as 0.0 / 1.0, cast once for all columns
+        win = np.abs(q[None, a:b] - pts_q[idx, None]) <= 0.5 * h
+        mask = (win & (v[None, a:b] <= pts_v[idx, None])).astype(float)  # cast once for all columns
         for out, col in zip(cum_sums, y_al):
-            out[idx] = np.multiply(mask, col[None, a:b], out=slab).sum(axis=1)
+            out[idx] = (mask * col[None, a:b]).sum(axis=1)
 
-    # part b: window sums of the remainder at the evaluation points
+    # part b: window sums of the remainder at the distinct evaluation points
     resid = [(ya - r * cs[at_rows] / counts[at_rows]) / r for ya, cs in zip(y_ac, cum_sums)]
-    win_sums = np.empty((len(y_al), eval_q.size))
-    for idx in query_tiles(q, 0.5 * h, eval_q):
-        first, stop = lo[at_eval[idx]], hi[at_eval[idx]]
-        a, b = first.min(), stop.max()
-        prefix = work.take("prefix", (b - a + 1,))
-        prefix[0] = 0.0
+    evals, eval_of = np.unique(at_eval, return_inverse=True)
+    win_sums = np.empty((len(y_al), evals.size))
+    for idx in query_tiles(q, 0.5 * h, pts_q[evals]):
+        start, stop = lo[evals[idx]], hi[evals[idx]]
+        a, b = start.min(), stop.max()
+        prefix = np.zeros(b - a + 1)
         for out, res in zip(win_sums, resid):
             np.cumsum(res[a:b], out=prefix[1:])
-            out[idx] = prefix[stop - a] - prefix[first - a]
+            out[idx] = prefix[stop - a] - prefix[start - a]
     counts = counts[at_eval]
     ga = eval_r * cum_sums[:, at_eval] / counts
-    gb = eval_r * win_sums / counts
+    gb = eval_r * win_sums[:, eval_of] / counts
     if np.ndim(sample.y_al) == 1:
         ga, gb = ga[0], gb[0]
     return ga, gb, ga + gb
-
-
-def _distinct_points(q, v, eval_q, eval_v) -> tuple[np.ndarray, ...]:
-    """The distinct points of the rows (q, v) and the evaluation points,
-    sorted by (q, v), and the index of each row's and each evaluation
-    point's own among them."""
-    all_q, all_v = np.concatenate([q, eval_q]), np.concatenate([v, eval_v])
-    by_point = np.lexsort((all_v, all_q))
-    sq, sv = all_q[by_point], all_v[by_point]
-    new = np.concatenate([[True], (sq[1:] != sq[:-1]) | (sv[1:] != sv[:-1])])
-    point_of = np.empty(by_point.size, dtype=np.intp)
-    point_of[by_point] = np.cumsum(new) - 1
-    return sq[new], sv[new], point_of[: q.size], point_of[q.size :]
 
 
 def _windows(q: np.ndarray, q0: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:

@@ -710,8 +710,11 @@ class TestGoldenPayloads:
     term-bandwidth bound, and the n = 4000 simulate tables, the
     scattered-LOCAL and shared-design fits and the convergence-rate results
     before the kernel evaluator took its support mask from the weight's sign
-    and band_sweep found every tile's range at once; no change moved a bit.  A change meant to alter
-    these bytes updates the digest and says why."""
+    and band_sweep found every tile's range at once; no change moved a bit.  The
+    shared-design fit.csv moved when loo_at_rows began to sweep the distinct rows
+    alone, so its tiles no longer hold the tied copies (16 of 125 cells, by at
+    most 4.4e-16).  A change meant to alter these bytes updates the digest and
+    says why."""
 
     @staticmethod
     def _digest(path):
@@ -883,7 +886,7 @@ class TestGoldenPayloads:
         )
         assert run(["estimate", "--config", cfg, "--out-dir", tmp_path / "out"]) == 0
         assert self._digest(tmp_path / "out" / "fit.csv") == (
-            "24d413d1dcdf85de980b9060e93d28edb713efa89275cb5ad5813b483b644ba3"
+            "a1a2a7b1b4fd21e5c2aec6c8709bd5ee335ebb19d542784a29054418fa693e10"
         )
         assert self._digest(tmp_path / "out" / "fit_metadata.json") == (
             "9728b5660cb4951b8682c4cb11a00d199c608ead3480b4e617b84ad8283dd122"

@@ -19,7 +19,7 @@ from derivreg import (
     write_csv,
 )
 from derivreg import core
-from derivreg.core import _parse_rows, canonical_order, read_csv
+from derivreg.core import _parse_rows, canonical_order, distinct_rows, read_csv
 
 
 class TestDerivIndex:
@@ -217,6 +217,40 @@ class TestDataSet:
         keys = tuple(np.array([rows[i][j] / levels for i in picks]) for j in range(nkeys))
         assert np.array_equal(canonical_order(keys), np.lexsort(keys[::-1]))
 
+
+
+class TestDistinctRows:
+    @pytest.mark.parametrize("m", [0, 1, 4])
+    def test_no_columns_make_one_row(self, m):
+        first, inverse = distinct_rows(np.empty((m, 0)))
+        assert first.tolist() == [0][:m] and inverse.tolist() == [0] * m
+
+    def test_no_rows(self):
+        first, inverse = distinct_rows(np.empty((0, 3)))
+        assert first.size == 0 and inverse.size == 0
+
+    def test_copies_point_at_their_first_copy(self):
+        a = np.array([[0.5, 1.0], [0.25, 0.0], [0.5, 1.0], [0.25, 1.0], [0.5, 1.0]])
+        first, inverse = distinct_rows(a)
+        assert first.tolist() == [1, 3, 0]
+        assert inverse.tolist() == [2, 0, 2, 1, 2]
+
+    def test_signed_zeros_are_one_value(self):
+        a = np.array([[-0.0, 1.0], [0.5, 0.0], [0.0, 1.0], [0.5, -0.0]])
+        first, inverse = distinct_rows(a)
+        assert first.tolist() == [0, 1]
+        assert inverse.tolist() == [0, 1, 0, 1]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 3), st.integers(0, 40), st.integers(1, 4), st.data())
+    def test_rows_equal_numpy_unique_on_finite_input(self, c, m, levels, data):
+        # Values on a few levels, so rows and single columns tie.
+        rows = data.draw(st.lists(st.lists(st.integers(0, levels), min_size=c, max_size=c), min_size=m, max_size=m))
+        a = np.array(rows, dtype=float).reshape(m, c) / levels
+        first, inverse = distinct_rows(a)
+        assert np.array_equal(a[first], np.unique(a, axis=0))
+        assert np.array_equal(a[first][inverse], a)
+        assert np.all(first[inverse] <= np.arange(m))  # each points at its first copy
 
 class TestRngStreams:
     def test_reproducible(self):

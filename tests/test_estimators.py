@@ -361,6 +361,19 @@ class TestFit:
         with pytest.raises(ValidationError, match=r"of \[0.3 0.2\]; increase h"):
             fit(plan, [[0.5, 0.9], [0.3, 0.2], [0.5, 0.1], [0.3, 0.2]])
 
+    def test_rows_on_the_support_edge_are_no_data(self):
+        # Every row sits at kernel argument exactly 1, on the closed
+        # support's edge, where the kernel weight is zero.
+        g = poly_function(2, {(1, 1): 1.0})
+        X = np.column_stack([np.linspace(0.0, 1.0, 50), np.full(50, 0.9)])
+        datasets = {idx: DataSet(2, idx, X, g.deriv(idx, X)) for idx in (D("00"), D("10"))}
+        plan = EstimationPlan.build(2, [0], 0, datasets, d=2)
+        h = plan.bandwidth(plan.plan.terms[0])
+        x = np.array([0.5, 0.9 - h])
+        assert np.all((X[:, 1] - x[1]) / h == 1.0)
+        with pytest.raises(ValidationError, match=r"term avg\[10\]: no design points within h=.*; increase h"):
+            fit(plan, [x])
+
 
 class TestBaselineSmoother:
     def test_constant_responses(self):
@@ -651,6 +664,73 @@ class TestWindowedBaseline:
         X = split_stream(5, [0]).uniform(size=(20_000, 2))
         X[:, 1] = 0.5
         assert self._peak_bytes(X) < 64 * 2**20
+
+
+
+@st.composite
+def _point_layouts(draw, k, max_extra):
+    """(base, picks, perm): evaluation points ``base[picks]`` and a
+    permutation of them.  ``base`` is a tensor grid, points tied in one
+    coordinate, or free points; ``picks`` takes every base point once and
+    up to ``max_extra`` of them again."""
+    kind = draw(st.sampled_from(["grid", "tied", "free"]))
+    if kind == "grid":
+        base = np.array(list(itertools.product(*(draw(st.lists(_coord, min_size=1, max_size=6)) for _ in range(k)))))
+    else:
+        base = np.array(draw(st.lists(st.lists(_coord, min_size=k, max_size=k), min_size=1, max_size=100)))
+        if kind == "tied":
+            base[:, draw(st.integers(0, k - 1))] = draw(_coord)
+    extra = draw(st.lists(st.integers(0, len(base) - 1), max_size=max_extra))
+    picks = np.concatenate([np.arange(len(base)), np.array(extra, dtype=int)])
+    return base, picks, np.array(draw(st.permutations(range(picks.size))))
+
+
+@st.composite
+def _nw_point_problems(draw):
+    X, Y, _, h, d = draw(_nw_problems(max_n=300, max_m=65))
+    return (X, Y, h, d, *draw(_point_layouts(X.shape[1], 150)))
+
+
+def _copies_agree(pts, vals):
+    """Every copy of an evaluation point holds the same bits."""
+    first, inverse = np.unique(pts, axis=0, return_index=True, return_inverse=True)[1:]
+    return vals.tobytes() == vals[first[inverse.reshape(-1)]].tobytes()
+
+
+def _nw_grid_example():
+    """A 40 x 40 grid over 4000 uniform rows, in a shuffled order."""
+    X = split_stream(34, [0]).uniform(size=(4000, 2))
+    Y = split_stream(34, [1]).standard_normal(4000)
+    return X, Y, 0.06, 2, make_grid(2, 40, 0.05), np.arange(1600), split_stream(34, [2]).permutation(1600)
+
+
+class TestEvaluationPoints:
+    """nadaraya_watson_grid evaluates each distinct point once, so its
+    values depend on the set of points alone."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(_nw_point_problems())
+    @example(_nw_grid_example())
+    def test_copies_agree_and_permutations_permute_bitwise(self, problem):
+        X, Y, h, d, base, picks, perm = problem
+        pts = base[picks]
+        try:
+            got = nadaraya_watson_grid(X, Y, pts, h, d=d, widen_on_empty=True)
+        except ValidationError:
+            with pytest.raises(ValidationError, match="even after widening"):
+                nadaraya_watson_grid(X, Y, pts[perm], h, d=d, widen_on_empty=True)
+            return
+        assert _copies_agree(pts, got)
+        assert nadaraya_watson_grid(X, Y, pts[perm], h, d=d, widen_on_empty=True).tobytes() == got[perm].tobytes()
+
+    def test_errors_name_the_first_starved_point_in_the_callers_order(self):
+        X = np.array([[0.1, 0.1], [0.15, 0.12]])
+        pts = np.array([[0.12, 0.1], [0.9, 0.9], [0.5, 0.5], [0.9, 0.9]])
+        # [0.5 0.5] comes first in canonical order; the errors name [0.9 0.9].
+        with pytest.raises(ValidationError, match=r"of \[0.9 0.9\] \(3 points\); increase h"):
+            nadaraya_watson_grid(X, np.ones(2), pts, 0.1)
+        with pytest.raises(ValidationError, match=r"near \[0.9 0.9\] even after widening"):
+            nadaraya_watson_grid(X, np.ones(2), pts, 0.001, widen_on_empty=True)
 
 
 class TestConcurrentSweeps:

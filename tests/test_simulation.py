@@ -1,10 +1,11 @@
+import itertools
 import re
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
@@ -303,6 +304,59 @@ class TestSharedSweep:
         lo, hi = _windows(q, q0, h)
         for x, a, b in zip(q0, lo, hi):
             assert np.array_equal(np.flatnonzero(np.abs(q - x) <= 0.5 * h), np.arange(a, b))
+
+
+
+@st.composite
+def _eval_point_problems(draw):
+    """(sample, base, picks, perm, h): evaluation points (q, v, r) =
+    ``base[picks]`` and a permutation of them.  ``base`` is a grid in
+    (q, v), points tied in q or v, or free points; ``picks`` takes every
+    base point once and up to 150 of them again."""
+    s, _, _, _, h = draw(_ac_problems(max_n=200, max_m=65))
+    r = st.one_of(st.sampled_from([0.75, 1.0]), st.floats(0.5, 1.5))
+    kind = draw(st.sampled_from(["grid", "tied", "free"]))
+    if kind == "grid":
+        qv = list(itertools.product(*(draw(st.lists(_q, min_size=1, max_size=10)) for _ in range(2))))
+    else:
+        qv = draw(st.lists(st.tuples(_q, _q), min_size=1, max_size=100))
+    base = np.column_stack([np.array(qv), draw(st.lists(r, min_size=len(qv), max_size=len(qv)))])
+    if kind == "tied":
+        base[:, draw(st.integers(0, 1))] = draw(_q)
+    extra = draw(st.lists(st.integers(0, len(base) - 1), max_size=150))
+    picks = np.concatenate([np.arange(len(base)), np.array(extra, dtype=int)])
+    return s, base, picks, np.array(draw(st.permutations(range(picks.size)))), h
+
+
+def _repeated_rows_example():
+    """300 of the sample's own points, each seven times, in a shuffled order."""
+    s = generate(CobbDouglasConfig(n=4000, seed=2))
+    base = np.column_stack([s.q[:300], s.v[:300], np.ones(300)])
+    return s, base, np.repeat(np.arange(300), 7), np.random.default_rng(35).permutation(2100), 0.1
+
+
+class TestEvaluationPoints:
+    """derivative_ac_curve evaluates each distinct point once, so its values
+    depend on the set of points alone."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(_eval_point_problems())
+    @example(_repeated_rows_example())
+    def test_copies_agree_and_permutations_permute_bitwise(self, problem):
+        s, base, picks, perm, h = problem
+        pts = base[picks]
+        try:
+            got = derivative_ac_curve(s, *pts.T, h)
+        except ValidationError:
+            with pytest.raises(ValidationError, match="empty Q-window"):
+                derivative_ac_curve(s, *pts[perm].T, h)
+            return
+        first, inverse = np.unique(pts, axis=0, return_index=True, return_inverse=True)[1:]
+        copy_of = first[inverse.reshape(-1)]
+        shuffled = derivative_ac_curve(s, *pts[perm].T, h)
+        for part, moved in zip(got, shuffled):
+            assert part.tobytes() == part[copy_of].tobytes()
+            assert moved.tobytes() == part[perm].tobytes()
 
 
 def _same_details(a, b):
