@@ -34,6 +34,7 @@ from .core import (
 from .estimators import EstimationPlan, fit, make_grid
 from .functionals import (
     REPORT_ORDERS,
+    Quadrature,
     build_term_plan,
     identity_checks,
     kernel_checks,
@@ -396,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the exact-identity and kernel-moment suite")
     add_common(p)
-    p.add_argument("--quad-nodes", type=int, default=32, help="Gauss-Legendre nodes per panel, 2..64 (the refinement check doubles them)")
+    p.add_argument("--quad-nodes", type=int, default=Quadrature.nodes, help="Gauss-Legendre nodes per panel, 2..64 (the refinement check doubles them)")
     p.set_defaults(func=run_verify)
 
     p = sub.add_parser("simulate", help="run the relative-MSE benchmark")

@@ -151,13 +151,17 @@ def rescale_to_unit(raw) -> tuple[np.ndarray, list[AffineMap]]:
     """Affinely map each column of ``raw`` onto [0, 1].
 
     Returns the scaled matrix and one :class:`AffineMap` per column; applying
-    ``map.invert`` to a scaled column reproduces the input.  A constant column
-    cannot be rescaled and raises :class:`ValidationError` naming the
-    coordinate (1-based).
+    ``map.invert`` to a scaled column reproduces the input.  Input with no
+    rows or a value that is not finite raises :class:`ValidationError`, and
+    so does a constant column, naming the coordinate (1-based).
     """
     raw = as_float_array(raw, "raw")
     if raw.ndim == 1:
         raw = raw[:, None]
+    if not raw.shape[0]:
+        raise ValidationError("raw has no rows; cannot rescale")
+    if not np.isfinite(raw).all():
+        raise ValidationError("raw values must be finite")
     scaled = np.empty_like(raw)
     maps = []
     for j in range(raw.shape[1]):

@@ -57,6 +57,8 @@ def loo_density(est: DensityEstimator, i: int, x) -> float:
     on design points only, never on responses.
     """
     n = est.data.n
+    if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+        raise ValidationError(f"row index must be an integer, got {i!r}")
     if not 0 <= i < n:
         raise ValidationError(f"row index {i} out of range for n={n}")
     x = np.atleast_1d(as_float_array(x, "x"))

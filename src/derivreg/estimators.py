@@ -488,6 +488,8 @@ def limit_covariance(
 
 def make_grid(k: int, per_dim: int, offset: float = 0.0) -> np.ndarray:
     """Tensor grid of evaluation points, inset by ``offset`` from each face."""
+    if k < 1 or per_dim < 1:
+        raise ValidationError(f"a grid needs k >= 1 and per_dim >= 1, got k={k}, per_dim={per_dim}")
     if not 0.0 <= offset < 0.5:
         raise ValidationError(f"offset must lie in [0, 0.5), got {offset}")
     axis = np.linspace(offset, 1.0 - offset, per_dim)

@@ -627,7 +627,7 @@ def _grid_points(k: int) -> np.ndarray:
     return np.asarray(pts)
 
 
-def identity_checks(quad_nodes: int = 32) -> list[CheckResult]:
+def identity_checks(quad_nodes: int = Quadrature.nodes) -> list[CheckResult]:
     """Run the exact-identity suite; each entry is the max residual over a grid.
 
     The checks share one set of test functions and one integral table, so

@@ -36,14 +36,15 @@ import numpy as np
 from .core import ValidationError
 
 # Coordinate-1 window entries per tile of a sorted-band sweep
-# (:func:`query_tiles`): a tile holds this many over the mean coordinate-1
-# window of one query, within 16 to 64 queries.  Scanned over 2^14, 2^15 and
-# 2^16 on a 2-core x86 host (perfbench, seed 321, 15 s of CPU each): mc_table
-# ran 111, 116 and 113 ops/s (86 with fixed tiles of 16 queries), and
-# fit_loo's peak RSS was 43.2, 44.5 and 45.7 MB (43.2 with tiles of 16), as
-# its LOO tiles grew from 16 to 25 and 50 queries.  2^14 is the largest that
-# keeps fit_loo's memory level; it gives the NW baseline at mc_table's
-# n = 4000 tiles of 54 queries.
+# (:func:`band_sweep`, the one tiling of LOO, NW and the AC curve): a tile
+# holds this many over the mean coordinate-1 window of one query, within 16
+# to 64 queries.  Scanned over 2^14, 2^15 and 2^16 on a 2-core x86 host
+# (perfbench, seed 321, 15 s of CPU each): mc_table ran 111, 116 and 113
+# ops/s (86 with fixed tiles of 16 queries), and fit_loo's peak RSS was
+# 43.2, 44.5 and 45.7 MB (43.2 with tiles of 16), as its LOO tiles grew
+# from 16 to 25 and 50 queries.  2^14 is the largest that keeps fit_loo's
+# memory level; at mc_table's n = 4000 it gives the NW baseline tiles of 54
+# queries and the AC curve tiles of 32 to 62.
 _TILE_ENTRIES = 16384
 # Widening of each tile's window in each column, relative to the data's
 # scale.  It is far above the rounding error of the kernel arguments, so no row
@@ -71,7 +72,6 @@ __all__ = [
     "ProductKernel",
     "product_kernel",
     "band_sweep",
-    "query_tiles",
     "check_bandwidth",
     "check_cap",
     "check_orders",
@@ -327,45 +327,48 @@ def product_kernel(d: int) -> ProductKernel:
     )
 
 
-def _window_columns(keys, queries):
-    """The window columns of a sweep: (cols, qs), the first c = min(k, 2)
-    columns of the data rows as contiguous arrays and the evaluation points'
-    (m, c) array, the rows themselves when ``queries`` is ``None``."""
+def band_sweep(keys, radius: float, queries):
+    """Tiles of an exact sweep for weights that vanish unless a data row lies
+    within ``radius`` of the evaluation point in each window column: the one
+    tiling of every smoother over data rows (LOO density, NW and the AC
+    curve).
+
+    ``keys`` holds the data rows, an (n,) or (n, k) array already in
+    canonical order (:func:`derivreg.core.canonical_order`), so coordinate 1
+    is ascending; the sweep sorts no rows.  Its window columns are the first
+    c = min(k, 2).  ``queries`` holds the m evaluation points with the same
+    columns.  Yields tiles ``(idx, rows)`` that pair query indices with an
+    ascending index array of rows that includes every row within ``radius``
+    of one of them in every window column; every query is in one tile.  A
+    caller that finds its own windows (the AC curve's exact ranges) takes
+    ``idx`` alone.
+
+    A tile holds t queries, t = clamp(``_TILE_ENTRIES`` / w, 16, 64), where
+    w is the mean number of rows within ``radius`` of a query in coordinate
+    1.  With s = ceil((m / t)^(1/c)), for j = 1, ..., c in turn the queries
+    are sorted stably by coordinate j within each slab of t * s^(c + 1 - j)
+    consecutive queries of the previous order (at j = 1 one slab holds them
+    all).  Consecutive runs of t are the tiles, so a tile is compact in every
+    window column.  Each tile's range in every window column is its queries'
+    least and greatest value there, widened by ``radius`` and a pad of 1e-9
+    times the data's scale; the ranges of all tiles are found at once, by
+    one min and one max ``reduceat`` per column over the tile order, and
+    their coordinate-1 row ranges by two binary searches.  A tile's rows are
+    its coordinate-1 row range less the rows outside its range in each later
+    window column.  A caller evaluates (queries) x (rows in its tile's
+    window) kernel values, so time is m x (rows in a tile's window); tiles
+    are made one at a time, so the sweep holds only the current tile's rows,
+    and memory is a few buffers of a tile's slab, t x window.
+    """
     keys = np.asarray(keys, dtype=float)
     k = 1 if keys.ndim == 1 else keys.shape[1]
     keys = keys.reshape(-1, k)[:, : min(k, 2)]
-    qs = keys if queries is None else np.asarray(queries, dtype=float).reshape(-1, k)[:, : keys.shape[1]]
-    return [np.ascontiguousarray(col) for col in keys.T], qs  # searchsorted and take copy strided input
-
-
-def query_tiles(keys, radius: float, queries=None) -> list[np.ndarray]:
-    """The query tiles of a sorted-band sweep, without their rows: a list of
-    index arrays into ``queries`` (the rows when ``None``) that holds every
-    query once.  :func:`band_sweep` pairs each with its rows; a caller that
-    finds its own windows (the AC curve's exact ranges) takes them alone.
-
-    With c window columns and m queries, a tile holds t queries,
-    t = clamp(``_TILE_ENTRIES`` / w, 16, 64), where w is the mean number of
-    rows within ``radius`` of a query in coordinate 1.  With s =
-    ceil((m / t)^(1/c)), for j = 1, ..., c in turn the queries are sorted
-    stably by coordinate j within each slab of t * s^(c + 1 - j) consecutive
-    queries of the previous order (at j = 1 one slab holds them all).
-    Consecutive runs of t are the tiles, so a tile is compact in every window
-    column.
-    """
-    cols, qs = _window_columns(keys, queries)
-    order, tile = _cut(cols[0], qs, radius)
-    return [order[a : a + tile] for a in range(0, order.size, tile)]
-
-
-def _cut(first: np.ndarray, qs: np.ndarray, radius: float) -> tuple[np.ndarray, int]:
-    """:func:`query_tiles` on the data's ascending coordinate 1, ``first``,
-    and the queries' window columns ``qs``, as the queries' tile order and
-    the tile size t: the tiles are the consecutive runs of t."""
+    qs = np.asarray(queries, dtype=float).reshape(-1, k)[:, : keys.shape[1]]
+    cols = [np.ascontiguousarray(col) for col in keys.T]  # searchsorted and take copy strided input
     m, c = qs.shape
     if not m:
-        return np.arange(0), 16
-    w = np.mean(np.searchsorted(first, qs[:, 0] + radius, "right") - np.searchsorted(first, qs[:, 0] - radius, "left"))
+        return
+    w = np.mean(np.searchsorted(cols[0], qs[:, 0] + radius, "right") - np.searchsorted(cols[0], qs[:, 0] - radius, "left"))
     tile = min(64, max(16, int(_TILE_ENTRIES / max(w, 1.0))))
     s = max(1, math.ceil((m / tile) ** (1 / c)))
     order = np.arange(m)
@@ -374,42 +377,8 @@ def _cut(first: np.ndarray, qs: np.ndarray, radius: float) -> tuple[np.ndarray, 
         for a in range(0, m, slab):
             run = order[a : a + slab]
             order[a : a + slab] = run[np.argsort(qs[run, j], kind="stable")]
-    return order, tile
-
-
-def band_sweep(keys, radius: float, queries=None):
-    """Tiles of an exact sweep for weights that vanish unless a data row lies
-    within ``radius`` of the evaluation point in each window column.
-
-    ``keys`` holds the data rows, an (n,) or (n, k) array already in
-    canonical order (:func:`derivreg.core.canonical_order`), so coordinate 1
-    is ascending; the sweep sorts no rows.  Its window columns are the first
-    c = min(k, 2).  ``queries`` holds the evaluation points with the same
-    columns, or ``None`` for the rows themselves.  Yields tiles ``(idx,
-    rows)`` that pair query indices (row positions when ``queries`` is
-    ``None``) with an ascending index array of rows that includes every row
-    within ``radius`` of one of them in every window column; every query is
-    in one tile.
-
-    The tiles are those of :func:`query_tiles`, whose rule sizes them by
-    their coordinate-1 windows.  Each tile's range in every window column is
-    its queries' least and greatest value there, widened by ``radius`` and a
-    pad of 1e-9 times the data's scale; the ranges of all tiles are found at
-    once, by one min and one max ``reduceat`` per column over the tile
-    order, and their coordinate-1 row ranges by two binary searches.  A
-    tile's rows are its coordinate-1 row range less the rows outside its
-    range in each later window column.  A caller evaluates (queries) x
-    (rows in its tile's window) kernel values, so time is m x (rows in a
-    tile's window); tiles are made one at a time, so the sweep holds only
-    the current tile's rows, and memory is a few buffers of a tile's slab,
-    t x window.
-    """
-    cols, qs = _window_columns(keys, queries)
     pad = _PAD * max(1.0, *(float(np.abs(col).max(initial=0.0)) for col in cols))
-    order, tile = _cut(cols[0], qs, radius)
-    if not order.size:
-        return
-    starts = np.arange(0, order.size, tile)
+    starts = np.arange(0, m, tile)
     tiled = qs[order]
     lo = np.minimum.reduceat(tiled, starts) - radius - pad
     hi = np.maximum.reduceat(tiled, starts) + radius + pad
@@ -418,7 +387,7 @@ def band_sweep(keys, radius: float, queries=None):
     for t, a in enumerate(starts):
         b, e = first[t], last[t]
         keep = None
-        for j in range(1, len(cols)):
+        for j in range(1, c):
             col = cols[j][b:e]
             inside = (col >= lo[t, j]) & (col <= hi[t, j])
             keep = inside if keep is None else keep & inside

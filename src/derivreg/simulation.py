@@ -23,7 +23,7 @@ from .core import DataSet, DerivIndex, TestFunction, ValidationError, as_float_a
 from .density import DENSITY_FLOOR
 from .estimators import EstimationPlan, fit, make_grid, nadaraya_watson_grid
 from .functionals import build_term_plan
-from .kernels import BandwidthPlan, query_tiles
+from .kernels import BandwidthPlan, band_sweep
 
 __all__ = [
     "CobbDouglasConfig",
@@ -43,20 +43,19 @@ _LO, _HI = 0.5, 1.5  # support of Q and w/r
 
 @dataclass(frozen=True)
 class CobbDouglasConfig:
-    """The cost/labor technology of the data generator: its constants, the
-    sampling settings, and the noise-free functions ``g``, ``ac`` and ``al``."""
+    """The cost/labor technology of the data generator: its fixed constants
+    c1, c2 and c, the sampling settings, and the noise-free functions ``g``,
+    ``ac`` and ``al``."""
 
-    c1: float = 0.8
-    c2: float = 0.7
-    c: float = 1.0
+    c1: ClassVar[float] = 0.8
+    c2: ClassVar[float] = 0.7
+    c: ClassVar[float] = 1.0
     sigma: float = 0.35
     rho: float = 0.0
     n: int = 100
     seed: int = 0
 
     def __post_init__(self):
-        if not all(0.0 < x < np.inf for x in (self.c1, self.c2, self.c)):
-            raise ValidationError(f"c1, c2, c must be finite and positive, got {self.c1}, {self.c2}, {self.c}")
         if not abs(self.rho) <= 1:
             raise ValidationError(f"|rho| <= 1 required, got {self.rho}")
         if not 0.0 <= self.sigma < np.inf:
@@ -191,8 +190,8 @@ def derivative_ac_curve(
     count.  Part a depends on the point alone, so it is evaluated once per
     distinct point (:func:`derivreg.core.distinct_rows`) of the rows and the
     evaluation points together, in one sorted-band sweep in Q
-    (:func:`derivreg.kernels.query_tiles` cuts the tiles, and the exact
-    windows give their rows, so no row search runs).  Each tile builds its
+    (:func:`derivreg.kernels.band_sweep` cuts the tiles, and the exact
+    windows replace its padded rows).  Each tile builds its
     window and cumulative masks once, over the union of its windows, as one
     0/1 float mask with one multiply-sum per column.  Part b takes the
     window sums of the remainder at each distinct evaluation point from
@@ -224,7 +223,7 @@ def derivative_ac_curve(
     if not np.all(counts[at_eval] > 0):
         raise ValidationError(f"empty Q-window at width h={h}; increase h")
     cum_sums = np.empty((len(y_al), pts_q.size))
-    for idx in query_tiles(q, 0.5 * h, pts_q):
+    for idx, _ in band_sweep(q, 0.5 * h, pts_q):
         a, b = lo[idx].min(), hi[idx].max()  # the tile's windows, exactly
         win = np.abs(q[None, a:b] - pts_q[idx, None]) <= 0.5 * h
         mask = (win & (v[None, a:b] <= pts_v[idx, None])).astype(float)  # cast once for all columns
@@ -235,7 +234,7 @@ def derivative_ac_curve(
     resid = [(ya - r * cs[at_rows] / counts[at_rows]) / r for ya, cs in zip(y_ac, cum_sums)]
     evals, eval_of = np.unique(at_eval, return_inverse=True)
     win_sums = np.empty((len(y_al), evals.size))
-    for idx in query_tiles(q, 0.5 * h, pts_q[evals]):
+    for idx, _ in band_sweep(q, 0.5 * h, pts_q[evals]):
         start, stop = lo[evals[idx]], hi[evals[idx]]
         a, b = start.min(), stop.max()
         prefix = np.zeros(b - a + 1)
@@ -398,10 +397,10 @@ def _replication_mses(
 
 
 def relative_mse_table(
-    ns=(100, 200, 500, 1000),
-    rhos=(0.0, 0.4, 0.9),
-    reps: int = 1000,
-    seed: int = 42,
+    ns,
+    rhos,
+    reps: int,
+    seed: int,
     sigma: float = CobbDouglasConfig.sigma,
     rules: BenchmarkRules | None = None,
     workers: int = 1,

@@ -133,6 +133,20 @@ class TestRescale:
         with pytest.raises(ValidationError, match=r"^raw is not a rectangular array of numbers$"):
             rescale_to_unit([[1.0], [1.0, 1.1]])
 
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            # NaN gave an all-NaN column; no rows raised numpy's own ValueError.
+            ([[np.nan], [1.0]], r"^raw values must be finite$"),
+            ([[0.0, np.inf], [1.0, 2.0]], r"^raw values must be finite$"),
+            (np.zeros((0, 2)), r"^raw has no rows; cannot rescale$"),
+            ([], r"^raw has no rows; cannot rescale$"),
+        ],
+    )
+    def test_empty_or_non_finite_input_rejected(self, raw, message):
+        with pytest.raises(ValidationError, match=message):
+            rescale_to_unit(raw)
+
     def test_inverse_round_trip(self):
         rng = np.random.default_rng(11)
         raw = rng.normal(scale=100.0, size=(50, 3)) + 17.0

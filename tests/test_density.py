@@ -40,6 +40,14 @@ class TestPointEvaluations:
             loo_density(est, 2, [0.5])
         with pytest.raises(ValidationError, match="shape"):
             loo_density(est, 0, [0.5, 0.5])
+        assert loo_density(est, np.int64(1), [0.5]) == loo_density(est, 1, [0.5])
+
+    @pytest.mark.parametrize("bad", [True, False, 1.5, 1.0, "1"])
+    def test_non_integer_row_index_rejected(self, bad):
+        # True left out every row and returned 0.0; 1.5 raised an IndexError.
+        est = DensityEstimator(_ds([[0.5], [0.6]]), d1=2, H=0.2)
+        with pytest.raises(ValidationError, match=r"^row index must be an integer, got "):
+            loo_density(est, bad, [0.5])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.1, 1.1])
     def test_point_outside_cube_rejected(self, bad):

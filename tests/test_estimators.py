@@ -992,3 +992,9 @@ class TestGrid:
     def test_offset_validated(self):
         with pytest.raises(ValidationError):
             make_grid(2, 3, offset=0.6)
+
+    @pytest.mark.parametrize("k, per_dim", [(0, 3), (2, -1), (2, 0), (-1, 2)])
+    def test_sizes_validated(self, k, per_dim):
+        # numpy raised its own ValueError at k = 0 and per_dim < 0.
+        with pytest.raises(ValidationError, match=rf"^a grid needs k >= 1 and per_dim >= 1, got k={k}, per_dim={per_dim}$"):
+            make_grid(k, per_dim)

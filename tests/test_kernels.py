@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from derivreg import (
     DerivIndex,
     ValidationError,
     check_orders,
+    derivative_ac_curve,
     generate,
     kernel_moment,
     loo_at_rows,
@@ -21,7 +23,7 @@ from derivreg import (
     nadaraya_watson_grid,
     product_kernel,
 )
-from derivreg import density, estimators, kernels
+from derivreg import density, estimators, kernels, simulation
 from derivreg.core import canonical_order
 from derivreg.functionals import kernel_moments, moment_check
 from derivreg.kernels import (
@@ -34,7 +36,6 @@ from derivreg.kernels import (
     band_sweep,
     check_cap,
     default_orders,
-    query_tiles,
 )
 from derivreg.simulation import BenchmarkRules
 
@@ -267,12 +268,12 @@ def _tile_size(first, queries, radius):
     return min(64, max(16, int(_TILE_ENTRIES / max(sum(counts) / len(counts), 1.0))))
 
 
-def _one_column_sweep(first, radius, queries=None):
+def _one_column_sweep(first, radius, queries):
     """The one-column sweep as specified: queries in stable ascending order,
     blocks of the tile size, each paired with its padded coordinate-1
     window."""
-    qorder = np.arange(first.size) if queries is None else np.argsort(queries, kind="stable")
-    qs = first[qorder] if queries is None else queries[qorder]
+    qorder = np.argsort(queries, kind="stable")
+    qs = queries[qorder]
     t = _tile_size(first, qs, radius)
     pad = 1e-9 * max(1.0, float(np.abs(first).max(initial=0.0)))
     out = []
@@ -284,12 +285,11 @@ def _one_column_sweep(first, radius, queries=None):
     return out
 
 
-def _two_column_sweep(keys, radius, queries=None):
+def _two_column_sweep(keys, radius, qs):
     """The two-column sweep as specified: with t the tile size, queries in
     stable coordinate-1 order, cut into strips of t * ceil(sqrt(m / t)); each
     strip in stable coordinate-2 order, cut into tiles of t; each tile paired
     with the rows inside its padded range in both coordinates."""
-    qs = keys if queries is None else queries
     m = qs.shape[0]
     t = _tile_size(keys[:, 0], qs[:, 0], radius)
     strip = t * max(1, math.ceil(math.sqrt(m / t)))
@@ -327,7 +327,7 @@ class TestBandSweep:
     def test_blocks_cover_every_window(self, rows, queries, radius):
         first = np.sort(np.array(rows))
         qs = first if queries is None else np.array(queries)
-        blocks = _index_rows(band_sweep(first, radius, None if queries is None else qs), first.size)
+        blocks = _index_rows(band_sweep(first, radius, qs), first.size)
         idx = np.concatenate([b[0] for b in blocks])
         assert np.array_equal(np.sort(idx), np.arange(qs.size))  # every query exactly once
         assert np.all(np.diff(qs[idx]) >= 0.0)  # blocks ascending
@@ -337,8 +337,8 @@ class TestBandSweep:
                 near = np.flatnonzero(np.abs(first - q) <= radius)
                 assert np.all(np.isin(near, rows))
         # A column given as (n, 1) is the same one-column sweep.
-        want = _index_rows(_one_column_sweep(first, radius, None if queries is None else qs), first.size)
-        column = band_sweep(first[:, None], radius, None if queries is None else qs[:, None])
+        want = _index_rows(_one_column_sweep(first, radius, qs), first.size)
+        column = band_sweep(first[:, None], radius, qs[:, None])
         for got in (blocks, _index_rows(column, first.size)):
             assert len(got) == len(want)
             for (a, ra), (b, rb) in zip(got, want):
@@ -360,7 +360,7 @@ class TestBandSweep:
             keys[:, 1] = 0.5
         keys = keys[canonical_order(tuple(keys.T))]
         qs = keys if m is None else rng.integers(0, 41, size=(m, 2)) / 40.0
-        tiles = list(band_sweep(keys, radius, None if m is None else qs))
+        tiles = list(band_sweep(keys, radius, qs))
         idx = np.concatenate([t[0] for t in tiles])
         assert np.array_equal(np.sort(idx), np.arange(qs.shape[0]))  # every query exactly once
         for tile, sel in tiles:
@@ -382,16 +382,15 @@ class TestBandSweep:
         rng = np.random.default_rng(seed)
         keys = rng.integers(0, 41, size=(n, c)) / 40.0
         keys = keys[canonical_order(tuple(keys.T))]
-        qs = None if m is None else rng.integers(0, 41, size=(m, c)) / 40.0
+        qs = keys if m is None else rng.integers(0, 41, size=(m, c)) / 40.0
         if c == 1:
-            want = _index_rows(_one_column_sweep(keys[:, 0], radius, None if qs is None else qs[:, 0]), n)
+            want = _index_rows(_one_column_sweep(keys[:, 0], radius, qs[:, 0]), n)
         else:
             want = _two_column_sweep(keys, radius, qs)
         got = _index_rows(band_sweep(keys, radius, qs), n)
-        tiles = query_tiles(keys, radius, qs)
-        assert len(got) == len(want) == len(tiles)
-        for (a, ra), (b, rb), idx in zip(got, want, tiles):
-            assert np.array_equal(a, b) and np.array_equal(ra, rb) and np.array_equal(idx, a)
+        assert len(got) == len(want)
+        for (a, ra), (b, rb) in zip(got, want):
+            assert np.array_equal(a, b) and np.array_equal(ra, rb)
 
     @pytest.mark.parametrize("queries", [False, True])
     def test_columns_past_the_second_are_not_windowed(self, queries):
@@ -399,9 +398,9 @@ class TestBandSweep:
         rng = np.random.default_rng(3)
         keys = rng.integers(0, 41, size=(2000, 3)) / 40.0
         keys = keys[canonical_order(tuple(keys.T))]
-        qs = rng.integers(0, 41, size=(600, 3)) / 40.0 if queries else None
+        qs = rng.integers(0, 41, size=(600, 3)) / 40.0 if queries else keys
         got = list(band_sweep(keys, 0.1, qs))
-        want = list(band_sweep(keys[:, :2], 0.1, None if qs is None else qs[:, :2]))
+        want = list(band_sweep(keys[:, :2], 0.1, qs[:, :2]))
         assert len(got) == len(want) >= 8  # several tiles
         for (a, ra), (b, rb) in zip(got, want):
             assert np.array_equal(a, b) and np.array_equal(ra, rb)
@@ -413,7 +412,7 @@ class TestBandSweep:
         keys = keys[canonical_order(tuple(keys.T))]
         tracemalloc.start()
         try:
-            for _ in band_sweep(keys, 0.8):
+            for _ in band_sweep(keys, 0.8, keys):
                 pass
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -449,6 +448,21 @@ class TestSweepWork:
             X, s.y_ac, X[keep], rules.h_base(n), d=rules.base_order, den_floor=rules.base_floor, widen_on_empty=True
         )
         assert len(tiles) <= 64
+
+    def test_ac_curve_at_the_mc_tables_largest_n(self, monkeypatch):
+        # One sweep serves both rhos' labor columns: part a tiles the 4000
+        # rows' points and part b the 2553 trimmed points, 107 tiles of 32 to
+        # 62 queries.  Fixed tiles of 16 queries would make 410.
+        tiles = self._counted(monkeypatch, simulation)
+        n, rules = 4000, BenchmarkRules()
+        cfg = CobbDouglasConfig(n=n, seed=0)
+        s = generate(cfg, path_prefix=(0,))
+        y_al = np.column_stack([generate(replace(cfg, rho=rho), path_prefix=(0,)).y_al for rho in (0.0, 0.9)])
+        lo, hi = rules.trim
+        keep = (s.q >= lo) & (s.q <= hi) & (s.v >= lo) & (s.v <= hi)
+        derivative_ac_curve(replace(s, y_al=y_al), s.q[keep], s.v[keep], 1.0, rules.h_deriv(n))
+        assert len(tiles) <= 128
+        assert all(16 <= size <= 64 for size, _ in tiles)
 
     def test_loo_slabs_on_the_fit_loo_shape(self, monkeypatch):
         # fit_loo's density: n = 4000 rows of U^1.5, d1 = 4, H = 4000^(-0.21).
