@@ -92,6 +92,11 @@ class Weight(Enum):
     RAMP = "ramp"
     RECON = "recon"
 
+    # Members are singletons, so equality is identity and so may the hash
+    # be: it runs in C, and the integral table hashes weights thousands of
+    # times per run.
+    __hash__ = object.__hash__
+
 
 def weight_shape(kind: Weight, u, x):
     """Value at ``u`` of an integrated shape for evaluation coordinate ``x``:
@@ -237,20 +242,28 @@ class Quadrature:
             raise ValidationError(f"quadrature nodes must be an integer >= 1, got {self.nodes!r}")
 
     def line_rule(self, weight: Weight, x_i: float) -> tuple[np.ndarray, np.ndarray]:
-        """Return (nodes, weights) realizing the univariate weighted integral."""
-        x_i = min(max(x_i, 0.0), 1.0)
+        """Return (nodes, weights) realizing the univariate weighted integral
+        for evaluation coordinate ``x_i``, which must lie in [0, 1]."""
+        if not 0.0 <= x_i <= 1.0:
+            raise ValidationError(f"evaluation coordinate {x_i} lies outside [0, 1]")
         breaks = {Weight.CUM: (0.0, x_i), Weight.RECON: (0.0, x_i, 1.0)}.get(weight, (0.0, 1.0))
         t, w = gl_panels(self.nodes, breaks)
         return t, w * weight_shape(weight, t, x_i)
 
 
+# The shapes whose line rule splits its panels at the evaluation coordinate.
+_SPLIT = (Weight.CUM, Weight.RECON)
+
+
 def _check_point(x, weights: Sequence[Weight]) -> np.ndarray:
-    """``x`` as a 1-D float array with one finite coordinate per weight."""
+    """``x`` as a 1-D float array with one coordinate in [0, 1] per weight."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape[0] != len(weights):
         raise ValidationError(f"x has {x.shape[0]} coordinates, weights describe {len(weights)}")
-    if not np.isfinite(x).all():
-        raise ValidationError(f"evaluation point {x.tolist()} must be finite")
+    if not all(0.0 <= v <= 1.0 for v in x.tolist()):
+        if not np.isfinite(x).all():
+            raise ValidationError(f"evaluation point {x.tolist()} must be finite")
+        raise ValidationError(f"evaluation point {x.tolist()} lies outside the unit cube")
     return x
 
 
@@ -284,6 +297,13 @@ def weighted_integral(
     return float(np.sum((vals * wprod).ravel()))
 
 
+def _line_sum(phi: Callable | None, rule: tuple[np.ndarray, np.ndarray]) -> float:
+    """sum(w * phi(t)) over the line rule ``(t, w)``; ``phi`` ``None`` is the
+    factor 1."""
+    t, w = rule
+    return float(np.sum(w if phi is None else w * phi(t)))
+
+
 def separable_integral(
     g: TestFunction,
     alpha: DerivIndex,
@@ -301,29 +321,41 @@ def separable_integral(
     line rule of each integrated coordinate and phi(x_i) for each LOCAL one
     (a factor of ``None`` is 1); the terms are summed in order.  The value
     equals the tensor rule's up to rounding, and no grid is formed.
-    ``rules`` caches the line rules by (weight, x_i, quad); the integral
-    table passes its own.
+
+    ``rules`` is the cache of a run: calls that share one dict compute each
+    term list ``g.terms(alpha)``, line rule, line sum and LOCAL factor value
+    once, and return the floats a fresh dict gives.  The keys are the
+    function object (never its label) with alpha; a rule's shape, node
+    count and x_i, which FLAT and RAMP rules do not depend on; the factor
+    object with its rule's key, or with x_i where it is LOCAL.
     """
     x = _check_point(x, weights)
-    rules = {} if rules is None else rules
-    lines = []
+    cache = {} if rules is None else rules
+    terms = cache.get((g, alpha.bits))
+    if terms is None:
+        terms = cache[g, alpha.bits] = g.terms(alpha)
+    # Each coordinate's site: the key of its line rule, or x_i where it is
+    # LOCAL.
+    sites = []
     for wkind, x_i in zip(weights, x.tolist()):
         if wkind is Weight.LOCAL:
-            lines.append(None)
+            sites.append(x_i)
             continue
-        key = (wkind, x_i, quad)
-        if key not in rules:
-            rules[key] = quad.line_rule(wkind, x_i)
-        lines.append(rules[key])
+        site = (wkind, x_i if wkind in _SPLIT else None, quad.nodes)
+        if site not in cache:
+            cache[site] = quad.line_rule(wkind, x_i)
+        sites.append(site)
     total = 0.0
-    for coef, factors in g.terms(alpha):
+    for coef, factors in terms:
         value = coef
-        for x_i, line, phi in zip(x, lines, factors):
-            if line is None:
-                value *= 1.0 if phi is None else float(phi(x_i))
-            else:
-                t, w = line
-                value *= float(np.sum(w if phi is None else w * phi(t)))
+        for x_i, site, phi in zip(x, sites, factors):
+            key = (phi, site)
+            if key not in cache:
+                if type(site) is tuple:
+                    cache[key] = _line_sum(phi, cache[site])
+                else:
+                    cache[key] = 1.0 if phi is None else float(phi(x_i))
+            value *= cache[key]
         total += value
     return total
 
@@ -333,24 +365,37 @@ def separable_integral(
 # ---------------------------------------------------------------------------
 
 
-def _integral_table() -> Callable[..., float]:
-    """An ``integral(g, alpha, weights, x, quad)``: the weighted integral of
-    g's alpha partial, computed once by :func:`separable_integral` and kept
-    for as long as the table is alive, as are the line rules it uses.  The
-    key is the function object itself, not its label, with alpha, the
-    weights and the rule, and then the point as floats: the points of one
-    integrand share the first four, and so store them once."""
-    values: dict[tuple, dict[tuple[float, ...], float]] = {}
-    rules: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+class _IntegralTable:
+    """The integrals and function values of one :func:`identity_checks` run.
 
-    def integral(g, alpha, weights, x, quad):
-        at = values.setdefault((g, alpha, tuple(weights), quad), {})
+    ``integral(g, alpha, weights, x, quad)`` is the weighted integral of g's
+    alpha partial by :func:`separable_integral`, and ``value(g, x)`` is
+    g(x).  Each is computed once and kept while the table lives, as are the
+    term lists, line rules, line sums and LOCAL factor values of
+    :func:`separable_integral`'s cache.  Keys hold the function object, not
+    its label.  An integral's key is g, alpha, the weights and the node
+    count, then the point as floats: the points of one integrand share the
+    first four, and so store them once.
+    """
+
+    def __init__(self):
+        self._integrals: dict[tuple, dict[tuple[float, ...], float]] = {}
+        self._values: dict[tuple, float] = {}
+        self._cache: dict = {}
+
+    def integral(self, g: TestFunction, alpha: DerivIndex, weights: Sequence[Weight], x, quad: Quadrature) -> float:
+        at = self._integrals.setdefault((g, alpha.bits, tuple(weights), quad.nodes), {})
         point = tuple(np.atleast_1d(np.asarray(x, dtype=float)).tolist())
         if point not in at:
-            at[point] = separable_integral(g, alpha, weights, x, quad, rules)
+            at[point] = separable_integral(g, alpha, weights, x, quad, self._cache)
         return at[point]
 
-    return integral
+    def value(self, g: TestFunction, x: np.ndarray) -> float:
+        """g at the 1-D point ``x``."""
+        key = (g, tuple(x.tolist()))
+        if key not in self._values:
+            self._values[key] = float(g(x[None, :])[0])
+        return self._values[key]
 
 
 def term_weights(alpha: DerivIndex, coords: Iterable[int] | None = None) -> tuple[Weight, ...]:
@@ -519,15 +564,16 @@ def _check_plan(plan: TermPlan, p: int) -> None:
             assert len(integrated) >= p - plan.ell + 1, "residual average over too few coordinates"
 
 
-def _residual(g: TestFunction, terms: Iterable[Term], x, quad: Quadrature, integral: Callable[..., float]) -> float:
+def _residual(g: TestFunction, terms: Iterable[Term], x, quad: Quadrature, table: _IntegralTable) -> float:
     """|g(x) - sum of t.coef * integral(g, t.deriv, t.weights, x, quad)|, the
-    sum taken in term order: zero up to quadrature error when ``terms``
-    rewrite g exactly, as a plan's terms or the 2^p decomposition terms do."""
+    sum taken in term order, from ``table``: zero up to quadrature error when
+    ``terms`` rewrite g exactly, as a plan's terms or the 2^p decomposition
+    terms do."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     total = 0.0
     for t in terms:
-        total += t.coef * integral(g, t.deriv, t.weights, x, quad)
-    return abs(float(g(x[None, :])[0]) - total)
+        total += t.coef * table.integral(g, t.deriv, t.weights, x, quad)
+    return abs(table.value(g, x) - total)
 
 
 # ---------------------------------------------------------------------------
@@ -630,11 +676,14 @@ def _grid_points(k: int) -> np.ndarray:
 def identity_checks(quad_nodes: int = Quadrature.nodes) -> list[CheckResult]:
     """Run the exact-identity suite; each entry is the max residual over a grid.
 
-    The checks share one set of test functions and one integral table, so
-    each distinct integral is computed once per call.
+    The checks share one set of test functions and one
+    :class:`_IntegralTable`, so each distinct integral, term list, line
+    rule, line sum and value g(x) is computed once per call, and each call
+    computes them all afresh.
     """
     quad = Quadrature(nodes=quad_nodes)
-    integral = _integral_table()
+    table = _IntegralTable()
+    integral = table.integral
     polys = {k: polynomial_suite(k) for k in (1, 2, 3)}
     analytic = {k: analytic_suite(k) for k in (1, 2, 3)}
     results: list[CheckResult] = []
@@ -650,7 +699,7 @@ def identity_checks(quad_nodes: int = Quadrature.nodes) -> list[CheckResult]:
             for p in range(1, k + 1)
         ]
         worst = [
-            [max(_residual(g, terms, x, quad, integral) for x in pts) for _, g, _ in suite]
+            [max(_residual(g, terms, x, quad, table) for x in pts) for _, g, _ in suite]
             for terms in decompositions
         ]
         # The full reconstruction is the partial one at p = k.
@@ -668,7 +717,7 @@ def identity_checks(quad_nodes: int = Quadrature.nodes) -> list[CheckResult]:
             for ell in range(0, p + 1):
                 plan = build_term_plan(k, range(p), ell)
                 for g in funcs:
-                    r = max(_residual(g, plan.terms, x, quad, integral) for x in pts)
+                    r = max(_residual(g, plan.terms, x, quad, table) for x in pts)
                     results.append(CheckResult(f"plan/k={k}/p={p}/ell={ell}/{g.label}", r, 1e-8))
 
     # Operator inclusion-exclusion identity over every index at k <= 3:

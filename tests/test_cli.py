@@ -931,6 +931,19 @@ class TestGoldenPayloads:
             "d7554cd4dce6fa5f22edfcebc5f7132a4a3d35acd14f4001be73f99d7cf143b3"
         )
 
+    def test_verify_report_failing_path(self, tmp_path):
+        # At 4 nodes the analytic integrands leave residuals above the
+        # tightest tolerances: 11 checks fail, and both files are written.
+        assert run(["verify", "--quad-nodes", 4, "--out-dir", tmp_path]) == 2
+        lines = (tmp_path / "verify_report.csv").read_text().splitlines()[1:]
+        assert sum(line.endswith(",0") for line in lines) == 11
+        assert self._digest(tmp_path / "verify_report.csv") == (
+            "581ccf6314e3e804654cfb76ae3b6edf87b958f8738fee7a9e3bbc50626b0fe3"
+        )
+        assert self._digest(tmp_path / "verify_metadata.json") == (
+            "5f20cffa84d5f5c40438673d5f7bcfe085291fa2f8bd441bdae82058b9256e8d"
+        )
+
     def test_every_sidecar_is_strict_json(self, tmp_path):
         # Python's json writes NaN and Infinity, which strict parsers reject.
         def reject(constant):

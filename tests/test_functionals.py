@@ -122,20 +122,29 @@ class TestTermWeights:
                     assert t.weights == term_weights(t.deriv, integrated)
 
 
+# Points just outside the unit interval; each was clamped to 0 or 1.
+_OUTSIDE = [-0.5, 1.5, 1.0 + 2.0**-52]
+
+
 class TestLineRules:
-    @pytest.mark.parametrize("x", [-0.5, 0.0, 0.3, 1.0, 1.5])
+    @pytest.mark.parametrize("x", [0.0, 0.3, 1.0])
     def test_each_shape_integrates_exactly(self, x):
-        c = min(max(x, 0.0), 1.0)
         exact = {
             Weight.FLAT: (1.0, 0.5),
-            Weight.CUM: (c, c**2 / 2),
+            Weight.CUM: (x, x**2 / 2),
             Weight.RAMP: (0.5, 1.0 / 6.0),
-            Weight.RECON: (c**2 / 2 - (1 - c) ** 2 / 2, c**2 / 2 - 1.0 / 6.0),
+            Weight.RECON: (x**2 / 2 - (1 - x) ** 2 / 2, x**2 / 2 - 1.0 / 6.0),
         }
         for kind, (mass, first) in exact.items():
             t, w = QUAD.line_rule(kind, x)
             assert w.sum() == pytest.approx(mass, abs=1e-14)
             assert (w * t).sum() == pytest.approx(first, abs=1e-14)
+
+    @pytest.mark.parametrize("x", _OUTSIDE + [np.nan])
+    def test_coordinate_outside_the_unit_interval_rejected(self, x):
+        for kind in (Weight.FLAT, Weight.CUM, Weight.RAMP, Weight.RECON):
+            with pytest.raises(ValidationError, match=r"^evaluation coordinate .* lies outside \[0, 1\]$"):
+                QUAD.line_rule(kind, x)
 
     def test_local_is_not_integrable(self):
         with pytest.raises(ValidationError, match="not integrable"):
@@ -244,6 +253,53 @@ def _separable_problems(draw):
     return g, alpha, weights, x, Quadrature(draw(st.sampled_from([1, 4, 16])))
 
 
+@st.composite
+def _test_functions(draw, k):
+    """A polynomial (exponents 0-3, up to 5 terms) or an analytic product,
+    labelled "g" or "h", so that labels repeat across functions."""
+    label = draw(st.sampled_from(["g", "h"]))
+    if draw(st.booleans()):
+        exps = st.tuples(*[st.integers(0, 3)] * k)
+        coefs = st.floats(-2.0, 2.0, allow_nan=False)
+        return poly_function(k, draw(st.dictionaries(exps, coefs, min_size=1, max_size=5)), label)
+    return product_function([draw(st.sampled_from(_ANALYTIC_FACTORS)) for _ in range(k)], label)
+
+
+@st.composite
+def _shared_cache_problems(draw):
+    """Functions of one k and integrals of them, in an order that mixes the
+    functions; coordinates and node counts come from small sets as well, so
+    that integrals share rules, factors and points."""
+    k = draw(st.integers(1, 3))
+    funcs = draw(st.lists(_test_functions(k), min_size=1, max_size=4))
+    coord = st.sampled_from([0.0, 0.3, 0.5, 1.0]) | st.floats(0.0, 1.0)
+    query = st.tuples(
+        st.integers(0, len(funcs) - 1),
+        st.tuples(*[st.integers(0, 1)] * k),
+        st.tuples(*[st.sampled_from(_KINDS)] * k),
+        st.tuples(*[coord] * k),
+        st.sampled_from([1, 4]),
+    )
+    return funcs, draw(st.lists(query, min_size=1, max_size=12))
+
+
+def _equal_labels():
+    # Two functions with one label and different values.
+    f = poly_function(2, {(1, 1): 1.0}, "g")
+    g = poly_function(2, {(1, 1): 2.0}, "g")
+    weights = (Weight.RECON, Weight.LOCAL)
+    return [f, g], [(i, (1, 1), weights, (0.3, 0.7), 4) for i in (0, 1, 0)]
+
+
+def _identical_terms():
+    # Two polynomials with identical terms (so one label), then a function
+    # whose factors differ on the same rules.
+    terms = {(2, 1): 1.0, (0, 3): 0.3, (1, 0): -0.5}
+    funcs = [poly_function(2, terms), poly_function(2, dict(terms)), poly_function(2, {(3, 2): 1.0, (0, 1): 2.0})]
+    weights = (Weight.FLAT, Weight.CUM)
+    return funcs, [(i, (0, 0), weights, (0.5, 0.5), 4) for i in (0, 1, 2, 0)]
+
+
 class TestSeparableIntegral:
     """separable_integral takes weighted_integral's tensor rule of a test
     function's partial as a sum of products of line sums."""
@@ -273,6 +329,36 @@ class TestSeparableIntegral:
             separable_integral(g, D("11"), term_weights(D("11")), [0.5], QUAD)
         with pytest.raises(ValidationError, match="must be finite"):
             separable_integral(g, D("11"), term_weights(D("11")), [0.5, np.nan], QUAD)
+
+    @pytest.mark.parametrize("v", _OUTSIDE)
+    @pytest.mark.parametrize("weights", [(Weight.RECON, Weight.RECON), (Weight.RECON, Weight.LOCAL)], ids=["recon", "local"])
+    def test_both_integrals_reject_a_point_outside_the_cube(self, weights, v):
+        # x1*x2's "11" term at (1.5, 1.5) gave 0.25, its value at (1, 1).
+        g = polynomial_suite(2)[0]
+        for x in ([v, 0.5], [0.5, v]):
+            with pytest.raises(ValidationError, match=r"^evaluation point \[.*\] lies outside the unit cube$"):
+                separable_integral(g, D("11"), weights, x, QUAD)
+            with pytest.raises(ValidationError, match=r"^evaluation point \[.*\] lies outside the unit cube$"):
+                weighted_integral(g.partial(D("11")), weights, x, QUAD)
+
+    @pytest.mark.parametrize("weights", [(Weight.RECON, Weight.RECON), (Weight.RECON, Weight.LOCAL)], ids=["recon", "local"])
+    def test_faces_of_the_cube_are_accepted(self, weights):
+        g = polynomial_suite(2)[0]
+        for x in itertools.product((0.0, 1.0), repeat=2):
+            want = weighted_integral(g.partial(D("11")), weights, x, QUAD)
+            assert separable_integral(g, D("11"), weights, x, QUAD) == pytest.approx(want, abs=1e-15)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_shared_cache_problems())
+    @example(_equal_labels())
+    @example(_identical_terms())
+    def test_a_shared_cache_gives_the_bits_of_a_fresh_one(self, problem):
+        funcs, queries = problem
+        shared = {}
+        for i, bits, weights, x, nodes in queries:
+            args = (funcs[i], DerivIndex(bits), weights, np.array(x), Quadrature(nodes))
+            got = separable_integral(*args, shared)
+            assert got.hex() == separable_integral(*args).hex(), (funcs[i], bits, weights, x, nodes)
 
     def test_identity_suite_memory_stays_small(self):
         # The weights alone of one (2 * 32)^3-node tensor grid take 2 MB.
@@ -539,19 +625,66 @@ class TestIdentitySuite:
         identity_checks(quad_nodes=8)
         assert len(computed) == len(first)
 
+    def test_each_line_sum_and_value_is_computed_once_per_run(self, monkeypatch):
+        # A line sum is told apart by its factor object and its rule's bits,
+        # so two rule keys with one rule would show as a repeat; a term list
+        # by the function object and alpha, and a value by the function
+        # object and the point.  A polynomial's factors are new objects on
+        # each call of terms, so the integrals' term lists are counted too
+        # (g(x) takes its own, through TestFunction.partial).
+        sums, lists, values, inside = [], [], [], []
+        integral = functionals.separable_integral
+        line_sum = functionals._line_sum
+        terms = functionals.TestFunction.terms
+        call = functionals.TestFunction.__call__
+
+        def counted_integral(*args):
+            inside.append(True)
+            try:
+                return integral(*args)
+            finally:
+                inside.pop()
+
+        def counted_sum(phi, rule):
+            sums.append((phi, rule[0].tobytes(), rule[1].tobytes()))
+            return line_sum(phi, rule)
+
+        def counted_terms(g, alpha):
+            if inside:
+                lists.append((g, alpha))
+            return terms(g, alpha)
+
+        def counted_call(g, pts):
+            values.append((g, np.asarray(pts, dtype=float).tobytes()))
+            return call(g, pts)
+
+        monkeypatch.setattr(functionals, "separable_integral", counted_integral)
+        monkeypatch.setattr(functionals, "_line_sum", counted_sum)
+        monkeypatch.setattr(functionals.TestFunction, "terms", counted_terms)
+        monkeypatch.setattr(functionals.TestFunction, "__call__", counted_call)
+        identity_checks(quad_nodes=8)
+        first = [len(seen) for seen in (sums, lists, values)]
+        for seen in (sums, lists, values):
+            assert seen and len(set(seen)) == len(seen)
+            seen.clear()
+        # Nothing outlives the run: the next one computes them all again.
+        identity_checks(quad_nodes=8)
+        assert [len(seen) for seen in (sums, lists, values)] == first
+
     def test_table_keys_on_the_function_not_its_label(self):
-        table = functionals._integral_table()
+        table = functionals._IntegralTable()
         plan = build_term_plan(2, [0, 1], 1)
         x = np.array([0.3, 0.7])
         f = poly_function(2, {(1, 1): 1.0}, "g")
         g = poly_function(2, {(1, 1): 2.0}, "g")
-        got = [sum(t.coef * table(h, t.deriv, t.weights, x, QUAD) for t in plan.terms) for h in (f, g, f)]
+        got = [sum(t.coef * table.integral(h, t.deriv, t.weights, x, QUAD) for t in plan.terms) for h in (f, g, f)]
         want = [
             sum(t.coef * functionals.separable_integral(h, t.deriv, t.weights, x, QUAD) for t in plan.terms)
             for h in (f, g, f)
         ]
         assert got == want
         assert got[0] == pytest.approx(0.21, abs=1e-12) and got[1] == pytest.approx(0.42, abs=1e-12)
+        assert [table.value(h, x) for h in (f, g, f)] == [0.21, 0.42, 0.21]
 
     def test_mutated_plan_is_caught_and_named(self, monkeypatch):
         def flip_first(k, coords, ell) -> TermPlan:
