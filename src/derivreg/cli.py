@@ -13,6 +13,7 @@ import argparse
 import configparser
 import contextlib
 import errno
+import functools
 import json
 import os
 import sys
@@ -375,7 +376,12 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ValidationError(f"{self.prog}: {' '.join(message.split())}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process.  Its parsers
+    refer to each other in cycles, so one per call would leave garbage for
+    the cyclic collector; every default is immutable, so no call can change
+    what the next one gets."""
     parser = _ArgumentParser(
         prog="derivreg",
         description="Nonparametric regression with derivative data",
@@ -402,8 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run the relative-MSE benchmark")
     add_common(p)
-    p.add_argument("--ns", type=int, nargs="+", default=[100, 200, 500, 1000])
-    p.add_argument("--rhos", type=float, nargs="+", default=[0.0, 0.4, 0.9])
+    p.add_argument("--ns", type=int, nargs="+", default=(100, 200, 500, 1000))
+    p.add_argument("--rhos", type=float, nargs="+", default=(0.0, 0.4, 0.9))
     p.add_argument("--reps", type=int, default=1000)
     p.add_argument("--sigma", type=float, default=CobbDouglasConfig.sigma)
     p.add_argument("--h-deriv-const", type=float, default=BenchmarkRules.h_deriv_const)
@@ -421,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kernels", help="emit kernel samples and a moment report")
     add_out_dir(p)
     for family, orders in REPORT_ORDERS.items():
-        p.add_argument(f"--{family}", type=int, nargs="+", default=list(orders))
+        p.add_argument(f"--{family}", type=int, nargs="+", default=orders)
     p.add_argument("--samples", type=int, default=201)
     p.set_defaults(func=run_kernels)
 

@@ -32,7 +32,10 @@ A :class:`TestFunction` lists each partial as separable terms, so
 :func:`separable_integral` takes the same rule term by term, as products of
 one-dimensional sums, and forms no grid.  :func:`identity_checks`
 (``derivreg verify``) checks the decompositions and the term plans by
-summing such integrals against g itself.
+summing such integrals against g itself.  It asks its run's integral table
+for each integrand at a whole point set at once; the table's batched
+evaluator gives every point the floats of :func:`separable_integral`, which
+is its one-point case.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from math import comb
+from math import comb, isfinite
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -175,9 +178,10 @@ def kernel_moment(spec: KernelSpec, j: int) -> float:
     """Gauss-Legendre moment  integral t^j kappa(t) dt, exact for polynomials."""
     if j < 0:
         raise ValidationError("moment index must be >= 0")
-    # Degree of t^j q(t) w(t); q may end in exact zeros (odd powers of an
-    # interior kernel), which do not count.
-    deg = j + len(np.trim_zeros(spec.q_coeffs, "b")) + 1
+    # Degree of t^j q(t) w(t): q's degree is the index of its highest
+    # nonzero coefficient, so the exact zeros that end q (odd powers of an
+    # interior kernel) do not count.
+    deg = j + spec._top + 2
     t, w = gl_panels(deg // 2 + 2, spec.support)
     return float(np.sum(w * t**j * spec.eval(t)))
 
@@ -255,15 +259,22 @@ class Quadrature:
 _SPLIT = (Weight.CUM, Weight.RECON)
 
 
+def _check_points(pts, weights: Sequence[Weight]) -> None:
+    """Raise unless every point of ``pts``, each a sequence of floats, has
+    one coordinate in [0, 1] per weight."""
+    for x in pts:
+        if len(x) != len(weights):
+            raise ValidationError(f"x has {len(x)} coordinates, weights describe {len(weights)}")
+        if not all(0.0 <= v <= 1.0 for v in x):
+            if not all(map(isfinite, x)):
+                raise ValidationError(f"evaluation point {list(x)} must be finite")
+            raise ValidationError(f"evaluation point {list(x)} lies outside the unit cube")
+
+
 def _check_point(x, weights: Sequence[Weight]) -> np.ndarray:
     """``x`` as a 1-D float array with one coordinate in [0, 1] per weight."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape[0] != len(weights):
-        raise ValidationError(f"x has {x.shape[0]} coordinates, weights describe {len(weights)}")
-    if not all(0.0 <= v <= 1.0 for v in x.tolist()):
-        if not np.isfinite(x).all():
-            raise ValidationError(f"evaluation point {x.tolist()} must be finite")
-        raise ValidationError(f"evaluation point {x.tolist()} lies outside the unit cube")
+    _check_points((x.tolist(),), weights)
     return x
 
 
@@ -304,6 +315,65 @@ def _line_sum(phi: Callable | None, rule: tuple[np.ndarray, np.ndarray]) -> floa
     return float(np.sum(w if phi is None else w * phi(t)))
 
 
+def _factor(phi: Callable | None, site, cache: dict) -> float:
+    """A term's factor on one coordinate: the line sum of ``phi`` over the
+    rule that ``site`` keys, or phi(x_i) where ``site`` is the LOCAL
+    coordinate x_i.  Kept in ``cache`` under the factor object and the
+    site."""
+    key = (phi, site)
+    if key not in cache:
+        if type(site) is tuple:
+            cache[key] = _line_sum(phi, cache[site])
+        else:
+            cache[key] = 1.0 if phi is None else float(phi(np.float64(site)))
+    return cache[key]
+
+
+def _separable_values(g: TestFunction, alpha: DerivIndex, weights: Sequence[Weight], pts, quad: Quadrature, cache: dict) -> list[float]:
+    """:func:`separable_integral` at each point of ``pts``, tuples of floats
+    that :func:`_check_points` has passed, with ``cache`` as its ``rules``.
+
+    Each coordinate's site at a point is the key of its line rule, or x_i
+    where the coordinate is LOCAL.  A coordinate's points share few sites
+    (FLAT and RAMP rules one), so each term takes its factor once per
+    distinct site and multiplies it into every point that has that site.
+    """
+    terms = cache.get((g, alpha.bits))
+    if terms is None:
+        terms = cache[g, alpha.bits] = g.terms(alpha)
+    # Per coordinate: its distinct sites, and each point's index among them.
+    columns = []
+    for i, wkind in enumerate(weights):
+        if wkind is Weight.LOCAL or wkind in _SPLIT:
+            seen: dict = {}
+            index = [seen.setdefault(x[i], len(seen)) for x in pts]
+            coords = list(seen)
+        else:
+            # A FLAT or RAMP rule does not depend on x_i: one site serves all.
+            coords, index = [pts[0][i]], [0] * len(pts)
+        if wkind is Weight.LOCAL:
+            columns.append((coords, index))
+            continue
+        sites = []
+        for x_i in coords:
+            site = (wkind, x_i if wkind in _SPLIT else None, quad.nodes)
+            if site not in cache:
+                cache[site] = quad.line_rule(wkind, x_i)
+            sites.append(site)
+        columns.append((sites, index))
+    # Per point: coef times its factors in coordinate order, and the terms
+    # summed in order from 0.0, so a point's floats do not depend on the
+    # set it comes in.
+    totals = [0.0] * len(pts)
+    for coef, factors in terms:
+        values = [coef] * len(pts)
+        for (sites, index), phi in zip(columns, factors):
+            at = [_factor(phi, site, cache) for site in sites]
+            values = [v * at[j] for v, j in zip(values, index)]
+        totals = [total + v for total, v in zip(totals, values)]
+    return totals
+
+
 def separable_integral(
     g: TestFunction,
     alpha: DerivIndex,
@@ -320,7 +390,9 @@ def separable_integral(
     its coefficient times, in coordinate order, sum(w * phi(t)) over the
     line rule of each integrated coordinate and phi(x_i) for each LOCAL one
     (a factor of ``None`` is 1); the terms are summed in order.  The value
-    equals the tensor rule's up to rounding, and no grid is formed.
+    equals the tensor rule's up to rounding, and no grid is formed.  This is
+    the one-point case of the batched evaluator that
+    :meth:`_IntegralTable.integrals` uses, so both give the same floats.
 
     ``rules`` is the cache of a run: calls that share one dict compute each
     term list ``g.terms(alpha)``, line rule, line sum and LOCAL factor value
@@ -331,33 +403,7 @@ def separable_integral(
     """
     x = _check_point(x, weights)
     cache = {} if rules is None else rules
-    terms = cache.get((g, alpha.bits))
-    if terms is None:
-        terms = cache[g, alpha.bits] = g.terms(alpha)
-    # Each coordinate's site: the key of its line rule, or x_i where it is
-    # LOCAL.
-    sites = []
-    for wkind, x_i in zip(weights, x.tolist()):
-        if wkind is Weight.LOCAL:
-            sites.append(x_i)
-            continue
-        site = (wkind, x_i if wkind in _SPLIT else None, quad.nodes)
-        if site not in cache:
-            cache[site] = quad.line_rule(wkind, x_i)
-        sites.append(site)
-    total = 0.0
-    for coef, factors in terms:
-        value = coef
-        for x_i, site, phi in zip(x, sites, factors):
-            key = (phi, site)
-            if key not in cache:
-                if type(site) is tuple:
-                    cache[key] = _line_sum(phi, cache[site])
-                else:
-                    cache[key] = 1.0 if phi is None else float(phi(x_i))
-            value *= cache[key]
-        total += value
-    return total
+    return _separable_values(g, alpha, weights, (tuple(x.tolist()),), quad, cache)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -368,34 +414,38 @@ def separable_integral(
 class _IntegralTable:
     """The integrals and function values of one :func:`identity_checks` run.
 
-    ``integral(g, alpha, weights, x, quad)`` is the weighted integral of g's
-    alpha partial by :func:`separable_integral`, and ``value(g, x)`` is
-    g(x).  Each is computed once and kept while the table lives, as are the
-    term lists, line rules, line sums and LOCAL factor values of
-    :func:`separable_integral`'s cache.  Keys hold the function object, not
-    its label.  An integral's key is g, alpha, the weights and the node
-    count, then the point as floats: the points of one integrand share the
-    first four, and so store them once.
+    ``integrals(g, alpha, weights, pts, quad)`` is the weighted integral of
+    g's alpha partial at each point of ``pts``, a sequence of float tuples,
+    and ``values(g, pts)`` is g at each point.  Each asks for its integrand,
+    or g, once per point set: the points not seen before are checked and
+    evaluated in one call (of :func:`_separable_values`, or of g), and every
+    value is kept while the table lives, as are the term lists, line rules,
+    line sums and LOCAL factor values of :func:`separable_integral`'s cache.
+    Keys hold the function object, not its label.  An integral's key is g,
+    alpha, the weights and the node count, then the point: the points of one
+    integrand share the first four, and so store them once.
     """
 
     def __init__(self):
         self._integrals: dict[tuple, dict[tuple[float, ...], float]] = {}
-        self._values: dict[tuple, float] = {}
+        self._values: dict[TestFunction, dict[tuple[float, ...], float]] = {}
         self._cache: dict = {}
 
-    def integral(self, g: TestFunction, alpha: DerivIndex, weights: Sequence[Weight], x, quad: Quadrature) -> float:
-        at = self._integrals.setdefault((g, alpha.bits, tuple(weights), quad.nodes), {})
-        point = tuple(np.atleast_1d(np.asarray(x, dtype=float)).tolist())
-        if point not in at:
-            at[point] = separable_integral(g, alpha, weights, x, quad, self._cache)
-        return at[point]
+    def integrals(self, g: TestFunction, alpha: DerivIndex, weights: Sequence[Weight], pts, quad: Quadrature) -> list[float]:
+        weights = tuple(weights)
+        at = self._integrals.setdefault((g, alpha.bits, weights, quad.nodes), {})
+        new = [x for x in dict.fromkeys(pts) if x not in at]
+        if new:
+            _check_points(new, weights)
+            at.update(zip(new, _separable_values(g, alpha, weights, new, quad, self._cache)))
+        return [at[x] for x in pts]
 
-    def value(self, g: TestFunction, x: np.ndarray) -> float:
-        """g at the 1-D point ``x``."""
-        key = (g, tuple(x.tolist()))
-        if key not in self._values:
-            self._values[key] = float(g(x[None, :])[0])
-        return self._values[key]
+    def values(self, g: TestFunction, pts) -> list[float]:
+        at = self._values.setdefault(g, {})
+        new = [x for x in dict.fromkeys(pts) if x not in at]
+        if new:
+            at.update(zip(new, g(np.array(new, dtype=float)).tolist()))
+        return [at[x] for x in pts]
 
 
 def term_weights(alpha: DerivIndex, coords: Iterable[int] | None = None) -> tuple[Weight, ...]:
@@ -564,16 +614,15 @@ def _check_plan(plan: TermPlan, p: int) -> None:
             assert len(integrated) >= p - plan.ell + 1, "residual average over too few coordinates"
 
 
-def _residual(g: TestFunction, terms: Iterable[Term], x, quad: Quadrature, table: _IntegralTable) -> float:
-    """|g(x) - sum of t.coef * integral(g, t.deriv, t.weights, x, quad)|, the
-    sum taken in term order, from ``table``: zero up to quadrature error when
-    ``terms`` rewrite g exactly, as a plan's terms or the 2^p decomposition
-    terms do."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    total = 0.0
+def _residuals(g: TestFunction, terms: Iterable[Term], pts, quad: Quadrature, table: _IntegralTable) -> list[float]:
+    """|g(x) - sum of t.coef * integral(g, t.deriv, t.weights, x, quad)| at
+    each point x of ``pts``, the sum taken in term order, from ``table``:
+    zero up to quadrature error when ``terms`` rewrite g exactly, as a
+    plan's terms or the 2^p decomposition terms do."""
+    totals = [0.0] * len(pts)
     for t in terms:
-        total += t.coef * table.integral(g, t.deriv, t.weights, x, quad)
-    return abs(table.value(g, x) - total)
+        totals = [total + t.coef * v for total, v in zip(totals, table.integrals(g, t.deriv, t.weights, pts, quad))]
+    return [abs(gx - total) for gx, total in zip(table.values(g, pts), totals)]
 
 
 # ---------------------------------------------------------------------------
@@ -666,24 +715,24 @@ class CheckResult:
         return self.residual <= self.tol
 
 
-def _grid_points(k: int) -> np.ndarray:
-    pts = [np.full(k, 0.5)]
-    for combo in itertools.product((0.3, 0.7), repeat=k):
-        pts.append(np.asarray(combo))
-    return np.asarray(pts)
+def _grid_points(k: int) -> tuple[tuple[float, ...], ...]:
+    """The centre of the cube, then the 2^k points with coordinates 0.3 and
+    0.7, as float tuples."""
+    return ((0.5,) * k,) + tuple(itertools.product((0.3, 0.7), repeat=k))
 
 
 def identity_checks(quad_nodes: int = Quadrature.nodes) -> list[CheckResult]:
     """Run the exact-identity suite; each entry is the max residual over a grid.
 
     The checks share one set of test functions and one
-    :class:`_IntegralTable`, so each distinct integral, term list, line
+    :class:`_IntegralTable`, and ask it for each integrand and each g at a
+    whole point set at once.  So each distinct integral, term list, line
     rule, line sum and value g(x) is computed once per call, and each call
     computes them all afresh.
     """
     quad = Quadrature(nodes=quad_nodes)
     table = _IntegralTable()
-    integral = table.integral
+    integrals = table.integrals
     polys = {k: polynomial_suite(k) for k in (1, 2, 3)}
     analytic = {k: analytic_suite(k) for k in (1, 2, 3)}
     results: list[CheckResult] = []
@@ -698,10 +747,7 @@ def identity_checks(quad_nodes: int = Quadrature.nodes) -> list[CheckResult]:
             [Term(1, beta, term_weights(beta, range(p))) for beta in subindices(DerivIndex.from_support(k, range(p)))]
             for p in range(1, k + 1)
         ]
-        worst = [
-            [max(_residual(g, terms, x, quad, table) for x in pts) for _, g, _ in suite]
-            for terms in decompositions
-        ]
+        worst = [[max(_residuals(g, terms, pts, quad, table)) for _, g, _ in suite] for terms in decompositions]
         # The full reconstruction is the partial one at p = k.
         for (kind, g, tol), r in zip(suite, worst[-1]):
             results.append(CheckResult(f"reconstruction/k={k}/{kind}:{g.label}", r, tol))
@@ -717,7 +763,7 @@ def identity_checks(quad_nodes: int = Quadrature.nodes) -> list[CheckResult]:
             for ell in range(0, p + 1):
                 plan = build_term_plan(k, range(p), ell)
                 for g in funcs:
-                    r = max(_residual(g, plan.terms, x, quad, table) for x in pts)
+                    r = max(_residuals(g, plan.terms, pts, quad, table))
                     results.append(CheckResult(f"plan/k={k}/p={p}/ell={ell}/{g.label}", r, 1e-8))
 
     # Operator inclusion-exclusion identity over every index at k <= 3:
@@ -729,32 +775,24 @@ def identity_checks(quad_nodes: int = Quadrature.nodes) -> list[CheckResult]:
         for alpha in subindices(DerivIndex.ones(k)):
             if alpha.order == 0:
                 continue
-            worst = 0.0
-            for x in pts:
-                lhs = rhs = 0.0
-                for beta in subindices(alpha):
-                    sign = (-1) ** beta.order
-                    weights = []
-                    for i in range(k):
-                        if beta.bits[i]:
-                            weights.append(Weight.RAMP)
-                        elif alpha.bits[i]:
-                            weights.append(Weight.CUM)
-                        else:
-                            weights.append(Weight.LOCAL)
-                    lhs += sign * integral(g, alpha, weights, x, quad)
-                    rhs += sign * integral(g, zero, term_weights(zero, beta.support), x, quad)
-                worst = max(worst, abs(lhs - rhs))
+            lhs = rhs = [0.0] * len(pts)
+            for beta in subindices(alpha):
+                sign = (-1) ** beta.order
+                weights = tuple(
+                    Weight.RAMP if beta.bits[i] else Weight.CUM if alpha.bits[i] else Weight.LOCAL for i in range(k)
+                )
+                lhs = [s + sign * v for s, v in zip(lhs, integrals(g, alpha, weights, pts, quad))]
+                rhs = [s + sign * v for s, v in zip(rhs, integrals(g, zero, term_weights(zero, beta.support), pts, quad))]
+            worst = max([0.0] + [abs(left - right) for left, right in zip(lhs, rhs)])
             results.append(CheckResult(f"iex-operator/k={k}/alpha={alpha}", worst, 1e-10))
 
     # Corner-sum identity: full cumulative integral of the top partial.
     for k in (1, 2, 3):
         g = polys[k][-1]
-        top = DerivIndex.ones(k)
-        r = max(
-            abs(integral(g, top, (Weight.CUM,) * k, x, quad) - corner_sum(g.partial(DerivIndex.zeros(k)), x))
-            for x in _grid_points(k)
-        )
+        pts = _grid_points(k)
+        cum = integrals(g, DerivIndex.ones(k), (Weight.CUM,) * k, pts, quad)
+        f = g.partial(DerivIndex.zeros(k))
+        r = max(abs(c - corner_sum(f, x)) for c, x in zip(cum, pts))
         results.append(CheckResult(f"corner-sum/k={k}", r, 1e-10))
 
     # Reconstruction weight bound |w| <= 1 on a random sample.
@@ -771,30 +809,25 @@ def identity_checks(quad_nodes: int = Quadrature.nodes) -> list[CheckResult]:
     g2 = analytic[2][0]
     zero2 = DerivIndex.zeros(2)
     a, b = DerivIndex.from_string("10"), DerivIndex.from_string("01")
+    pts2 = _grid_points(2)
 
     def avg_b(c):
-        # The outer integrand gets coordinate 1's nodes and x_2 (0-d); Avg_b runs at each node.
-        return np.array([integral(g2, zero2, term_weights(zero2, b.support), (u, c[1]), quad) for u in c[0]])
+        # The outer integrand gets coordinate 1's nodes and x_2 (0-d); Avg_b
+        # runs at every node in one call.
+        x2 = float(c[1])
+        return np.array(integrals(g2, zero2, term_weights(zero2, b.support), tuple((u, x2) for u in c[0].tolist()), quad))
 
+    full = integrals(g2, zero2, term_weights(zero2, (a | b).support), pts2, quad)
     comp = max(
-        abs(
-            weighted_integral(avg_b, term_weights(zero2, a.support), x, quad)
-            - integral(g2, zero2, term_weights(zero2, (a | b).support), x, quad)
-        )
-        for x in _grid_points(2)
+        abs(weighted_integral(avg_b, term_weights(zero2, a.support), x, quad) - v) for x, v in zip(pts2, full)
     )
     results.append(CheckResult("avg-compose", comp, 1e-10))
 
     # Panel-split integral vs dense double-resolution tensor rule.
-    quad2 = Quadrature(nodes=2 * quad.nodes)
     alpha = DerivIndex.from_string("11")
-    dense = max(
-        abs(
-            integral(g2, alpha, term_weights(alpha), x, quad)
-            - integral(g2, alpha, term_weights(alpha), x, quad2)
-        )
-        for x in _grid_points(2)
-    )
+    coarse = integrals(g2, alpha, term_weights(alpha), pts2, quad)
+    fine = integrals(g2, alpha, term_weights(alpha), pts2, Quadrature(nodes=2 * quad.nodes))
+    dense = max(abs(c - f) for c, f in zip(coarse, fine))
     results.append(CheckResult("panel-quadrature-refinement", dense, 1e-10))
 
     return results

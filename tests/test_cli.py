@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import gc
 import hashlib
 import io
 import itertools
@@ -60,6 +61,24 @@ class TestVerify:
         failing = [ln for ln in lines if ln.endswith(",0")]
         assert failing
         assert all("poly" not in ln.split(",")[0] for ln in failing)  # polynomials stay exact
+
+
+    def test_a_warm_call_leaves_no_parser_garbage(self, tmp_path, capsys):
+        # The parser is built once per process, so a call leaves none of its
+        # objects for the cyclic collector.  (The closures of json's
+        # pure-Python encoder, which indent=2 selects, are still left.)
+        run(["verify", "--quad-nodes", 4, "--out-dir", tmp_path])
+        gc.collect()
+        flags = gc.get_debug()
+        gc.set_debug(flags | gc.DEBUG_SAVEALL)
+        try:
+            run(["verify", "--quad-nodes", 4, "--out-dir", tmp_path])
+            gc.collect()
+            left = [type(o) for o in gc.garbage if any(c.__module__ == "argparse" for c in type(o).__mro__)]
+        finally:
+            gc.set_debug(flags)
+            gc.garbage.clear()
+        assert not left, left
 
 
 class TestSimulate:
@@ -929,6 +948,16 @@ class TestGoldenPayloads:
         assert run(["verify", "--quad-nodes", 32, "--out-dir", tmp_path]) == 0
         assert self._digest(tmp_path / "verify_report.csv") == (
             "d7554cd4dce6fa5f22edfcebc5f7132a4a3d35acd14f4001be73f99d7cf143b3"
+        )
+
+    def test_verify_report_most_nodes(self, tmp_path):
+        # 64 nodes, the most verify accepts: the refinement check runs at 128.
+        assert run(["verify", "--quad-nodes", 64, "--out-dir", tmp_path]) == 0
+        assert self._digest(tmp_path / "verify_report.csv") == (
+            "babd2f3c649bc6de12127468cba354da8abe0898daeb105dd9b93a4d6814d872"
+        )
+        assert self._digest(tmp_path / "verify_metadata.json") == (
+            "206a85c77236c370e5a073f1ff197fdbb6bafad2d43afc0e8bbaa5bc67d2c57e"
         )
 
     def test_verify_report_failing_path(self, tmp_path):

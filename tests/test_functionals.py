@@ -300,6 +300,50 @@ def _identical_terms():
     return funcs, [(i, (0, 0), weights, (0.5, 0.5), 4) for i in (0, 1, 2, 0)]
 
 
+@st.composite
+def _point_set_problems(draw):
+    """One integrand of k = 1, 2 or 3 and a set of points in the cube with
+    repeats, coordinates at the faces among them, and an order to permute
+    it by."""
+    k = draw(st.integers(1, 3))
+    g = draw(_test_functions(k))
+    alpha = DerivIndex(tuple(draw(st.integers(0, 1)) for _ in range(k)))
+    weights = tuple(draw(st.sampled_from(_KINDS)) for _ in range(k))
+    coord = st.sampled_from([0.0, 0.3, 1.0]) | st.floats(0.0, 1.0)
+    pts = draw(st.lists(st.tuples(*[coord] * k), min_size=1, max_size=8))
+    pts += draw(st.lists(st.sampled_from(pts), max_size=4))
+    order = draw(st.permutations(range(len(pts))))
+    return g, alpha, weights, tuple(pts), order, Quadrature(draw(st.sampled_from([1, 4, 16])))
+
+
+def _local_point_set():
+    # LOCAL and split coordinates, faces and a repeat.
+    g = analytic_suite(3)[0]
+    pts = ((0.3, 0.0, 1.0), (1.0, 0.3, 0.0), (0.3, 0.0, 1.0), (0.5, 0.5, 0.5))
+    return g, D("110"), (Weight.RECON, Weight.CUM, Weight.LOCAL), pts, (3, 1, 0, 2), QUAD
+
+
+@st.composite
+def _bad_point_sets(draw):
+    """Good points, then a point outside the cube, not finite or of another
+    width, then more points of either kind; and that first bad point."""
+    k = draw(st.integers(1, 3))
+    g = draw(_test_functions(k))
+    alpha = DerivIndex(tuple(draw(st.integers(0, 1)) for _ in range(k)))
+    weights = tuple(draw(st.sampled_from(_KINDS)) for _ in range(k))
+    good = st.tuples(*[st.floats(0.0, 1.0)] * k)
+    outside = st.sampled_from([-0.5, 1.5, 1 + 2**-52, float("nan"), float("inf"), -float("inf")])
+    if draw(st.booleans()):
+        bad = list(draw(good))
+        bad[draw(st.integers(0, k - 1))] = draw(outside)
+        bad = tuple(bad)
+    else:
+        bad = tuple(draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4).filter(lambda x: len(x) != k)))
+    rest = draw(st.lists(good | st.tuples(*[outside] * k), max_size=3))
+    pts = draw(st.lists(good, max_size=3)) + [bad] + rest
+    return g, alpha, weights, tuple(pts), bad
+
+
 class TestSeparableIntegral:
     """separable_integral takes weighted_integral's tensor rule of a test
     function's partial as a sum of products of line sums."""
@@ -359,6 +403,28 @@ class TestSeparableIntegral:
             args = (funcs[i], DerivIndex(bits), weights, np.array(x), Quadrature(nodes))
             got = separable_integral(*args, shared)
             assert got.hex() == separable_integral(*args).hex(), (funcs[i], bits, weights, x, nodes)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_point_set_problems())
+    @example(_local_point_set())
+    def test_a_point_set_gives_the_bits_of_single_points(self, problem):
+        g, alpha, weights, pts, order, quad = problem
+        got = functionals._IntegralTable().integrals(g, alpha, weights, pts, quad)
+        want = [separable_integral(g, alpha, weights, x, quad) for x in pts]
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+        permuted = tuple(pts[i] for i in order)
+        again = functionals._IntegralTable().integrals(g, alpha, weights, permuted, quad)
+        assert [v.hex() for v in again] == [got[i].hex() for i in order]
+
+    @settings(max_examples=100, deadline=None)
+    @given(_bad_point_sets())
+    def test_a_point_set_is_rejected_as_its_first_bad_point(self, problem):
+        g, alpha, weights, pts, bad = problem
+        with pytest.raises(ValidationError) as single:
+            separable_integral(g, alpha, weights, bad, QUAD)
+        with pytest.raises(ValidationError) as batched:
+            functionals._IntegralTable().integrals(g, alpha, weights, pts, QUAD)
+        assert str(batched.value) == str(single.value)
 
     def test_identity_suite_memory_stays_small(self):
         # The weights alone of one (2 * 32)^3-node tensor grid take 2 MB.
@@ -609,14 +675,13 @@ class TestIdentitySuite:
 
     def test_each_integral_is_computed_once_per_run(self, monkeypatch):
         computed = []
-        integral = functionals.separable_integral
+        values = functionals._separable_values
 
-        def counted(g, alpha, weights, x, quad, rules=None):
-            point = tuple(np.atleast_1d(np.asarray(x, dtype=float)).tolist())
-            computed.append((g, alpha, tuple(weights), point, quad.nodes))
-            return integral(g, alpha, weights, x, quad, rules)
+        def counted(g, alpha, weights, pts, quad, cache):
+            computed.extend((g, alpha, tuple(weights), x, quad.nodes) for x in pts)
+            return values(g, alpha, weights, pts, quad, cache)
 
-        monkeypatch.setattr(functionals, "separable_integral", counted)
+        monkeypatch.setattr(functionals, "_separable_values", counted)
         identity_checks(quad_nodes=8)
         first = list(computed)
         assert first and len(set(first)) == len(first)
@@ -624,6 +689,21 @@ class TestIdentitySuite:
         computed.clear()
         identity_checks(quad_nodes=8)
         assert len(computed) == len(first)
+
+    def test_each_integrand_is_asked_for_once_per_point_set(self, monkeypatch):
+        # The default run asks the table for 2 472 (integrand, point) values
+        # in 311 calls; a section that asked point by point would make one
+        # call per point.
+        sizes = []
+        integrals = functionals._IntegralTable.integrals
+
+        def counted(table, g, alpha, weights, pts, quad):
+            sizes.append(len(pts))
+            return integrals(table, g, alpha, weights, pts, quad)
+
+        monkeypatch.setattr(functionals._IntegralTable, "integrals", counted)
+        identity_checks()
+        assert (len(sizes), sum(sizes)) == (311, 2472)
 
     def test_each_line_sum_and_value_is_computed_once_per_run(self, monkeypatch):
         # A line sum is told apart by its factor object and its rule's bits,
@@ -633,15 +713,15 @@ class TestIdentitySuite:
         # each call of terms, so the integrals' term lists are counted too
         # (g(x) takes its own, through TestFunction.partial).
         sums, lists, values, inside = [], [], [], []
-        integral = functionals.separable_integral
+        separable_values = functionals._separable_values
         line_sum = functionals._line_sum
         terms = functionals.TestFunction.terms
         call = functionals.TestFunction.__call__
 
-        def counted_integral(*args):
+        def counted_values(*args):
             inside.append(True)
             try:
-                return integral(*args)
+                return separable_values(*args)
             finally:
                 inside.pop()
 
@@ -655,10 +735,10 @@ class TestIdentitySuite:
             return terms(g, alpha)
 
         def counted_call(g, pts):
-            values.append((g, np.asarray(pts, dtype=float).tobytes()))
+            values.extend((g, row.tobytes()) for row in np.atleast_2d(np.asarray(pts, dtype=float)))
             return call(g, pts)
 
-        monkeypatch.setattr(functionals, "separable_integral", counted_integral)
+        monkeypatch.setattr(functionals, "_separable_values", counted_values)
         monkeypatch.setattr(functionals, "_line_sum", counted_sum)
         monkeypatch.setattr(functionals.TestFunction, "terms", counted_terms)
         monkeypatch.setattr(functionals.TestFunction, "__call__", counted_call)
@@ -674,17 +754,17 @@ class TestIdentitySuite:
     def test_table_keys_on_the_function_not_its_label(self):
         table = functionals._IntegralTable()
         plan = build_term_plan(2, [0, 1], 1)
-        x = np.array([0.3, 0.7])
+        x = (0.3, 0.7)
         f = poly_function(2, {(1, 1): 1.0}, "g")
         g = poly_function(2, {(1, 1): 2.0}, "g")
-        got = [sum(t.coef * table.integral(h, t.deriv, t.weights, x, QUAD) for t in plan.terms) for h in (f, g, f)]
+        got = [sum(t.coef * table.integrals(h, t.deriv, t.weights, (x,), QUAD)[0] for t in plan.terms) for h in (f, g, f)]
         want = [
             sum(t.coef * functionals.separable_integral(h, t.deriv, t.weights, x, QUAD) for t in plan.terms)
             for h in (f, g, f)
         ]
         assert got == want
         assert got[0] == pytest.approx(0.21, abs=1e-12) and got[1] == pytest.approx(0.42, abs=1e-12)
-        assert [table.value(h, x) for h in (f, g, f)] == [0.21, 0.42, 0.21]
+        assert [table.values(h, (x,)) for h in (f, g, f)] == [[0.21], [0.42], [0.21]]
 
     def test_mutated_plan_is_caught_and_named(self, monkeypatch):
         def flip_first(k, coords, ell) -> TermPlan:
