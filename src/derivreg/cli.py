@@ -50,13 +50,33 @@ from .simulation import CobbDouglasConfig, BenchmarkRules, relative_mse_table
 __all__ = ["main"]
 
 
+def _json_text(value, level: int = 0) -> str:
+    """The text of ``json.dumps(value, indent=2, sort_keys=True)``, built
+    from one-line dumps of the leaves; keys must be strings.  An indent
+    selects json's pure-Python encoder, whose closures refer to each other
+    and are left to the cyclic collector after every call."""
+    if isinstance(value, dict):
+        if not all(isinstance(key, str) for key in value):
+            raise TypeError(f"sidecar keys must be strings, got {list(value)!r}")
+        items = [f"{json.dumps(key)}: {_json_text(v, level + 1)}" for key, v in sorted(value.items())]
+        brackets = "{}"
+    elif isinstance(value, (list, tuple)):
+        items = [_json_text(v, level + 1) for v in value]
+        brackets = "[]"
+    else:
+        return json.dumps(value)
+    if not items:
+        return brackets
+    pad = "\n" + "  " * (level + 1)
+    return brackets[0] + pad + ("," + pad).join(items) + "\n" + "  " * level + brackets[1]
+
+
 def _write_metadata(path: Path, payload: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     payload = dict(payload)
     payload["version"] = __version__
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(_json_text(payload) + "\n")
 
 
 @contextlib.contextmanager
@@ -189,6 +209,18 @@ def _option(parser: configparser.ConfigParser, section: str, key: str, kind=str,
 
 def _load_estimate_config(path: Path):
     parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
+    try:
+        return _read_estimate_config(parser, path)
+    finally:
+        # Each section proxy and its bound getters refer back to the parser.
+        # Breaking those cycles frees the parser now, rather than leaving some
+        # 70 objects per call to the cyclic collector.
+        for proxy in parser.values():
+            vars(proxy).clear()
+        vars(parser).clear()
+
+
+def _read_estimate_config(parser: configparser.ConfigParser, path: Path):
     try:
         read = parser.read(str(path))
     except configparser.Error as exc:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DataSet, ValidationError, as_float_array, distinct_rows
-from .kernels import Workspace, band_sweep, check_bandwidth, check_cap, check_orders, product_kernel
+from .kernels import band_sweep, check_bandwidth, check_cap, check_orders, product_kernel
 
 __all__ = ["DENSITY_FLOOR", "DensityEstimator", "loo_density", "loo_at_rows"]
 
@@ -83,20 +83,21 @@ def loo_at_rows(est: DensityEstimator, floored: bool = True) -> np.ndarray:
     An exact sorted-band sweep (:func:`derivreg.kernels.band_sweep`, which
     gives its tiling, time and memory) over the rows in the dataset's
     canonical order (:attr:`derivreg.core.DataSet.order`, which the
-    estimators reuse), with one :class:`derivreg.kernels.Workspace` for all
-    its tiles.  Only rows within H of a tile can carry kernel mass, so each
-    tile evaluates the edge-switching kernels on a tile x window slab.
+    estimators reuse), with one :class:`derivreg.kernels.KernelSweep` for
+    all its tiles, which chooses each row's kernels once.  Only rows within
+    H of a tile can carry kernel mass, so each tile evaluates the
+    edge-switching kernels on a tile x window slab.
     Each row is summed over its window in canonical row order, so a
     permutation of the rows permutes the result bit for bit.
     """
     order, n = est.data.order, est.data.n
-    Xs = est.data.X[order]
+    Xs = np.take(est.data.X.T, order, axis=1).T  # sorted rows in Fortran order: both sweeps read its columns
     first, copy_of = distinct_rows(Xs)
     sums = np.empty(first.size)
-    family = product_kernel(est.d1)
-    work = Workspace()
-    for idx, rows in band_sweep(Xs, est.H, Xs[first]):
-        w = family.weights(Xs[first[idx]], Xs[rows], est.H, work)
+    pts = Xs[first]
+    sweep = product_kernel(est.d1).sweep(pts, Xs, est.H)
+    for idx, rows in band_sweep(Xs, est.H, pts):
+        w = sweep.tile(idx, rows)
         w[np.arange(idx.size), np.searchsorted(rows, first[idx])] = 0.0
         sums[idx] = w.sum(axis=1)
     vals = np.empty(n)

@@ -398,7 +398,9 @@ def nadaraya_watson_grid(
     sweep over them (:func:`derivreg.kernels.band_sweep`, which gives its
     tiling, time and memory) at the distinct points
     (:func:`derivreg.core.distinct_rows`), so each point is evaluated once,
-    widening included, in canonical order.  The result is bitwise invariant
+    widening included, in canonical order.  Each pass evaluates its tiles
+    through one :class:`derivreg.kernels.KernelSweep`, which chooses each
+    point's kernels once and keeps one workspace.  The result is bitwise invariant
     under row permutations of (X, Y) and under permutations and repeats of
     the evaluation points.
     """
@@ -412,14 +414,15 @@ def nadaraya_watson_grid(
     if not 0.0 < den_floor < np.inf:
         raise ValidationError(f"den_floor must be finite and positive, got {den_floor}")
     family = product_kernel(d)
-    X, Y = ds.X[ds.order], ds.Y[ds.order]
+    X, Y = np.take(ds.X.T, ds.order, axis=1).T, ds.Y[ds.order]  # X in Fortran order, as in loo_at_rows
     first, copy_of = distinct_rows(pts)
     out, left, hj = np.empty(first.size), np.arange(first.size), h
     for _ in range(7):  # h, then at most six doublings
         at = pts[first[left]]
         num, den, mass = np.empty(left.size), np.empty(left.size), np.empty(left.size, dtype=bool)
+        sweep = family.sweep(at, X, hj)
         for idx, rows in band_sweep(X, hj, at):
-            w = family.weights(at[idx], X[rows], hj)
+            w = sweep.tile(idx, rows)
             den[idx] = w.sum(axis=1)
             mass[idx] = (w != 0.0).any(axis=1)
             w *= Y[None, rows]

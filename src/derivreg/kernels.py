@@ -70,6 +70,7 @@ __all__ = [
     "make_interior_kernel",
     "make_edge_kernel",
     "ProductKernel",
+    "KernelSweep",
     "product_kernel",
     "band_sweep",
     "check_bandwidth",
@@ -86,8 +87,9 @@ class Workspace:
     Each named buffer grows to the largest slab asked of it and is reused by
     later tiles, so a sweep allocates its slabs (and the OS faults them in)
     once rather than once per tile: fresh arrays made
-    :func:`derivreg.density.loo_at_rows` 1.25-1.6x slower, and left the NW
-    and AC sweeps about as fast.  A workspace belongs to the call that made
+    :func:`derivreg.density.loo_at_rows` 1.25-1.6x slower.  Each
+    :class:`KernelSweep` (the LOO density, each pass of the NW baseline)
+    holds one for all its tiles.  A workspace belongs to the call that made
     it: arrays taken from it are overwritten by the next take of the same
     name, and it must not be shared across threads.
     """
@@ -240,80 +242,98 @@ class ProductKernel:
     Coordinate i uses the left (right) edge kernel when the evaluation point
     lies within the bandwidth of the lower (upper) face only, and the interior
     kernel otherwise: away from both faces, or near both when the bandwidth
-    exceeds 1/2.  :meth:`regions` holds this rule and :meth:`weights` applies
-    it.
+    exceeds 1/2.  :func:`_kernel_choice` holds this rule, :meth:`sweep`
+    applies it once per sweep, and :meth:`weights` is a sweep of one tile.
     """
 
     interior: KernelSpec
     left: KernelSpec
     right: KernelSpec
 
-    def regions(self, x, bandwidth: float) -> list[tuple[KernelSpec, np.ndarray]]:
-        """Split evaluation coordinates ``x`` by kernel.
+    def sweep(self, x: np.ndarray, X: np.ndarray, bandwidth: float) -> "KernelSweep":
+        """The slabs of one sweep of evaluation points ``x`` (m, k) over data
+        rows ``X`` (n, k) at one bandwidth (:class:`KernelSweep`)."""
+        return KernelSweep(self, x, X, bandwidth)
 
-        Returns ``(spec, rows)`` for each non-empty set of rows using the left
-        edge, right edge or interior kernel: x < bandwidth selects the left
-        kernel, x > 1 - bandwidth the right one, and both or neither the
-        interior one (:func:`_kernel_masks`).  Along x the rule runs left,
-        interior, right for every bandwidth, so when the smallest and the
-        largest coordinate take one kernel, every coordinate does, and the
-        rule runs on those two alone.
-        """
-        x = np.asarray(x, dtype=float)
-        specs = (self.left, self.right, self.interior)
-        if x.size:
-            lo, hi = float(x.min()), float(x.max())
-            if lo <= hi:  # no NaN
-                ends = _kernel_masks(lo, bandwidth), _kernel_masks(hi, bandwidth)
-                if ends[0] == ends[1]:
-                    return [(specs[ends[0].index(True)], np.arange(x.size))]
-        masks = _kernel_masks(x, bandwidth)
-        return [(spec, np.flatnonzero(mask)) for spec, mask in zip(specs, masks) if mask.any()]
-
-    def weights(
-        self, x: np.ndarray, X: np.ndarray, bandwidth: float, work: Workspace | None = None
-    ) -> np.ndarray:
+    def weights(self, x: np.ndarray, X: np.ndarray, bandwidth: float) -> np.ndarray:
         """Product-kernel weights prod_i kappa_i((X_j,i - x_i)/h) / h.
 
-        Returns an (m, n) array for evaluation points ``x`` (m, k) and data rows
-        ``X`` (n, k), with kernels selected per point and coordinate by
-        :meth:`regions`.  The array and every temporary live in ``work`` (a
-        fresh one when omitted); with one workspace for all its tiles, as in
-        :func:`derivreg.density.loo_at_rows`, each result lasts until the next call.
-        With no coordinates the product is empty, all ones; otherwise the
-        first coordinate's factors are written into it, since 1.0 times a
-        factor is the factor.
+        Returns a fresh (m, n) array for evaluation points ``x`` (m, k) and
+        data rows ``X`` (n, k): the one tile of a :meth:`sweep` that holds
+        every point and row, so its float operations are every tile's.
         """
-        work = Workspace() if work is None else work
-        m, n = x.shape[0], X.shape[0]
-        w = work.take("product", (m, n))
-        if not x.shape[1]:
+        return self.sweep(x, X, bandwidth).tile(np.arange(x.shape[0]), np.arange(X.shape[0]))
+
+
+def _kernel_choice(x: np.ndarray, bandwidth: float) -> np.ndarray:
+    """The kernel rule of :class:`ProductKernel` at the coordinates ``x``:
+    per value an index into (interior, left, right) as int8.  x < bandwidth
+    is near the lower face and x > 1 - bandwidth near the upper one; near
+    one face alone takes that face's edge kernel, near both or neither the
+    interior one."""
+    near_lo, near_hi = x < bandwidth, x > 1.0 - bandwidth
+    choice = (near_lo > near_hi).astype(np.int8)
+    choice[near_hi > near_lo] = 2
+    return choice
+
+
+class KernelSweep:
+    """Product-kernel slabs of one sweep: evaluation points x (m, k), data
+    rows X (n, k) and a bandwidth h, tile after tile.
+
+    The per-sweep work is done once, when the sweep is made: every
+    coordinate of the rows is kept as a contiguous column (a view when X is
+    in Fortran order), and each point's kernel in every coordinate is chosen
+    by :func:`_kernel_choice`, k calls in all.  :meth:`tile` then gathers
+    its columns and evaluates its slab through :meth:`KernelSpec.eval_inplace`
+    in the one :class:`Workspace` of the sweep.
+    """
+
+    def __init__(self, family: ProductKernel, x: np.ndarray, X: np.ndarray, bandwidth: float):
+        self.specs = (family.interior, family.left, family.right)
+        self.h = bandwidth
+        self.work = Workspace()
+        self.cols = [np.ascontiguousarray(col) for col in X.T]
+        self.points = list(x.T)
+        self.choice = [_kernel_choice(col, bandwidth) for col in self.points]
+
+    def tile(self, idx: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Weights prod_i kappa_i((X_j,i - x_i)/h) / h of points ``idx``
+        (t,) at rows ``rows`` (r,), as a (t, r) array of the workspace that
+        the next tile overwrites.
+
+        Per coordinate, the tile's points are grouped by kernel (one group
+        when they share it); each group's factors (X_j,i - x_i) / h, then
+        kappa, then / h, are written into the product at coordinate 1 and
+        multiplied into it after, so every entry is the same product in the
+        same order whatever the grouping.  With no coordinates the product
+        is empty, all ones.
+        """
+        work, h = self.work, self.h
+        t, r = idx.size, rows.size
+        w = work.take("product", (t, r))
+        if not self.cols:
             w.fill(1.0)
-        for i in range(x.shape[1]):
-            col, xi = X[:, i], x[:, i]
-            for spec, rows in self.regions(xi, bandwidth):
-                u = np.subtract(col[None, :], xi[rows, None], out=work.take("u", (rows.size, n)))
-                u /= bandwidth
-                factor = spec.eval_inplace(u, work)
-                if i == 0 and rows.size == m:
-                    np.divide(factor, bandwidth, out=w)
+        for i, (col, pts, choice) in enumerate(zip(self.cols, self.points, self.choice)):
+            col, xi, codes = col[rows], pts[idx], choice[idx]
+            present = sorted(set(codes.tolist()))
+            for c in present:
+                sel = None if len(present) == 1 else np.flatnonzero(codes == c)
+                x = xi if sel is None else xi[sel]
+                u = np.subtract(col[None, :], x[:, None], out=work.take("u", (x.size, r)))
+                u /= h
+                factor = self.specs[c].eval_inplace(u, work)
+                if i == 0 and sel is None:
+                    np.divide(factor, h, out=w)
                     continue
-                factor /= bandwidth
-                if i == 0:  # the regions split the points, so each row is set once
-                    w[rows] = factor
-                elif rows.size == m:
+                factor /= h
+                if i == 0:  # the groups split the points, so each row is set once
+                    w[sel] = factor
+                elif sel is None:
                     w *= factor
                 else:
-                    w[rows] *= factor
+                    w[sel] *= factor
         return w
-
-
-def _kernel_masks(x, bandwidth: float):
-    """The kernel rule of :class:`ProductKernel` at ``x``, a float or an
-    array: (left, right, interior), with x < bandwidth near the lower face
-    and x > 1 - bandwidth near the upper one."""
-    near_lo, near_hi = x < bandwidth, x > 1.0 - bandwidth
-    return near_lo > near_hi, near_hi > near_lo, near_lo == near_hi
 
 
 @lru_cache(maxsize=64)

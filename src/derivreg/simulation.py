@@ -193,7 +193,8 @@ def derivative_ac_curve(
     (:func:`derivreg.kernels.band_sweep` cuts the tiles, and the exact
     windows replace its padded rows).  Each tile builds its
     window and cumulative masks once, over the union of its windows, as one
-    0/1 float mask with one multiply-sum per column.  Part b takes the
+    0/1 float mask with one multiply-sum per column; the window mask compares
+    row indices with the exact bounds, so it is the predicate itself.  Part b takes the
     window sums of the remainder at each distinct evaluation point from
     prefix sums that restart on each of their tiles' rows, so cancellation
     stays within a tile.  Time is the points times the rows in a tile's
@@ -224,8 +225,10 @@ def derivative_ac_curve(
         raise ValidationError(f"empty Q-window at width h={h}; increase h")
     cum_sums = np.empty((len(y_al), pts_q.size))
     for idx, _ in band_sweep(q, 0.5 * h, pts_q):
-        a, b = lo[idx].min(), hi[idx].max()  # the tile's windows, exactly
-        win = np.abs(q[None, a:b] - pts_q[idx, None]) <= 0.5 * h
+        start, stop = lo[idx], hi[idx]
+        a, b = start.min(), stop.max()  # the tile's windows, exactly
+        rows = np.arange(a, b)
+        win = (rows >= start[:, None]) & (rows < stop[:, None])
         mask = (win & (v[None, a:b] <= pts_v[idx, None])).astype(float)  # cast once for all columns
         for out, col in zip(cum_sums, y_al):
             out[idx] = (mask * col[None, a:b]).sum(axis=1)

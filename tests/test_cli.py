@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from derivreg.cli import main
+from derivreg.cli import _json_text, main
 from derivreg import DataSet, EstimationPlan, build_term_plan, fit, split_stream
 from derivreg.simulation import convergence_rate_experiment
 
@@ -63,22 +63,25 @@ class TestVerify:
         assert all("poly" not in ln.split(",")[0] for ln in failing)  # polynomials stay exact
 
 
-    def test_a_warm_call_leaves_no_parser_garbage(self, tmp_path, capsys):
-        # The parser is built once per process, so a call leaves none of its
-        # objects for the cyclic collector.  (The closures of json's
-        # pure-Python encoder, which indent=2 selects, are still left.)
-        run(["verify", "--quad-nodes", 4, "--out-dir", tmp_path])
-        gc.collect()
-        flags = gc.get_debug()
-        gc.set_debug(flags | gc.DEBUG_SAVEALL)
-        try:
-            run(["verify", "--quad-nodes", 4, "--out-dir", tmp_path])
+    def test_a_warm_call_leaves_no_parser_garbage(self, tmp_path, capsys, example_config):
+        # The parser is built once per process, and the sidecar JSON is
+        # written without json's pure-Python encoder, whose closures form
+        # cycles; so a warm verify or estimate call leaves nothing for the
+        # cyclic collector.
+        for args in (["verify", "--quad-nodes", 16], ["estimate", "--config", example_config]):
+            out = ["--out-dir", tmp_path / args[0]]
+            assert run(args + out) == 0
             gc.collect()
-            left = [type(o) for o in gc.garbage if any(c.__module__ == "argparse" for c in type(o).__mro__)]
-        finally:
-            gc.set_debug(flags)
-            gc.garbage.clear()
-        assert not left, left
+            flags = gc.get_debug()
+            gc.set_debug(flags | gc.DEBUG_SAVEALL)
+            try:
+                assert run(args + out) == 0
+                gc.collect()
+                left = [type(o) for o in gc.garbage]
+            finally:
+                gc.set_debug(flags)
+                gc.garbage.clear()
+            assert not left, (args[0], left)
 
 
 class TestSimulate:
@@ -716,6 +719,29 @@ class TestVerifyKernelsFuzz:
             else:
                 assert code in (1, 2)
                 assert text.endswith("\n") and text.count("\n") == 1, text
+
+
+_json_leaf = st.one_of(
+    st.none(), st.booleans(), st.integers(-(2**70), 2**70), st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=8)
+)
+_json_value = st.recursive(
+    _json_leaf,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.tuples(inner, inner), st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=20,
+)
+
+
+class TestSidecarText:
+    """The sidecar writer's text against ``json.dumps(indent=2, sort_keys=True)``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.dictionaries(st.text(max_size=6), _json_value, max_size=6))
+    def test_text_is_the_indented_sorted_dump(self, payload):
+        assert _json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+    def test_a_key_that_is_not_a_string_is_refused(self):
+        with pytest.raises(TypeError, match="keys must be strings"):
+            _json_text({"a": {1: 2.0}})
 
 
 class TestGoldenPayloads:

@@ -30,7 +30,6 @@ from derivreg.kernels import (
     MAX_EDGE_ORDER,
     MAX_INTERIOR_ORDER,
     BandwidthPlan,
-    Workspace,
     _TILE_ENTRIES,
     _solve_moment_system,
     band_sweep,
@@ -115,11 +114,12 @@ class TestProductKernel:
 
     def test_boundary_switches_to_edge_kernel(self):
         fam = product_kernel(2)
-        kinds = {spec.kind: rows.tolist() for spec, rows in fam.regions([0.0, 1.0, 0.5], 0.1)}
-        assert kinds == {"left": [0], "right": [1], "interior": [2]}
+        specs = (fam.interior, fam.left, fam.right)
+        kinds = [specs[c].kind for c in kernels._kernel_choice(np.array([0.0, 1.0, 0.5]), 0.1)]
+        assert kinds == ["left", "right", "interior"]
         # Above h = 1/2 a point within h of both faces takes the interior kernel.
-        kinds = {spec.kind: rows.tolist() for spec, rows in fam.regions([0.3, 0.7, 0.45, 0.0, 1.0], 0.6)}
-        assert kinds == {"left": [0, 3], "right": [1, 4], "interior": [2]}
+        kinds = [specs[c].kind for c in kernels._kernel_choice(np.array([0.3, 0.7, 0.45, 0.0, 1.0]), 0.6)]
+        assert kinds == ["left", "right", "interior", "left", "right"]
         # edge-coordinate mass equals interior mass (both integrate to one)
         t, w = np.polynomial.legendre.leggauss(40)
         for x, lo in ((0.0, 0.0), (1.0, 0.9)):
@@ -129,22 +129,19 @@ class TestProductKernel:
 
     @settings(max_examples=100, deadline=None)
     @given(st.sampled_from([0.05, 0.2, 0.45, 0.5, 0.6, 0.95]), st.integers(0, 2**32 - 1))
-    def test_regions_follow_the_rule_point_by_point(self, h, seed):
+    def test_kernel_choice_follows_the_rule_point_by_point(self, h, seed):
         # Points at h, 1 - h, both faces and their neighbours (near both faces
-        # when h > 1/2); a set of one kernel's points takes the whole-set
-        # shortcut, and a mixed set the rule per point.
+        # when h > 1/2), and NaN, which takes the interior kernel.
         rng = np.random.default_rng(seed)
         fam = product_kernel(4)
+        specs = (fam.interior, fam.left, fam.right)
         edges = [0.0, 1.0, h, 1.0 - h]
         values = np.concatenate([edges, [np.nextafter(e, side) for e in edges for side in (0.0, 1.0)], rng.uniform(size=4)])
         x = rng.choice(values, size=rng.integers(1, 30))
-        kinds = np.array([reference._select(v, h, 4).kind for v in x])
-        for sub in [x] + [x[kinds == kind] for kind in set(kinds)]:
-            got = fam.regions(sub, h)
-            assert np.array_equal(np.sort(np.concatenate([rows for _, rows in got])), np.arange(sub.size))
-            for spec, rows in got:
-                assert rows.size and np.all(np.diff(rows) > 0)
-                assert all(reference._select(v, h, 4) is spec for v in sub[rows])
+        got = kernels._kernel_choice(x, h)
+        assert got.dtype == np.int8 and got.shape == x.shape
+        assert all(specs[c] is reference._select(v, h, 4) for v, c in zip(x, got))
+        assert specs[kernels._kernel_choice(np.array([np.nan]), h)[0]] is fam.interior
 
     def test_product_equals_univariate_product(self):
         fam = product_kernel(4)
@@ -215,15 +212,48 @@ class TestInPlaceEvaluator:
         rng = np.random.default_rng(seed)
         fam = product_kernel(d)
         values = np.concatenate([[0.0, 1.0, h, 1.0 - h, np.nextafter(h, 0.0), np.nextafter(1.0 - h, 1.0)], rng.uniform(size=6)])
-        work = Workspace()
         for m, n in rng.integers(1, 40, size=(3, 2)):
             x = rng.choice(values, size=(m, k))
             near = x[rng.integers(m, size=n)]
             X = np.clip(near + rng.uniform(-1.2, 1.2, size=(n, k)) * h, 0.0, 1.0)
             X = np.vstack([X, np.clip(near[:1] + h, 0.0, 1.0), np.clip(near[:1] - h, 0.0, 1.0)])
-            want = reference.product_weights(x, X, h, d).tobytes()
-            assert fam.weights(x, X, h, work).tobytes() == want  # reused, grown or shrunk
-            assert fam.weights(x, X, h).tobytes() == want  # a fresh workspace
+            assert fam.weights(x, X, h).tobytes() == reference.product_weights(x, X, h, d).tobytes()
+
+
+class TestKernelSweep:
+    """Tiles of a :meth:`ProductKernel.sweep` against the frozen loop and
+    :meth:`ProductKernel.weights` on the same points and rows, bit for bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sampled_from([2, 4, 6]),
+        st.sampled_from([0.05, 0.2, 0.45, 0.5, 0.6, 0.95]),
+        st.integers(0, 3),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_tiles_match_weights_bit_for_bit(self, d, h, k, seed):
+        # Every point set holds 0, 1/2 and 1 in each coordinate, which take the
+        # left, interior and right kernels at every h here (1/2 is near both
+        # faces when h > 1/2), so the first tile, all points in a random
+        # order, mixes the three kernels in every coordinate.  Points repeat
+        # and rows copy points; later tiles, random subsets, grow and shrink
+        # the sweep's one workspace.
+        rng = np.random.default_rng(seed)
+        fam = product_kernel(d)
+        values = np.concatenate([[0.0, 1.0, h, 1.0 - h, np.nextafter(h, 0.0), np.nextafter(1.0 - h, 1.0)], rng.uniform(size=4)])
+        m = rng.integers(1, 40)
+        x = np.vstack([np.full((1, k), v) for v in (0.0, 0.5, 1.0)] + [rng.choice(values, size=(m, k))])
+        near = x[rng.integers(x.shape[0], size=rng.integers(1, 40))]
+        X = np.vstack([np.clip(near + rng.uniform(-1.2, 1.2, size=near.shape) * h, 0.0, 1.0), x[rng.integers(x.shape[0], size=5)]])
+        sweep = fam.sweep(x, np.asfortranarray(X), h)  # columns as views, as the callers pass them
+        tiles = [(rng.permutation(x.shape[0]), np.arange(X.shape[0]))]
+        for _ in range(4):
+            idx = rng.choice(x.shape[0], size=rng.integers(0, x.shape[0] + 1), replace=False)
+            tiles.append((idx, np.sort(rng.choice(X.shape[0], size=rng.integers(0, X.shape[0] + 1), replace=False))))
+        for idx, rows in tiles:
+            got = sweep.tile(idx, rows).tobytes()
+            assert got == reference.product_weights(x[idx], X[rows], h, d).tobytes()
+            assert got == fam.weights(x[idx], X[rows], h).tobytes()
 
 
 def _weight(spec, u):
@@ -475,6 +505,31 @@ class TestSweepWork:
         loo_at_rows(est)
         assert {size for size, _ in tiles} == {16}
         assert max(size * rows for size, rows in tiles) <= 1.25 * 2**14
+
+    def test_the_kernel_rule_runs_once_per_sweep(self, monkeypatch):
+        # fit_loo's density makes about 250 tiles, and the NW baseline at the
+        # MC table's largest n about 50; each sweep chooses every point's
+        # kernels once per coordinate, not once per tile.
+        calls, rule = [], kernels._kernel_choice
+
+        def counted(x, bandwidth):
+            calls.append(x.size)
+            return rule(x, bandwidth)
+
+        monkeypatch.setattr(kernels, "_kernel_choice", counted)
+        tiles = self._counted(monkeypatch, density)
+        X = np.random.default_rng([1, 2, 1]).uniform(size=(4000, 2)) ** 1.5
+        est = DensityEstimator(DataSet(2, DerivIndex.zeros(2), X, np.zeros(4000)), 4, BandwidthPlan().H(4000, 4, 2, 1))
+        loo_at_rows(est)
+        assert len(tiles) > 200 and calls == [4000, 4000]
+        calls.clear()
+        tiles = self._counted(monkeypatch, estimators)
+        s = generate(CobbDouglasConfig(n=4000, seed=0), path_prefix=(0,))
+        X = np.column_stack([s.q - 0.5, s.v - 0.5])
+        rules = BenchmarkRules()
+        nadaraya_watson_grid(X, s.y_ac, X, rules.h_base(4000), d=rules.base_order, den_floor=rules.base_floor, widen_on_empty=True)
+        # One sweep per pass (h, then each doubling): each pass's points once per coordinate.
+        assert len(tiles) > 20 and len(calls) <= 14 and sum(calls) == 2 * sum(size for size, _ in tiles)
 
 
 class TestOrderGate:

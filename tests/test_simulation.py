@@ -297,6 +297,33 @@ class TestSharedSweep:
         for x, a, b in zip(q0, lo, hi):
             assert np.array_equal(np.flatnonzero(np.abs(q - x) <= 0.5 * h), np.arange(a, b))
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(_q, min_size=1, max_size=6),
+        st.one_of(st.sampled_from([0.125, 0.25, 0.5, 1.0]), st.floats(1e-6, 1.2)),
+        st.lists(st.tuples(st.integers(0, 5), st.integers(0, 4), st.integers(1, 4)), min_size=1, max_size=30),
+    )
+    def test_integer_window_mask_equals_the_float_predicate(self, q0, h, picks):
+        # The curve's part a builds each tile's window mask from the bounds
+        # [lo, hi) of _windows over the union of the tile's windows.  Rows
+        # repeat up to four times at q0, q0 +- h/2 exactly and the floats
+        # beside q0 + h/2; points repeat too.
+        q0 = np.array(q0)
+        c = 0.5 * h
+        q = []
+        for point, where, copies in picks:
+            x = q0[point % q0.size]
+            x = [x, x - c, x + c, np.nextafter(x + c, -np.inf), np.nextafter(x + c, np.inf)][where]
+            q += [x] * copies
+        q = np.sort(np.array(q))
+        lo, hi = _windows(q, q0, h)
+        a, b = lo.min(), hi.max()
+        rows = np.arange(a, b)
+        mask = (rows >= lo[:, None]) & (rows < hi[:, None])
+        want = np.abs(q[None, :] - q0[:, None]) <= c
+        assert np.array_equal(mask, want[:, a:b])
+        assert not want[:, :a].any() and not want[:, b:].any()
+
 
 
 @st.composite
